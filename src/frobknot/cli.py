@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import complex as cx
@@ -62,6 +61,14 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
+def _load_algebra(path: str) -> fb.FrobeniusData:
+    data = _load_json(path)
+    try:
+        return fb.FrobeniusData.from_json(data)
+    except (KeyError, ValueError, TypeError) as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 def _algebra_from_args(args) -> fb.FrobeniusData:
     if args.algebra and args.a5:
         raise InputError("--algebra and --a5 are mutually exclusive")
@@ -73,11 +80,7 @@ def _algebra_from_args(args) -> fb.FrobeniusData:
             raise InputError("--a5 expects two integers: H,T") from None
         return fb.a5(h, t, ring or ZZ)
     if args.algebra:
-        data = _load_json(args.algebra)
-        try:
-            F = fb.FrobeniusData.from_json(data)
-        except (KeyError, ValueError, TypeError) as e:
-            raise InputError(f"{args.algebra}: {e}") from None
+        F = _load_algebra(args.algebra)
         if ring is not None and ring != F.ring:
             return fb.FrobeniusData(ring, F.rank, F.mult, F.comult, F.unit, F.counit)
         return F
@@ -118,7 +121,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_check_algebra(args) -> int:
-    F = fb.FrobeniusData.from_json(_load_json(args.file))
+    F = _load_algebra(args.file)
     flags = fb.check_axioms(F)
     if args.json:
         _emit_json(flags)
@@ -129,7 +132,7 @@ def _cmd_check_algebra(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    F = fb.FrobeniusData.from_json(_load_json(args.file))
+    F = _load_algebra(args.file)
     report = fb.verify_n2cob_relations(F)
     if args.json:
         _emit_json(report)
@@ -175,15 +178,15 @@ def _cmd_verify(args) -> int:
                 reports.append(verifier.verify_theorem_1_2(ring=GF(p)))
             reports.append(verifier.verify_theorem_1_2(zbound=2))
     elif which == "thm1.1":
-        for p in [args.p] if args.p else (2, 3):
+        for p in [args.p] if args.p is not None else (2, 3):
             reports.append(verifier.verify_theorem_1_1(p))
     elif which == "prop3.4":
-        for p in [args.p] if args.p else (3, 5):
+        for p in [args.p] if args.p is not None else (3, 5):
             reports.append(verifier.verify_prop_3_4(p))
     elif which == "char2":
         reports.append(verifier.verify_char2_classification())
     elif which == "noncomm":
-        for p in [args.p] if args.p else (2, 3):
+        for p in [args.p] if args.p is not None else (2, 3):
             reports.append(verifier.verify_noncommutative(p))
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown verify target {which!r}")
@@ -244,16 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FROBKNOT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"FROBKNOT_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
-        # execution is sequential; output is identical for any worker count
-
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)

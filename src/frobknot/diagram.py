@@ -33,7 +33,7 @@ class LinkDiagram:
             if len(q) != 4:
                 raise PDError("crossing needs exactly four arc labels")
             for a in q:
-                if not isinstance(a, int) or a < 1:
+                if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                     raise PDError(f"bad arc label {a!r}")
                 seen[a] = seen.get(a, 0) + 1
         for a, k in seen.items():

@@ -72,9 +72,6 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
     def substitute_monomial(self, coeff: int, exp: int) -> "Laurent":
         """Replace the variable v by coeff * v**exp (coeff must be a unit)."""
         if coeff not in (1, -1):

@@ -8,11 +8,12 @@ stores three products (e1e1, e1e2, e2e2); the noncommutative case four.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .linalg import ExactMatrix, rank, smith_normal_form, solve_linear
-from .rings import ZZ, RingSpec, Scalar
+from .rings import RingSpec, Scalar
 
 Pair = tuple[Scalar, Scalar]
 
@@ -41,16 +42,6 @@ class MultTable:
     def commutative(self) -> bool:
         return self.e21 is None
 
-    def product(self, i: int, j: int) -> Pair:
-        """Product of basis elements e_i e_j (i, j in {1, 2})."""
-        if (i, j) == (1, 1):
-            return self.e11
-        if (i, j) == (2, 2):
-            return self.e22
-        if (i, j) == (1, 2):
-            return self.e12
-        return self.e12 if self.e21 is None else self.e21
-
     def to_json(self) -> dict:
         f = self.ring.format_scalar
         prods = {
@@ -78,28 +69,89 @@ class MultTable:
         )
 
 
-def multiply(t: MultTable, u: Pair, v: Pair) -> Pair:
-    """Bilinear extension of the table to arbitrary coefficient pairs."""
-    R = t.ring
-    out0, out1 = R.zero, R.zero
-    u = (R.normalize(u[0]), R.normalize(u[1]))
-    v = (R.normalize(v[0]), R.normalize(v[1]))
-    for i in (1, 2):
-        if u[i - 1] == R.zero:
-            continue
-        for j in (1, 2):
-            if v[j - 1] == R.zero:
-                continue
-            c = R.mul(u[i - 1], v[j - 1])
-            p = t.product(i, j)
-            out0 = R.add(out0, R.mul(c, p[0]))
-            out1 = R.add(out1, R.mul(c, p[1]))
-    return (out0, out1)
-
+# ---------------------------------------------------------------------------
+# Kernel on plain tuples t = (e11, e12, e21, e22) of coefficient pairs, a
+# commutative table having e21 == e12.  m is p over F_p (entries in range(p))
+# and 0 over Z and Q; Z and Q differ by scalar type (int or Fraction), as in
+# rings.  The public functions below delegate here; the verifier's batteries
+# call the kernel directly.
+# ---------------------------------------------------------------------------
 
 _E1 = (1, 0)
 _E2 = (0, 1)
 _BASIS = (_E1, _E2)
+_TRIPLES = tuple(itertools.product(_BASIS, repeat=3))
+
+
+def _mul(t, u, v, m):
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
+    x11, x12, x21, x22 = u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1]
+    a = x11 * a1 + x12 * a2 + x21 * a3 + x22 * a4
+    b = x11 * b1 + x12 * b2 + x21 * b3 + x22 * b4
+    return (a % m, b % m) if m else (a, b)
+
+
+def _associative(t, m) -> bool:
+    e11, e12, e21, e22 = t
+    if e12 == e21:  # commutative: the two corner identities suffice
+        return (
+            _mul(t, e11, _E2, m) == _mul(t, _E1, e12, m)
+            and _mul(t, e22, _E1, m) == _mul(t, _E2, e21, m)
+        )
+    return all(
+        _mul(t, _mul(t, x, y, m), z, m) == _mul(t, x, _mul(t, y, z, m), m) for x, y, z in _TRIPLES
+    )
+
+
+def _surjective(t, m) -> bool:
+    """The multiplication A (x) A -> A is onto.  Over Z and F_p the gcd of m
+    and the 2x2 minors of the 2x4 product matrix must be 1: over Z that gcd
+    is d1*d2 of the Smith form."""
+    minors = [a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(t, 2)]
+    if isinstance(minors[0], Fraction):  # Q: every nonzero minor is a unit
+        return any(minors)
+    return math.gcd(*minors, m) == 1
+
+
+def _unit(t, m):
+    """The two-sided unit u = x e1 + y e2, or None.
+
+    Cramer's rule on the first nonsingular pair of the eight unit equations,
+    then a check of all of them.  A unit is unique, so a system with no
+    nonsingular pair has none.
+    """
+    (a11, b11), (a12, b12), (a21, b21), (a22, b22) = t
+    rows = (  # x * c + y * d = r, from u e1 = e1, u e2 = e2, e1 u = e1, e2 u = e2
+        (a11, a21, 1), (b11, b21, 0), (a12, a22, 0), (b12, b22, 1),
+        (a11, a12, 1), (b11, b12, 0), (a21, a22, 0), (b21, b22, 1),
+    )
+    for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
+        det = c1 * d2 - c2 * d1
+        if (det % m if m else det) != 0:
+            break
+    else:
+        return None
+    xn, yn = r1 * d2 - r2 * d1, c1 * r2 - c2 * r1
+    if m:
+        inv = pow(det, -1, m)
+        u = (xn * inv % m, yn * inv % m)
+    elif isinstance(det, Fraction):
+        u = (xn / det, yn / det)
+    else:  # Z: a floored quotient fails the check below unless it is exact
+        u = (xn // det, yn // det)
+    if all(_mul(t, u, e, m) == e == _mul(t, e, u, m) for e in _BASIS):
+        return u
+    return None
+
+
+def _entries(t: MultTable):
+    return (t.e11, t.e12, t.e12 if t.e21 is None else t.e21, t.e22)
+
+
+def multiply(t: MultTable, u: Pair, v: Pair) -> Pair:
+    """Bilinear extension of the table to arbitrary coefficient pairs."""
+    n = t.ring.normalize
+    return _mul(_entries(t), (n(u[0]), n(u[1])), (n(v[0]), n(v[1])), t.ring.p or 0)
 
 
 def is_associative(t: MultTable) -> bool:
@@ -109,35 +161,16 @@ def is_associative(t: MultTable) -> bool:
     (e1 e1) e2 = e1 (e1 e2) and (e2 e2) e1 = e2 (e2 e1); noncommutative
     tables are checked on all eight basis triples.
     """
-    if t.commutative:
-        return multiply(t, t.e11, _E2) == multiply(t, _E1, t.e12) and multiply(
-            t, t.e22, _E1
-        ) == multiply(t, _E2, t.product(2, 1))
-    for x, y, z in itertools.product(_BASIS, repeat=3):
-        if multiply(t, multiply(t, x, y), z) != multiply(t, x, multiply(t, y, z)):
-            return False
-    return True
+    return _associative(_entries(t), t.ring.p or 0)
 
 
 def find_unit(t: MultTable) -> Optional[Pair]:
-    """Two-sided unit, found by an exact linear solve (works over Z too)."""
-    R = t.ring
-    rows, rhs = [], []
-    for e in (_E1, _E2):
-        for side in ("left", "right"):
-            # u*e = e (left) resp. e*u = e (right), u = x e1 + y e2
-            if side == "left":
-                c1 = multiply(t, _E1, e)
-                c2 = multiply(t, _E2, e)
-            else:
-                c1 = multiply(t, e, _E1)
-                c2 = multiply(t, e, _E2)
-            rows.append([c1[0], c2[0]])
-            rows.append([c1[1], c2[1]])
-            rhs.extend(e)
-    M = ExactMatrix.from_rows(R, rows)
-    sol = solve_linear(M, rhs)
-    return (sol[0], sol[1]) if sol is not None else None
+    """Two-sided unit, exact over Z, Q and F_p."""
+    return _unit(_entries(t), t.ring.p or 0)
+
+
+def is_multiplication_surjective(t: MultTable) -> bool:
+    return _surjective(_entries(t), t.ring.p or 0)
 
 
 def idempotents(t: MultTable, bound: Optional[int] = None) -> list[Pair]:
@@ -161,23 +194,6 @@ def idempotents(t: MultTable, bound: Optional[int] = None) -> list[Pair]:
             out.append(v)
     out.sort()
     return out
-
-
-def product_matrix(t: MultTable) -> ExactMatrix:
-    """Matrix of m: A (x) A -> A; columns are the basis products."""
-    if t.commutative:
-        cols = [t.e11, t.e12, t.e22]
-    else:
-        cols = [t.e11, t.e12, t.product(2, 1), t.e22]
-    return ExactMatrix.from_rows(t.ring, [[c[0] for c in cols], [c[1] for c in cols]])
-
-
-def is_multiplication_surjective(t: MultTable) -> bool:
-    M = product_matrix(t)
-    if t.ring.kind == "Z":
-        d = smith_normal_form(M).diagonal
-        return len(d) == 2 and d[0] == 1 and d[1] == 1
-    return rank(M) == 2
 
 
 def gl2(ring: RingSpec):
@@ -477,16 +493,3 @@ def all_commutative_tables(ring: RingSpec):
     """Every commutative table over F_p (p^6 of them), lexicographic order."""
     for a1, b1, a2, b2, a4, b4 in itertools.product(ring.elements(), repeat=6):
         yield MultTable(ring, (a1, b1), (a2, b2), (a4, b4))
-
-
-def all_tables(ring: RingSpec):
-    """Every table over F_p (p^8 of them), lexicographic order."""
-    for c in itertools.product(ring.elements(), repeat=8):
-        yield MultTable(ring, (c[0], c[1]), (c[2], c[3]), (c[6], c[7]), e21=(c[4], c[5]))
-
-
-def bounded_z_tables(bound: int):
-    """Commutative integer tables with entries in [-bound, bound]."""
-    rng = range(-bound, bound + 1)
-    for a1, b1, a2, b2, a4, b4 in itertools.product(rng, repeat=6):
-        yield MultTable(ZZ, (a1, b1), (a2, b2), (a4, b4))

@@ -56,10 +56,6 @@ class RingSpec:
     def one(self) -> Scalar:
         return Fraction(1) if self.kind == "Q" else 1
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind in ("Q", "Fp")
-
     def normalize(self, x) -> Scalar:
         """Coerce an int/Fraction/decimal-or-'n/d' string into this ring."""
         if isinstance(x, str):
@@ -73,7 +69,9 @@ class RingSpec:
         if self.kind == "Q":
             return Fraction(x)
         if isinstance(x, Fraction):
-            return self.normalize(x.numerator) * self.inv(self.normalize(x.denominator)) % self.p
+            if x.denominator % self.p == 0:
+                raise ValueError(f"{x} has a denominator divisible by {self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:

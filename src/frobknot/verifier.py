@@ -1,10 +1,10 @@
 """Exhaustive desk-scale verification over small prime fields and bounded
 integer boxes.
 
-Hot loops run on plain integer tuples mod p; structure objects are only
-materialized for counterexample records.  Every report carries the closed
-form search-space size and per-stage survivor counts so exhaustiveness is
-auditable.
+Hot loops run the rank2 tuple kernel on plain integer tuples; structure
+objects are only materialized for survivors and counterexample records.
+Every report carries the closed form search-space size and per-stage
+survivor counts so exhaustiveness is auditable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import rank2
-from .linalg import ExactMatrix, smith_normal_form
+from .rank2 import _associative, _surjective, _unit
 from .rings import ZZ, GF, RingSpec
 
 
@@ -50,54 +50,16 @@ class VerifyReport:
         )
 
 
-# ---------------------------------------------------------------------------
-# Fast commutative-table helpers on plain tuples: t = (p11, p12, p22),
-# each a coefficient pair.  All arithmetic mod p.
-# ---------------------------------------------------------------------------
+def _comm_tables(entries):
+    """Commutative tables (e11, e12, e12, e22) with entries from ``entries``,
+    in lexicographic order of (e11, e12, e22)."""
+    for a1, b1, a2, b2, a4, b4 in itertools.product(entries, repeat=6):
+        e12 = (a2, b2)
+        yield ((a1, b1), e12, e12, (a4, b4))
 
 
-def _mulv(t, u, v, p):
-    p11, p12, p22 = t
-    a = (u[0] * v[0]) % p
-    b = (u[0] * v[1] + u[1] * v[0]) % p
-    c = (u[1] * v[1]) % p
-    return (
-        (a * p11[0] + b * p12[0] + c * p22[0]) % p,
-        (a * p11[1] + b * p12[1] + c * p22[1]) % p,
-    )
-
-
-def _assoc_comm(t, p):
-    p11, p12, p22 = t
-    return _mulv(t, p11, (0, 1), p) == _mulv(t, (1, 0), p12, p) and _mulv(
-        t, p22, (1, 0), p
-    ) == _mulv(t, (0, 1), p12, p)
-
-
-def _surjective_comm(t, p):
-    (a1, b1), (a2, b2), (a4, b4) = t
-    return (
-        (a1 * b2 - a2 * b1) % p != 0
-        or (a1 * b4 - a4 * b1) % p != 0
-        or (a2 * b4 - a4 * b2) % p != 0
-    )
-
-
-def _find_unit_fp(t, p):
-    for u in itertools.product(range(p), repeat=2):
-        if _mulv(t, u, (1, 0), p) == (1, 0) and _mulv(t, u, (0, 1), p) == (0, 1):
-            return u
-    return None
-
-
-def _comm_tables(p):
-    for c in itertools.product(range(p), repeat=6):
-        yield ((c[0], c[1]), (c[2], c[3]), (c[4], c[5]))
-
-
-def _record_table(ring: RingSpec, t, e21=None) -> dict:
-    mt = rank2.MultTable(ring, t[0], t[1], t[2], e21)
-    return {"table": mt.to_json()}
+def _record_table(ring: RingSpec, t) -> dict:
+    return {"table": rank2.MultTable(ring, t[0], t[1], t[3]).to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -112,43 +74,27 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
     if (ring is None) == (zbound is None):
         raise ValueError("give exactly one of ring= or zbound=")
     if zbound is not None:
-        return _verify_1_2_bounded_z(zbound)
-    if ring.kind != "Fp":
+        if zbound < 0:
+            raise ValueError(f"the Z box bound must be nonnegative, got {zbound}")
+        ring, entries = ZZ, range(-zbound, zbound + 1)
+        name = f"thm1.2 over Z box [-{zbound},{zbound}]"
+    elif ring.kind != "Fp":
         raise ValueError("field verification needs a prime field")
-    p = ring.p
-    rep = VerifyReport(f"thm1.2 over F_{p}", p**6)
+    else:
+        entries, name = range(ring.p), f"thm1.2 over F_{ring.p}"
+    m = ring.p or 0
+    rep = VerifyReport(name, len(entries) ** 6)
     n_assoc = n_surj = 0
-    for t in _comm_tables(p):
-        if not _assoc_comm(t, p):
+    for t in _comm_tables(entries):
+        if not _associative(t, m):
             continue
         n_assoc += 1
-        if not _surjective_comm(t, p):
+        if not _surjective(t, m):
             continue
         n_surj += 1
-        if _find_unit_fp(t, p) is None:
+        if _unit(t, m) is None:
             rep.counterexamples.append(
                 Counterexample("surjective_without_unit", _record_table(ring, t))
-            )
-    rep.stages = {"associative": n_assoc, "surjective": n_surj}
-    return rep
-
-
-def _verify_1_2_bounded_z(bound: int) -> VerifyReport:
-    side = 2 * bound + 1
-    rep = VerifyReport(f"thm1.2 over Z box [-{bound},{bound}]", side**6)
-    n_assoc = n_surj = 0
-    rng = range(-bound, bound + 1)
-    for c in itertools.product(rng, repeat=6):
-        t = rank2.MultTable(ZZ, (c[0], c[1]), (c[2], c[3]), (c[4], c[5]))
-        if not rank2.is_associative(t):
-            continue
-        n_assoc += 1
-        if not rank2.is_multiplication_surjective(t):
-            continue
-        n_surj += 1
-        if rank2.find_unit(t) is None:
-            rep.counterexamples.append(
-                Counterexample("surjective_without_unit", {"table": t.to_json()})
             )
     rep.stages = {"associative": n_assoc, "surjective": n_surj}
     return rep
@@ -160,60 +106,28 @@ def _verify_1_2_bounded_z(bound: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _cocomm_coassoc_injective_comults(p):
-    """All coproduct tensors d[k][i][j] passing cocommutativity,
-    coassociativity, and full rank, from the p^8 raw space."""
-    out = []
-    rng = range(p)
-    for c in itertools.product(rng, repeat=6):
-        # cocommutative: d[k][0][1] == d[k][1][0]; 6 free entries
-        d = (
-            ((c[0], c[1]), (c[1], c[2])),
-            ((c[3], c[4]), (c[4], c[5])),
-        )
-        ok = True
-        for k in (0, 1):
-            for c1 in (0, 1):
-                for c2 in (0, 1):
-                    for c3 in (0, 1):
-                        lhs = sum(d[k][s][c3] * d[s][c1][c2] for s in (0, 1)) % p
-                        rhs = sum(d[k][c1][s] * d[s][c2][c3] for s in (0, 1)) % p
-                        if lhs != rhs:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # injective: the two columns (flattened tensors) independent
-        col0 = (d[0][0][0], d[0][0][1], d[0][1][0], d[0][1][1])
-        col1 = (d[1][0][0], d[1][0][1], d[1][1][0], d[1][1][1])
-        if all(
-            (col0[i] * col1[j] - col0[j] * col1[i]) % p == 0
-            for i in range(4)
-            for j in range(i + 1, 4)
-        ):
-            continue
-        out.append(d)
-    return out
+def _cocomm_coassoc_comults(p):
+    """Every cocommutative coassociative coproduct over F_p, as the tensor
+    d[k][i][j] (d[k][0][1] == d[k][1][0]) with its transpose: the table
+    e_i e_j = (d[0][i][j], d[1][i][j]).  The transpose is associative exactly
+    when d is coassociative, surjective exactly when d is injective, and its
+    unit is the counit of d."""
+    for c in itertools.product(range(p), repeat=6):
+        d = (((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5])))
+        dual = ((c[0], c[3]), (c[1], c[4]), (c[1], c[4]), (c[2], c[5]))
+        if _associative(dual, p):
+            yield d, dual
 
 
 def _frobenius_relation(t, d, p) -> bool:
-    c = (
-        (t[0], t[1]),
-        (t[1], t[2]),
-    )  # c[i][j] = product pair; commutative
     for i in (0, 1):
         for j in (0, 1):
             for a in (0, 1):
                 for b in (0, 1):
-                    lhs = sum(c[i][j][s] * d[s][a][b] for s in (0, 1)) % p
-                    mid = sum(c[i][u][a] * d[j][u][b] for u in (0, 1)) % p
-                    rhs = sum(d[i][a][v] * c[v][j][b] for v in (0, 1)) % p
+                    # t[2 * i + j] is the product pair e_i e_j
+                    lhs = sum(t[2 * i + j][s] * d[s][a][b] for s in (0, 1)) % p
+                    mid = sum(t[2 * i + u][a] * d[j][u][b] for u in (0, 1)) % p
+                    rhs = sum(d[i][a][v] * t[2 * v + j][b] for v in (0, 1)) % p
                     if lhs != mid or lhs != rhs:
                         return False
     return True
@@ -227,18 +141,15 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
         raise ValueError("double enumeration is limited to p in {2, 3}")
     ring = GF(p)
     rep = VerifyReport(f"thm1.1 over F_{p}", p**6 * p**8)
-    mults = [t for t in _comm_tables(p) if _assoc_comm(t, p) and _surjective_comm(t, p)]
-    comults = _cocomm_coassoc_injective_comults(p)
+    mults = [t for t in _comm_tables(range(p)) if _associative(t, p) and _surjective(t, p)]
+    comults = [(d, dual) for d, dual in _cocomm_coassoc_comults(p) if _surjective(dual, p)]
     n_pairs = 0
     for t in mults:
-        for d in comults:
+        for d, dual in comults:
             if not _frobenius_relation(t, d, p):
                 continue
             n_pairs += 1
-            unit = _find_unit_fp(t, p)
-            # counit = unit of the transposed coproduct tensor
-            dual = ((d[0][0][0], d[1][0][0]), (d[0][0][1], d[1][0][1]), (d[0][1][1], d[1][1][1]))
-            counit = _find_unit_fp(dual, p)
+            unit, counit = _unit(t, p), _unit(dual, p)
             if unit is None or counit is None:
                 rec = _record_table(ring, t)
                 rec["comult"] = [[list(row) for row in dk] for dk in d]
@@ -339,11 +250,11 @@ def verify_char2_classification() -> VerifyReport:
     ring = GF(2)
     rep = VerifyReport("char-2 classification over F_2", 2**6)
     n_assoc = 0
-    for t6 in _comm_tables(2):
-        t = rank2.MultTable(ring, t6[0], t6[1], t6[2])
-        if not rank2.is_associative(t):
+    for t4 in _comm_tables(range(2)):
+        if not _associative(t4, 2):
             continue
         n_assoc += 1
+        t = rank2.MultTable(ring, t4[0], t4[1], t4[3])
         try:
             label, params = rank2.classify(t)
         except rank2.ClassificationGap:
@@ -380,12 +291,12 @@ def verify_noncommutative(p: int) -> VerifyReport:
         rank2.representative("nc_right", (), ring),
     ]
     n_survivors = 0
-    for t in rank2.all_tables(ring):
-        if t.e21 == t.e12:
-            continue
-        if not rank2.is_associative(t) or not rank2.is_multiplication_surjective(t):
+    for c in itertools.product(range(p), repeat=8):
+        t4 = ((c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7]))
+        if t4[1] == t4[2] or not _associative(t4, p) or not _surjective(t4, p):
             continue
         n_survivors += 1
+        t = rank2.MultTable(ring, t4[0], t4[1], t4[3], e21=t4[2])
         if all(rank2.isomorphic(t, tgt) is None for tgt in targets):
             rep.counterexamples.append(
                 Counterexample("unmatched_noncommutative_table", {"table": t.to_json()})
@@ -409,20 +320,5 @@ def search_nearly_frobenius(m: rank2.MultTable) -> list:
     if not m.commutative or not rank2.is_associative(m):
         raise ValueError("product must be commutative and associative")
     p = ring.p
-    t = (m.e11, m.e12, m.e22)
-    out = []
-    rng = range(p)
-    for c in itertools.product(rng, repeat=6):
-        d = (
-            ((c[0], c[1]), (c[1], c[2])),
-            ((c[3], c[4]), (c[4], c[5])),
-        )
-        coassoc = all(
-            sum(d[k][s][c3] * d[s][c1][c2] for s in (0, 1)) % p
-            == sum(d[k][c1][s] * d[s][c2][c3] for s in (0, 1)) % p
-            for k, c1, c2, c3 in itertools.product((0, 1), repeat=4)
-        )
-        if coassoc and _frobenius_relation(t, d, p):
-            out.append(d)
-    out.sort()
-    return out
+    t = (m.e11, m.e12, m.e12, m.e22)
+    return sorted(d for d, _ in _cocomm_coassoc_comults(p) if _frobenius_relation(t, d, p))

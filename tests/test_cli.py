@@ -62,6 +62,21 @@ def test_check_algebra_exit_codes(tmp_path, capsys):
     code, _ = run(capsys, "relations", str(good))
     assert code == 0
 
+    # bad input exits 2 with an error line, never 1 or a traceback
+    no_mult = {k: v for k, v in fr.a5(1, 1).to_json().items() if k != "mult"}
+    third = fr.a5(1, 1, GF(3)).to_json()
+    third["mult"][0][0][0] = "1/3"  # 3 is not a unit mod 3
+    for name, data in (("no_mult.json", no_mult), ("third.json", third)):
+        bad = tmp_path / name
+        bad.write_text(json.dumps(data))
+        for argv in (
+            ("check-algebra", str(bad)),
+            ("relations", str(bad)),
+            ("homology", "builder:hopf_pos", "--algebra", str(bad)),
+        ):
+            assert main(list(argv)) == 2, argv
+            assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_classify_and_gap_exit_code(tmp_path, capsys):
     t = rank2.representative("m2_7", (), GF(2))
@@ -76,6 +91,13 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
     f2.write_text(json.dumps(gap.to_json()))
     code, _ = run(capsys, "classify", str(f2))
     assert code == 1
+
+    third = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
+    third["products"]["e1e1"][0] = "1/3"
+    f3 = tmp_path / "third.json"
+    f3.write_text(json.dumps(third))
+    assert main(["classify", str(f3)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_subcommand(capsys):
@@ -94,13 +116,6 @@ def test_usage_errors_exit_2(capsys):
     assert main(["homology", "builder:nope", "--a5", "0,0"]) == 2
     assert main(["homology", "builder:unknot_0", "--a5", "0,0", "--algebra", "x"]) == 2
     assert main(["verify", "bogus"]) == 2
-    capsys.readouterr()
-
-
-def test_thread_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FROBKNOT_THREADS", "zero")
-    assert main(["bracket", "builder:unknot_0"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("FROBKNOT_THREADS", "2")
-    assert main(["bracket", "builder:unknot_0"]) == 0
+    assert main(["verify", "thm1.2", "--zbound", "-1"]) == 2
+    assert main(["verify", "thm1.1", "--p", "0"]) == 2  # not the default battery
     capsys.readouterr()

@@ -31,6 +31,8 @@ def test_parse_pd_rejects_bad_labels():
         dg.parse_pd("X 1 2 3 4\n")  # every arc label must occur exactly twice
     with pytest.raises(dg.PDError):
         dg.parse_pd("X 1 1 3 3\nSIGNS +\n")  # gap: label 2 missing
+    with pytest.raises(dg.PDError):
+        dg.LinkDiagram(((True, 1, 2, 2),))  # bool is an int subclass, not a label
 
 
 def test_orient_header_recovers_signs():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobknot import rank2
+from frobknot.linalg import ExactMatrix, rank, smith_normal_form, solve_linear
 from frobknot.rings import QQ, ZZ, GF
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -115,6 +116,41 @@ def test_surjectivity_examples():
         assert rank2.is_multiplication_surjective(a5ish)
     doubled = table(ZZ, (2, 0), (0, 2), (0, 0))
     assert not rank2.is_multiplication_surjective(doubled)
+
+
+def _reference_tables():
+    # the Z box of bound 1, every commutative F_2/F_3 table, every
+    # noncommutative F_2 table
+    for c in itertools.product(range(-1, 2), repeat=6):
+        yield table(ZZ, c[0:2], c[2:4], c[4:6])
+    for ring in (F2, F3):
+        yield from rank2.all_commutative_tables(ring)
+    for c in itertools.product(range(2), repeat=8):
+        yield table(F2, c[0:2], c[2:4], c[6:8], c[4:6])
+
+
+def test_kernel_matches_linalg_reference():
+    # surjectivity and units against SNF / rank / solve_linear on the
+    # explicit 2 x k product matrix and the 8 x 2 unit system
+    for t in _reference_tables():
+        cols = [t.e11, t.e12, t.e22] if t.commutative else [t.e11, t.e12, t.e21, t.e22]
+        M = ExactMatrix.from_rows(t.ring, [[c[0] for c in cols], [c[1] for c in cols]])
+        if t.ring == ZZ:
+            onto = list(smith_normal_form(M).diagonal) == [1, 1]
+        else:
+            onto = rank(M) == 2
+        assert rank2.is_multiplication_surjective(t) == onto, t
+        rows, rhs = [], []
+        for e in ((1, 0), (0, 1)):
+            # u e = e and e u = e for u = x e1 + y e2
+            for c1, c2 in (
+                (rank2.multiply(t, (1, 0), e), rank2.multiply(t, (0, 1), e)),
+                (rank2.multiply(t, e, (1, 0)), rank2.multiply(t, e, (0, 1))),
+            ):
+                rows += [[c1[0], c2[0]], [c1[1], c2[1]]]
+                rhs += list(e)
+        sol = solve_linear(ExactMatrix.from_rows(t.ring, rows), rhs)
+        assert rank2.find_unit(t) == (None if sol is None else tuple(sol)), t
 
 
 # --- isomorphism ----------------------------------------------------------

@@ -41,6 +41,9 @@ def test_fp_normalize_residues():
     assert F3.normalize(-1) == 2
     assert F3.normalize(7) == 1
     assert F3.normalize("5") == 2
+    assert F3.normalize("1/2") == 2
+    with pytest.raises(ValueError):
+        F3.normalize("1/3")  # 3 is not a unit mod 3
 
 
 def test_json_round_trip():
