@@ -74,34 +74,31 @@ def build_complex(
             off += r ** len(cube.circles[s])
         ranks.append(off)
 
-    blocks: dict[tuple, ExactMatrix] = {}
+    edges_by_degree: list[list] = [[] for _ in range(n)]
     for e in cube.edges:
-        c_in = len(cube.circles[e.s1])
-        if e.kind == "merge":
-            op = Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
-            mat = generator_map(F, c_in, c_in - 1, op)
-        else:
-            op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
-            mat = generator_map(F, c_in, c_in + 1, op)
-        if sign_exponent(e.s1, e.s2) % 2:
-            mat = mat.scaled(R.normalize(-1))
-        blocks[(e.s1, e.s2)] = mat
-
+        edges_by_degree[sum(e.s1)].append(e)
+    zero = R.zero
     diffs = []
-    for i in range(n):
+    for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
-        ents = [[R.zero] * cols for _ in range(rows)]
-        for (s1, s2), mat in blocks.items():
-            if sum(s1) != i:
-                continue
-            ro, co = offsets[s2], offsets[s1]
-            for a in range(mat.rows):
-                row = ents[ro + a]
-                for b in range(mat.cols):
-                    v = mat[a, b]
-                    if v != R.zero:
-                        row[co + b] = v
-        diffs.append(ExactMatrix.from_rows(R, ents) if rows and cols else ExactMatrix(R, rows, cols, (R.zero,) * (rows * cols)))
+        ents = [zero] * (rows * cols)
+        for e in edges:
+            c_in = len(cube.circles[e.s1])
+            if e.kind == "merge":
+                op = Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
+                mat = generator_map(F, c_in, c_in - 1, op)
+            else:
+                op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
+                mat = generator_map(F, c_in, c_in + 1, op)
+            negate = sign_exponent(e.s1, e.s2) % 2
+            ro, co = offsets[e.s2], offsets[e.s1]
+            for at, v in enumerate(mat.entries):
+                if v != zero:
+                    a, b = divmod(at, mat.cols)
+                    ents[(ro + a) * cols + co + b] = R.neg(v) if negate else v
+        # generator_map entries are already ring elements: no normalization
+        diffs.append(ExactMatrix(R, rows, cols, tuple(ents)))
+        del ents  # free this degree's cells before the next degree is allocated
 
     shift = -d.n_minus if (normalize and d.oriented) else 0
 

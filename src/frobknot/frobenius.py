@@ -32,8 +32,8 @@ class FrobeniusData:
     counit: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
+        if type(self.rank) is not int or self.rank < 1:
+            raise ValueError("rank must be a positive integer")
         object.__setattr__(self, "mult", _norm_tensor(self.ring, self.mult, self.rank))
         object.__setattr__(self, "comult", _norm_tensor(self.ring, self.comult, self.rank))
         for name in ("unit", "counit"):
@@ -43,9 +43,10 @@ class FrobeniusData:
                 if len(v) != self.rank:
                     raise ValueError(f"{name} has wrong length")
                 object.__setattr__(self, name, v)
-        if self.unit is not None and not self._unit_valid(self.unit):
+        R = self.ring
+        if self.unit is not None and not _is_unit(R, self.mult, self.unit):
             raise ValueError("declared unit is not a two-sided identity")
-        if self.counit is not None and not self._counit_valid(self.counit):
+        if self.counit is not None and not _is_unit(R, _transpose(self.comult), self.counit):
             raise ValueError("declared counit does not split the coproduct")
 
     # -- elementwise operations -------------------------------------------
@@ -79,27 +80,6 @@ class FrobeniusData:
                     out[i * r + j] = R.add(out[i * r + j], R.mul(vk, self.comult[k][i][j]))
         return tuple(out)
 
-    def _unit_valid(self, u) -> bool:
-        basis = [
-            tuple(self.ring.one if i == k else self.ring.zero for i in range(self.rank))
-            for k in range(self.rank)
-        ]
-        return all(self.product(u, e) == e and self.product(e, u) == e for e in basis)
-
-    def _counit_valid(self, eps) -> bool:
-        R, r = self.ring, self.rank
-        for k in range(r):
-            left = [R.zero] * r
-            right = [R.zero] * r
-            for i in range(r):
-                for j in range(r):
-                    left[j] = R.add(left[j], R.mul(R.normalize(eps[i]), self.comult[k][i][j]))
-                    right[i] = R.add(right[i], R.mul(R.normalize(eps[j]), self.comult[k][i][j]))
-            e_k = [R.one if i == k else R.zero for i in range(r)]
-            if left != e_k or right != e_k:
-                return False
-        return True
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -130,18 +110,66 @@ class FrobeniusData:
         )
 
 
-def _mult_matrix(F: FrobeniusData) -> ExactMatrix:
-    """r x r^2 matrix of m: A (x) A -> A, columns indexed (i, j) lex."""
-    r = F.rank
-    rows = [[F.mult[i][j][k] for i in range(r) for j in range(r)] for k in range(r)]
-    return ExactMatrix.from_rows(F.ring, rows)
+def _transpose(t) -> tuple:
+    """The coproduct tensor d[k][i][j] read as the table c[i][j][k].
+
+    The coproduct is coassociative, cocommutative, counital exactly when
+    this table is associative, commutative, unital, and its counit is the
+    table's unit.  The coproduct's matrix is the transpose of the table's,
+    so it is injective when the table has full rank and split injective
+    when its product is onto.  Applied twice, maps a table to a coproduct.
+    """
+    r = len(t)
+    return tuple(tuple(tuple(t[k][i][j] for k in range(r)) for j in range(r)) for i in range(r))
 
 
-def _comult_matrix(F: FrobeniusData) -> ExactMatrix:
-    """r^2 x r matrix of the coproduct, rows indexed (i, j) lex."""
-    r = F.rank
-    rows = [[F.comult[k][i][j] for k in range(r)] for i in range(r) for j in range(r)]
-    return ExactMatrix.from_rows(F.ring, rows)
+def _unit_equations(R: RingSpec, c) -> tuple:
+    """The system u*e_j = e_j = e_j*u in the unknown u, as (matrix, rhs)."""
+    r = len(c)
+    rows, rhs = [], []
+    for j in range(r):
+        for k in range(r):
+            rows.append([c[i][j][k] for i in range(r)])
+            rhs.append(R.one if k == j else R.zero)
+        for k in range(r):
+            rows.append([c[j][i][k] for i in range(r)])
+            rhs.append(R.one if k == j else R.zero)
+    return ExactMatrix.from_rows(R, rows), rhs
+
+
+def _is_unit(R: RingSpec, c, u) -> bool:
+    M, rhs = _unit_equations(R, c)
+    return M.mul_vector(u) == rhs
+
+
+def _unit(R: RingSpec, c) -> Optional[tuple]:
+    sol = solve_linear(*_unit_equations(R, c))
+    return tuple(sol) if sol is not None else None
+
+
+def _algebra_flags(R: RingSpec, c) -> dict:
+    """Associative, commutative and unital flags of the table c, whether
+    its product is onto over the ring (all invariant factors 1 over Z) and
+    whether it has full rank over the fraction field."""
+    r = len(c)
+    rng = range(r)
+    M = ExactMatrix.from_rows(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
+    if R == ZZ:
+        diag = smith_normal_form(M).diagonal
+        onto, full_rank = all(x == 1 for x in diag), all(diag)
+    else:
+        onto = full_rank = rank(M) == r
+    return {
+        "associative": all(
+            _sum(R, (R.mul(c[i][j][s], c[s][k][l]) for s in rng))
+            == _sum(R, (R.mul(c[j][k][s], c[i][s][l]) for s in rng))
+            for i, j, k, l in itertools.product(rng, repeat=4)
+        ),
+        "commutative": all(c[i][j] == c[j][i] for i in rng for j in rng),
+        "unital": _unit(R, c) is not None,
+        "onto": onto,
+        "full_rank": full_rank,
+    }
 
 
 def check_axioms(F: FrobeniusData) -> dict:
@@ -149,6 +177,7 @@ def check_axioms(F: FrobeniusData) -> dict:
     relation coproduct-of-product = (product (x) id)(id (x) coproduct)
     = (id (x) product)(coproduct (x) id).
 
+    The coalgebra flags are the algebra flags of the transposed coproduct.
     Over Z, "surjective" means all invariant factors are units and two
     injectivity notions are reported: full rank over the fraction field, and
     split injectivity (all invariant factors units).
@@ -156,19 +185,8 @@ def check_axioms(F: FrobeniusData) -> dict:
     R, r = F.ring, F.rank
     c, d = F.mult, F.comult
     rng = range(r)
-
-    associative = all(
-        _sum(R, (R.mul(c[i][j][s], c[s][k][l]) for s in rng))
-        == _sum(R, (R.mul(c[j][k][s], c[i][s][l]) for s in rng))
-        for i, j, k, l in itertools.product(rng, repeat=4)
-    )
-    commutative = all(c[i][j] == c[j][i] for i in rng for j in rng)
-    coassociative = all(
-        _sum(R, (R.mul(d[k][s][c3], d[s][c1][c2]) for s in rng))
-        == _sum(R, (R.mul(d[k][c1][s], d[s][c2][c3]) for s in rng))
-        for k, c1, c2, c3 in itertools.product(rng, repeat=4)
-    )
-    cocommutative = all(d[k][i][j] == d[k][j][i] for k in rng for i in rng for j in rng)
+    alg = _algebra_flags(R, c)
+    coalg = _algebra_flags(R, _transpose(d))
 
     frob = True
     for i, j, a, b in itertools.product(rng, repeat=4):
@@ -179,36 +197,17 @@ def check_axioms(F: FrobeniusData) -> dict:
             frob = False
             break
 
-    unit = F.unit if F.unit is not None else find_unit_vector(F)
-    counit_ok = F.counit is not None  # validated at construction
-    if not counit_ok:
-        counit_ok = _find_counit(F) is not None
-
-    M = _mult_matrix(F)
-    D = _comult_matrix(F)
-    if R == ZZ:
-        diag = smith_normal_form(M).diagonal
-        mult_surjective = len(diag) == r and all(x == 1 for x in diag)
-        ddiag = smith_normal_form(D).diagonal
-        nonzero = [x for x in ddiag if x != 0]
-        comult_injective = rank(D) == r
-        comult_split_injective = len(nonzero) == r and all(x == 1 for x in nonzero)
-    else:
-        mult_surjective = rank(M) == r
-        comult_injective = rank(D) == r
-        comult_split_injective = comult_injective
-
     return {
-        "associative": associative,
-        "commutative": commutative,
-        "coassociative": coassociative,
-        "cocommutative": cocommutative,
+        "associative": alg["associative"],
+        "commutative": alg["commutative"],
+        "coassociative": coalg["associative"],
+        "cocommutative": coalg["commutative"],
         "frobenius_relation": frob,
-        "unit_ok": unit is not None,
-        "counit_ok": counit_ok,
-        "mult_surjective": mult_surjective,
-        "comult_injective": comult_injective,
-        "comult_split_injective": comult_split_injective,
+        "unit_ok": alg["unital"],
+        "counit_ok": coalg["unital"],
+        "mult_surjective": alg["onto"],
+        "comult_injective": coalg["full_rank"],
+        "comult_split_injective": coalg["onto"],
     }
 
 
@@ -221,31 +220,7 @@ def _sum(R: RingSpec, xs):
 
 def find_unit_vector(F: FrobeniusData) -> Optional[tuple]:
     """Two-sided identity found by exact linear solve, or None."""
-    R, r = F.ring, F.rank
-    rows, rhs = [], []
-    for j in range(r):  # u * e_j = e_j and e_j * u = e_j
-        for k in range(r):
-            rows.append([F.mult[i][j][k] for i in range(r)])
-            rhs.append(R.one if k == j else R.zero)
-        for k in range(r):
-            rows.append([F.mult[j][i][k] for i in range(r)])
-            rhs.append(R.one if k == j else R.zero)
-    sol = solve_linear(ExactMatrix.from_rows(R, rows), rhs)
-    return tuple(sol) if sol is not None else None
-
-
-def _find_counit(F: FrobeniusData) -> Optional[tuple]:
-    R, r = F.ring, F.rank
-    rows, rhs = [], []
-    for k in range(r):
-        for j in range(r):
-            rows.append([F.comult[k][i][j] for i in range(r)])
-            rhs.append(R.one if j == k else R.zero)
-        for i in range(r):
-            rows.append([F.comult[k][i][j] for j in range(r)])
-            rhs.append(R.one if i == k else R.zero)
-    sol = solve_linear(ExactMatrix.from_rows(R, rows), rhs)
-    return tuple(sol) if sol is not None else None
+    return _unit(F.ring, F.mult)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +267,22 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     return FrobeniusData(R, 2, mult, comult, unit=(1, 0), counit=(R.neg(c), a))
 
 
+def _left_mult(R: RingSpec, c, y) -> list:
+    """Matrix of v |-> y*v: entry (k, j) is the e_k coefficient of y*e_j."""
+    r = len(c)
+    return [
+        [_sum(R, (R.mul(y[i], c[i][j][k]) for i in range(r))) for j in range(r)]
+        for k in range(r)
+    ]
+
+
 def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
     """Multiplicative inverse of y, by solving y*z = unit."""
     if F.unit is None:
         raise ValueError("algebra has no unit")
-    R, r = F.ring, F.rank
-    # columns: y * e_j
-    rows = [
-        [_sum(R, (R.mul(R.normalize(y[i]), F.mult[i][j][k]) for i in range(r))) for j in range(r)]
-        for k in range(r)
-    ]
-    sol = solve_linear(ExactMatrix.from_rows(R, rows), list(F.unit))
+    R = F.ring
+    Ly = _left_mult(R, F.mult, [R.normalize(x) for x in y])
+    sol = solve_linear(ExactMatrix.from_rows(R, Ly), list(F.unit))
     return tuple(sol) if sol is not None else None
 
 
@@ -315,15 +295,8 @@ def twist(F: FrobeniusData, y: Sequence) -> FrobeniusData:
     if yinv is None:
         raise ValueError("twisting element is not invertible")
 
-    def left_mult_coeffs(w):
-        # column j: coefficients of w * e_j
-        return [
-            [_sum(R, (R.mul(w[i], F.mult[i][j][k]) for i in range(r))) for j in range(r)]
-            for k in range(r)
-        ]
-
-    Ly = left_mult_coeffs(y)
-    Lyi = left_mult_coeffs(yinv)
+    Ly = _left_mult(R, F.mult, y)
+    Lyi = _left_mult(R, F.mult, yinv)
     new_counit = None
     if F.counit is not None:
         new_counit = tuple(
@@ -342,14 +315,14 @@ def twist(F: FrobeniusData, y: Sequence) -> FrobeniusData:
 def dualize(F: FrobeniusData) -> FrobeniusData:
     """Swap the roles of product and coproduct (transpose the tensors);
     unit and counit trade places."""
-    r = F.rank
-    new_mult = tuple(
-        tuple(tuple(F.comult[k][i][j] for k in range(r)) for j in range(r)) for i in range(r)
+    return FrobeniusData(
+        F.ring,
+        F.rank,
+        _transpose(F.comult),
+        _transpose(_transpose(F.mult)),
+        unit=F.counit,
+        counit=F.unit,
     )
-    new_comult = tuple(
-        tuple(tuple(F.mult[i][j][k] for j in range(r)) for i in range(r)) for k in range(r)
-    )
-    return FrobeniusData(F.ring, r, new_mult, new_comult, unit=F.counit, counit=F.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -385,67 +358,53 @@ class Perm:
     sigma: tuple
 
 
-def _tensor_index(bits: Sequence[int], r: int) -> int:
-    idx = 0
-    for b in bits:
-        idx = idx * r + b
-    return idx
-
-
 def generator_map(F: FrobeniusData, n_in: int, n_out: int, op) -> ExactMatrix:
     """Matrix of the map A^(x)n_in -> A^(x)n_out applying one product,
     coproduct, or permutation and the identity elsewhere."""
     R, r = F.ring, F.rank
-    ents = [[R.zero] * (r**n_in) for _ in range(r**n_out)]
-
+    zero, rng = R.zero, range(r)
+    # legs_in: input positions the generator reads; legs_out: output
+    # positions it writes; table: (input leg bits, output leg bits, coefficient)
     if isinstance(op, Perm):
         if n_out != n_in or sorted(op.sigma) != list(range(n_in)):
             raise ValueError("invalid permutation")
-        for src in itertools.product(range(r), repeat=n_in):
-            dst = tuple(src[op.sigma[p]] for p in range(n_in))
-            ents[_tensor_index(dst, r)][_tensor_index(src, r)] = R.one
+        legs_in, legs_out = tuple(op.sigma), tuple(range(n_out))
+        table = [(bits, bits, R.one) for bits in itertools.product(rng, repeat=n_in)]
     elif isinstance(op, Merge):
         if n_out != n_in - 1 or not (1 <= op.i < op.j <= n_in) or not (1 <= op.k <= n_out):
             raise ValueError("invalid merge positions")
-        rest_in = [p for p in range(n_in) if p not in (op.i - 1, op.j - 1)]
-        rest_out = [p for p in range(n_out) if p != op.k - 1]
-        for src in itertools.product(range(r), repeat=n_in):
-            bi, bj = src[op.i - 1], src[op.j - 1]
-            for s in range(r):
-                coeff = F.mult[bi][bj][s]
-                if coeff == R.zero:
-                    continue
-                dst = [0] * n_out
-                dst[op.k - 1] = s
-                for outp, inp in zip(rest_out, rest_in):
-                    dst[outp] = src[inp]
-                row = _tensor_index(dst, r)
-                col = _tensor_index(src, r)
-                ents[row][col] = R.add(ents[row][col], coeff)
+        legs_in, legs_out = (op.i - 1, op.j - 1), (op.k - 1,)
+        table = [((a, b), (s,), F.mult[a][b][s]) for a in rng for b in rng for s in rng]
     elif isinstance(op, Split):
         if n_out != n_in + 1 or not (1 <= op.k <= n_in) or not (1 <= op.i < op.j <= n_out):
             raise ValueError("invalid split positions")
-        rest_in = [p for p in range(n_in) if p != op.k - 1]
-        rest_out = [p for p in range(n_out) if p not in (op.i - 1, op.j - 1)]
-        for src in itertools.product(range(r), repeat=n_in):
-            bk = src[op.k - 1]
-            for u in range(r):
-                for v in range(r):
-                    coeff = F.comult[bk][u][v]
-                    if coeff == R.zero:
-                        continue
-                    dst = [0] * n_out
-                    dst[op.i - 1] = u
-                    dst[op.j - 1] = v
-                    for outp, inp in zip(rest_out, rest_in):
-                        dst[outp] = src[inp]
-                    row = _tensor_index(dst, r)
-                    col = _tensor_index(src, r)
-                    ents[row][col] = R.add(ents[row][col], coeff)
+        legs_in, legs_out = (op.k - 1,), (op.i - 1, op.j - 1)
+        table = [((k,), (u, v), F.comult[k][u][v]) for k in rng for u in rng for v in rng]
     else:
         raise ValueError(f"unknown generator {op!r}")
 
-    return ExactMatrix.from_rows(R, ents)
+    # place[p]: weight of output position p in the row index (first factor slowest)
+    place = [r ** (n_out - 1 - p) for p in range(n_out)]
+    scatter: dict[tuple, list] = {}
+    for bits_in, bits_out, coeff in table:
+        if coeff != zero:
+            offset = sum(place[p] * b for p, b in zip(legs_out, bits_out))
+            scatter.setdefault(bits_in, []).append((offset, coeff))
+    carried = list(
+        zip(
+            [place[p] for p in range(n_out) if p not in legs_out],
+            [q for q in range(n_in) if q not in legs_in],
+        )
+    )
+
+    cols = r**n_in
+    ents = [zero] * (r**n_out * cols)
+    for col, src in enumerate(itertools.product(rng, repeat=n_in)):
+        base = sum(w * src[q] for w, q in carried)
+        for offset, coeff in scatter.get(tuple(src[q] for q in legs_in), ()):
+            at = (base + offset) * cols + col
+            ents[at] = R.add(ents[at], coeff)
+    return ExactMatrix(R, r**n_out, cols, tuple(ents))
 
 
 def verify_n2cob_relations(F: FrobeniusData) -> dict:

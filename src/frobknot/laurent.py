@@ -72,16 +72,6 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def substitute_monomial(self, coeff: int, exp: int) -> "Laurent":
-        """Replace the variable v by coeff * v**exp (coeff must be a unit)."""
-        if coeff not in (1, -1):
-            raise ValueError("substitution coefficient must be a unit")
-        d: dict = {}
-        for e, c in self.coeffs:
-            ne = e * exp
-            d[ne] = d.get(ne, 0) + c * coeff ** (e % 2)
-        return Laurent.from_dict(d)
-
     def map_even_exponents(self, func) -> "Laurent":
         """For polynomials in v**2: send v**(2k) to func(k) = (exp, sign)."""
         d: dict = {}

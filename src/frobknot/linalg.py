@@ -89,12 +89,6 @@ class ExactMatrix:
                 out.append(s)
         return ExactMatrix(R, self.rows, other.cols, tuple(out))
 
-    def scaled(self, c) -> "ExactMatrix":
-        c = self.ring.normalize(c)
-        return ExactMatrix(
-            self.ring, self.rows, self.cols, tuple(self.ring.mul(c, e) for e in self.entries)
-        )
-
     def mul_vector(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
@@ -279,10 +273,6 @@ def rank(M: ExactMatrix) -> int:
         return 0
     field, m = _to_field(M)
     return len(_row_echelon(field, m, M.cols))
-
-
-def nullity(M: ExactMatrix) -> int:
-    return M.cols - rank(M)
 
 
 def det(M: ExactMatrix) -> Scalar:

@@ -58,8 +58,8 @@ class MultTable:
         ring = RingSpec.from_json(d["ring"])
         prods = d["products"]
         e21 = prods.get("e2e1")
-        if d.get("commutative", e21 is None):
-            e21 = None
+        if d.get("commutative", e21 is None) != (e21 is None):
+            raise ValueError('"commutative" must be true exactly when "e2e1" is absent')
         return cls(
             ring,
             tuple(prods["e1e1"]),

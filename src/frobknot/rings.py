@@ -41,7 +41,7 @@ class RingSpec:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p) or self.p > 2**31:
+            if type(self.p) is not int or not _is_prime(self.p) or self.p > 2**31:
                 raise ValueError(f"F_p requires a prime p <= 2**31, got {self.p}")
         elif self.p is not None:
             raise ValueError(f"{self.kind} takes no modulus")
@@ -57,9 +57,13 @@ class RingSpec:
         return Fraction(1) if self.kind == "Q" else 1
 
     def normalize(self, x) -> Scalar:
-        """Coerce an int/Fraction/decimal-or-'n/d' string into this ring."""
-        if isinstance(x, str):
-            x = Fraction(x) if "/" in x else int(x)
+        """Coerce an int/Fraction/decimal-or-'n/d' string into this ring.
+        Floats and bools are not exact scalars and raise ValueError."""
+        if type(x) is not int:  # keeps the common int case to one test
+            if isinstance(x, str):
+                x = Fraction(x) if "/" in x else int(x)
+            elif isinstance(x, (float, bool)):
+                raise ValueError(f"{x!r} is not an exact scalar")
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:
@@ -102,14 +106,6 @@ class RingSpec:
         if self.kind == "Q":
             return Fraction(1) / a
         return pow(a, -1, self.p)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        """Exact division; raises if b does not divide a in this ring."""
-        if self.kind == "Z":
-            if b == 0 or a % b != 0:
-                raise ZeroDivisionError(f"{b} does not divide {a} in Z")
-            return a // b
-        return self.mul(a, self.inv(b))
 
     def elements(self):
         """All elements (prime fields only)."""

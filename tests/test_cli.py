@@ -5,7 +5,7 @@ import pytest
 from frobknot import frobenius as fr
 from frobknot import rank2
 from frobknot.cli import main
-from frobknot.rings import GF
+from frobknot.rings import GF, QQ
 
 
 def run(capsys, *argv):
@@ -66,7 +66,21 @@ def test_check_algebra_exit_codes(tmp_path, capsys):
     no_mult = {k: v for k, v in fr.a5(1, 1).to_json().items() if k != "mult"}
     third = fr.a5(1, 1, GF(3)).to_json()
     third["mult"][0][0][0] = "1/3"  # 3 is not a unit mod 3
-    for name, data in (("no_mult.json", no_mult), ("third.json", third)):
+    floaty = fr.a5(1, 1).to_json()
+    floaty["mult"][1][1][0] = 1.5  # was truncated to 1 over Z
+    booly = fr.a5(1, 1, QQ).to_json()
+    booly["comult"][0][0][1] = True  # was read as 1
+    float_p = fr.a5(1, 1, GF(5)).to_json()
+    float_p["ring"]["p"] = 5.0  # was a pow() traceback
+    float_rank = dict(fr.a5(1, 1).to_json(), rank=2.0)  # was a range() traceback
+    for name, data in (
+        ("no_mult.json", no_mult),
+        ("third.json", third),
+        ("floaty.json", floaty),
+        ("booly.json", booly),
+        ("float_p.json", float_p),
+        ("float_rank.json", float_rank),
+    ):
         bad = tmp_path / name
         bad.write_text(json.dumps(data))
         for argv in (
@@ -98,6 +112,16 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
     f3.write_text(json.dumps(third))
     assert main(["classify", str(f3)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+    # the commutative flag must agree with the presence of "e2e1"
+    comm = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
+    noncomm = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0), (0, 2)).to_json()
+    comm["commutative"], noncomm["commutative"] = False, True
+    for name, data in (("flag_false.json", comm), ("flag_true.json", noncomm)):
+        f4 = tmp_path / name
+        f4.write_text(json.dumps(data))
+        assert main(["classify", str(f4)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_subcommand(capsys):

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from frobknot import complex as cx
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot.laurent import Laurent
+from frobknot.linalg import ExactMatrix
 from frobknot.rings import QQ, ZZ, GF
 
 F2, F3 = GF(2), GF(3)
@@ -22,6 +25,21 @@ def test_d_squared_all_builders():
         for F in (fr.a5(0, 0), fr.a5(1, 1), fr.a5(0, 1, QQ)):
             c = build(name, F)
             assert cx.verify_d_squared(c)
+
+
+def test_differentials_hold_ring_elements():
+    # build_complex skips normalization: its entries must already be what
+    # from_rows would make of them (Fraction over Q, residues over F_p)
+    typed = lambda m: tuple((type(x), x) for x in m.entries)
+    for R in (ZZ, QQ, F2, F3):
+        for name in ("trefoil_left", "figure10_d1", "hopf_neg"):
+            for F in (fr.a5(1, -1, R), fr.a5(0, 0, R)):
+                for m in build(name, F).diffs:
+                    assert typed(m) == typed(ExactMatrix.from_rows(R, m.to_lists()))
+                    if R == QQ:
+                        assert all(type(x) is Fraction for x in m.entries)
+                    elif R.kind == "Fp":
+                        assert all(x in range(R.p) for x in m.entries)
 
 
 def test_two_crossing_two_component_ranks():

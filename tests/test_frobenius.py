@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,39 @@ def test_n2cob_relations_agree_with_axiom_flags():
     good = fr.a5(-1, 2)
     assert all(fr.verify_n2cob_relations(good).values())
     assert all(fr.check_axioms(good).values())
+
+
+@st.composite
+def structure_tensors(draw):
+    """Rank-1 to rank-3 data: random tensors, or the truncated polynomial
+    algebra x^r = 0 with the coproduct that splits x^k into its factors,
+    then up to two entries overwritten."""
+    R = draw(st.sampled_from((ZZ, QQ, F2, F3)))
+    r = draw(st.integers(1, 3))
+    scalars = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2) if R == QQ else 3))
+    idx = st.integers(0, r - 1)
+    rng = range(r)
+    if draw(st.booleans()):
+        mult = [[[int(i + j == k) for k in rng] for j in rng] for i in rng]
+        comult = [[[int(i + j == k) for j in rng] for i in rng] for k in rng]
+    else:
+        mult = [[[draw(scalars) for _ in rng] for _ in rng] for _ in rng]
+        comult = [[[draw(scalars) for _ in rng] for _ in rng] for _ in rng]
+    for _ in range(draw(st.integers(0, 2))):
+        t = draw(st.sampled_from((mult, comult)))
+        t[draw(idx)][draw(idx)][draw(idx)] = draw(scalars)
+    return fr.FrobeniusData(R, r, mult, comult)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_tensors())
+def test_transposed_coproduct_flags_match_n2cob_oracle(F):
+    # check_axioms reads the coalgebra flags off the transposed coproduct;
+    # the cobordism relations compose generator matrices instead
+    flags, oracle = fr.check_axioms(F), fr.verify_n2cob_relations(F)
+    for name in ("associative", "commutative", "coassociative", "cocommutative"):
+        assert flags[name] == oracle[name], name
+    assert flags["frobenius_relation"] == oracle["frobenius"]
 
 
 # --- JSON ------------------------------------------------------------------------

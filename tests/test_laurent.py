@@ -38,11 +38,6 @@ def test_even_exponent_map():
         Laurent.monomial(3).map_even_exponents(lambda k: (k, 1))
 
 
-def test_substitute_monomial():
-    p = Laurent.from_dict({1: 1, 3: 2})
-    assert p.substitute_monomial(-1, 2) == Laurent.from_dict({2: -1, 6: -2})
-
-
 def test_str_deterministic():
     p = Laurent.from_dict({0: 1, 2: -3, -1: 1})
     assert str(p) == "v^-1 + 1 - 3*v^2"

@@ -20,6 +20,8 @@ def test_fp_requires_prime():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+    with pytest.raises(ValueError):
+        GF(5.0)  # a JSON float modulus would make float residues
 
 
 def test_z_units():
@@ -46,11 +48,15 @@ def test_fp_normalize_residues():
         F3.normalize("1/3")  # 3 is not a unit mod 3
 
 
+def test_normalize_rejects_floats_and_bools():
+    # JSON numbers like 1.5 or true are not exact scalars; 1.0 is refused too
+    for ring in (ZZ, QQ, GF(3)):
+        for x in (1.5, 0.1, 1.0, True, False):
+            with pytest.raises(ValueError):
+                ring.normalize(x)
+    assert ZZ.normalize(1) == 1 and type(QQ.normalize(1)) is Fraction
+
+
 def test_json_round_trip():
     for ring in (ZZ, QQ, GF(2), GF(5)):
         assert RingSpec.from_json(ring.to_json()) == ring
-
-
-def test_division():
-    assert QQ.div(Fraction(1), Fraction(3)) == Fraction(1, 3)
-    assert GF(7).div(3, 5) == GF(7).mul(3, GF(7).inv(5))
