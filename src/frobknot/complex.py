@@ -78,24 +78,29 @@ def build_complex(
     for e in cube.edges:
         edges_by_degree[sum(e.s1)].append(e)
     zero = R.zero
+    cells: dict[tuple, list] = {}  # nonzero cells of each distinct generator map
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
         ents = [zero] * (rows * cols)
         for e in edges:
             c_in = len(cube.circles[e.s1])
-            if e.kind == "merge":
-                op = Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
-                mat = generator_map(F, c_in, c_in - 1, op)
-            else:
-                op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
-                mat = generator_map(F, c_in, c_in + 1, op)
+            key = (c_in, e.kind, e.src, e.dst)
+            nz = cells.get(key)
+            if nz is None:
+                if e.kind == "merge":
+                    op = Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
+                    mat = generator_map(F, c_in, c_in - 1, op)
+                else:
+                    op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
+                    mat = generator_map(F, c_in, c_in + 1, op)
+                nz = cells[key] = [
+                    (*divmod(at, mat.cols), v) for at, v in enumerate(mat.entries) if v != zero
+                ]
             negate = sign_exponent(e.s1, e.s2) % 2
             ro, co = offsets[e.s2], offsets[e.s1]
-            for at, v in enumerate(mat.entries):
-                if v != zero:
-                    a, b = divmod(at, mat.cols)
-                    ents[(ro + a) * cols + co + b] = R.neg(v) if negate else v
+            for a, b, v in nz:
+                ents[(ro + a) * cols + co + b] = R.neg(v) if negate else v
         # generator_map entries are already ring elements: no normalization
         diffs.append(ExactMatrix(R, rows, cols, tuple(ents)))
         del ents  # free this degree's cells before the next degree is allocated

@@ -1,14 +1,16 @@
-"""Exact dense linear algebra over Z, Q, and F_p.
+"""Exact linear algebra over Z, Q, and F_p on dense matrices.
 
 Provides Smith normal form with unimodular transforms (arbitrary-precision
 integers throughout), rank over the fraction field, exact linear solving,
-and homology summands ker/im of a pair of composable differentials.
+and homology summands ker/im of a pair of composable differentials.  The
+product and the rank skip zero cells, since differentials are mostly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .rings import QQ, ZZ, RingSpec, Scalar
@@ -69,8 +71,7 @@ class ExactMatrix:
         return ExactMatrix(self.ring, self.cols, self.rows, ents)
 
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(e == z for e in self.entries)
+        return not any(self.entries)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
@@ -78,16 +79,19 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         R = self.ring
-        a, b = self.to_lists(), other.to_lists()
-        out = []
+        zero, m, n = R.zero, self.cols, other.cols
+        b = other.entries
+        b_rows = [[(j, v) for j, v in enumerate(b[k * n : (k + 1) * n]) if v] for k in range(m)]
+        out = [zero] * (self.rows * n)
         for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                s = R.zero
-                for k in range(self.cols):
-                    s = R.add(s, R.mul(ai[k], b[k][j]))
-                out.append(s)
-        return ExactMatrix(R, self.rows, other.cols, tuple(out))
+            acc: dict = {}
+            for k, a in enumerate(self.entries[i * m : (i + 1) * m]):
+                if a:
+                    for j, v in b_rows[k]:
+                        acc[j] = R.add(acc.get(j, zero), R.mul(a, v))
+            for j, s in acc.items():
+                out[i * n + j] = s
+        return ExactMatrix(R, self.rows, n, tuple(out))
 
     def mul_vector(self, v: Sequence) -> list:
         if len(v) != self.cols:
@@ -267,12 +271,58 @@ def _row_echelon(ring: RingSpec, m: list, cols: int) -> list:
     return pivots
 
 
+def _eliminate(row: dict, piv: dict, c: int, p: Optional[int]) -> dict:
+    """a*row - b*piv with column c cleared: mod p with piv[c] == 1 over F_p,
+    else fraction-free over Z with the result's content divided out."""
+    a, b = piv[c], row[c]
+    if not p:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in piv.items():
+        x = out.get(j, 0) - b * v
+        if p:
+            x %= p
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out if p else _primitive(out)
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
 def rank(M: ExactMatrix) -> int:
-    """Rank over the fraction field of the ring."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    field, m = _to_field(M)
-    return len(_row_echelon(field, m, M.cols))
+    """Rank over the fraction field of the ring.
+
+    Sparse forward elimination: each row, as a {col: value} dict of its
+    nonzeros, is reduced against the pivot rows kept so far, keyed by
+    leading column.  Over Q rows are scaled to integers, so Z and Q take the
+    same fraction-free integer steps; F_p works on residues.
+    """
+    p, over_q = M.ring.p, M.ring == QQ
+    pivots: dict = {}
+    for i in range(M.rows):
+        row = {j: v for j, v in enumerate(M.row(i)) if v}
+        if over_q:
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        if not p:
+            row = _primitive(row)
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                if p:
+                    inv = pow(row[c], -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                pivots[c] = row
+                break
+            row = _eliminate(row, piv, c, p)
+    return len(pivots)
 
 
 def det(M: ExactMatrix) -> Scalar:

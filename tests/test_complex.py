@@ -158,6 +158,25 @@ def test_f2_rank_jumps_on_torsion():
     assert total_f2 == total_z + 2
 
 
+def test_universal_coefficients():
+    # H^i(C x F_p) = H^i x F_p + Tor(H^(i+1), F_p) and H^i(C x Q) = H^i x Q,
+    # read off the integral table
+    diagrams = [b() for b in dg.BUILDERS.values()]
+    for hand in ("left", "right"):
+        base = dg.trefoil(hand)
+        diagrams += [dg.rii_pair(base, arc) for arc in (1, 4)]
+    for d in diagrams:
+        cube = dg.build_cube(d)
+        for h, t in ((0, 0), (1, 1)):
+            table = lambda R: _rows(cx.homology(cx.build_complex(cube, fr.a5(h, t, R), True)))
+            z = table(ZZ)
+            assert table(QQ) == [(i, f, []) for i, f, _ in z]
+            for p in (2, 3):
+                tor = [sum(1 for x in tors if x % p == 0) for _, _, tors in z] + [0]
+                want = [(i, f + tor[k] + tor[k + 1], []) for k, (i, f, _) in enumerate(z)]
+                assert table(GF(p)) == want
+
+
 def test_homology_rejects_broken_differential():
     from frobknot.linalg import ExactMatrix
 

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +65,53 @@ def test_snf_transforms_and_divisibility(rows):
 def test_rank_matches_sympy(rows):
     M = ExactMatrix.from_rows(ZZ, rows)
     assert rank(M) == sympy.Matrix(rows).rank()
+
+
+def _sparse_rows(rnd, R, rows, cols):
+    """5-40 % fill, entries up to +-50 (Q: denominators 1-5); with three or
+    more rows, the last is a sum of earlier ones (fill-in) and the one
+    before it a multiple of the first by a large content."""
+    fill = rnd.randint(5, 40)
+    out = []
+    for _ in range(rows):
+        row = [rnd.randint(-50, 50) if rnd.randint(1, 100) <= fill else 0 for _ in range(cols)]
+        if R == QQ:
+            row = [Fraction(x, rnd.randint(1, 5)) for x in row]
+        out.append(row)
+    if rows >= 3:
+        k = rnd.choice([2**20, 3 * 10**6, 7**9])
+        out[-2] = [k * x for x in out[0]]
+        out[-1] = [sum(col[:-2]) for col in zip(*out)]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(7)]),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.randoms(use_true_random=False),
+)
+def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
+    a_rows, b_rows = _sparse_rows(rnd, R, r, m), _sparse_rows(rnd, R, m, c)
+    A, B = ExactMatrix.from_rows(R, a_rows), ExactMatrix.from_rows(R, b_rows)
+    product = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
+    if R.kind == "Fp":
+        K = sympy.GF(R.p)
+        for rows, M in ((a_rows, A), (b_rows, B)):
+            assert rank(M) == DomainMatrix.from_list(rows, K).rank()
+        expect = [(int, int(x) % R.p) for x in product]
+    else:
+        for rows, M in ((a_rows, A), (b_rows, B)):
+            assert rank(M) == sympy.Matrix(rows).rank()
+        expect = [
+            (Fraction, Fraction(int(x.p), int(x.q))) if R == QQ else (int, int(x))
+            for x in product
+        ]
+    got = A @ B
+    assert (got.rows, got.cols) == (r, c)
+    assert [(type(x), x) for x in got.entries] == expect
 
 
 @settings(max_examples=100, deadline=None)
