@@ -239,8 +239,9 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
     # zeros sort to the end automatically: a zero pivot means the rest is zero
     return SNFResult(
         diagonal=diag,
-        left=ExactMatrix.from_rows(ZZ, left) if rows else ExactMatrix(ZZ, 0, 0, ()),
-        right=ExactMatrix.from_rows(ZZ, right) if cols else ExactMatrix(ZZ, 0, 0, ()),
+        # the transforms hold ints already; from_rows would normalize each again
+        left=ExactMatrix(ZZ, rows, rows, tuple(x for row in left for x in row)),
+        right=ExactMatrix(ZZ, cols, cols, tuple(x for row in right for x in row)),
     )
 
 

@@ -196,54 +196,52 @@ def idempotents(t: MultTable, bound: Optional[int] = None) -> list[Pair]:
     return out
 
 
-def gl2(ring: RingSpec):
-    """All invertible 2x2 matrices over a prime field, in lexicographic order."""
-    if ring.kind != "Fp":
-        raise ValueError("GL2 enumeration needs a prime field")
-    p = ring.p
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        if (a * d - b * c) % p != 0:
-            yield ((a, b), (c, d))
+def _signature(t, p) -> tuple:
+    """Isomorphism invariants of an F_p tuple: unital or not, the numbers of
+    nonzero idempotents and of nonzero square-zero elements, and the rank of
+    A^2 (2 exactly when the multiplication is onto)."""
+    idem = nil = -1  # v = 0 is both
+    for v in itertools.product(range(p), repeat=2):
+        sq = _mul(t, v, v, p)
+        idem += sq == v
+        nil += sq == (0, 0)
+    rank = 2 if _surjective(t, p) else int(any(map(any, t)))
+    return _unit(t, p) is not None, idem, nil, rank
 
 
-def _transport(t: MultTable, g) -> MultTable:
-    """Table in the basis f_j = g[0][j] e1 + g[1][j] e2."""
-    R = t.ring
-    det = R.sub(R.mul(g[0][0], g[1][1]), R.mul(g[0][1], g[1][0]))
-    dinv = R.inv(det)
-    # g^{-1} rows
-    gi = (
-        (R.mul(dinv, g[1][1]), R.neg(R.mul(dinv, g[0][1]))),
-        (R.neg(R.mul(dinv, g[1][0])), R.mul(dinv, g[0][0])),
-    )
+def _transport(t, g, p, dinv):
+    """The products of t in the basis f_j = g[0][j] e1 + g[1][j] e2, lazily, in
+    kernel order; dinv is the inverse of det g mod p."""
+    (g00, g01), (g10, g11) = g
+    f = ((g00, g10), (g01, g11))
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x, y = _mul(t, f[i], f[j], p)
+        yield ((g11 * x - g01 * y) * dinv % p, (g00 * y - g10 * x) * dinv % p)
 
-    def back(w: Pair) -> Pair:
-        return (
-            R.add(R.mul(gi[0][0], w[0]), R.mul(gi[0][1], w[1])),
-            R.add(R.mul(gi[1][0], w[0]), R.mul(gi[1][1], w[1])),
-        )
 
-    f1 = (g[0][0], g[1][0])
-    f2 = (g[0][1], g[1][1])
-    p11 = back(multiply(t, f1, f1))
-    p12 = back(multiply(t, f1, f2))
-    p22 = back(multiply(t, f2, f2))
-    if t.commutative:
-        return MultTable(R, p11, p12, p22)
-    p21 = back(multiply(t, f2, f1))
-    return MultTable(R, p11, p12, p22, p21)
+def _isomorphism(a, b, p):
+    """The first g in GL_2(F_p), in lexicographic order of its entries, that
+    transports the tuple a onto the tuple b, or None."""
+    inv = [0] + [pow(d, -1, p) for d in range(1, p)]
+    for g00, g01, g10, g11 in itertools.product(range(p), repeat=4):
+        det = (g00 * g11 - g01 * g10) % p
+        if not det:
+            continue
+        g = ((g00, g01), (g10, g11))
+        if all(x == y for x, y in zip(_transport(a, g, p, inv[det]), b)):
+            return g
+    return None
 
 
 def isomorphic(a: MultTable, b: MultTable):
-    """Brute-force base change carrying a onto b, or None."""
+    """The first base change g in GL_2(F_p), in lexicographic order, carrying
+    a onto b (the table of a in the basis f_j = g[0][j] e1 + g[1][j] e2 is
+    b), or None."""
     if a.ring != b.ring or a.ring.kind != "Fp":
         raise ValueError("isomorphism search needs matching prime fields")
     if a.commutative != b.commutative:
         return None
-    for g in gl2(a.ring):
-        if _transport(a, g) == b:
-            return g
-    return None
+    return _isomorphism(_entries(a), _entries(b), a.ring.p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,47 +259,25 @@ def is_nonresidue(ring: RingSpec, x) -> bool:
     return ring.normalize(x) in nonresidues(ring)
 
 
+def _pa(a2, b2, a4, b4, y):
+    return (
+        -1 + y * (4 * a2 + b4) + y**2 * (2 * a4 * b2 - 4 * a2**2 - 4 * a2 * b4)
+        + y**3 * (a4**2 - 4 * a2 * a4 * b2 + 4 * a2**2 * b4)
+    )
+
+
 def evaluate_PR(alpha2, beta2, y, ring: RingSpec) -> Scalar:
     """The root-obstruction polynomial attached to the exceptional
     commutative family: -1 + y(5*a2 + b2^2) + y^2(-8*a2^2 - 2*a2*b2^2)
-    + y^3(4*a2^3 + a2^2*b2^2)."""
-    R = ring
-    a2, b2, y = R.normalize(alpha2), R.normalize(beta2), R.normalize(y)
-    b2sq = R.mul(b2, b2)
-    a2sq = R.mul(a2, a2)
-    c1 = R.add(R.mul(R.normalize(5), a2), b2sq)
-    c2 = R.add(R.mul(R.normalize(-8), a2sq), R.mul(R.normalize(-2), R.mul(a2, b2sq)))
-    c3 = R.add(R.mul(R.normalize(4), R.mul(a2sq, a2)), R.mul(a2sq, b2sq))
-    out = R.normalize(-1)
-    ypow = R.one
-    for c in (c1, c2, c3):
-        ypow = R.mul(ypow, y)
-        out = R.add(out, R.mul(c, ypow))
-    return out
+    + y^3(4*a2^3 + a2^2*b2^2), which is P_A at a4 = a2*b2, b4 = a2 + b2^2."""
+    a2, b2, y = map(ring.normalize, (alpha2, beta2, y))
+    return ring.normalize(_pa(a2, b2, a2 * b2, a2 + b2 * b2, y))
 
 
 def evaluate_PA(alpha2, beta2, alpha4, beta4, y, ring: RingSpec) -> Scalar:
     """General obstruction polynomial: -1 + y(4*a2 + b4)
     + y^2(2*a4*b2 - 4*a2^2 - 4*a2*b4) + y^3(a4^2 - 4*a2*a4*b2 + 4*a2^2*b4)."""
-    R = ring
-    a2, b2 = R.normalize(alpha2), R.normalize(beta2)
-    a4, b4, y = R.normalize(alpha4), R.normalize(beta4), R.normalize(y)
-    a2sq = R.mul(a2, a2)
-    c1 = R.add(R.mul(R.normalize(4), a2), b4)
-    c2 = R.add(
-        R.mul(R.normalize(2), R.mul(a4, b2)),
-        R.add(R.mul(R.normalize(-4), a2sq), R.mul(R.normalize(-4), R.mul(a2, b4))),
-    )
-    c3 = R.add(
-        R.mul(a4, a4),
-        R.add(R.mul(R.normalize(-4), R.mul(a2, R.mul(a4, b2))), R.mul(R.normalize(4), R.mul(a2sq, b4))),
-    )
-    out = R.normalize(-1)
-    ypow = R.one
-    for c in (c1, c2, c3):
-        ypow = R.mul(ypow, y)
-        out = R.add(out, R.mul(c, ypow))
-    return out
+    return ring.normalize(_pa(*map(ring.normalize, (alpha2, beta2, alpha4, beta4, y))))
 
 
 def _half(ring: RingSpec):
@@ -433,58 +409,43 @@ def pow_in_squares(ring: RingSpec, x) -> bool:
 
 
 def _classification_targets(ring: RingSpec):
-    """Canonical list of (label, params) for associative commutative tables."""
+    """Canonical (label, params, kernel tuple) of the representatives of
+    associative commutative F_p tables, in order; a candidate whose side
+    conditions representative rejects is dropped."""
     p = ring.p
-    targets = []
     if p == 2:
-        targets += [("m2_1", ()), ("m2_2", ()), ("m2_3", ())]
-        targets += [("m2_4", (a4,)) for a4 in range(2)]
-        for a4 in range(2):
-            try:
-                representative("m2_5", (a4,), ring)
-                targets.append(("m2_5", (a4,)))
-            except ValueError:
-                pass
-        targets += [("m2_6", ()), ("m2_7", ())]
-        for a2, b2 in itertools.product(range(2), repeat=2):
-            try:
-                representative("m2R", (a2, b2), ring)
-                targets.append(("m2R", (a2, b2)))
-            except ValueError:
-                pass
-        return targets
-    targets += [("m6", (0, 0)), ("m6", (0, 1)), ("m6", (1, 0))]
-    targets += [("m9", (0,)), ("m9", (1,))]
-    targets += [("m10", (1,)), ("m12", ()), ("m14", ()), ("m17", ())]
-    for l2 in nonresidues(ring):
+        cands = [("m2_1", ()), ("m2_2", ()), ("m2_3", ()), ("m2_4", (0,)), ("m2_4", (1,))]
+        cands += [("m2_5", (0,)), ("m2_5", (1,)), ("m2_6", ()), ("m2_7", ())]
+        cands += [("m2R", ab) for ab in itertools.product(range(2), repeat=2)]
+    else:
+        cands = [("m6", (0, 0)), ("m6", (0, 1)), ("m6", (1, 0)), ("m9", (0,)), ("m9", (1,))]
+        cands += [("m10", (1,)), ("m12", ()), ("m14", ()), ("m17", ())]
+        cands += [("m8_2R", (1, l2)) for l2 in nonresidues(ring)] + [("m11R", (0,))]
+        cands += [
+            ("m15_1R", (a2, b2, a2 * b2 % p, (a2 + b2 * b2) % p))
+            for a2, b2 in itertools.product(range(p), repeat=2)
+        ]
+    for label, params in cands:
         try:
-            representative("m8_2R", (1, l2), ring)
-            targets.append(("m8_2R", (1, l2)))
+            yield label, params, _entries(representative(label, params, ring))
         except ValueError:
             pass
-    targets.append(("m11R", (0,)))
-    for a2, b2 in itertools.product(range(p), repeat=2):
-        a4 = (a2 * b2) % p
-        b4 = (a2 + b2 * b2) % p
-        try:
-            representative("m15_1R", (a2, b2, a4, b4), ring)
-            targets.append(("m15_1R", (a2, b2, a4, b4)))
-        except ValueError:
-            pass
-    return targets
 
 
 def classify(t: MultTable) -> tuple[str, tuple]:
     """Match an associative commutative F_p table against the representative
-    families by exhaustive base-change search.  Raises ClassificationGap
-    when nothing matches."""
+    families: the answer is the first target, in _classification_targets
+    order, isomorphic to the table.  Targets whose invariant signature
+    differs from the table's are skipped without a search.  Raises
+    ClassificationGap when nothing matches."""
     if t.ring.kind != "Fp":
         raise ValueError("classification runs over prime fields")
-    if not t.commutative or not is_associative(t):
+    p, t4 = t.ring.p, _entries(t)
+    if not t.commutative or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
-    for label, params in _classification_targets(t.ring):
-        rep = representative(label, params, t.ring)
-        if isomorphic(t, rep) is not None:
+    sig = _signature(t4, p)
+    for label, params, rep in _classification_targets(t.ring):
+        if _signature(rep, p) == sig and _isomorphism(t4, rep, p) is not None:
             return label, params
     raise ClassificationGap(f"no representative matches {t.to_json()}")
 

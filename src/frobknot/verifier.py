@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import rank2
-from .rank2 import _associative, _surjective, _unit
+from .rank2 import _associative, _entries, _isomorphism, _surjective, _unit
 from .rings import ZZ, GF, RingSpec
 
 
@@ -286,18 +286,15 @@ def verify_noncommutative(p: int) -> VerifyReport:
         raise ValueError("noncommutative enumeration is limited to p in {2, 3}")
     ring = GF(p)
     rep = VerifyReport(f"noncommutative targets over F_{p}", p**8)
-    targets = [
-        rank2.representative("nc_left", (), ring),
-        rank2.representative("nc_right", (), ring),
-    ]
+    targets = [_entries(rank2.representative(label, (), ring)) for label in ("nc_left", "nc_right")]
     n_survivors = 0
     for c in itertools.product(range(p), repeat=8):
         t4 = ((c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7]))
         if t4[1] == t4[2] or not _associative(t4, p) or not _surjective(t4, p):
             continue
         n_survivors += 1
-        t = rank2.MultTable(ring, t4[0], t4[1], t4[3], e21=t4[2])
-        if all(rank2.isomorphic(t, tgt) is None for tgt in targets):
+        if all(_isomorphism(t4, tgt, p) is None for tgt in targets):
+            t = rank2.MultTable(ring, t4[0], t4[1], t4[3], e21=t4[2])
             rep.counterexamples.append(
                 Counterexample("unmatched_noncommutative_table", {"table": t.to_json()})
             )

@@ -154,6 +154,88 @@ def test_kernel_matches_linalg_reference():
 
 
 # --- isomorphism ----------------------------------------------------------
+#
+# The reference is the brute force the kernel replaced: every g in GL_2(F_p)
+# in lexicographic order, each base change building a MultTable through
+# RingSpec arithmetic, first match wins.
+
+
+def _gl2(p):
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            yield ((a, b), (c, d))
+
+
+def _reference_transport(t, g):
+    """Table in the basis f_j = g[0][j] e1 + g[1][j] e2, over RingSpec."""
+    R = t.ring
+    dinv = R.inv(R.sub(R.mul(g[0][0], g[1][1]), R.mul(g[0][1], g[1][0])))
+    gi = (
+        (R.mul(dinv, g[1][1]), R.neg(R.mul(dinv, g[0][1]))),
+        (R.neg(R.mul(dinv, g[1][0])), R.mul(dinv, g[0][0])),
+    )
+
+    def back(w):
+        return tuple(R.add(R.mul(gi[i][0], w[0]), R.mul(gi[i][1], w[1])) for i in (0, 1))
+
+    f1, f2 = (g[0][0], g[1][0]), (g[0][1], g[1][1])
+    prods = [back(rank2.multiply(t, u, v)) for u, v in ((f1, f1), (f1, f2), (f2, f2))]
+    e21 = None if t.commutative else back(rank2.multiply(t, f2, f1))
+    return rank2.MultTable(R, *prods, e21)
+
+
+def _kernel_transport(t4, g, p):
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    return tuple(rank2._transport(t4, g, p, pow(det, -1, p)))
+
+
+def _reference_isomorphic(a, b):
+    if a.commutative != b.commutative:
+        return None
+    return next((g for g in _gl2(a.ring.p) if _reference_transport(a, g) == b), None)
+
+
+def _reference_targets(ring):
+    # the library's target list, as MultTables for the reference search
+    return [
+        (label, params, rank2.MultTable(ring, e11, e12, e22))
+        for label, params, (e11, e12, _, e22) in rank2._classification_targets(ring)
+    ]
+
+
+def _reference_classify(t, targets):
+    """First matching (label, params), or None for a gap."""
+    return next(((l, ps) for l, ps, rep in targets if _reference_isomorphic(t, rep)), None)
+
+
+def _classify_or_gap(t):
+    try:
+        return rank2.classify(t)
+    except rank2.ClassificationGap:
+        return None
+
+
+def _assoc_tables(ring):
+    return [t for t in rank2.all_commutative_tables(ring) if rank2.is_associative(t)]
+
+
+def _mul(t, u, v, p):
+    # the bilinear product of a kernel tuple, written out independently
+    x = [u[i] * v[j] for i in (0, 1) for j in (0, 1)]
+    return tuple(sum(c * e[k] for c, e in zip(x, t)) % p for k in (0, 1))
+
+
+def _is_field(t4, p):
+    # unital, and multiplication by each nonzero u is invertible (det of the
+    # 2 x 2 matrix of u*e1, u*e2), so there are no zero divisors
+    elems = list(itertools.product(range(p), repeat=2))
+    if not any(all(_mul(t4, u, e, p) == e for e in ((1, 0), (0, 1))) for u in elems):
+        return False
+    for u in elems[1:]:
+        (a, b), (c, d) = _mul(t4, u, (1, 0), p), _mul(t4, u, (0, 1), p)
+        if (a * d - b * c) % p == 0:
+            return False
+    return True
 
 
 def test_isomorphic_examples():
@@ -167,21 +249,68 @@ def test_isomorphic_examples():
     assert rank2.isomorphic(m12, m17) is None
 
 
+def test_isomorphic_matches_reference_on_noncommutative_f2():
+    targets = [rank2.representative(label, (), F2) for label in ("nc_left", "nc_right")]
+    survivors = 0
+    for c in itertools.product(range(2), repeat=8):
+        t = table(F2, c[0:2], c[2:4], c[6:8], c[4:6])
+        if t.e12 == t.e21 or not rank2.is_associative(t) or not rank2.is_multiplication_surjective(t):
+            continue
+        survivors += 1
+        for tgt in targets:
+            assert rank2.isomorphic(t, tgt) == _reference_isomorphic(t, tgt), t
+    assert survivors == 6
+
+
+@pytest.mark.parametrize("ring", [F2, F3])
+def test_classify_matches_reference_exhaustive(ring):
+    targets = _reference_targets(ring)
+    for t in _assoc_tables(ring):
+        assert _classify_or_gap(t) == _reference_classify(t, targets), t
+
+
+def test_classify_matches_reference_on_f5_sample():
+    # every 50th table, five of them fields: labels, params and gaps
+    sample = _assoc_tables(F5)[::50]
+    assert sum(_is_field(rank2._entries(t), 5) for t in sample) == 5
+    targets = _reference_targets(F5)
+    for t in sample:
+        assert _classify_or_gap(t) == _reference_classify(t, targets), t
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3**6 - 1), st.integers(0, 47))
 def test_transport_preserves_structure(idx, gidx):
-    # pick a table and a base change over F_3; the transported table agrees
-    # on associativity, unit existence, and idempotent count
+    # pick a table and a base change over F_3; the kernel transport agrees
+    # with the reference transport, and the transported table agrees on
+    # associativity, unit existence, and idempotent count
     digits = []
     for _ in range(6):
         digits.append(idx % 3)
         idx //= 3
     t = table(F3, (digits[0], digits[1]), (digits[2], digits[3]), (digits[4], digits[5]))
-    g = list(rank2.gl2(F3))[gidx]
-    t2 = rank2._transport(t, g)
+    g = list(_gl2(3))[gidx]
+    e11, e12, _, e22 = _kernel_transport(rank2._entries(t), g, 3)
+    t2 = table(F3, e11, e12, e22)
+    assert t2 == _reference_transport(t, g)
     assert rank2.is_associative(t) == rank2.is_associative(t2)
     assert (rank2.find_unit(t) is None) == (rank2.find_unit(t2) is None)
     assert len(rank2.idempotents(t)) == len(rank2.idempotents(t2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.data())
+def test_signature_is_invariant_under_base_change(p, data):
+    entries = st.integers(0, p - 1)
+    t4 = tuple(data.draw(st.tuples(entries, entries)) for _ in range(4))
+    g = data.draw(
+        st.tuples(st.tuples(entries, entries), st.tuples(entries, entries)).filter(
+            lambda g: (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p
+        )
+    )
+    moved = _kernel_transport(t4, g, p)
+    assert rank2._signature(moved, p) == rank2._signature(t4, p)
+    assert rank2._isomorphism(t4, moved, p) is not None
 
 
 # --- representative side conditions ----------------------------------------
@@ -250,12 +379,28 @@ def test_classification_gap_is_surfaced():
         rank2.classify(f25)
 
 
+def _histogram(ring):
+    """Label counts over the associative commutative tables, and the gaps."""
+    hist, gaps = {}, []
+    for t in _assoc_tables(ring):
+        got = _classify_or_gap(t)
+        key = "gap" if got is None else got[0]
+        hist[key] = hist.get(key, 0) + 1
+        if got is None:
+            gaps.append(t)
+    return hist, gaps
+
+
 def test_f3_classification_is_gapless():
-    labels = set()
-    for t in rank2.all_commutative_tables(F3):
-        if rank2.is_associative(t):
-            labels.add(rank2.classify(t)[0])
-    assert "m6" in labels and "m17" in labels
+    assert _histogram(F3)[0] == {"m6": 24, "m8_2R": 24, "m9": 48, "m14": 8, "m17": 1}
+
+
+def test_f5_classification_histogram():
+    # F_25 has only a -1-nonresidue form in the family list, and -1 is a
+    # square mod 5: every gap must be a field
+    hist, gaps = _histogram(F5)
+    assert hist == {"gap": 240, "m6": 240, "m9": 240, "m14": 24, "m17": 1}
+    assert all(_is_field(rank2._entries(t), 5) for t in gaps)
 
 
 # --- JSON -------------------------------------------------------------------
