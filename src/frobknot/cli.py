@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification counterexample / failed relation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -199,6 +200,7 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+@functools.cache  # built on the first call, then shared by every in-process call
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="frobknot",

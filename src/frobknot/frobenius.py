@@ -143,6 +143,9 @@ def _is_unit(R: RingSpec, c, u) -> bool:
 
 
 def _unit(R: RingSpec, c) -> Optional[tuple]:
+    # A two-sided unit is unique (u = u*u' = u'), also over the fraction
+    # field, so a consistent unit system has no kernel and the Z solve,
+    # which needs a unique solution, never raises here.
     sol = solve_linear(*_unit_equations(R, c))
     return tuple(sol) if sol is not None else None
 
@@ -155,7 +158,7 @@ def _algebra_flags(R: RingSpec, c) -> dict:
     rng = range(r)
     M = ExactMatrix.from_rows(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
     if R == ZZ:
-        diag = smith_normal_form(M).diagonal
+        diag = smith_normal_form(M)
         onto, full_rank = all(x == 1 for x in diag), all(diag)
     else:
         onto = full_rank = rank(M) == r
@@ -277,7 +280,11 @@ def _left_mult(R: RingSpec, c, y) -> list:
 
 
 def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
-    """Multiplicative inverse of y, by solving y*z = unit."""
+    """Multiplicative inverse of y, by solving y*z = unit.
+
+    In an associative algebra y*z = unit makes the map v |-> y*v invertible,
+    so the solution is unique; over Z, nonassociative data whose solutions
+    form a coset of a nontrivial kernel raise ValueError."""
     if F.unit is None:
         raise ValueError("algebra has no unit")
     R = F.ring

@@ -1,9 +1,10 @@
 """Exact linear algebra over Z, Q, and F_p on dense matrices.
 
-Provides Smith normal form with unimodular transforms (arbitrary-precision
-integers throughout), rank over the fraction field, exact linear solving,
-and homology summands ker/im of a pair of composable differentials.  The
-product and the rank skip zero cells, since differentials are mostly zero.
+Provides the invariant factors of the Smith normal form (arbitrary-precision
+integers throughout), rank over the fraction field, exact linear solving by
+elimination over the fraction field, and homology summands ker/im of a pair
+of composable differentials.  The product and the rank skip zero cells,
+since differentials are mostly zero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .rings import QQ, ZZ, RingSpec, Scalar
+from .rings import QQ, ZZ, RingSpec
 
 
 @dataclass(frozen=True)
@@ -42,33 +43,11 @@ class ExactMatrix:
             ents.extend(ring.normalize(x) for x in row)
         return cls(ring, r, c, tuple(ents))
 
-    @classmethod
-    def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "ExactMatrix":
-        return cls(ring, rows, cols, (ring.zero,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, ring: RingSpec, n: int) -> "ExactMatrix":
-        ents = [ring.zero] * (n * n)
-        for i in range(n):
-            ents[i * n + i] = ring.one
-        return cls(ring, n, n, tuple(ents))
-
-    def __getitem__(self, ij) -> Scalar:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols] if self.cols else ()
-
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        ents = tuple(self[i, j] for j in range(self.cols) for i in range(self.rows))
-        return ExactMatrix(self.ring, self.cols, self.rows, ents)
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -108,21 +87,6 @@ class ExactMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class SNFResult:
-    """left @ M @ right == diag(diagonal), with unimodular transforms."""
-
-    diagonal: tuple
-    left: ExactMatrix
-    right: ExactMatrix
-
-    def diag_matrix(self, rows: int, cols: int) -> ExactMatrix:
-        ents = [0] * (rows * cols)
-        for i, d in enumerate(self.diagonal):
-            ents[i * cols + i] = d
-        return ExactMatrix(ZZ, rows, cols, tuple(ents))
-
-
 def _min_abs_pivot(m: list, t: int, rows: int, cols: int) -> Optional[tuple]:
     """Smallest-absolute-value nonzero entry of m[t:, t:], row-major tie-break."""
     best = None
@@ -137,8 +101,10 @@ def _min_abs_pivot(m: list, t: int, rows: int, cols: int) -> Optional[tuple]:
     return best
 
 
-def smith_normal_form(M: ExactMatrix) -> SNFResult:
-    """Smith normal form of an integer matrix, with transforms.
+def smith_normal_form(M: ExactMatrix) -> tuple:
+    """Invariant factors of an integer matrix: the min(rows, cols) diagonal
+    entries of its Smith normal form, nonnegative, each dividing the next,
+    zeros last.
 
     Deterministic: pivot is the smallest-absolute-value nonzero entry of the
     remaining block, scanned row-major.
@@ -147,17 +113,9 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
         raise ValueError("SNF requires integer matrix")
     rows, cols = M.rows, M.cols
     m = M.to_lists()
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, k):
-        m[i], m[k] = m[k], m[i]
-        left[i], left[k] = left[k], left[i]
 
     def swap_cols(j, k):
         for r in m:
-            r[j], r[k] = r[k], r[j]
-        for r in right:
             r[j], r[k] = r[k], r[j]
 
     def addmul_row(dst, src, q):
@@ -165,14 +123,9 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
         md, ms = m[dst], m[src]
         for j in range(cols):
             md[j] -= q * ms[j]
-        ld, ls = left[dst], left[src]
-        for j in range(rows):
-            ld[j] -= q * ls[j]
 
     def addmul_col(dst, src, q):
         for r in m:
-            r[dst] -= q * r[src]
-        for r in right:
             r[dst] -= q * r[src]
 
     t = 0
@@ -184,7 +137,7 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
         while True:
             i, j, _ = piv
             if i != t:
-                swap_rows(t, i)
+                m[t], m[i] = m[i], m[t]
             if j != t:
                 swap_cols(t, j)
             p = m[t][t]
@@ -219,7 +172,7 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
                 while m[i + 1][i] != 0 or m[i][i + 1] != 0:
                     if m[i + 1][i] != 0:
                         if abs(m[i + 1][i]) < abs(m[i][i]) or m[i][i] == 0:
-                            swap_rows(i, i + 1)
+                            m[i], m[i + 1] = m[i + 1], m[i]
                         if m[i + 1][i] != 0:
                             addmul_row(i + 1, i, m[i + 1][i] // m[i][i])
                     if m[i][i + 1] != 0:
@@ -228,21 +181,8 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
                         if m[i][i + 1] != 0:
                             addmul_col(i + 1, i, m[i][i + 1] // m[i][i])
 
-    for i in range(n):
-        if m[i][i] < 0:
-            for j in range(cols):
-                m[i][j] = -m[i][j]
-            for j in range(rows):
-                left[i][j] = -left[i][j]
-
-    diag = tuple(m[i][i] for i in range(n))
     # zeros sort to the end automatically: a zero pivot means the rest is zero
-    return SNFResult(
-        diagonal=diag,
-        # the transforms hold ints already; from_rows would normalize each again
-        left=ExactMatrix(ZZ, rows, rows, tuple(x for row in left for x in row)),
-        right=ExactMatrix(ZZ, cols, cols, tuple(x for row in right for x in row)),
-    )
+    return tuple(abs(m[i][i]) for i in range(n))
 
 
 def _to_field(M: ExactMatrix) -> tuple[RingSpec, list]:
@@ -253,20 +193,22 @@ def _to_field(M: ExactMatrix) -> tuple[RingSpec, list]:
 
 
 def _row_echelon(ring: RingSpec, m: list, cols: int) -> list:
-    """In-place reduction to echelon form; returns pivot column list."""
+    """In-place reduction to reduced echelon form; returns pivot column list."""
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != ring.zero), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = ring.inv(m[r][c])
         m[r] = [ring.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != ring.zero:
-                f = m[i][c]
-                m[i] = [ring.sub(m[i][j], ring.mul(f, m[r][j])) for j in range(cols)]
+        nonzero = [(j, x) for j, x in enumerate(m[r]) if x]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                for j, x in nonzero:
+                    row[j] = ring.sub(row[j], ring.mul(f, x))
         pivots.append(c)
         r += 1
     return pivots
@@ -326,66 +268,31 @@ def rank(M: ExactMatrix) -> int:
     return len(pivots)
 
 
-def det(M: ExactMatrix) -> Scalar:
-    """Determinant over the fraction field (exact)."""
-    if M.rows != M.cols:
-        raise ValueError("det of non-square matrix")
-    if M.rows == 0:
-        return 1
-    field, m = _to_field(M)
-    n = M.rows
-    d = field.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != field.zero), None)
-        if pr is None:
-            return M.ring.zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = field.neg(d)
-        d = field.mul(d, m[c][c])
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != field.zero:
-                f = field.mul(inv, m[i][c])
-                m[i] = [field.sub(m[i][j], field.mul(f, m[c][j])) for j in range(n)]
-    return M.ring.normalize(d) if M.ring == ZZ else d
-
-
 def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
     """One exact solution of M x = b in the ring, or None.
 
-    Over Z an integer solution is required (SNF-based); over Q/F_p plain
-    elimination in the field.
+    Gauss-Jordan elimination of [M | b] over the fraction field; over a
+    field, free unknowns are set to zero.  Over Z the solution must be
+    unique: it is returned when integral and None when not, and a consistent
+    system with a nontrivial kernel raises ValueError, since its integer
+    solutions need not include the rational one found.
     """
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
-    R = M.ring
-    b = [R.normalize(x) for x in b]
-    if R == ZZ:
-        snf = smith_normal_form(M)
-        lb = snf.left.mul_vector(b)
-        y = [0] * M.cols
-        n = min(M.rows, M.cols)
-        for i in range(M.rows):
-            d = snf.diagonal[i] if i < n else 0
-            if d == 0:
-                if lb[i] != 0:
-                    return None
-            elif lb[i] % d != 0:
-                return None
-            else:
-                y[i] = lb[i] // d
-        return snf.right.mul_vector(y)
-
-    field = R
-    m = [list(M.row(i)) + [b[i]] for i in range(M.rows)]
+    field, m = _to_field(M)
+    for row, x in zip(m, b):
+        row.append(field.normalize(M.ring.normalize(x)))
     pivots = _row_echelon(field, m, M.cols + 1)
     if pivots and pivots[-1] == M.cols:
         return None  # inconsistent
     x = [field.zero] * M.cols
     for r, c in enumerate(pivots):
         x[c] = m[r][M.cols]
-    return x
+    if M.ring != ZZ:
+        return x
+    if len(pivots) < M.cols:
+        raise ValueError("integer solve of a system with a nontrivial kernel")
+    return [v.numerator for v in x] if all(v.denominator == 1 for v in x) else None
 
 
 def homology_summands(d_in: ExactMatrix, d_out: ExactMatrix) -> tuple[int, list]:
@@ -406,6 +313,5 @@ def homology_summands(d_in: ExactMatrix, d_out: ExactMatrix) -> tuple[int, list]
     free = middle - r_out - r_in
     torsion: list = []
     if d_in.ring == ZZ and d_in.rows and d_in.cols:
-        snf = smith_normal_form(d_in)
-        torsion = [d for d in snf.diagonal if d > 1]
+        torsion = [d for d in smith_normal_form(d_in) if d > 1]
     return free, torsion

@@ -31,7 +31,11 @@ class MultTable:
     e21: Optional[Pair] = None  # None means commutative: e2e1 = e1e2
 
     def __post_init__(self):
-        norm = lambda p: (self.ring.normalize(p[0]), self.ring.normalize(p[1]))
+        def norm(p):
+            if not isinstance(p, (tuple, list)) or len(p) != 2:
+                raise ValueError(f"a product must be a pair of scalars, got {p!r}")
+            return (self.ring.normalize(p[0]), self.ring.normalize(p[1]))
+
         object.__setattr__(self, "e11", norm(self.e11))
         object.__setattr__(self, "e12", norm(self.e12))
         object.__setattr__(self, "e22", norm(self.e22))
@@ -57,16 +61,12 @@ class MultTable:
     def from_json(cls, d: dict) -> "MultTable":
         ring = RingSpec.from_json(d["ring"])
         prods = d["products"]
+        if not isinstance(prods, dict):
+            raise ValueError('"products" must be an object')
         e21 = prods.get("e2e1")
         if d.get("commutative", e21 is None) != (e21 is None):
             raise ValueError('"commutative" must be true exactly when "e2e1" is absent')
-        return cls(
-            ring,
-            tuple(prods["e1e1"]),
-            tuple(prods["e1e2"]),
-            tuple(prods["e2e2"]),
-            tuple(e21) if e21 is not None else None,
-        )
+        return cls(ring, prods["e1e1"], prods["e1e2"], prods["e2e2"], e21)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,32 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_classify_rejects_malformed_products(tmp_path, capsys):
+    # each was a traceback (IndexError, AttributeError) or, for the triple,
+    # silently cut to a pair and classified
+    good = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
+    short, flat, long = (dict(good) for _ in range(3))
+    short["products"] = dict(good["products"], e1e1=[1])
+    flat["products"] = [1, 2]
+    long["products"] = dict(good["products"], e1e1=[1, 0, 7])
+    for name, data in (("short.json", short), ("flat.json", flat), ("long.json", long)):
+        f = tmp_path / name
+        f.write_text(json.dumps(data))
+        assert main(["classify", str(f)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, name
+
+
+def test_parser_survives_a_usage_error(capsys):
+    # the parser is built once per process; a failed parse must not leak
+    # into the next call
+    assert main(["homology", "builder:unknot_0", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, out = run(capsys, "homology", "builder:unknot_0", "--a5", "0,0", "--json")
+    assert code == 0
+    assert [g["free_rank"] for g in json.loads(out)["groups"]] == [2]
+
+
 def test_verify_subcommand(capsys):
     code, out = run(capsys, "verify", "thm1.2", "--p", "2", "--json")
     assert code == 0

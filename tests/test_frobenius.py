@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,11 +163,11 @@ def test_n2cob_relations_agree_with_axiom_flags():
 
 
 @st.composite
-def structure_tensors(draw):
+def structure_tensors(draw, rings=(ZZ, QQ, F2, F3)):
     """Rank-1 to rank-3 data: random tensors, or the truncated polynomial
     algebra x^r = 0 with the coproduct that splits x^k into its factors,
     then up to two entries overwritten."""
-    R = draw(st.sampled_from((ZZ, QQ, F2, F3)))
+    R = draw(st.sampled_from(rings))
     r = draw(st.integers(1, 3))
     scalars = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2) if R == QQ else 3))
     idx = st.integers(0, r - 1)
@@ -192,6 +193,27 @@ def test_transposed_coproduct_flags_match_n2cob_oracle(F):
     for name in ("associative", "commutative", "coassociative", "cocommutative"):
         assert flags[name] == oracle[name], name
     assert flags["frobenius_relation"] == oracle["frobenius"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_tensors(rings=(ZZ,)))
+def test_unit_over_z_is_the_integral_rational_solution(F):
+    # oracle: sympy solves u*e_j = e_j = e_j*u over Q; the unit over Z is
+    # that solution when it is integral.  A consistent system has no
+    # kernel, since a two-sided unit is unique.
+    r, c = F.rank, F.mult
+    rows, rhs = [], []
+    for j, k in itertools.product(range(r), repeat=2):
+        rows += [[c[i][j][k] for i in range(r)], [c[j][i][k] for i in range(r)]]
+        rhs += [int(j == k)] * 2
+    try:
+        sol, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:  # inconsistent
+        expect = None
+    else:
+        assert params.shape[0] == 0
+        expect = tuple(int(x) for x in sol) if all(x.is_integer for x in sol) else None
+    assert fr._unit(ZZ, c) == expect
 
 
 # --- JSON ------------------------------------------------------------------------

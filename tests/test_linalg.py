@@ -4,12 +4,11 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobknot.linalg import (
     ExactMatrix,
-    det,
     homology_summands,
     rank,
     smith_normal_form,
@@ -31,8 +30,7 @@ small_int_matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_snf_known_matrix():
     # gcd of entries 2; gcd of 2x2 minors 4; |det| 624 -> diagonal (2,2,156)
     M = ExactMatrix.from_rows(ZZ, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    s = smith_normal_form(M)
-    assert s.diagonal == (2, 2, 156)
+    assert smith_normal_form(M) == (2, 2, 156)
 
 
 def test_snf_rejects_field_matrix():
@@ -43,14 +41,10 @@ def test_snf_rejects_field_matrix():
 
 @settings(max_examples=150, deadline=None)
 @given(small_int_matrices)
-def test_snf_transforms_and_divisibility(rows):
+def test_snf_diagonal_and_divisibility(rows):
     M = ExactMatrix.from_rows(ZZ, rows)
-    s = smith_normal_form(M)
-    # unimodular transforms reproduce the diagonal exactly
-    assert (s.left @ M @ s.right).to_lists() == s.diag_matrix(M.rows, M.cols).to_lists()
-    assert det(s.left) in (1, -1)
-    assert det(s.right) in (1, -1)
-    d = s.diagonal
+    d = smith_normal_form(M)
+    assert len(d) == min(M.rows, M.cols)
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
@@ -120,11 +114,18 @@ def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
     st.lists(st.integers(-4, 4), min_size=3, max_size=3),
 )
 def test_solve_linear_round_trip_over_z(rows, x):
+    assume(sympy.Matrix(rows).det() != 0)
     M = ExactMatrix.from_rows(ZZ, rows)
     b = M.mul_vector(x)
-    sol = solve_linear(M, b)
-    assert sol is not None
-    assert M.mul_vector(sol) == b
+    assert solve_linear(M, b) == x
+
+
+def test_solve_linear_over_z_rejects_a_kernel():
+    # consistent but singular: x = (1, 0) and x = (0, 1) both solve it
+    M = ExactMatrix.from_rows(ZZ, [[1, 1], [2, 2]])
+    with pytest.raises(ValueError):
+        solve_linear(M, [1, 2])
+    assert solve_linear(M, [1, 3]) is None  # inconsistent: no kernel question
 
 
 def test_solve_linear_no_integer_solution():
@@ -136,11 +137,6 @@ def test_solve_linear_no_integer_solution():
 def test_solve_linear_inconsistent_over_field():
     M = ExactMatrix.from_rows(QQ, [[1, 1], [1, 1]])
     assert solve_linear(M, [1, 2]) is None
-
-
-def test_det_matches_sympy():
-    rows = [[3, 1, -2], [0, 4, 5], [7, -1, 2]]
-    assert det(ExactMatrix.from_rows(ZZ, rows)) == sympy.Matrix(rows).det()
 
 
 def test_homology_summands_simple_torsion():
@@ -159,8 +155,7 @@ def test_homology_summands_rejects_non_complex():
         homology_summands(d_in, d_out)
 
 
-def test_matmul_and_transpose():
+def test_matmul():
     A = ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]])
     B = ExactMatrix.from_rows(ZZ, [[0, 1], [1, 0]])
     assert (A @ B).to_lists() == [[2, 1], [4, 3]]
-    assert A.transpose().to_lists() == [[1, 3], [2, 4]]
