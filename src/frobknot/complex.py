@@ -77,12 +77,11 @@ def build_complex(
     edges_by_degree: list[list] = [[] for _ in range(n)]
     for e in cube.edges:
         edges_by_degree[sum(e.s1)].append(e)
-    zero = R.zero
     cells: dict[tuple, list] = {}  # nonzero cells of each distinct generator map
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
-        ents = [zero] * (rows * cols)
+        scatter: list[dict] = [{} for _ in range(rows)]
         for e in edges:
             c_in = len(cube.circles[e.s1])
             key = (c_in, e.kind, e.src, e.dst)
@@ -94,16 +93,14 @@ def build_complex(
                 else:
                     op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
                     mat = generator_map(F, c_in, c_in + 1, op)
-                nz = cells[key] = [
-                    (*divmod(at, mat.cols), v) for at, v in enumerate(mat.entries) if v != zero
-                ]
+                nz = cells[key] = [(a, b, v) for a, row in enumerate(mat.nz) for b, v in row]
             negate = sign_exponent(e.s1, e.s2) % 2
             ro, co = offsets[e.s2], offsets[e.s1]
             for a, b, v in nz:
-                ents[(ro + a) * cols + co + b] = R.neg(v) if negate else v
+                scatter[ro + a][co + b] = R.neg(v) if negate else v
         # generator_map entries are already ring elements: no normalization
-        diffs.append(ExactMatrix(R, rows, cols, tuple(ents)))
-        del ents  # free this degree's cells before the next degree is allocated
+        diffs.append(ExactMatrix(R, rows, cols, tuple(tuple(sorted(d.items())) for d in scatter)))
+        del scatter  # free this degree's cells before the next degree is filled
 
     shift = -d.n_minus if (normalize and d.oriented) else 0
 
@@ -141,7 +138,7 @@ def homology(C: ChainComplex) -> HomologyTable:
     R = C.ring
     rows = []
     for idx, middle in enumerate(C.ranks):
-        d_in = C.diffs[idx - 1] if idx > 0 else ExactMatrix(R, middle, 0, ())
+        d_in = C.diffs[idx - 1] if idx > 0 else ExactMatrix(R, middle, 0, ((),) * middle)
         d_out = C.diffs[idx] if idx < len(C.diffs) else ExactMatrix(R, 0, middle, ())
         free, torsion = homology_summands(d_in, d_out)
         rows.append((C.shift + idx, free, tuple(torsion)))

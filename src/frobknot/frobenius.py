@@ -123,6 +123,13 @@ def _transpose(t) -> tuple:
     return tuple(tuple(tuple(t[k][i][j] for k in range(r)) for j in range(r)) for i in range(r))
 
 
+def _matrix(R: RingSpec, rows: list) -> ExactMatrix:
+    """Matrix of rows of ring elements, taken as they are: the tensors of a
+    FrobeniusData are normalized once, at construction."""
+    nz = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    return ExactMatrix(R, len(rows), len(rows[0]), nz)
+
+
 def _unit_equations(R: RingSpec, c) -> tuple:
     """The system u*e_j = e_j = e_j*u in the unknown u, as (matrix, rhs)."""
     r = len(c)
@@ -134,7 +141,7 @@ def _unit_equations(R: RingSpec, c) -> tuple:
         for k in range(r):
             rows.append([c[j][i][k] for i in range(r)])
             rhs.append(R.one if k == j else R.zero)
-    return ExactMatrix.from_rows(R, rows), rhs
+    return _matrix(R, rows), rhs
 
 
 def _is_unit(R: RingSpec, c, u) -> bool:
@@ -156,7 +163,7 @@ def _algebra_flags(R: RingSpec, c) -> dict:
     whether it has full rank over the fraction field."""
     r = len(c)
     rng = range(r)
-    M = ExactMatrix.from_rows(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
+    M = _matrix(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
     if R == ZZ:
         diag = smith_normal_form(M)
         onto, full_rank = all(x == 1 for x in diag), all(diag)
@@ -289,7 +296,7 @@ def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
         raise ValueError("algebra has no unit")
     R = F.ring
     Ly = _left_mult(R, F.mult, [R.normalize(x) for x in y])
-    sol = solve_linear(ExactMatrix.from_rows(R, Ly), list(F.unit))
+    sol = solve_linear(_matrix(R, Ly), list(F.unit))
     return tuple(sol) if sol is not None else None
 
 
@@ -404,14 +411,14 @@ def generator_map(F: FrobeniusData, n_in: int, n_out: int, op) -> ExactMatrix:
         )
     )
 
-    cols = r**n_in
-    ents = [zero] * (r**n_out * cols)
+    # a column's offsets are distinct (distinct output bits), so it meets each
+    # row at most once; columns come in increasing order
+    rows: list[list] = [[] for _ in range(r**n_out)]
     for col, src in enumerate(itertools.product(rng, repeat=n_in)):
         base = sum(w * src[q] for w, q in carried)
         for offset, coeff in scatter.get(tuple(src[q] for q in legs_in), ()):
-            at = (base + offset) * cols + col
-            ents[at] = R.add(ents[at], coeff)
-    return ExactMatrix(R, r**n_out, cols, tuple(ents))
+            rows[base + offset].append((col, coeff))
+    return ExactMatrix(R, r**n_out, r**n_in, tuple(map(tuple, rows)))
 
 
 def verify_n2cob_relations(F: FrobeniusData) -> dict:
@@ -429,11 +436,11 @@ def verify_n2cob_relations(F: FrobeniusData) -> dict:
     frob_l = generator_map(F, 3, 2, Merge(1, 2, 1)) @ generator_map(F, 2, 3, Split(2, 2, 3))
     frob_r = generator_map(F, 3, 2, Merge(2, 3, 2)) @ generator_map(F, 2, 3, Split(1, 1, 2))
 
+    # sparse rows hold only nonzeros, in column order: equal matrices are equal
     return {
-        "associative": assoc_l.to_lists() == assoc_r.to_lists(),
-        "commutative": (m12 @ swap).to_lists() == m12.to_lists(),
-        "coassociative": coassoc_l.to_lists() == coassoc_r.to_lists(),
-        "cocommutative": (swap @ d11).to_lists() == d11.to_lists(),
-        "frobenius": frob_mid.to_lists() == frob_l.to_lists()
-        and frob_mid.to_lists() == frob_r.to_lists(),
+        "associative": assoc_l == assoc_r,
+        "commutative": m12 @ swap == m12,
+        "coassociative": coassoc_l == coassoc_r,
+        "cocommutative": swap @ d11 == d11,
+        "frobenius": frob_mid == frob_l == frob_r,
     }

@@ -1,16 +1,21 @@
-"""Exact linear algebra over Z, Q, and F_p on dense matrices.
+"""Exact linear algebra over Z, Q, and F_p on sparse matrices.
 
-Provides the invariant factors of the Smith normal form (arbitrary-precision
-integers throughout), rank over the fraction field, exact linear solving by
-elimination over the fraction field, and homology summands ker/im of a pair
-of composable differentials.  The product and the rank skip zero cells,
-since differentials are mostly zero.
+A matrix stores the nonzeros of each row.  One reduction per matrix, cached
+on it, gives both the rank over the fraction field and the invariant
+factors of the Smith normal form over Z: unit entries are cancelled
+sparsely (Bar-Natan's Gaussian-elimination lemma), and a pivoting Smith
+loop finishes the small dense residue.  Also provides exact linear solving
+by elimination over the fraction field, and homology summands ker/im of a
+pair of composable differentials.  Arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -19,58 +24,81 @@ from .rings import QQ, ZZ, RingSpec
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix with row-major entries over an exact ring."""
+    """Immutable sparse matrix over an exact ring.
+
+    ``nz[i]`` lists the ``(col, value)`` nonzeros of row i in increasing
+    column order; values are ring elements (``int`` over Z, ``Fraction``
+    over Q, residues in ``range(p)`` over F_p).  The constructor takes them
+    as they are; ``from_rows`` normalizes dense user data.
+    """
 
     ring: RingSpec
     rows: int
     cols: int
-    entries: tuple
+    nz: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
+        if len(self.nz) != self.rows:
+            raise ValueError("row count does not match dimensions")
+        # columns increase along a row, so its ends bound every index
+        if any(row and (row[0][0] < 0 or row[-1][0] >= self.cols) for row in self.nz):
+            raise ValueError("column index out of range")
 
     @classmethod
     def from_rows(cls, ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        ents = []
+        nz = []
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            ents.extend(ring.normalize(x) for x in row)
-        return cls(ring, r, c, tuple(ents))
+            nz.append(tuple((j, x) for j, x in enumerate(map(ring.normalize, row)) if x))
+        return cls(ring, r, c, tuple(nz))
+
+    @property
+    def entries(self) -> tuple:
+        """Dense row-major view, with ring-typed zeros, built on each access
+        (for display and tests: the homology path reads ``nz`` only)."""
+        return tuple(itertools.chain.from_iterable(map(self.row, range(self.rows))))
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [self.ring.zero] * self.cols
+        for j, v in self.nz[i]:
+            out[j] = v
+        return tuple(out)
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.nz)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        R = self.ring
-        zero, m, n = R.zero, self.cols, other.cols
-        b = other.entries
-        b_rows = [[(j, v) for j, v in enumerate(b[k * n : (k + 1) * n]) if v] for k in range(m)]
-        out = [zero] * (self.rows * n)
-        for i in range(self.rows):
+        p, a, b, dens = self.ring.p, self.nz, other.nz, None
+        if self.ring == QQ:
+            # multiply integers: A B = D^-1 (D A E^-1)(E B), where the
+            # diagonal E clears the denominators of B's rows, D those of A E^-1
+            b = [_integral(row) for row in b]
+            a = [_integral([(k, x / b[k][0]) for k, x in row]) for row in a]
+            dens, a, b = [d for d, _ in a], [row for _, row in a], [row for _, row in b]
+        out = []
+        for row in a:
             acc: dict = {}
-            for k, a in enumerate(self.entries[i * m : (i + 1) * m]):
-                if a:
-                    for j, v in b_rows[k]:
-                        acc[j] = R.add(acc.get(j, zero), R.mul(a, v))
-            for j, s in acc.items():
-                out[i * n + j] = s
-        return ExactMatrix(R, self.rows, n, tuple(out))
+            for k, x in row:
+                for j, v in b[k]:
+                    acc[j] = acc.get(j, 0) + x * v
+            if p:
+                acc = {j: s % p for j, s in acc.items()}
+            out.append(tuple(sorted((j, s) for j, s in acc.items() if s)))
+        if dens is not None:
+            out = [tuple((j, Fraction(s, d)) for j, s in row) for d, row in zip(dens, out)]
+        return ExactMatrix(self.ring, self.rows, other.cols, tuple(out))
 
     def mul_vector(self, v: Sequence) -> list:
         if len(v) != self.cols:
@@ -78,13 +106,98 @@ class ExactMatrix:
         R = self.ring
         v = [R.normalize(x) for x in v]
         out = []
-        for i in range(self.rows):
+        for row in self.nz:
             s = R.zero
-            ri = self.row(i)
-            for k in range(self.cols):
-                s = R.add(s, R.mul(ri[k], v[k]))
+            for j, a in row:
+                s = R.add(s, R.mul(a, v[j]))
             out.append(s)
         return out
+
+    @cached_property
+    def _reduced(self) -> tuple:
+        # (rank, torsion), computed on first use: rank, smith_normal_form and
+        # homology_summands all read this one reduction
+        return _reduce(self)
+
+
+def _integral(row) -> tuple:
+    """A row over Q as (d, integer row): each value is its integer over d."""
+    d = lcm(*(v.denominator for _, v in row))
+    return d, [(j, v.numerator * (d // v.denominator)) for j, v in row]
+
+
+def _reduce(M: ExactMatrix) -> tuple:
+    """(rank over the fraction field, invariant factors > 1 over Z).
+
+    Unit entries are cancelled first: pivoting on a unit u at (i, j)
+    subtracts multiples of row i from the other rows of column j, then
+    drops row i and column j, which adds 1 to the rank and an invariant
+    factor 1.  The units are +-1 over Z and over Q, whose rows are scaled to
+    primitive integer rows first; over F_p every nonzero entry is one, so
+    nothing is left.  The next pivot column is one with the fewest entries,
+    and its pivot row the shortest with a unit there.  The integer residue,
+    free of units, goes to the dense Smith loop.  The torsion is () unless
+    the ring is Z.
+    """
+    p = M.ring.p
+    rows: dict = {}
+    for i, row in enumerate(M.nz):
+        if row and M.ring == QQ:
+            ints = _integral(row)[1]
+            g = gcd(*(v for _, v in ints))
+            row = [(j, v // g) for j, v in ints]
+        if row:
+            rows[i] = dict(row)
+    cols: dict = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(s), j) for j, s in cols.items()]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        n, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != n:
+            continue  # pivoted already, or queued again with its new count
+        units = [i for i in col if p or rows[i][j] in (1, -1)]
+        if not units:
+            continue  # queued again if an elimination changes this column
+        i = min(units, key=lambda i: len(rows[i]))
+        prow = rows.pop(i)
+        inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)  # a unit of Z is its inverse
+        del cols[j]
+        col.discard(i)
+        for c in prow:
+            cols[c].discard(i)
+        for k in col:
+            rk = rows[k]
+            f = rk.pop(j) * inv
+            for c, v in prow.items():
+                x = rk.get(c, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    if c not in rk:
+                        cols[c].add(k)
+                    rk[c] = x
+                else:
+                    del rk[c]
+                    cols[c].discard(k)
+            if not rk:
+                del rows[k]
+        for c in prow:
+            if cols[c]:
+                heapq.heappush(heap, (len(cols[c]), c))
+            else:
+                del cols[c]
+        pivots += 1
+    if not rows:
+        return pivots, ()
+    rest = sorted({c for row in rows.values() for c in row})
+    m = [[row.get(c, 0) for c in rest] for row in rows.values()]
+    diag = [d for d in _smith_diagonal(m, len(m), len(rest)) if d]
+    return pivots + len(diag), tuple(d for d in diag if d > 1) if M.ring == ZZ else ()
 
 
 def _min_abs_pivot(m: list, t: int, rows: int, cols: int) -> Optional[tuple]:
@@ -101,33 +214,14 @@ def _min_abs_pivot(m: list, t: int, rows: int, cols: int) -> Optional[tuple]:
     return best
 
 
-def smith_normal_form(M: ExactMatrix) -> tuple:
-    """Invariant factors of an integer matrix: the min(rows, cols) diagonal
-    entries of its Smith normal form, nonnegative, each dividing the next,
-    zeros last.
+def _smith_diagonal(m: list, rows: int, cols: int) -> tuple:
+    """Invariant factors of the dense integer matrix m (list of row lists,
+    reduced in place): min(rows, cols) entries, nonnegative, each dividing
+    the next, zeros last.
 
     Deterministic: pivot is the smallest-absolute-value nonzero entry of the
     remaining block, scanned row-major.
     """
-    if M.ring != ZZ:
-        raise ValueError("SNF requires integer matrix")
-    rows, cols = M.rows, M.cols
-    m = M.to_lists()
-
-    def swap_cols(j, k):
-        for r in m:
-            r[j], r[k] = r[k], r[j]
-
-    def addmul_row(dst, src, q):
-        # row_dst -= q * row_src
-        md, ms = m[dst], m[src]
-        for j in range(cols):
-            md[j] -= q * ms[j]
-
-    def addmul_col(dst, src, q):
-        for r in m:
-            r[dst] -= q * r[src]
-
     t = 0
     n = min(rows, cols)
     while t < n:
@@ -139,50 +233,52 @@ def smith_normal_form(M: ExactMatrix) -> tuple:
             if i != t:
                 m[t], m[i] = m[i], m[t]
             if j != t:
-                swap_cols(t, j)
-            p = m[t][t]
+                for r in m:
+                    r[t], r[j] = r[j], r[t]
+            p, mt = m[t][t], m[t]
             done = True
             for i in range(t + 1, rows):
                 if m[i][t] != 0:
-                    q = m[i][t] // p
-                    addmul_row(i, t, q)
-                    if m[i][t] != 0:
+                    q, mi = m[i][t] // p, m[i]
+                    for c in range(cols):
+                        mi[c] -= q * mt[c]
+                    if mi[t] != 0:
                         done = False
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // p
-                    addmul_col(j, t, q)
-                    if m[t][j] != 0:
+                if mt[j] != 0:
+                    q = mt[j] // p
+                    for r in m:
+                        r[j] -= q * r[t]
+                    if mt[j] != 0:
                         done = False
             if done:
                 break
             piv = _min_abs_pivot(m, t, rows, cols)
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a, b = m[i][i], m[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                changed = True
-                # fold b into the block and rediagonalize the 2x2 corner
-                addmul_col(i, i + 1, -1)  # col_i += col_{i+1}
-                while m[i + 1][i] != 0 or m[i][i + 1] != 0:
-                    if m[i + 1][i] != 0:
-                        if abs(m[i + 1][i]) < abs(m[i][i]) or m[i][i] == 0:
-                            m[i], m[i + 1] = m[i + 1], m[i]
-                        if m[i + 1][i] != 0:
-                            addmul_row(i + 1, i, m[i + 1][i] // m[i][i])
-                    if m[i][i + 1] != 0:
-                        if abs(m[i][i + 1]) < abs(m[i][i]) or m[i][i] == 0:
-                            swap_cols(i, i + 1)
-                        if m[i][i + 1] != 0:
-                            addmul_col(i + 1, i, m[i][i + 1] // m[i][i])
+    # m is diagonal now; diag(a, b) ~ diag(gcd, lcm), so one pass over the
+    # pairs makes each entry divide the later ones (zeros move last)
+    d = [abs(m[i][i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
-    # zeros sort to the end automatically: a zero pivot means the rest is zero
-    return tuple(abs(m[i][i]) for i in range(n))
+
+def smith_normal_form(M: ExactMatrix) -> tuple:
+    """Invariant factors of an integer matrix: the min(rows, cols) diagonal
+    entries of its Smith normal form, nonnegative, each dividing the next,
+    zeros last.  Read off the matrix's cached reduction."""
+    if M.ring != ZZ:
+        raise ValueError("SNF requires integer matrix")
+    r, torsion = M._reduced
+    return (1,) * (r - len(torsion)) + torsion + (0,) * (min(M.rows, M.cols) - r)
+
+
+def rank(M: ExactMatrix) -> int:
+    """Rank over the fraction field of the ring, from the matrix's cached
+    reduction."""
+    return M._reduced[0]
 
 
 def _to_field(M: ExactMatrix) -> tuple[RingSpec, list]:
@@ -214,60 +310,6 @@ def _row_echelon(ring: RingSpec, m: list, cols: int) -> list:
     return pivots
 
 
-def _eliminate(row: dict, piv: dict, c: int, p: Optional[int]) -> dict:
-    """a*row - b*piv with column c cleared: mod p with piv[c] == 1 over F_p,
-    else fraction-free over Z with the result's content divided out."""
-    a, b = piv[c], row[c]
-    if not p:
-        g = gcd(a, b)
-        a, b = a // g, b // g
-    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
-    for j, v in piv.items():
-        x = out.get(j, 0) - b * v
-        if p:
-            x %= p
-        if x:
-            out[j] = x
-        else:
-            del out[j]
-    return out if p else _primitive(out)
-
-
-def _primitive(row: dict) -> dict:
-    g = gcd(*row.values())
-    return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def rank(M: ExactMatrix) -> int:
-    """Rank over the fraction field of the ring.
-
-    Sparse forward elimination: each row, as a {col: value} dict of its
-    nonzeros, is reduced against the pivot rows kept so far, keyed by
-    leading column.  Over Q rows are scaled to integers, so Z and Q take the
-    same fraction-free integer steps; F_p works on residues.
-    """
-    p, over_q = M.ring.p, M.ring == QQ
-    pivots: dict = {}
-    for i in range(M.rows):
-        row = {j: v for j, v in enumerate(M.row(i)) if v}
-        if over_q:
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        if not p:
-            row = _primitive(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                if p:
-                    inv = pow(row[c], -1, p)
-                    row = {j: v * inv % p for j, v in row.items()}
-                pivots[c] = row
-                break
-            row = _eliminate(row, piv, c, p)
-    return len(pivots)
-
-
 def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
     """One exact solution of M x = b in the ring, or None.
 
@@ -281,7 +323,8 @@ def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
         raise ValueError("dimension mismatch")
     field, m = _to_field(M)
     for row, x in zip(m, b):
-        row.append(field.normalize(M.ring.normalize(x)))
+        x = M.ring.normalize(x)
+        row.append(Fraction(x) if M.ring == ZZ else x)
     pivots = _row_echelon(field, m, M.cols + 1)
     if pivots and pivots[-1] == M.cols:
         return None  # inconsistent
@@ -310,8 +353,4 @@ def homology_summands(d_in: ExactMatrix, d_out: ExactMatrix) -> tuple[int, list]
     middle = d_out.cols
     r_out = rank(d_out)
     r_in = rank(d_in)
-    free = middle - r_out - r_in
-    torsion: list = []
-    if d_in.ring == ZZ and d_in.rows and d_in.cols:
-        torsion = [d for d in smith_normal_form(d_in) if d > 1]
-    return free, torsion
+    return middle - r_out - r_in, list(d_in._reduced[1])

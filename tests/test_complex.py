@@ -177,6 +177,41 @@ def test_universal_coefficients():
                 assert table(GF(p)) == want
 
 
+# closure of the 2-strand braid (-1)^8: the (2, -8) torus link
+T28_PD = """X 1 2 4 3
+X 3 4 6 5
+X 5 6 8 7
+X 7 8 10 9
+X 9 10 12 11
+X 11 12 14 13
+X 13 14 16 15
+X 15 16 2 1
+SIGNS - - - - - - - -
+"""
+
+
+def test_t28_homology_is_frozen():
+    # (i, free rank, torsion) as frozen from a dense-elimination build,
+    # which took ~36 s over Z; the F_2 ranks follow by universal coefficients
+    z = [(-8, 2, []), (-7, 1, []), (-6, 1, [2]), (-5, 1, []), (-4, 1, [2]),
+         (-3, 1, []), (-2, 1, [2]), (-1, 0, []), (0, 2, [])]
+    f2 = [(i, 2 if i != -1 else 0, []) for i in range(-8, 1)]
+    cube = dg.build_cube(dg.parse_pd(T28_PD))
+    for R, want in ((ZZ, z), (F2, f2)):
+        assert _rows(cx.homology(cx.build_complex(cube, fr.a5(0, 0, R), True))) == want
+
+
+def test_homology_reads_no_dense_view(monkeypatch):
+    def dense(_):
+        raise AssertionError("dense view read on the homology path")
+
+    monkeypatch.setattr(ExactMatrix, "entries", property(dense))
+    for name in ("trefoil_left", "figure10_d1", "hopf_neg"):
+        for R in (ZZ, QQ, F2):
+            for F in (fr.a5(0, 0, R), fr.a5(1, 1, R)):
+                cx.homology(cx.chain_complex(dg.BUILDERS[name](), F, normalize=True))
+
+
 def test_homology_rejects_broken_differential():
     from frobknot.linalg import ExactMatrix
 

@@ -108,6 +108,66 @@ def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
     assert [(type(x), x) for x in got.entries] == expect
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 25), st.integers(1, 25), st.integers(3, 40), st.randoms(use_true_random=False))
+def test_one_reduction_matches_sympy(r, c, fill, rnd):
+    """Mostly 0 and +-1 with some +-2 and +-3, so that unit cancellation
+    makes fill-in and leaves a residue for the Smith loop.  The Q copy
+    divides each row by 1-4, which its reduction must scale back."""
+    scalars = (1, -1, 1, -1, 1, -1, 2, -2, 3, -3)
+    rows = [[rnd.choice(scalars) if rnd.randint(1, 100) <= fill else 0 for _ in range(c)] for _ in range(r)]
+    d = smith_normal_form(ExactMatrix.from_rows(ZZ, rows))
+    oracle = sympy_snf(sympy.Matrix(rows))
+    odiag = [abs(oracle[i, i]) for i in range(min(r, c))]
+    assert sorted(x for x in d if x) == sorted(x for x in odiag if x)
+    assert all((a == 0 and b == 0) or (a and b % a == 0) for a, b in zip(d, d[1:]))
+    true_rank = sympy.Matrix(rows).rank()
+    assert rank(ExactMatrix.from_rows(ZZ, rows)) == true_rank == sum(1 for x in d if x)
+    q_rows = [[Fraction(x, k) for x in row] for row, k in zip(rows, (rnd.randint(1, 4) for _ in rows))]
+    assert rank(ExactMatrix.from_rows(QQ, q_rows)) == true_rank
+    for p in (2, 3):
+        assert rank(ExactMatrix.from_rows(GF(p), rows)) == DomainMatrix.from_list(rows, sympy.GF(p)).rank()
+
+
+def _smith_inputs(monkeypatch):
+    """Record the (rows, cols) of every residue the Smith loop receives."""
+    from frobknot import linalg
+
+    seen, smith = [], linalg._smith_diagonal
+
+    def spy(m, rows, cols):
+        seen.append((rows, cols))
+        return smith(m, rows, cols)
+
+    monkeypatch.setattr(linalg, "_smith_diagonal", spy)
+    return seen
+
+
+def test_reduction_of_a_matrix_with_no_unit_entry(monkeypatch):
+    # the block [[2, 3], [3, 2]] has invariant factors (1, 5); with 4 beside
+    # it the chain is (1, 1, 20).  No entry is a unit over Z, so the whole
+    # matrix is the residue; over Q the row (0, 0, 4) scales to (0, 0, 1)
+    # and only the block is left.
+    seen = _smith_inputs(monkeypatch)
+    rows = [[2, 3, 0], [3, 2, 0], [0, 0, 4]]
+    assert smith_normal_form(ExactMatrix.from_rows(ZZ, rows)) == (1, 1, 20)
+    assert rank(ExactMatrix.from_rows(QQ, rows)) == 3
+    assert seen == [(3, 3), (2, 2)]
+    assert [rank(ExactMatrix.from_rows(GF(p), rows)) for p in (2, 3, 5)] == [2, 3, 2]
+    assert len(seen) == 2  # over F_p every nonzero entry is a unit
+
+
+def test_reduction_of_a_signed_permutation_matrix(monkeypatch):
+    # units everywhere: cancellation alone, no residue
+    seen = _smith_inputs(monkeypatch)
+    perm, signs = (3, 0, 4, 1, 5, 2), (1, -1, -1, 1, 1, -1)
+    rows = [[signs[i] if j == perm[i] else 0 for j in range(6)] for i in range(6)]
+    for R in (ZZ, QQ, GF(2), GF(3)):
+        assert rank(ExactMatrix.from_rows(R, rows)) == 6
+    assert smith_normal_form(ExactMatrix.from_rows(ZZ, rows)) == (1,) * 6
+    assert seen == []
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3),
