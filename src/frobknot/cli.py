@@ -169,7 +169,13 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     reports = []
     which = args.target
+    if args.zbound is not None and which != "thm1.2":
+        raise InputError(f"verify {which} takes no --zbound; only thm1.2 runs over a Z box")
+    if args.p is not None and which == "char2":
+        raise InputError("verify char2 runs over F_2 only and takes no --p")
     if which == "thm1.2":
+        if args.p is not None and args.zbound is not None:
+            raise InputError("verify thm1.2 takes --p or --zbound, not both")
         if args.zbound is not None:
             reports.append(verifier.verify_theorem_1_2(zbound=args.zbound))
         elif args.p is not None:

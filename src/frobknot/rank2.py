@@ -103,6 +103,38 @@ def _associative(t, m) -> bool:
     )
 
 
+def _associative_comm_tables(entries, m):
+    """Every associative commutative tuple (e11, e12, e12, e22) with entries
+    in ``entries`` (range(p) with m = p, or a Z box with m = 0), in the
+    lexicographic order of (e11, e12, e22).  With e11 = (a1, b1),
+    e12 = (a2, b2) and e22 = (a4, b4) the corner identities are linear in e22:
+        b1 a4 = a2 b2,  b1 b4 = a2 b1 + b2^2 - a1 b2,  (a1 - b2) a4 + a2 b4 = a2^2.
+    Each (e11, e12) proposes the e22 they allow; _associative judges every
+    proposal, so the case split can miss tables but never admit a wrong one.
+    """
+
+    def quot(n, d):  # n / d among the entries, or None; d is nonzero
+        if m:
+            return n * pow(d, -1, m) % m
+        q, r = divmod(n, d)
+        return q if not r and q in entries else None
+
+    for a1, b1, a2, b2 in itertools.product(entries, repeat=4):
+        e11, e12 = (a1, b1), (a2, b2)
+        if b1:
+            cands = ((quot(a2 * b2, b1), quot(a2 * b1 + b2 * b2 - a1 * b2, b1)),)
+        elif b2 and (a2 or b2 != a1):  # a2 b2 or b2 (b2 - a1) is nonzero
+            continue
+        elif a2:
+            cands = ((a4, quot(a2 * a2 - (a1 - b2) * a4, a2)) for a4 in entries)
+        else:
+            cands = itertools.product(entries, repeat=2)
+        for e22 in cands:
+            t = (e11, e12, e12, e22)
+            if None not in e22 and _associative(t, m):
+                yield t
+
+
 def _surjective(t, m) -> bool:
     """The multiplication A (x) A -> A is onto.  Over Z and F_p the gcd of m
     and the 2x2 minors of the 2x4 product matrix must be 1: over Z that gcd
@@ -448,9 +480,3 @@ def classify(t: MultTable) -> tuple[str, tuple]:
         if _signature(rep, p) == sig and _isomorphism(t4, rep, p) is not None:
             return label, params
     raise ClassificationGap(f"no representative matches {t.to_json()}")
-
-
-def all_commutative_tables(ring: RingSpec):
-    """Every commutative table over F_p (p^6 of them), lexicographic order."""
-    for a1, b1, a2, b2, a4, b4 in itertools.product(ring.elements(), repeat=6):
-        yield MultTable(ring, (a1, b1), (a2, b2), (a4, b4))

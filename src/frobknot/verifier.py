@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import rank2
 from .rank2 import _associative, _entries, _isomorphism, _surjective, _unit
+from .rank2 import _associative_comm_tables
 from .rings import ZZ, GF, RingSpec
 
 
@@ -50,14 +51,6 @@ class VerifyReport:
         )
 
 
-def _comm_tables(entries):
-    """Commutative tables (e11, e12, e12, e22) with entries from ``entries``,
-    in lexicographic order of (e11, e12, e22)."""
-    for a1, b1, a2, b2, a4, b4 in itertools.product(entries, repeat=6):
-        e12 = (a2, b2)
-        yield ((a1, b1), e12, e12, (a4, b4))
-
-
 def _record_table(ring: RingSpec, t) -> dict:
     return {"table": rank2.MultTable(ring, t[0], t[1], t[3]).to_json()}
 
@@ -85,9 +78,7 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
     m = ring.p or 0
     rep = VerifyReport(name, len(entries) ** 6)
     n_assoc = n_surj = 0
-    for t in _comm_tables(entries):
-        if not _associative(t, m):
-            continue
+    for t in _associative_comm_tables(entries, m):
         n_assoc += 1
         if not _surjective(t, m):
             continue
@@ -111,12 +102,12 @@ def _cocomm_coassoc_comults(p):
     d[k][i][j] (d[k][0][1] == d[k][1][0]) with its transpose: the table
     e_i e_j = (d[0][i][j], d[1][i][j]).  The transpose is associative exactly
     when d is coassociative, surjective exactly when d is injective, and its
-    unit is the counit of d."""
-    for c in itertools.product(range(p), repeat=6):
-        d = (((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5])))
-        dual = ((c[0], c[3]), (c[1], c[4]), (c[1], c[4]), (c[2], c[5]))
-        if _associative(dual, p):
-            yield d, dual
+    unit is the counit of d.  Sorted by d."""
+    comults = []
+    for dual in _associative_comm_tables(range(p), p):
+        (a1, b1), (a2, b2), _, (a4, b4) = dual
+        comults.append(((((a1, a2), (a2, a4)), ((b1, b2), (b2, b4))), dual))
+    return sorted(comults)
 
 
 def _frobenius_relation(t, d, p) -> bool:
@@ -141,7 +132,7 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
         raise ValueError("double enumeration is limited to p in {2, 3}")
     ring = GF(p)
     rep = VerifyReport(f"thm1.1 over F_{p}", p**6 * p**8)
-    mults = [t for t in _comm_tables(range(p)) if _associative(t, p) and _surjective(t, p)]
+    mults = [t for t in _associative_comm_tables(range(p), p) if _surjective(t, p)]
     comults = [(d, dual) for d, dual in _cocomm_coassoc_comults(p) if _surjective(dual, p)]
     n_pairs = 0
     for t in mults:
@@ -250,9 +241,7 @@ def verify_char2_classification() -> VerifyReport:
     ring = GF(2)
     rep = VerifyReport("char-2 classification over F_2", 2**6)
     n_assoc = 0
-    for t4 in _comm_tables(range(2)):
-        if not _associative(t4, 2):
-            continue
+    for t4 in _associative_comm_tables(range(2), 2):
         n_assoc += 1
         t = rank2.MultTable(ring, t4[0], t4[1], t4[3])
         try:

@@ -168,4 +168,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["verify", "bogus"]) == 2
     assert main(["verify", "thm1.2", "--zbound", "-1"]) == 2
     assert main(["verify", "thm1.1", "--p", "0"]) == 2  # not the default battery
+    # options that the target would ignore
+    assert main(["verify", "char2", "--p", "3"]) == 2
+    for target in ("thm1.1", "prop3.4", "char2", "noncomm"):
+        assert main(["verify", target, "--zbound", "1"]) == 2
+    assert main(["verify", "thm1.2", "--p", "3", "--zbound", "1"]) == 2
     capsys.readouterr()

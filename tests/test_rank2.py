@@ -15,6 +15,12 @@ def table(ring, e11, e12, e22, e21=None):
     return rank2.MultTable(ring, e11, e12, e22, e21)
 
 
+def all_commutative_tables(ring):
+    """Every commutative table over F_p (p^6 of them), lexicographic order."""
+    for a1, b1, a2, b2, a4, b4 in itertools.product(ring.elements(), repeat=6):
+        yield table(ring, (a1, b1), (a2, b2), (a4, b4))
+
+
 # --- multiply -------------------------------------------------------------
 
 
@@ -50,13 +56,28 @@ def test_two_equality_check_matches_full_check():
     # exhaustive over F_2 and F_3: the shortcut for commutative tables
     # agrees with testing all eight basis triples
     for ring in (F2, F3):
-        for t in rank2.all_commutative_tables(ring):
+        for t in all_commutative_tables(ring):
             full = all(
                 rank2.multiply(t, rank2.multiply(t, x, y), z)
                 == rank2.multiply(t, x, rank2.multiply(t, y, z))
                 for x, y, z in itertools.product(((1, 0), (0, 1)), repeat=3)
             )
             assert rank2.is_associative(t) == full
+
+
+@pytest.mark.parametrize(
+    "entries, m",
+    [(range(p), p) for p in (2, 3, 5, 7)] + [(range(-b, b + 1), 0) for b in range(4)],
+)
+def test_associative_comm_tables_match_brute_force(entries, m):
+    # solving the corner identities for e22 finds exactly the tuples that
+    # filtering every commutative tuple finds, in the same order
+    brute = []
+    for a1, b1, a2, b2, a4, b4 in itertools.product(entries, repeat=6):
+        t = ((a1, b1), (a2, b2), (a2, b2), (a4, b4))
+        if rank2._associative(t, m):
+            brute.append(t)
+    assert list(rank2._associative_comm_tables(entries, m)) == brute
 
 
 # --- units ----------------------------------------------------------------
@@ -70,7 +91,7 @@ def test_find_unit_stated_examples():
 
 def test_unit_implies_associative_exhaustive():
     for ring in (F2, F3):
-        for t in rank2.all_commutative_tables(ring):
+        for t in all_commutative_tables(ring):
             u = rank2.find_unit(t)
             if u is not None:
                 assert rank2.is_associative(t)
@@ -124,7 +145,7 @@ def _reference_tables():
     for c in itertools.product(range(-1, 2), repeat=6):
         yield table(ZZ, c[0:2], c[2:4], c[4:6])
     for ring in (F2, F3):
-        yield from rank2.all_commutative_tables(ring)
+        yield from all_commutative_tables(ring)
     for c in itertools.product(range(2), repeat=8):
         yield table(F2, c[0:2], c[2:4], c[6:8], c[4:6])
 
@@ -216,7 +237,7 @@ def _classify_or_gap(t):
 
 
 def _assoc_tables(ring):
-    return [t for t in rank2.all_commutative_tables(ring) if rank2.is_associative(t)]
+    return [t for t in all_commutative_tables(ring) if rank2.is_associative(t)]
 
 
 def _mul(t, u, v, p):

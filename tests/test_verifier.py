@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from frobknot import frobenius as fr
+from frobknot import rank2
 from frobknot import verifier as vf
 from frobknot.rings import GF
 
@@ -33,6 +36,23 @@ def test_theorem_1_2_bounded_z():
     assert rep.ok
     assert rep.stages["associative"] == 481
     assert rep.stages["surjective"] == 180
+
+
+@pytest.mark.parametrize(
+    "kwargs, associative, surjective",
+    [
+        ({"ring": GF(7)}, 2737, 2352),
+        ({"ring": GF(11)}, 15961, 14520),
+        ({"ring": GF(13)}, 30745, 28392),
+        ({"zbound": 3}, 1393, 380),
+        ({"zbound": 4}, 3121, 636),
+    ],
+)
+def test_theorem_1_2_larger_domains(kwargs, associative, surjective):
+    # counts from the brute-force filter over every p^6 (or (2B+1)^6) table
+    rep = vf.verify_theorem_1_2(**kwargs)
+    assert rep.ok
+    assert rep.stages == {"associative": associative, "surjective": surjective}
 
 
 def test_theorem_1_2_argument_validation():
@@ -81,8 +101,6 @@ def test_noncommutative_survivors():
 
 
 def test_search_nearly_frobenius_membership():
-    from frobknot import rank2
-
     F = fr.a5(0, 0, F2)
     m = rank2.MultTable(F2, (1, 0), (0, 1), (0, 0))
     found = vf.search_nearly_frobenius(m)
@@ -99,3 +117,31 @@ def test_report_json_shape():
     assert j["counterexamples"] == []
     assert j["name"] and j["stages"]
     assert isinstance(rep.summary(), str)
+
+
+def _reference_comults(p):
+    # the p^6 loop the solved generator replaced: every symmetric tensor whose
+    # transposed table is associative, in lexicographic order of the tensor
+    out = []
+    for c in itertools.product(range(p), repeat=6):
+        d = (((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5])))
+        dual = ((c[0], c[3]), (c[1], c[4]), (c[1], c[4]), (c[2], c[5]))
+        if rank2._associative(dual, p):
+            out.append((d, dual))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cocomm_coassoc_comults_match_reference(p):
+    assert vf._cocomm_coassoc_comults(p) == _reference_comults(p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_search_nearly_frobenius_matches_reference(p):
+    # the transposed tables of the reference list are every associative
+    # commutative table, each once
+    ring, comults = GF(p), _reference_comults(p)
+    for _, t in comults:
+        e11, e12, _, e22 = t
+        want = [d for d, _ in comults if vf._frobenius_relation(t, d, p)]
+        assert vf.search_nearly_frobenius(rank2.MultTable(ring, e11, e12, e22)) == want
