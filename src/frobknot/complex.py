@@ -81,7 +81,9 @@ def build_complex(
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
-        scatter: list[dict] = [{} for _ in range(rows)]
+        # edges come in s1 order and columns are offset by s1, so each row
+        # receives its columns in increasing order, each at most once
+        scatter: list[list] = [[] for _ in range(rows)]
         for e in edges:
             c_in = len(cube.circles[e.s1])
             key = (c_in, e.kind, e.src, e.dst)
@@ -97,24 +99,30 @@ def build_complex(
             negate = sign_exponent(e.s1, e.s2) % 2
             ro, co = offsets[e.s2], offsets[e.s1]
             for a, b, v in nz:
-                scatter[ro + a][co + b] = R.neg(v) if negate else v
+                scatter[ro + a].append((co + b, R.neg(v) if negate else v))
         # generator_map entries are already ring elements: no normalization
-        diffs.append(ExactMatrix(R, rows, cols, tuple(tuple(sorted(d.items())) for d in scatter)))
+        diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled
 
     shift = -d.n_minus if (normalize and d.oriented) else 0
 
     q_degrees = None
     if normalize and d.oriented and _is_graded_algebra(F):
+        patterns: dict[int, tuple] = {}  # circle count -> q-degree offsets
         q_degrees = []
         for i, states in enumerate(by_degree):
             degs = []
+            base = i + d.n_plus - 2 * d.n_minus
             for s in states:
                 c = len(cube.circles[s])
-                base = sum(s) + d.n_plus - 2 * d.n_minus
-                for bits in itertools.product((0, 1), repeat=c):
+                pattern = patterns.get(c)
+                if pattern is None:
                     # basis index 0 has degree +1, index 1 degree -1
-                    degs.append(base + sum(1 - 2 * b for b in bits))
+                    pattern = patterns[c] = tuple(
+                        sum(1 - 2 * b for b in bits)
+                        for bits in itertools.product((0, 1), repeat=c)
+                    )
+                degs += [base + x for x in pattern]
             q_degrees.append(tuple(degs))
         q_degrees = tuple(q_degrees)
 
@@ -157,13 +165,12 @@ def graded_euler_characteristic(C: ChainComplex) -> Laurent:
             "no quantum grading on this complex (requires h = t = 0, an oriented "
             "diagram, and normalization)"
         )
-    out = Laurent.zero()
+    tally: dict[int, int] = {}  # q-degree -> signed generator count
     for idx, degs in enumerate(C.q_degrees):
-        i = C.shift + idx
-        sgn = -1 if i % 2 else 1
+        sgn = -1 if (C.shift + idx) % 2 else 1
         for j in degs:
-            out = out + Laurent.monomial(j, sgn)
-    return out
+            tally[j] = tally.get(j, 0) + sgn
+    return Laurent.from_dict(tally)
 
 
 def jones_from_bracket(d: LinkDiagram) -> Laurent:

@@ -158,35 +158,35 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
     synthetic negative labels."""
     if len(state) != d.n_crossings:
         raise PDError("state length does not match crossing count")
-    parent = {a: a for a in range(1, d.arc_count + 1)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
+    # parent[x] <= x throughout: a union hangs the larger root under the
+    # smaller, so every root is the minimal label of its circle
+    parent = list(range(d.arc_count + 1))
     for (a, b, c, dd), bit in zip(d.crossings, state):
         if bit == 0:
-            union(a, b)
-            union(c, dd)
+            pairs = ((a, b), (c, dd))
         elif bit == 1:
-            union(a, dd)
-            union(b, c)
+            pairs = ((a, dd), (b, c))
         else:
             raise PDError("state bits must be 0 or 1")
+        for x, y in pairs:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            while parent[y] != y:
+                parent[y] = parent[parent[y]]
+                y = parent[y]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
 
+    # in label order each parent is already a root, so one pass compresses
     groups: dict[int, list[int]] = {}
     for a in range(1, d.arc_count + 1):
-        groups.setdefault(find(a), []).append(a)
-    circles = [tuple(sorted(g)) for g in groups.values()]
-    circles += [(-(i + 1),) for i in range(d.free_loops)]
-    circles.sort(key=lambda c: c[0])
+        parent[a] = root = parent[parent[a]]
+        groups.setdefault(root, []).append(a)
+    circles = [(-i,) for i in range(d.free_loops, 0, -1)]
+    circles += map(tuple, groups.values())
     return tuple(circles)
 
 
@@ -215,8 +215,10 @@ class ResolutionCube:
 
 def sign_exponent(s1: Sequence[int], s2: Sequence[int]) -> int:
     """Number of 1-bits of s1 strictly before the single raised position."""
+    if len(s1) != len(s2):
+        raise PDError("states are not cube-adjacent")
     diff = [i for i in range(len(s1)) if s1[i] != s2[i]]
-    if len(s1) != len(s2) or len(diff) != 1 or s1[diff[0]] != 0 or s2[diff[0]] != 1:
+    if len(diff) != 1 or s1[diff[0]] != 0 or s2[diff[0]] != 1:
         raise PDError("states are not cube-adjacent")
     return sum(s1[: diff[0]])
 
@@ -224,15 +226,16 @@ def sign_exponent(s1: Sequence[int], s2: Sequence[int]) -> int:
 def build_cube(d: LinkDiagram) -> ResolutionCube:
     n = d.n_crossings
     circles = {s: resolve(d, s) for s in itertools.product((0, 1), repeat=n)}
+    circle_sets = {s: set(c) for s, c in circles.items()}
     edges = []
     for s1, c1 in circles.items():
         for pos in range(n):
             if s1[pos] == 1:
                 continue
             s2 = s1[:pos] + (1,) + s1[pos + 1 :]
-            c2 = circles[s2]
-            gone = [i for i, c in enumerate(c1) if c not in c2]
-            new = [j for j, c in enumerate(c2) if c not in c1]
+            set1, set2 = circle_sets[s1], circle_sets[s2]
+            gone = [i for i, c in enumerate(c1) if c not in set2]
+            new = [j for j, c in enumerate(circles[s2]) if c not in set1]
             if len(gone) == 2 and len(new) == 1:
                 edges.append(CubeEdge(s1, s2, "merge", tuple(gone), tuple(new)))
             elif len(gone) == 1 and len(new) == 2:
@@ -252,28 +255,25 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
 
 def kauffman_bracket(d: LinkDiagram) -> Laurent:
     """State sum over all smoothings: sum of A^(#0 - #1) * delta^(circles - 1)
-    with delta = -A^2 - A^(-2).  Direct enumeration, no cube involved."""
+    with delta = -A^2 - A^(-2).  Direct enumeration through ``resolve``, no
+    cube involved: the states are tallied by (A-exponent, circle count), and
+    each distinct pair contributes its multiplicity times one such term."""
     delta = Laurent.from_dict({2: -1, -2: -1})
-    total = Laurent.zero()
     n = d.n_crossings
+    tally: dict[tuple, int] = {}
     for s in itertools.product((0, 1), repeat=n):
-        ones = sum(s)
-        c = len(resolve(d, s))
-        total = total + Laurent.monomial(n - 2 * ones) * delta**(c - 1)
+        key = (n - 2 * sum(s), len(resolve(d, s)))
+        tally[key] = tally.get(key, 0) + 1
+    total = Laurent.zero()
+    for (e, c), k in tally.items():
+        total = total + Laurent.monomial(e, k) * delta ** (c - 1)
     return total
 
 
 def normalized_bracket(d: LinkDiagram) -> Laurent:
     """(-A^3)^(-writhe) times the bracket; an invariant of the oriented link."""
     w = d.writhe
-    minus_a3 = Laurent.from_dict({3: -1})
-    if w >= 0:
-        corr = Laurent.one()
-        for _ in range(w):
-            corr = corr * Laurent.from_dict({-3: -1})
-    else:
-        corr = minus_a3 ** (-w)
-    return corr * kauffman_bracket(d)
+    return Laurent.monomial(-3 * w, (-1) ** (w % 2)) * kauffman_bracket(d)
 
 
 # ---------------------------------------------------------------------------

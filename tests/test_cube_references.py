@@ -1,0 +1,175 @@
+"""The cube-side stages against per-term references.
+
+``resolve``, ``kauffman_bracket``, ``build_complex`` and
+``graded_euler_characteristic`` count states, tally monomials and append
+row cells in order.  The references below are the direct forms they
+replaced: a breadth-first search for circles, one Laurent term per state or
+generator, and a per-row dict scatter sorted at the end.
+"""
+
+import importlib.util
+import itertools
+import random
+from collections import deque
+from pathlib import Path
+
+from frobknot import complex as cx
+from frobknot import diagram as dg
+from frobknot import frobenius as fr
+from frobknot.laurent import Laurent
+from frobknot.rings import GF
+
+_spec = importlib.util.spec_from_file_location(
+    "braid", Path(__file__).resolve().parents[1] / "perfbench" / "braid.py"
+)
+braid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(braid)
+
+
+def closure(word, strands):
+    return dg.parse_pd(braid.closure_pd(word, strands))
+
+
+def random_closures(seed=20261018, count=40):
+    """Seeded closures of 2- to 4-strand braid words with 0 to 7 letters;
+    strands no letter touches become free loops."""
+    rng = random.Random(seed)
+    out = [closure([], 3), closure([1, -1, 1], 4)]  # no crossings; two free loops
+    for _ in range(count):
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 7))]
+        out.append(closure(word, strands))
+    return out
+
+
+def diagrams():
+    out = [build() for build in dg.BUILDERS.values()]
+    for name in ("hopf_pos", "trefoil_left", "trefoil_right"):
+        base = dg.BUILDERS[name]()
+        out += [dg.rii_pair(base, arc) for arc in (1, base.arc_count)]
+    return out + random_closures()
+
+
+# --- references ----------------------------------------------------------------
+
+
+def components(d, state):
+    """Circles of a state by breadth-first search over the smoothing's arc
+    pairs, in the form ``resolve`` returns."""
+    adj = {a: [] for a in range(1, d.arc_count + 1)}
+    for (a, b, c, dd), bit in zip(d.crossings, state):
+        for x, y in ((a, b), (c, dd)) if bit == 0 else ((a, dd), (b, c)):
+            adj[x].append(y)
+            adj[y].append(x)
+    seen, circles = set(), []
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [], deque([start])
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        circles.append(tuple(sorted(comp)))
+    circles += [(-(i + 1),) for i in range(d.free_loops)]
+    return tuple(sorted(circles))
+
+
+def bracket_per_monomial(d):
+    delta = Laurent.from_dict({2: -1, -2: -1})
+    total = Laurent.zero()
+    n = d.n_crossings
+    for s in itertools.product((0, 1), repeat=n):
+        total = total + Laurent.monomial(n - 2 * sum(s)) * delta ** (len(dg.resolve(d, s)) - 1)
+    return total
+
+
+def euler_per_generator(C):
+    out = Laurent.zero()
+    for idx, degs in enumerate(C.q_degrees):
+        sgn = -1 if (C.shift + idx) % 2 else 1
+        for j in degs:
+            out = out + Laurent.monomial(j, sgn)
+    return out
+
+
+def complex_by_dict_scatter(cube, F, normalize):
+    """(ranks, differential rows, q-degrees): each row filled as a dict and
+    sorted, each state's q-degrees from its own product over basis bits."""
+    d, R, r = cube.diagram, F.ring, F.rank
+    n = d.n_crossings
+    by_degree = [[] for _ in range(n + 1)]
+    for s in sorted(cube.circles):
+        by_degree[sum(s)].append(s)
+    offsets, ranks = {}, []
+    for states in by_degree:
+        off = 0
+        for s in states:
+            offsets[s] = off
+            off += r ** len(cube.circles[s])
+        ranks.append(off)
+    diffs = []
+    for i in range(n):
+        scatter = [{} for _ in range(ranks[i + 1])]
+        for e in cube.edges:
+            if sum(e.s1) != i:
+                continue
+            c_in = len(cube.circles[e.s1])
+            if e.kind == "merge":
+                op = fr.Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
+                mat = fr.generator_map(F, c_in, c_in - 1, op)
+            else:
+                op = fr.Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
+                mat = fr.generator_map(F, c_in, c_in + 1, op)
+            negate = dg.sign_exponent(e.s1, e.s2) % 2
+            for a, row in enumerate(mat.nz):
+                for b, v in row:
+                    scatter[offsets[e.s2] + a][offsets[e.s1] + b] = R.neg(v) if negate else v
+        diffs.append(tuple(tuple(sorted(cells.items())) for cells in scatter))
+    q_degrees = None
+    if normalize and F == fr.a5(0, 0, R):
+        q_degrees = []
+        for states in by_degree:
+            degs = []
+            for s in states:
+                base = sum(s) + d.n_plus - 2 * d.n_minus
+                for bits in itertools.product((0, 1), repeat=len(cube.circles[s])):
+                    degs.append(base + sum(1 - 2 * b for b in bits))
+            q_degrees.append(tuple(degs))
+        q_degrees = tuple(q_degrees)
+    return tuple(ranks), tuple(diffs), q_degrees
+
+
+# --- comparisons -----------------------------------------------------------------
+
+
+def test_resolve_matches_breadth_first_search():
+    for d in diagrams():
+        for s in itertools.product((0, 1), repeat=d.n_crossings):
+            assert dg.resolve(d, s) == components(d, s), (d, s)
+
+
+def test_bracket_matches_per_monomial_sum():
+    for d in diagrams():
+        assert dg.kauffman_bracket(d) == bracket_per_monomial(d), d
+
+
+def test_complex_and_euler_match_references():
+    for d in diagrams():
+        cube = dg.build_cube(d)
+        for F in (fr.a5(0, 0), fr.a5(1, 1), fr.a5(0, 0, GF(3))):
+            for normalize in (False, True) if d.oriented else (False,):
+                C = cx.build_complex(cube, F, normalize)
+                ranks, rows, q_degrees = complex_by_dict_scatter(cube, F, normalize)
+                assert C.ranks == ranks
+                assert tuple(m.nz for m in C.diffs) == rows
+                assert C.q_degrees == q_degrees
+                for m in C.diffs:
+                    assert all(a[0] < b[0] for row in m.nz for a, b in zip(row, row[1:]))
+                if q_degrees is not None:
+                    assert cx.graded_euler_characteristic(C) == euler_per_generator(C)
+                    assert cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d)

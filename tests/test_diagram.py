@@ -97,6 +97,10 @@ def test_sign_exponent():
     assert dg.sign_exponent((1, 1, 0), (1, 1, 1)) == 2
     with pytest.raises(dg.PDError):
         dg.sign_exponent((0, 0), (1, 1))
+    with pytest.raises(dg.PDError):
+        dg.sign_exponent((0, 0), (1,))
+    with pytest.raises(dg.PDError):
+        dg.sign_exponent((0,), (0, 1))
 
 
 def test_cube_squares_anticommute_after_signs():
