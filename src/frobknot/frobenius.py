@@ -228,11 +228,6 @@ def _sum(R: RingSpec, xs):
     return out
 
 
-def find_unit_vector(F: FrobeniusData) -> Optional[tuple]:
-    """Two-sided identity found by exact linear solve, or None."""
-    return _unit(F.ring, F.mult)
-
-
 # ---------------------------------------------------------------------------
 # The two-parameter rank-2 construction and its six-parameter cover
 # ---------------------------------------------------------------------------

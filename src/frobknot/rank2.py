@@ -7,13 +7,15 @@ stores three products (e1e1, e1e2, e2e2); the noncommutative case four.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .rings import RingSpec, Scalar
+from .linalg import _row_echelon
+from .rings import GF, RingSpec, Scalar
 
 Pair = tuple[Scalar, Scalar]
 
@@ -133,6 +135,57 @@ def _associative_comm_tables(entries, m):
             t = (e11, e12, e12, e22)
             if None not in e22 and _associative(t, m):
                 yield t
+
+
+def _associative_noncomm_tables(p):
+    """Every associative noncommutative F_p tuple, in the lexicographic order
+    of its eight entries.  With e11 = (a1, b1) and e22 = (a4, b4) the
+    identities (e1 e1) e1 = e1 (e1 e1) and (e2 e2) e2 = e2 (e2 e2) read
+    b1 (e21 - e12) = 0 and a4 (e12 - e21) = 0, so b1 = a4 = 0 when e12 != e21;
+    _associative judges the remaining p^6 candidates."""
+    for a1, a2, b2, a3, b3, b4 in itertools.product(range(p), repeat=6):
+        t = ((a1, 0), (a2, b2), (a3, b3), (0, b4))
+        if t[1] != t[2] and _associative(t, p):
+            yield t
+
+
+# d[k][i][j] = c[_D[k][i][j]]: the six unknowns of a cocommutative coproduct
+_D = (((0, 1), (1, 2)), ((3, 4), (4, 5)))
+
+
+def _frobenius_comults(t, p):
+    """Every cocommutative coassociative coproduct over F_p that satisfies the
+    Frobenius relation with the commutative F_p tuple t, as (d, dual) sorted
+    by d: Delta(e_k) = sum d[k][i][j] e_i (x) e_j, and dual is the transposed
+    tuple e_i e_j = (d[0][i][j], d[1][i][j]): associative exactly when d is
+    coassociative, surjective exactly when d is injective, and its unit is
+    the counit of d.  The relation
+        Delta m = (m (x) 1)(1 (x) Delta) = (1 (x) m)(Delta (x) 1)
+    is 32 equations linear in the six unknowns of d; they are reduced mod p
+    and their kernel enumerated."""
+    rows = []
+    for i, j, a, b in itertools.product((0, 1), repeat=4):
+        lhs = [0] * 6  # coefficient of e_a (x) e_b at e_i (x) e_j
+        for s in (0, 1):
+            lhs[_D[s][a][b]] += t[2 * i + j][s]
+        mid, rhs = lhs[:], lhs[:]
+        for u in (0, 1):
+            mid[_D[j][u][b]] -= t[2 * i + u][a]
+            rhs[_D[i][a][u]] -= t[2 * u + j][b]
+        rows += ([x % p for x in mid], [x % p for x in rhs])
+    pivots = _row_echelon(GF(p), rows, 6)
+    free = [k for k in range(6) if k not in pivots]
+    out = []
+    for vals in itertools.product(range(p), repeat=len(free)):
+        c = [0] * 6
+        for k, v in zip(free, vals):
+            c[k] = v
+        for row, k in zip(rows, pivots):
+            c[k] = -sum(row[f] * c[f] for f in free) % p
+        dual = ((c[0], c[3]), (c[1], c[4]), (c[1], c[4]), (c[2], c[5]))
+        if _associative(dual, p):
+            out.append(((((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))), dual))
+    return sorted(out)
 
 
 def _surjective(t, m) -> bool:
@@ -464,6 +517,12 @@ def _classification_targets(ring: RingSpec):
             pass
 
 
+@functools.cache  # built on the first classify over a prime, then shared
+def _signed_targets(ring: RingSpec) -> tuple:
+    """The classification targets of ring, each with its _signature."""
+    return tuple((*tgt, _signature(tgt[2], ring.p)) for tgt in _classification_targets(ring))
+
+
 def classify(t: MultTable) -> tuple[str, tuple]:
     """Match an associative commutative F_p table against the representative
     families: the answer is the first target, in _classification_targets
@@ -476,7 +535,7 @@ def classify(t: MultTable) -> tuple[str, tuple]:
     if not t.commutative or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
     sig = _signature(t4, p)
-    for label, params, rep in _classification_targets(t.ring):
-        if _signature(rep, p) == sig and _isomorphism(t4, rep, p) is not None:
+    for label, params, rep, rep_sig in _signed_targets(t.ring):
+        if rep_sig == sig and _isomorphism(t4, rep, p) is not None:
             return label, params
     raise ClassificationGap(f"no representative matches {t.to_json()}")

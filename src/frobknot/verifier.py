@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import rank2
-from .rank2 import _associative, _entries, _isomorphism, _surjective, _unit
-from .rank2 import _associative_comm_tables
+from .rank2 import _entries, _isomorphism, _surjective, _unit
+from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults
 from .rings import ZZ, GF, RingSpec
 
 
@@ -97,50 +97,22 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
 # ---------------------------------------------------------------------------
 
 
-def _cocomm_coassoc_comults(p):
-    """Every cocommutative coassociative coproduct over F_p, as the tensor
-    d[k][i][j] (d[k][0][1] == d[k][1][0]) with its transpose: the table
-    e_i e_j = (d[0][i][j], d[1][i][j]).  The transpose is associative exactly
-    when d is coassociative, surjective exactly when d is injective, and its
-    unit is the counit of d.  Sorted by d."""
-    comults = []
-    for dual in _associative_comm_tables(range(p), p):
-        (a1, b1), (a2, b2), _, (a4, b4) = dual
-        comults.append(((((a1, a2), (a2, a4)), ((b1, b2), (b2, b4))), dual))
-    return sorted(comults)
-
-
-def _frobenius_relation(t, d, p) -> bool:
-    for i in (0, 1):
-        for j in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    # t[2 * i + j] is the product pair e_i e_j
-                    lhs = sum(t[2 * i + j][s] * d[s][a][b] for s in (0, 1)) % p
-                    mid = sum(t[2 * i + u][a] * d[j][u][b] for u in (0, 1)) % p
-                    rhs = sum(d[i][a][v] * t[2 * v + j][b] for v in (0, 1)) % p
-                    if lhs != mid or lhs != rhs:
-                        return False
-    return True
-
-
 def verify_theorem_1_1(p: int) -> VerifyReport:
     """Pairs (product, coproduct) over F_p with surjective commutative
     associative product, injective cocommutative coassociative coproduct,
-    and the compatibility relation, must carry both a unit and a counit."""
-    if p not in (2, 3):
-        raise ValueError("double enumeration is limited to p in {2, 3}")
+    and the compatibility relation, must carry both a unit and a counit.
+    The coproducts of each product are solved for, not enumerated."""
     ring = GF(p)
     rep = VerifyReport(f"thm1.1 over F_{p}", p**6 * p**8)
     mults = [t for t in _associative_comm_tables(range(p), p) if _surjective(t, p)]
-    comults = [(d, dual) for d, dual in _cocomm_coassoc_comults(p) if _surjective(dual, p)]
     n_pairs = 0
     for t in mults:
-        for d, dual in comults:
-            if not _frobenius_relation(t, d, p):
+        unit = _unit(t, p)
+        for d, dual in _frobenius_comults(t, p):
+            if not _surjective(dual, p):
                 continue
             n_pairs += 1
-            unit, counit = _unit(t, p), _unit(dual, p)
+            counit = _unit(dual, p)
             if unit is None or counit is None:
                 rec = _record_table(ring, t)
                 rec["comult"] = [[list(row) for row in dk] for dk in d]
@@ -148,7 +120,10 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
                 rep.counterexamples.append(Counterexample("frobenius_without_identity", rec))
     rep.stages = {
         "mult_survivors": len(mults),
-        "comult_survivors": len(comults),
+        # transposition is a bijection from the injective cocommutative
+        # coassociative coproducts onto the surjective commutative
+        # associative tables, so there are as many of each
+        "comult_survivors": len(mults),
         "compatible_pairs": n_pairs,
     }
     return rep
@@ -220,7 +195,7 @@ def verify_prop_3_4(p: int) -> VerifyReport:
             expect("m14_2R", (a2,), False, False)
     for params in itertools.product(fp, repeat=4):
         a2, b2, a4, b4 = params
-        if any(rank2.evaluate_PA(a2, b2, a4, b4, y, ring) == 0 for y in fp):
+        if any(rank2._pa(a2, b2, a4, b4, y) % p == 0 for y in fp):
             continue
         ok = a4 == (a2 * b2) % p and b4 == (a2 + b2 * b2) % p
         expect("m15_1R", params, ok, False)
@@ -271,15 +246,12 @@ def verify_char2_classification() -> VerifyReport:
 def verify_noncommutative(p: int) -> VerifyReport:
     """Associative, surjective, noncommutative rank-2 tables over F_p all
     reduce to one of the two canonical one-sided-identity tables."""
-    if p not in (2, 3):
-        raise ValueError("noncommutative enumeration is limited to p in {2, 3}")
     ring = GF(p)
     rep = VerifyReport(f"noncommutative targets over F_{p}", p**8)
     targets = [_entries(rank2.representative(label, (), ring)) for label in ("nc_left", "nc_right")]
     n_survivors = 0
-    for c in itertools.product(range(p), repeat=8):
-        t4 = ((c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7]))
-        if t4[1] == t4[2] or not _associative(t4, p) or not _surjective(t4, p):
+    for t4 in _associative_noncomm_tables(p):
+        if not _surjective(t4, p):
             continue
         n_survivors += 1
         if all(_isomorphism(t4, tgt, p) is None for tgt in targets):
@@ -300,11 +272,8 @@ def search_nearly_frobenius(m: rank2.MultTable) -> list:
     """All coproduct tensors over F_p compatible with the given commutative
     associative product (cocommutative, coassociative, compatibility
     relation; the zero tensor always qualifies)."""
-    ring = m.ring
-    if ring.kind != "Fp" or ring.p not in (2, 3):
-        raise ValueError("coproduct search runs over F_2 and F_3")
+    if m.ring.kind != "Fp":
+        raise ValueError("coproduct search runs over prime fields")
     if not m.commutative or not rank2.is_associative(m):
         raise ValueError("product must be commutative and associative")
-    p = ring.p
-    t = (m.e11, m.e12, m.e12, m.e22)
-    return sorted(d for d, _ in _cocomm_coassoc_comults(p) if _frobenius_relation(t, d, p))
+    return [d for d, _ in _frobenius_comults(_entries(m), m.ring.p)]

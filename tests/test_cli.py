@@ -156,6 +156,16 @@ def test_verify_subcommand(capsys):
     assert json.loads(out)[0]["counterexamples"] == []
 
 
+def test_verify_any_prime(capsys):
+    code, out = run(capsys, "verify", "thm1.1", "--p", "5", "--json")
+    assert code == 0 and json.loads(out)[0]["stages"]["compatible_pairs"] == 12000
+    code, out = run(capsys, "verify", "noncomm", "--p", "5", "--json")
+    assert code == 0 and json.loads(out)[0]["stages"] == {"survivors": 48}
+    for target in ("thm1.1", "noncomm"):
+        assert main(["verify", target, "--p", "4"]) == 2
+    capsys.readouterr()
+
+
 def test_verify_bounded_z(capsys):
     code, out = run(capsys, "verify", "thm1.2", "--zbound", "2", "--json")
     assert code == 0

@@ -377,6 +377,14 @@ def test_pa_reduces_to_pr_on_constrained_parameters():
 # --- classification ---------------------------------------------------------
 
 
+def test_classify_same_on_second_call():
+    # the first pass builds the cached targets, the second reads them
+    rank2._signed_targets.cache_clear()
+    tables = _assoc_tables(F3)
+    first = [_classify_or_gap(t) for t in tables]
+    assert [_classify_or_gap(t) for t in tables] == first
+
+
 def test_classify_stated_examples():
     assert rank2.classify(rank2.representative("m2_7", (), F2))[0] == "m2_7"
     assert rank2.classify(table(F2, (1, 0), (0, 1), (0, 1)))[0] == "m2_1"

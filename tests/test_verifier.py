@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -78,6 +79,13 @@ def test_theorem_1_1_f3():
     assert rep.stages["compatible_pairs"] == 432
 
 
+def test_theorem_1_1_f5():
+    # the kernel solve at a prime the double enumeration refused
+    rep = vf.verify_theorem_1_1(5)
+    assert rep.ok
+    assert rep.stages == {"mult_survivors": 600, "comult_survivors": 600, "compatible_pairs": 12000}
+
+
 def test_prop_3_4_sweeps():
     rep3 = vf.verify_prop_3_4(3)
     rep5 = vf.verify_prop_3_4(5)
@@ -98,6 +106,18 @@ def test_noncommutative_survivors():
     assert rep2.ok and rep3.ok
     assert rep2.stages["survivors"] == 6
     assert rep3.stages["survivors"] == 16
+    rep5 = vf.verify_noncommutative(5)
+    assert rep5.ok and rep5.stages["survivors"] == 48
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_associative_noncomm_tables_match_brute_force(p):
+    brute = []
+    for c in itertools.product(range(p), repeat=8):
+        t = ((c[0], c[1]), (c[2], c[3]), (c[4], c[5]), (c[6], c[7]))
+        if t[1] != t[2] and rank2._associative(t, p):
+            brute.append(t)
+    assert list(rank2._associative_noncomm_tables(p)) == brute
 
 
 def test_search_nearly_frobenius_membership():
@@ -131,9 +151,39 @@ def _reference_comults(p):
     return out
 
 
+def _frobenius_relation(t, d, p) -> bool:
+    # Delta m = (m (x) 1)(1 (x) Delta) = (1 (x) m)(Delta (x) 1), entry by entry
+    for i, j, a, b in itertools.product((0, 1), repeat=4):
+        # t[2 * i + j] is the product pair e_i e_j
+        lhs = sum(t[2 * i + j][s] * d[s][a][b] for s in (0, 1)) % p
+        mid = sum(t[2 * i + u][a] * d[j][u][b] for u in (0, 1)) % p
+        rhs = sum(d[i][a][v] * t[2 * v + j][b] for v in (0, 1)) % p
+        if lhs != mid or lhs != rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p, sample", [(2, None), (3, None), (5, 50)])
+def test_frobenius_comults_match_reference(p, sample):
+    # every associative commutative table (the transposed tables of the
+    # reference list, each once), or a seeded sample of them
+    comults = _reference_comults(p)
+    tables = [t for _, t in comults]
+    if sample:
+        tables = random.Random(p).sample(tables, sample)
+    for t in tables:
+        want = [(d, dual) for d, dual in comults if _frobenius_relation(t, d, p)]
+        assert rank2._frobenius_comults(t, p) == want, t
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_cocomm_coassoc_comults_match_reference(p):
-    assert vf._cocomm_coassoc_comults(p) == _reference_comults(p)
+def test_comult_survivors_count_the_injective_coproducts(p):
+    # transposition carries the injective coassociative coproducts onto the
+    # surjective associative commutative tables, so thm1.1 counts the latter
+    injective = sorted(t for _, t in _reference_comults(p) if rank2._surjective(t, p))
+    mults = [t for t in rank2._associative_comm_tables(range(p), p) if rank2._surjective(t, p)]
+    assert injective == sorted(mults)
+    assert vf.verify_theorem_1_1(p).stages["comult_survivors"] == len(injective)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -143,5 +193,5 @@ def test_search_nearly_frobenius_matches_reference(p):
     ring, comults = GF(p), _reference_comults(p)
     for _, t in comults:
         e11, e12, _, e22 = t
-        want = [d for d, _ in comults if vf._frobenius_relation(t, d, p)]
+        want = [d for d, _ in comults if _frobenius_relation(t, d, p)]
         assert vf.search_nearly_frobenius(rank2.MultTable(ring, e11, e12, e22)) == want
