@@ -42,6 +42,11 @@ class LinkDiagram:
         if seen and sorted(seen) != list(range(1, len(seen) + 1)):
             raise PDError("arc labels must be 1..arc_count with no gaps")
         object.__setattr__(self, "_arc_count", len(seen))
+        if self.oriented and not (
+            self.n_plus >= 0 and self.n_minus >= 0
+            and self.n_plus + self.n_minus == len(self.crossings)
+        ):
+            raise PDError("n_plus and n_minus must count the crossings")
 
     @property
     def arc_count(self) -> int:
@@ -107,7 +112,7 @@ def parse_pd(text: str) -> LinkDiagram:
     if signs_tokens is not None:
         if len(signs_tokens) != len(crossings):
             raise PDError("SIGNS must list one sign per crossing")
-        if any(t not in "+-" for t in signs_tokens):
+        if any(t not in ("+", "-") for t in signs_tokens):
             raise PDError("SIGNS tokens must be + or -")
         n_plus = signs_tokens.count("+")
         n_minus = signs_tokens.count("-")

@@ -1,18 +1,20 @@
 """Exact linear algebra over Z, Q, and F_p on sparse matrices.
 
-A matrix stores the nonzeros of each row.  One reduction per matrix, cached
-on it, gives both the rank over the fraction field and the invariant
-factors of the Smith normal form over Z: unit entries are cancelled
-sparsely (Bar-Natan's Gaussian-elimination lemma), and a pivoting Smith
-loop finishes the small dense residue.  Also provides exact linear solving
-by elimination over the fraction field, and homology summands ker/im of a
-pair of composable differentials.  Arbitrary-precision integers throughout.
+A matrix stores the nonzeros of each row.  One sparse elimination per
+matrix, cached on it, gives both the rank over the fraction field and the
+invariant factors of the Smith normal form over Z: unit entries are
+cancelled first (Bar-Natan's Gaussian-elimination lemma), then entries that
+divide their row and column, reached by remainders (Dumas, Saunders and
+Villard's sparse Smith form).  Also provides exact linear solving by
+elimination over the fraction field, and homology summands ker/im of a pair
+of composable differentials.  Arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -129,15 +131,17 @@ def _integral(row) -> tuple:
 def _reduce(M: ExactMatrix) -> tuple:
     """(rank over the fraction field, invariant factors > 1 over Z).
 
-    Unit entries are cancelled first: pivoting on a unit u at (i, j)
-    subtracts multiples of row i from the other rows of column j, then
-    drops row i and column j, which adds 1 to the rank and an invariant
-    factor 1.  The units are +-1 over Z and over Q, whose rows are scaled to
-    primitive integer rows first; over F_p every nonzero entry is one, so
-    nothing is left.  The next pivot column is one with the fewest entries,
-    and its pivot row the shortest with a unit there.  The integer residue,
-    free of units, goes to the dense Smith loop.  The torsion is () unless
-    the ring is Z.
+    One sparse elimination.  A pivot v at (i, j) that divides every entry
+    of its row and column clears them, and row i and column j are dropped:
+    the rank grows by 1 and |v| is a diagonal entry of an equivalent
+    diagonal matrix.  Units go first, from a column with the fewest entries
+    and the shortest row with a unit there; only their row operations are
+    written out.  The units are +-1 over Z and over Q, whose rows are scaled
+    to primitive integer rows first; over F_p every nonzero entry is one, so
+    nothing is left.  Then each column in turn pivots on a smallest entry:
+    row operations with floor quotients, and column operations on row i once
+    it is alone in column j, leave remainders, and a smallest one becomes the
+    next pivot.  The torsion is () unless the ring is Z.
     """
     p = M.ring.p
     rows: dict = {}
@@ -194,75 +198,61 @@ def _reduce(M: ExactMatrix) -> tuple:
         pivots += 1
     if not rows:
         return pivots, ()
-    rest = sorted({c for row in rows.values() for c in row})
-    m = [[row.get(c, 0) for c in rest] for row in rows.values()]
-    diag = [d for d in _smith_diagonal(m, len(m), len(rest)) if d]
-    return pivots + len(diag), tuple(d for d in diag if d > 1) if M.ring == ZZ else ()
-
-
-def _min_abs_pivot(m: list, t: int, rows: int, cols: int) -> Optional[tuple]:
-    """Smallest-absolute-value nonzero entry of m[t:, t:], row-major tie-break."""
-    best = None
-    for i in range(t, rows):
-        mi = m[i]
-        for j in range(t, cols):
-            v = mi[j]
-            if v != 0 and (best is None or abs(v) < abs(best[2])):
-                best = (i, j, v)
-                if abs(v) == 1:
-                    return best
-    return best
-
-
-def _smith_diagonal(m: list, rows: int, cols: int) -> tuple:
-    """Invariant factors of the dense integer matrix m (list of row lists,
-    reduced in place): min(rows, cols) entries, nonnegative, each dividing
-    the next, zeros last.
-
-    Deterministic: pivot is the smallest-absolute-value nonzero entry of the
-    remaining block, scanned row-major.
-    """
-    t = 0
-    n = min(rows, cols)
-    while t < n:
-        piv = _min_abs_pivot(m, t, rows, cols)
-        if piv is None:
-            break
+    # no unit is left anywhere: queue every column again
+    heap = [(len(s), j) for j, s in cols.items()]
+    heapq.heapify(heap)
+    factors = []
+    while heap:
+        n, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or len(col) != n:
+            continue
+        touched = set()
         while True:
-            i, j, _ = piv
-            if i != t:
-                m[t], m[i] = m[i], m[t]
-            if j != t:
-                for r in m:
-                    r[t], r[j] = r[j], r[t]
-            p, mt = m[t][t], m[t]
-            done = True
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q, mi = m[i][t] // p, m[i]
-                    for c in range(cols):
-                        mi[c] -= q * mt[c]
-                    if mi[t] != 0:
-                        done = False
-            for j in range(t + 1, cols):
-                if mt[j] != 0:
-                    q = mt[j] // p
-                    for r in m:
-                        r[j] -= q * r[t]
-                    if mt[j] != 0:
-                        done = False
-            if done:
+            i = min(cols[j], key=lambda k: abs(rows[k][j]))
+            prow = rows[i]
+            v = prow[j]
+            touched.update(prow)
+            for k in cols[j] - {i}:
+                rk = rows[k]
+                q = rk[j] // v
+                for c, x in prow.items():
+                    y = rk.get(c, 0) - q * x
+                    if y:
+                        if c not in rk:
+                            cols[c].add(k)
+                        rk[c] = y
+                    else:
+                        del rk[c]
+                        cols[c].discard(k)
+                if not rk:
+                    del rows[k]
+            if len(cols[j]) > 1:
+                continue  # a remainder is left in column j
+            for c in prow.keys() - {j}:
+                prow[c] %= v
+                if not prow[c]:
+                    del prow[c]
+                    cols[c].discard(i)
+            if len(prow) == 1:
                 break
-            piv = _min_abs_pivot(m, t, rows, cols)
-        t += 1
-
-    # m is diagonal now; diag(a, b) ~ diag(gcd, lcm), so one pass over the
-    # pairs makes each entry divide the later ones (zeros move last)
-    d = [abs(m[i][i]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return tuple(d)
+            j = min(prow, key=lambda c: abs(prow[c]))  # a remainder, not j
+        del rows[i], cols[j]
+        factors.append(abs(v))
+        for c in touched:
+            if cols.get(c):
+                heapq.heappush(heap, (len(cols[c]), c))
+            else:
+                cols.pop(c, None)
+    # diag(a, b) ~ diag(gcd, lcm): replace pairs of factors that do not
+    # divide each other, all copies of a pair at once, until each factor
+    # divides the next
+    d = Counter(factors) if M.ring == ZZ else Counter()
+    while pair := next(((a, b) for a in d for b in d if a % b and b % a), None):
+        a, b = pair
+        n = min(d[a], d[b])
+        d = d - Counter({a: n, b: n}) + Counter({gcd(a, b): n, lcm(a, b): n})
+    return pivots + len(factors), tuple(x for x in sorted(d.elements()) if x > 1)
 
 
 def smith_normal_form(M: ExactMatrix) -> tuple:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot import rank2
 from frobknot.cli import main
@@ -50,6 +51,20 @@ def test_pd_file_input(tmp_path, capsys):
     assert code == 0
     total = sum(g["free_rank"] for g in json.loads(out)["groups"])
     assert total == 4
+
+
+def test_signs_tokens_are_whole_signs(tmp_path, capsys):
+    # "+-" was taken as a sign by a substring test and counted as neither
+    text = "X 3 2 4 1\nX 4 1 3 2\nSIGNS - +-\n"
+    with pytest.raises(dg.PDError, match="SIGNS"):
+        dg.parse_pd(text)
+    f = tmp_path / "bad.pd"
+    f.write_text(text)
+    code, out = run(capsys, "homology", str(f), "--a5", "0,0", "--normalize", "--json")
+    assert (code, out) == (2, "")
+    for n_plus, n_minus in ((1, 0), (3, -1), (0, 3)):
+        with pytest.raises(dg.PDError, match="count the crossings"):
+            dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), 0, n_plus, n_minus)
 
 
 def test_check_algebra_exit_codes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,14 @@ def test_f2_rank_jumps_on_torsion():
     assert total_f2 == total_z + 2
 
 
+def scaled(R):
+    """a5(0, 0) with its product times 2 and its coproduct times 3: over Z
+    few entries are units, and the torsion has 2, 3, 4 and 6."""
+    F = fr.a5(0, 0, R)
+    times = lambda t, k: [[[k * x for x in row] for row in a] for a in t]
+    return fr.FrobeniusData(R, 2, times(F.mult, 2), times(F.comult, 3))
+
+
 def test_universal_coefficients():
     # H^i(C x F_p) = H^i x F_p + Tor(H^(i+1), F_p) and H^i(C x Q) = H^i x Q,
     # read off the integral table
@@ -167,8 +176,8 @@ def test_universal_coefficients():
         diagrams += [dg.rii_pair(base, arc) for arc in (1, 4)]
     for d in diagrams:
         cube = dg.build_cube(d)
-        for h, t in ((0, 0), (1, 1)):
-            table = lambda R: _rows(cx.homology(cx.build_complex(cube, fr.a5(h, t, R), True)))
+        for algebra in (lambda R: fr.a5(0, 0, R), lambda R: fr.a5(1, 1, R), scaled):
+            table = lambda R: _rows(cx.homology(cx.build_complex(cube, algebra(R), True)))
             z = table(ZZ)
             assert table(QQ) == [(i, f, []) for i, f, _ in z]
             for p in (2, 3):
@@ -199,6 +208,29 @@ def test_t28_homology_is_frozen():
     cube = dg.build_cube(dg.parse_pd(T28_PD))
     for R, want in ((ZZ, z), (F2, f2)):
         assert _rows(cx.homology(cx.build_complex(cube, fr.a5(0, 0, R), True))) == want
+
+
+# closure of the 2-strand braid (-1)^7: the (2, -7) torus knot
+T27_PD = """X 1 2 4 3
+X 3 4 6 5
+X 5 6 8 7
+X 7 8 10 9
+X 9 10 12 11
+X 11 12 14 13
+X 13 14 2 1
+SIGNS - - - - - - -
+"""
+
+
+def test_t27_homology_of_the_scaled_algebra_is_frozen():
+    # (i, free rank, {factor: multiplicity}) over Z, as frozen from the
+    # reduction that finished the unit-free residue with a dense Smith loop
+    want = [(-7, 1, {}), (-6, 1, {2: 126, 4: 1}), (-5, 1, {2: 320}),
+            (-4, 1, {2: 350, 4: 1}), (-3, 1, {2: 208}), (-2, 1, {2: 70, 4: 1}),
+            (-1, 0, {2: 12}), (0, 2, {3: 2})]
+    cube = dg.build_cube(dg.parse_pd(T27_PD))
+    rows = _rows(cx.homology(cx.build_complex(cube, scaled(ZZ), True)))
+    assert [(i, f, dict(Counter(t))) for i, f, t in rows] == want
 
 
 def test_homology_reads_no_dense_view(monkeypatch):

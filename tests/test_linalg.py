@@ -129,43 +129,41 @@ def test_one_reduction_matches_sympy(r, c, fill, rnd):
         assert rank(ExactMatrix.from_rows(GF(p), rows)) == DomainMatrix.from_list(rows, sympy.GF(p)).rank()
 
 
-def _smith_inputs(monkeypatch):
-    """Record the (rows, cols) of every residue the Smith loop receives."""
-    from frobknot import linalg
-
-    seen, smith = [], linalg._smith_diagonal
-
-    def spy(m, rows, cols):
-        seen.append((rows, cols))
-        return smith(m, rows, cols)
-
-    monkeypatch.setattr(linalg, "_smith_diagonal", spy)
-    return seen
-
-
-def test_reduction_of_a_matrix_with_no_unit_entry(monkeypatch):
+def test_reduction_of_a_matrix_with_no_unit_entry():
     # the block [[2, 3], [3, 2]] has invariant factors (1, 5); with 4 beside
-    # it the chain is (1, 1, 20).  No entry is a unit over Z, so the whole
-    # matrix is the residue; over Q the row (0, 0, 4) scales to (0, 0, 1)
-    # and only the block is left.
-    seen = _smith_inputs(monkeypatch)
+    # it the chain is (1, 1, 20).  No entry is a unit over Z, so every pivot
+    # is reached by remainders; over Q the row (0, 0, 4) scales to (0, 0, 1).
     rows = [[2, 3, 0], [3, 2, 0], [0, 0, 4]]
     assert smith_normal_form(ExactMatrix.from_rows(ZZ, rows)) == (1, 1, 20)
     assert rank(ExactMatrix.from_rows(QQ, rows)) == 3
-    assert seen == [(3, 3), (2, 2)]
     assert [rank(ExactMatrix.from_rows(GF(p), rows)) for p in (2, 3, 5)] == [2, 3, 2]
-    assert len(seen) == 2  # over F_p every nonzero entry is a unit
 
 
-def test_reduction_of_a_signed_permutation_matrix(monkeypatch):
-    # units everywhere: cancellation alone, no residue
-    seen = _smith_inputs(monkeypatch)
+def test_reduction_of_a_signed_permutation_matrix():
+    # units everywhere: cancellation alone
     perm, signs = (3, 0, 4, 1, 5, 2), (1, -1, -1, 1, 1, -1)
     rows = [[signs[i] if j == perm[i] else 0 for j in range(6)] for i in range(6)]
     for R in (ZZ, QQ, GF(2), GF(3)):
         assert rank(ExactMatrix.from_rows(R, rows)) == 6
     assert smith_normal_form(ExactMatrix.from_rows(ZZ, rows)) == (1,) * 6
-    assert seen == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14), st.integers(10, 70), st.randoms(use_true_random=False))
+def test_reduction_without_units_matches_sympy(r, c, fill, rnd):
+    """No entry is a unit, so every pivot is reached by remainders, in rows
+    and in columns; some rows carry a large content on top."""
+    scalars = (2, -2, 3, -3, 4, -4, 6, -6, 9, -9)
+    rows = [[rnd.choice(scalars) if rnd.randint(1, 100) <= fill else 0 for _ in range(c)] for _ in range(r)]
+    rows = [[k * x for x in row] for row, k in zip(rows, (rnd.choice((1, 1, 1, 2**20, 3**13)) for _ in rows))]
+    d = smith_normal_form(ExactMatrix.from_rows(ZZ, rows))
+    oracle = sympy_snf(sympy.Matrix(rows))
+    odiag = [abs(oracle[i, i]) for i in range(min(r, c))]
+    assert sorted(x for x in d if x) == sorted(x for x in odiag if x)
+    assert all((a == 0 and b == 0) or (a and b % a == 0) for a, b in zip(d, d[1:]))
+    assert rank(ExactMatrix.from_rows(QQ, rows)) == sympy.Matrix(rows).rank() == sum(1 for x in d if x)
+    for p in (2, 3):
+        assert rank(ExactMatrix.from_rows(GF(p), rows)) == DomainMatrix.from_list(rows, sympy.GF(p)).rank()
 
 
 @settings(max_examples=100, deadline=None)
