@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import LinkDiagram, ResolutionCube, build_cube, sign_exponent
+from .diagram import LinkDiagram, ResolutionCube, build_cube
 from .frobenius import FrobeniusData, Merge, Split, a5, generator_map
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
@@ -63,7 +63,7 @@ def build_complex(
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 
     by_degree: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for s in sorted(cube.circles):
+    for s in cube.circles:
         by_degree[sum(s)].append(s)
     offsets: dict[tuple, int] = {}
     ranks = []
@@ -96,7 +96,7 @@ def build_complex(
                     op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
                     mat = generator_map(F, c_in, c_in + 1, op)
                 nz = cells[key] = [(a, b, v) for a, row in enumerate(mat.nz) for b, v in row]
-            negate = sign_exponent(e.s1, e.s2) % 2
+            negate = e.sign < 0
             ro, co = offsets[e.s2], offsets[e.s1]
             for a, b, v in nz:
                 scatter[ro + a].append((co + b, R.neg(v) if negate else v))

@@ -9,7 +9,7 @@ crossing quadruple (a, b, c, d) the 0-smoothing joins a-b and c-d, the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .laurent import Laurent
@@ -122,9 +122,12 @@ def parse_pd(text: str) -> LinkDiagram:
 
 
 def _signs_from_orientation(crossings, components) -> tuple[int, int]:
+    arcs = {a for q in crossings for a in q}
     succ: dict[int, int] = {}
     for comp in components:
         for i, a in enumerate(comp):
+            if a not in arcs:
+                raise PDError(f"ORIENT lists arc {a}, which no crossing has")
             if a in succ:
                 raise PDError(f"arc {a} listed twice in ORIENT data")
             succ[a] = comp[(i + 1) % len(comp)]
@@ -201,7 +204,8 @@ class CubeEdge:
 
     kind is "merge" (src positions (i, j) -> dst position (k,)) or "split"
     (src (k,) -> dst (i, j)); positions index the ordered circle lists of
-    the two states.  Untouched circles correspond by arc-set identity.
+    the two states, and untouched circles keep their arc sets.  sign is
+    (-1)^(number of 1-bits of s1 before the raised position).
     """
 
     s1: tuple
@@ -209,47 +213,48 @@ class CubeEdge:
     kind: str
     src: tuple
     dst: tuple
+    sign: int
 
 
 @dataclass(frozen=True)
 class ResolutionCube:
     diagram: LinkDiagram
-    circles: dict  # state -> ordered circle tuple
-    edges: tuple  # of CubeEdge
-
-
-def sign_exponent(s1: Sequence[int], s2: Sequence[int]) -> int:
-    """Number of 1-bits of s1 strictly before the single raised position."""
-    if len(s1) != len(s2):
-        raise PDError("states are not cube-adjacent")
-    diff = [i for i in range(len(s1)) if s1[i] != s2[i]]
-    if len(diff) != 1 or s1[diff[0]] != 0 or s2[diff[0]] != 1:
-        raise PDError("states are not cube-adjacent")
-    return sum(s1[: diff[0]])
+    circles: dict  # state -> ordered circle tuple, states in lexicographic order
+    edges: tuple  # of CubeEdge, ordered by (s1, s2)
 
 
 def build_cube(d: LinkDiagram) -> ResolutionCube:
+    """Resolve every state and classify each edge at the crossing it flips:
+    a merge when the circles of a and c differ in s1, else a split when
+    those of a and b differ in s2; no planar diagram has a third case."""
     n = d.n_crossings
     circles = {s: resolve(d, s) for s in itertools.product((0, 1), repeat=n)}
-    circle_sets = {s: set(c) for s, c in circles.items()}
+    where = {}  # state -> position of each arc label's circle
+    for s, cs in circles.items():
+        w = where[s] = [0] * (d.arc_count + 1)
+        for i, c in enumerate(cs[d.free_loops :], d.free_loops):
+            for a in c:
+                w[a] = i
     edges = []
-    for s1, c1 in circles.items():
-        for pos in range(n):
-            if s1[pos] == 1:
+    for s1, w1 in where.items():
+        ones = sum(s1)  # 1-bits of s1 before pos, as pos falls
+        for pos in reversed(range(n)):  # s2 rises as the raised bit moves left
+            if s1[pos]:
+                ones -= 1
                 continue
             s2 = s1[:pos] + (1,) + s1[pos + 1 :]
-            set1, set2 = circle_sets[s1], circle_sets[s2]
-            gone = [i for i, c in enumerate(c1) if c not in set2]
-            new = [j for j, c in enumerate(circles[s2]) if c not in set1]
-            if len(gone) == 2 and len(new) == 1:
-                edges.append(CubeEdge(s1, s2, "merge", tuple(gone), tuple(new)))
-            elif len(gone) == 1 and len(new) == 2:
-                edges.append(CubeEdge(s1, s2, "split", tuple(gone), tuple(new)))
+            w2 = where[s2]
+            a, b, c, dd = d.crossings[pos]
+            if w1[a] != w1[c]:
+                kind, src, dst = "merge", tuple(sorted((w1[a], w1[c]))), (w2[a],)
+            elif w2[a] != w2[b]:
+                kind, src, dst = "split", (w1[a],), tuple(sorted((w2[a], w2[b])))
             else:
                 raise PDError(
-                    f"edge {s1}->{s2} changes circles by ({len(gone)},{len(new)}); corrupt cube"
+                    f"crossing {pos + 1} (X {a} {b} {c} {dd}) keeps one circle when "
+                    "its smoothing flips; the PD code is not planar"
                 )
-    edges.sort(key=lambda e: (e.s1, e.s2))
+            edges.append(CubeEdge(s1, s2, kind, src, dst, -1 if ones % 2 else 1))
     return ResolutionCube(d, circles, tuple(edges))
 
 

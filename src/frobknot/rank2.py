@@ -439,8 +439,8 @@ def representative(label: str, params: tuple, ring: RingSpec) -> MultTable:
             raise ValueError("m14_2R needs 2*alpha2 + 1 outside the squares")
         return MultTable(R, (1, 0), (a2, 0), (0, 0))
     if label == "m15_1R":
-        a2, b2, a4, b4 = params
-        if not fp_rootless(lambda y: evaluate_PA(a2, b2, a4, b4, y, R)):
+        a2, b2, a4, b4 = coeffs = tuple(map(n, params))
+        if not fp_rootless(lambda y: n(_pa(*coeffs, y))):
             raise ValueError("m15_1R needs a rootless obstruction polynomial")
         return MultTable(R, (0, 1), (a2, b2), (a4, b4))
     # characteristic-2 families

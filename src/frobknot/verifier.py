@@ -136,69 +136,60 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
 
 def verify_prop_3_4(p: int) -> VerifyReport:
     """Sweep every representative family's parameter domain over F_p and
-    compare is_associative / find_unit against the stated conditions."""
+    compare is_associative / find_unit against the stated conditions.  The
+    domain is every parameter tuple that representative accepts."""
     if p not in (3, 5):
         raise ValueError("sweeps run over F_3 and F_5")
     ring = GF(p)
     rep = VerifyReport(f"prop3.4 sweeps over F_{p}", 0)
+
+    def never(*params):
+        return False, False
+
+    stated = (  # (family, arity, params -> (associative, unital))
+        ("m6", 2, lambda a2, b2: ((a2, b2) in ((0, 0), (0, 1), (1, 0)),) * 2),
+        ("m7", 0, never),
+        ("m8", 0, never),
+        ("m9", 1, lambda b2: (b2 in (0, 1), b2 == 1)),
+        ("m10", 1, lambda a4: (a4 == 1, False)),
+        ("m11", 0, never),
+        ("m12", 0, lambda: (True, False)),
+        ("m14", 0, lambda: (True, False)),
+        ("m15", 0, never),
+        ("m16", 0, never),
+        ("m17", 0, lambda: (True, False)),
+        ("m8_1R", 1, never),
+        ("m11R", 1, lambda l2: (l2 == 0, False)),
+        ("m8_2R", 2, lambda b2, l2: (b2 == 1, b2 == 1)),
+        ("m14_1R", 1, never),
+        ("m14_2R", 1, never),
+        ("m15_1R", 4, lambda a2, b2, a4, b4: (
+            a4 == a2 * b2 % p and b4 == (a2 + b2 * b2) % p, False
+        )),
+    )
     checked = 0
-
-    def expect(label, params, want_assoc, want_unital):
-        nonlocal checked
-        checked += 1
-        t = rank2.representative(label, params, ring)
-        got_assoc = rank2.is_associative(t)
-        got_unital = rank2.find_unit(t) is not None
-        if got_assoc != want_assoc or got_unital != want_unital:
-            rep.counterexamples.append(
-                Counterexample(
-                    "sweep_mismatch",
-                    {
-                        "family": label,
-                        "params": list(params),
-                        "expected": {"associative": want_assoc, "unital": want_unital},
-                        "got": {"associative": got_assoc, "unital": got_unital},
-                    },
+    for label, arity, want in stated:
+        for params in itertools.product(range(p), repeat=arity):
+            try:
+                t = rank2.representative(label, params, ring)
+            except ValueError:  # outside the family's side conditions
+                continue
+            checked += 1
+            want_assoc, want_unital = want(*params)
+            got_assoc = rank2.is_associative(t)
+            got_unital = rank2.find_unit(t) is not None
+            if got_assoc != want_assoc or got_unital != want_unital:
+                rep.counterexamples.append(
+                    Counterexample(
+                        "sweep_mismatch",
+                        {
+                            "family": label,
+                            "params": list(params),
+                            "expected": {"associative": want_assoc, "unital": want_unital},
+                            "got": {"associative": got_assoc, "unital": got_unital},
+                        },
+                    )
                 )
-            )
-
-    fp = range(p)
-    nonres = rank2.nonresidues(ring)
-    half = pow(2, -1, p)
-
-    for a2, b2 in itertools.product(fp, repeat=2):
-        ok = (a2, b2) in ((0, 0), (0, 1), (1, 0))
-        expect("m6", (a2, b2), ok, ok)
-    expect("m7", (), False, False)
-    expect("m8", (), False, False)
-    for b2 in fp:
-        if b2 == half:
-            continue
-        expect("m9", (b2,), b2 in (0, 1), b2 == 1)
-    for a4 in fp:
-        expect("m10", (a4,), a4 == 1, False)
-    expect("m11", (), False, False)
-    expect("m12", (), True, False)
-    expect("m14", (), True, False)
-    expect("m15", (), False, False)
-    expect("m16", (), False, False)
-    expect("m17", (), True, False)
-    for l2 in nonres:
-        expect("m8_1R", (l2,), False, False)
-        expect("m11R", (l2,), l2 == 0, False)
-        for b2 in fp:
-            if (1 - 2 * b2) % p in nonres:
-                expect("m8_2R", (b2, l2), b2 == 1, b2 == 1)
-    for a2 in fp:
-        if not rank2.pow_in_squares(ring, 2 * a2 + 1):
-            expect("m14_1R", (a2,), False, False)
-            expect("m14_2R", (a2,), False, False)
-    for params in itertools.product(fp, repeat=4):
-        a2, b2, a4, b4 = params
-        if any(rank2._pa(a2, b2, a4, b4, y) % p == 0 for y in fp):
-            continue
-        ok = a4 == (a2 * b2) % p and b4 == (a2 + b2 * b2) % p
-        expect("m15_1R", params, ok, False)
 
     rep.space_size = checked
     rep.stages = {"swept": checked}

@@ -199,3 +199,20 @@ def test_usage_errors_exit_2(capsys):
         assert main(["verify", target, "--zbound", "1"]) == 2
     assert main(["verify", "thm1.2", "--p", "3", "--zbound", "1"]) == 2
     capsys.readouterr()
+
+
+def test_nonplanar_and_phantom_orient_inputs_exit_2(tmp_path, capsys):
+    nonplanar = tmp_path / "nonplanar.pd"
+    nonplanar.write_text("X 1 2 1 2\n")
+    assert run(capsys, "bracket", str(nonplanar), "--json") == (0, '{"bracket":{"-1":1,"1":1}}\n')
+    code = main(["homology", str(nonplanar), "--a5", "0,0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: crossing 1 (X 1 2 1 2)")
+    for text in ("X 1 1 2 2\nORIENT 1 2 7\n", "O\nORIENT 1 2\n"):
+        phantom = tmp_path / "phantom.pd"
+        phantom.write_text(text)
+        code = main(["homology", str(phantom), "--a5", "0,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "which no crossing has" in captured.err

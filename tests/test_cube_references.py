@@ -1,10 +1,12 @@
 """The cube-side stages against per-term references.
 
-``resolve``, ``kauffman_bracket``, ``build_complex`` and
-``graded_euler_characteristic`` count states, tally monomials and append
-row cells in order.  The references below are the direct forms they
-replaced: a breadth-first search for circles, one Laurent term per state or
-generator, and a per-row dict scatter sorted at the end.
+``resolve``, ``build_cube``, ``kauffman_bracket``, ``build_complex`` and
+``graded_euler_characteristic`` count states, classify edges at their
+crossing, tally monomials and append row cells in order.  The references
+below are the direct forms they replaced: a breadth-first search for
+circles, set differences over every circle of both states of an edge, one
+Laurent term per state or generator, and a per-row dict scatter sorted at
+the end with each edge's sign counted from its states.
 """
 
 import importlib.util
@@ -79,6 +81,24 @@ def components(d, state):
     return tuple(sorted(circles))
 
 
+def edges_by_set_difference(cube):
+    """(s1, s2, kind, src, dst) of every edge, sorted: the circles of s1
+    missing from s2 are the source, those of s2 missing from s1 the target."""
+    n = cube.diagram.n_crossings
+    edges = []
+    for s1, c1 in cube.circles.items():
+        for pos in range(n):
+            if s1[pos]:
+                continue
+            s2 = s1[:pos] + (1,) + s1[pos + 1 :]
+            c2 = cube.circles[s2]
+            gone = tuple(i for i, c in enumerate(c1) if c not in c2)
+            new = tuple(j for j, c in enumerate(c2) if c not in c1)
+            kind = {(2, 1): "merge", (1, 2): "split"}[len(gone), len(new)]
+            edges.append((s1, s2, kind, gone, new))
+    return sorted(edges)
+
+
 def bracket_per_monomial(d):
     delta = Laurent.from_dict({2: -1, -2: -1})
     total = Laurent.zero()
@@ -125,7 +145,8 @@ def complex_by_dict_scatter(cube, F, normalize):
             else:
                 op = fr.Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
                 mat = fr.generator_map(F, c_in, c_in + 1, op)
-            negate = dg.sign_exponent(e.s1, e.s2) % 2
+            pos = next(k for k in range(n) if e.s1[k] != e.s2[k])
+            negate = sum(e.s1[:pos]) % 2
             for a, row in enumerate(mat.nz):
                 for b, v in row:
                     scatter[offsets[e.s2] + a][offsets[e.s1] + b] = R.neg(v) if negate else v
@@ -151,6 +172,13 @@ def test_resolve_matches_breadth_first_search():
     for d in diagrams():
         for s in itertools.product((0, 1), repeat=d.n_crossings):
             assert dg.resolve(d, s) == components(d, s), (d, s)
+
+
+def test_cube_edges_match_set_differences():
+    for d in diagrams():
+        cube = dg.build_cube(d)
+        edges = [(e.s1, e.s2, e.kind, e.src, e.dst) for e in cube.edges]
+        assert edges == edges_by_set_difference(cube), d
 
 
 def test_bracket_matches_per_monomial_sum():

@@ -91,41 +91,50 @@ def test_cube_edge_kinds_hopf():
 
 
 def test_sign_exponent():
-    assert dg.sign_exponent((0, 0, 0), (0, 1, 0)) == 0
-    assert dg.sign_exponent((1, 0, 0), (1, 1, 0)) == 1
-    assert dg.sign_exponent((1, 0, 1), (1, 1, 1)) == 1
-    assert dg.sign_exponent((1, 1, 0), (1, 1, 1)) == 2
-    with pytest.raises(dg.PDError):
-        dg.sign_exponent((0, 0), (1, 1))
-    with pytest.raises(dg.PDError):
-        dg.sign_exponent((0, 0), (1,))
-    with pytest.raises(dg.PDError):
-        dg.sign_exponent((0,), (0, 1))
+    # (-1)^(number of 1-bits before the raised position)
+    cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
+    sign = {(e.s1, e.s2): e.sign for e in cube.edges}
+    assert sign[(0, 0, 0), (0, 1, 0)] == 1
+    assert sign[(1, 0, 0), (1, 1, 0)] == -1
+    assert sign[(1, 0, 1), (1, 1, 1)] == -1
+    assert sign[(1, 1, 0), (1, 1, 1)] == 1
 
 
 def test_cube_squares_anticommute_after_signs():
-    # over every builder, each 2-face has an odd total sign exponent,
-    # which is what makes the signed differential square to zero
+    # over every builder, the four edge signs around each 2-face multiply
+    # to -1, which is what makes the signed differential square to zero
     for name, build in dg.BUILDERS.items():
         d = build()
         n = d.n_crossings
         if n < 2:
             continue
         cube = dg.build_cube(d)
-        by_src = {}
-        for e in cube.edges:
-            by_src.setdefault(e.s1, []).append(e)
+        sign = {(e.s1, e.s2): e.sign for e in cube.edges}
         for s in itertools.product((0, 1), repeat=n):
-            for e1 in by_src.get(s, []):
-                for e2 in by_src.get(e1.s2, []):
-                    total = dg.sign_exponent(s, e1.s2) + dg.sign_exponent(e1.s2, e2.s2)
-                    # the commuting pair of edge flips differs in parity
-                    j = next(k for k in range(n) if e1.s2[k] != e2.s2[k])
-                    mid = list(s)
-                    mid[j] = 1
-                    mid = tuple(mid)
-                    alt = dg.sign_exponent(s, mid) + dg.sign_exponent(mid, e2.s2)
-                    assert (total + alt) % 2 == 1
+            for i, j in itertools.combinations(range(n), 2):
+                if s[i] or s[j]:
+                    continue
+                si = s[:i] + (1,) + s[i + 1 :]
+                sj = s[:j] + (1,) + s[j + 1 :]
+                sij = si[:j] + (1,) + si[j + 1 :]
+                around = sign[s, si] * sign[si, sij] * sign[s, sj] * sign[sj, sij]
+                assert around == -1, (name, s, i, j)
+
+
+def test_nonplanar_code_parses_but_has_no_cube():
+    # flipping the crossing keeps its one circle, so no edge is a merge or split
+    d = dg.parse_pd("X 1 2 1 2\n")
+    assert d.n_crossings == 1
+    with pytest.raises(dg.PDError, match=r"crossing 1 \(X 1 2 1 2\).*not planar"):
+        dg.build_cube(d)
+
+
+def test_orient_rejects_arcs_no_crossing_has():
+    # the phantom arc 7 used to break the two-arc ambiguity
+    with pytest.raises(dg.PDError, match="arc 7"):
+        dg.parse_pd("X 1 1 2 2\nORIENT 1 2 7\n")
+    with pytest.raises(dg.PDError, match="arc 1"):
+        dg.parse_pd("O\nORIENT 1 2\n")
 
 
 # --- bracket -------------------------------------------------------------------
