@@ -98,7 +98,10 @@ def _emit_json(obj) -> None:
 def _cmd_homology(args) -> int:
     d = _load_diagram(args.diagram)
     F = _algebra_from_args(args)
-    C = cx.chain_complex(d, F, normalize=args.normalize)
+    try:
+        C = cx.chain_complex(d, F, normalize=args.normalize)
+    except dg.PDError as e:  # a code that parses but has no cube, such as a non-planar one
+        raise InputError(f"{args.diagram}: {e}") from None
     table = cx.homology(C)
     if args.json:
         _emit_json(table.to_json())

@@ -334,14 +334,14 @@ def isomorphic(a: MultTable, b: MultTable):
 # ---------------------------------------------------------------------------
 
 
+def _square(p, x) -> bool:
+    """x is the square of a nonzero residue mod the prime p (Euler's criterion)."""
+    return x % p != 0 and pow(x, (p - 1) // 2, p) == 1
+
+
 def nonresidues(ring: RingSpec) -> list:
     """Elements of F_p that are not squares of nonzero elements (0 included)."""
-    squares = {(x * x) % ring.p for x in range(1, ring.p)}
-    return [x for x in ring.elements() if x not in squares]
-
-
-def is_nonresidue(ring: RingSpec, x) -> bool:
-    return ring.normalize(x) in nonresidues(ring)
+    return [x for x in ring.elements() if not _square(ring.p, x)]
 
 
 def _pa(a2, b2, a4, b4, y):
@@ -365,132 +365,89 @@ def evaluate_PA(alpha2, beta2, alpha4, beta4, y, ring: RingSpec) -> Scalar:
     return ring.normalize(_pa(*map(ring.normalize, (alpha2, beta2, alpha4, beta4, y))))
 
 
-def _half(ring: RingSpec):
-    return ring.inv(ring.normalize(2))
+_HALF = Fraction(1, 2)  # MultTable rejects it over Z and F_2, where 2 is no unit
+
+# label: (arity, params -> (e11, e12, e22[, e21]), side condition or None).  A
+# side condition side(p, *params) is a predicate on the parameters' residues,
+# checked over F_p only.
+_FAMILIES = {
+    "m6": (2, lambda a2, b2: ((1, 0), (a2, b2), (0, 1)), None),
+    "m7": (0, lambda: ((1, 0), (1, _HALF), (0, 0)), None),
+    "m8": (0, lambda: ((1, 0), (0, _HALF), (1, 0)), None),
+    "m9": (1, lambda b2: ((1, 0), (0, b2), (0, 0)), lambda p, b2: 2 * b2 % p != 1),  # b2 != 1/2
+    "m10": (1, lambda a4: ((1, 0), (1, 0), (a4, 0)), None),
+    "m11": (0, lambda: ((1, 0), (0, 0), (1, 0)), None),
+    "m12": (0, lambda: ((1, 0), (0, 0), (0, 0)), None),
+    "m13": (0, lambda: ((0, 1), (0, 1), (0, 0)), None),
+    "m14": (0, lambda: ((0, 1), (0, 0), (0, 0)), None),
+    "m15": (0, lambda: ((0, 1), (-2, 3), (-8, 8)), None),
+    "m16": (0, lambda: ((0, 0), (1, 0), (0, 0)), None),
+    "m17": (0, lambda: ((0, 0), (0, 0), (0, 0)), None),
+    # lambda2 and 1 - 2*beta2 are nonresidues; 2*alpha2 + 1 is a nonzero nonresidue
+    "m8_1R": (1, lambda l2: ((1, 0), (0, _HALF), (l2, 0)), lambda p, l2: not _square(p, l2)),
+    "m8_2R": (
+        2,
+        lambda b2, l2: ((1, 0), (0, b2), (l2, 0)),
+        lambda p, b2, l2: not _square(p, l2) and not _square(p, 1 - 2 * b2),
+    ),
+    "m11R": (1, lambda l2: ((1, 0), (0, 0), (l2, 0)), lambda p, l2: not _square(p, l2)),
+    "m14_1R": (
+        1,
+        lambda a2: ((1, 0), (a2, 1), (0, 0)),
+        lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1),
+    ),
+    "m14_2R": (
+        1,
+        lambda a2: ((1, 0), (a2, 0), (0, 0)),
+        lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1),
+    ),
+    "m15_1R": (  # the obstruction polynomial P_A has no root
+        4,
+        lambda a2, b2, a4, b4: ((0, 1), (a2, b2), (a4, b4)),
+        lambda p, *coeffs: all(_pa(*coeffs, y) % p for y in range(p)),
+    ),
+    # characteristic-2 families
+    "m2_1": (0, lambda: ((1, 0), (0, 1), (0, 1)), None),
+    "m2_2": (0, lambda: ((1, 0), (0, 0), (0, 0)), None),
+    "m2_3": (0, lambda: ((1, 0), (0, 0), (0, 1)), None),
+    "m2_4": (1, lambda a4: ((1, 0), (0, 1), (a4, 0)), None),
+    "m2_5": (  # x^2 + x + alpha4 has no root outside {0, 1}
+        1,
+        lambda a4: ((1, 0), (0, 1), (a4, 1)),
+        lambda p, a4: all((x * x + x + a4) % p for x in range(2, p)),
+    ),
+    "m2_6": (0, lambda: ((0, 1), (0, 0), (0, 0)), None),
+    "m2_7": (0, lambda: ((0, 0), (0, 0), (0, 0)), None),
+    "m2R": (  # 1 + (alpha2 + beta2^2) y + (alpha2 beta2)^2 y^3 has no root
+        2,
+        lambda a2, b2: ((0, 1), (a2, b2), (a2 * b2, a2 + b2 * b2)),
+        lambda p, a2, b2: all(
+            (1 + (a2 + b2 * b2) * y + (a2 * b2) ** 2 * y**3) % p for y in range(p)
+        ),
+    ),
+    # noncommutative targets
+    "nc_left": (0, lambda: ((0, 0), (0, 0), (0, 1), (1, 0)), None),
+    "nc_right": (0, lambda: ((0, 0), (1, 0), (0, 1), (0, 0)), None),
+}
 
 
 def representative(label: str, params: tuple, ring: RingSpec) -> MultTable:
     """Instantiate a named representative family over the given ring.
 
     Side conditions carried by a family (nonresidue parameters, rootless
-    polynomials) are checked at instantiation time over prime fields.
+    polynomials) are checked at instantiation time over prime fields.  An
+    unknown label, a wrong number of parameters and a failed side condition
+    raise ValueError, as does a family with 1/2 over Z or F_2.
     """
-    R = ring
-    n = R.normalize
-
-    def fp_rootless(poly) -> bool:
-        return R.kind != "Fp" or all(poly(y) != R.zero for y in R.elements())
-
-    if label == "m6":
-        a2, b2 = params
-        return MultTable(R, (1, 0), (a2, b2), (0, 1))
-    if label == "m7":
-        return MultTable(R, (1, 0), (1, _half(R)), (0, 0))
-    if label == "m8":
-        return MultTable(R, (1, 0), (0, _half(R)), (1, 0))
-    if label == "m9":
-        (b2,) = params
-        if R.kind == "Fp" and R.p != 2 and n(b2) == _half(R):
-            raise ValueError("m9 excludes beta2 = 1/2")
-        return MultTable(R, (1, 0), (0, b2), (0, 0))
-    if label == "m10":
-        (a4,) = params
-        return MultTable(R, (1, 0), (1, 0), (a4, 0))
-    if label == "m11":
-        return MultTable(R, (1, 0), (0, 0), (1, 0))
-    if label == "m12":
-        return MultTable(R, (1, 0), (0, 0), (0, 0))
-    if label == "m13":
-        return MultTable(R, (0, 1), (0, 1), (0, 0))
-    if label == "m14":
-        return MultTable(R, (0, 1), (0, 0), (0, 0))
-    if label == "m15":
-        return MultTable(R, (0, 1), (-2, 3), (-8, 8))
-    if label == "m16":
-        return MultTable(R, (0, 0), (1, 0), (0, 0))
-    if label == "m17":
-        return MultTable(R, (0, 0), (0, 0), (0, 0))
-    if label == "m8_1R":
-        (l2,) = params
-        if R.kind == "Fp" and not is_nonresidue(R, l2):
-            raise ValueError("m8_1R needs a nonresidue lambda2")
-        return MultTable(R, (1, 0), (0, _half(R)), (l2, 0))
-    if label == "m8_2R":
-        b2, l2 = params
-        if R.kind == "Fp":
-            if not is_nonresidue(R, l2):
-                raise ValueError("m8_2R needs a nonresidue lambda2")
-            if not is_nonresidue(R, R.sub(R.one, R.mul(n(2), n(b2)))):
-                raise ValueError("m8_2R needs 1 - 2*beta2 a nonresidue")
-        return MultTable(R, (1, 0), (0, b2), (l2, 0))
-    if label == "m11R":
-        (l2,) = params
-        if R.kind == "Fp" and not is_nonresidue(R, l2):
-            raise ValueError("m11R needs lambda2 outside the nonzero squares")
-        return MultTable(R, (1, 0), (0, 0), (l2, 0))
-    if label == "m14_1R":
-        (a2,) = params
-        if R.kind == "Fp" and pow_in_squares(R, R.add(R.mul(n(2), n(a2)), R.one)):
-            raise ValueError("m14_1R needs 2*alpha2 + 1 outside the squares")
-        return MultTable(R, (1, 0), (a2, 1), (0, 0))
-    if label == "m14_2R":
-        (a2,) = params
-        if R.kind == "Fp" and pow_in_squares(R, R.add(R.mul(n(2), n(a2)), R.one)):
-            raise ValueError("m14_2R needs 2*alpha2 + 1 outside the squares")
-        return MultTable(R, (1, 0), (a2, 0), (0, 0))
-    if label == "m15_1R":
-        a2, b2, a4, b4 = coeffs = tuple(map(n, params))
-        if not fp_rootless(lambda y: n(_pa(*coeffs, y))):
-            raise ValueError("m15_1R needs a rootless obstruction polynomial")
-        return MultTable(R, (0, 1), (a2, b2), (a4, b4))
-    # characteristic-2 families
-    if label == "m2_1":
-        return MultTable(R, (1, 0), (0, 1), (0, 1))
-    if label == "m2_2":
-        return MultTable(R, (1, 0), (0, 0), (0, 0))
-    if label == "m2_3":
-        return MultTable(R, (1, 0), (0, 0), (0, 1))
-    if label == "m2_4":
-        (a4,) = params
-        return MultTable(R, (1, 0), (0, 1), (a4, 0))
-    if label == "m2_5":
-        (a4,) = params
-        if R.kind == "Fp":
-            # x^2 + x + a4 must have no roots outside {0, 1}
-            for x in R.elements():
-                if x in (0, 1):
-                    continue
-                if R.add(R.add(R.mul(x, x), x), n(a4)) == R.zero:
-                    raise ValueError("m2_5 side condition violated")
-        return MultTable(R, (1, 0), (0, 1), (a4, 1))
-    if label == "m2_6":
-        return MultTable(R, (0, 1), (0, 0), (0, 0))
-    if label == "m2_7":
-        return MultTable(R, (0, 0), (0, 0), (0, 0))
-    if label == "m2R":
-        a2, b2 = params
-        a2n, b2n = n(a2), n(b2)
-        a4 = R.mul(a2n, b2n)
-        b4 = R.add(a2n, R.mul(b2n, b2n))
-        poly = lambda y: R.add(
-            R.add(R.mul(R.mul(y, R.mul(y, y)), R.mul(R.mul(a2n, a2n), R.mul(b2n, b2n))), R.mul(y, b4)),
-            R.one,
-        )
-        if not fp_rootless(poly):
-            raise ValueError("m2R needs a rootless obstruction polynomial")
-        return MultTable(R, (0, 1), (a2, b2), (a4, b4))
-    # noncommutative targets
-    if label == "nc_left":
-        return MultTable(R, (0, 0), (0, 0), (0, 1), e21=(1, 0))
-    if label == "nc_right":
-        return MultTable(R, (0, 0), (1, 0), (0, 1), e21=(0, 0))
-    raise ValueError(f"unknown family {label!r}")
-
-
-def pow_in_squares(ring: RingSpec, x) -> bool:
-    """Membership of x in the full square set {y^2 : y in K} (0 included)."""
-    x = ring.normalize(x)
-    return any((y * y) % ring.p == x for y in range(ring.p))
+    if label not in _FAMILIES:
+        raise ValueError(f"unknown family {label!r}")
+    arity, products, side = _FAMILIES[label]
+    if len(params) != arity:
+        raise ValueError(f"family {label} takes {arity} parameters, got {len(params)}")
+    params = tuple(map(ring.normalize, params))
+    if side and ring.kind == "Fp" and not side(ring.p, *params):
+        raise ValueError(f"family {label} excludes {params} over {ring}: side condition fails")
+    return MultTable(ring, *products(*params))
 
 
 def _classification_targets(ring: RingSpec):

@@ -41,7 +41,7 @@ class RingSpec:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
-            if type(self.p) is not int or not _is_prime(self.p) or self.p > 2**31:
+            if type(self.p) is not int or self.p > 2**31 or not _is_prime(self.p):
                 raise ValueError(f"F_p requires a prime p <= 2**31, got {self.p}")
         elif self.p is not None:
             raise ValueError(f"{self.kind} takes no modulus")
@@ -61,7 +61,10 @@ class RingSpec:
         Floats and bools are not exact scalars and raise ValueError."""
         if type(x) is not int:  # keeps the common int case to one test
             if isinstance(x, str):
-                x = Fraction(x) if "/" in x else int(x)
+                try:
+                    x = Fraction(x) if "/" in x else int(x)
+                except ZeroDivisionError:
+                    raise ValueError(f"{x!r} has a zero denominator") from None
             elif isinstance(x, (float, bool)):
                 raise ValueError(f"{x!r} is not an exact scalar")
         if self.kind == "Z":

@@ -88,6 +88,8 @@ def test_check_algebra_exit_codes(tmp_path, capsys):
     float_p = fr.a5(1, 1, GF(5)).to_json()
     float_p["ring"]["p"] = 5.0  # was a pow() traceback
     float_rank = dict(fr.a5(1, 1).to_json(), rank=2.0)  # was a range() traceback
+    zero_den = fr.a5(1, 1, QQ).to_json()
+    zero_den["mult"][0][0][0] = "1/0"  # was a ZeroDivisionError traceback
     for name, data in (
         ("no_mult.json", no_mult),
         ("third.json", third),
@@ -95,6 +97,7 @@ def test_check_algebra_exit_codes(tmp_path, capsys):
         ("booly.json", booly),
         ("float_p.json", float_p),
         ("float_rank.json", float_rank),
+        ("zero_den.json", zero_den),
     ):
         bad = tmp_path / name
         bad.write_text(json.dumps(data))
@@ -121,12 +124,13 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
     code, _ = run(capsys, "classify", str(f2))
     assert code == 1
 
-    third = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
-    third["products"]["e1e1"][0] = "1/3"
-    f3 = tmp_path / "third.json"
-    f3.write_text(json.dumps(third))
-    assert main(["classify", str(f3)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for bad in ("1/3", "1/0"):  # 3 is not a unit mod 3; "1/0" was a ZeroDivisionError traceback
+        third = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
+        third["products"]["e1e1"][0] = bad
+        f3 = tmp_path / "third.json"
+        f3.write_text(json.dumps(third))
+        assert main(["classify", str(f3)]) == 2, bad
+        assert capsys.readouterr().err.startswith("error: ")
 
     # the commutative flag must agree with the presence of "e2e1"
     comm = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
@@ -198,6 +202,9 @@ def test_usage_errors_exit_2(capsys):
     for target in ("thm1.1", "prop3.4", "char2", "noncomm"):
         assert main(["verify", target, "--zbound", "1"]) == 2
     assert main(["verify", "thm1.2", "--p", "3", "--zbound", "1"]) == 2
+    # a composite above 2**31 is refused by the bound, before any trial division
+    ring = "Fp:1000000016000000063"
+    assert main(["homology", "builder:hopf_pos", "--a5", "0,0", "--ring", ring]) == 2
     capsys.readouterr()
 
 
@@ -208,7 +215,7 @@ def test_nonplanar_and_phantom_orient_inputs_exit_2(tmp_path, capsys):
     code = main(["homology", str(nonplanar), "--a5", "0,0"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: crossing 1 (X 1 2 1 2)")
+    assert captured.err.startswith(f"error: {nonplanar}: crossing 1 (X 1 2 1 2)")
     for text in ("X 1 1 2 2\nORIENT 1 2 7\n", "O\nORIENT 1 2\n"):
         phantom = tmp_path / "phantom.pd"
         phantom.write_text(text)

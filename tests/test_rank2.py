@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,170 @@ def test_nonresidue_parameters_checked():
 def test_m9_excludes_half():
     with pytest.raises(ValueError):
         rank2.representative("m9", (2,), F3)  # 1/2 = 2 mod 3
+
+
+# --- representative families against the if-chain they replaced -------------
+
+
+def _is_nonresidue(ring, x):
+    return ring.normalize(x) in rank2.nonresidues(ring)
+
+
+def _pow_in_squares(ring, x):
+    x = ring.normalize(x)
+    return any((y * y) % ring.p == x for y in range(ring.p))
+
+
+def _half(ring):
+    return ring.inv(ring.normalize(2))
+
+
+def _reference_representative(label, params, ring):
+    """The family-by-family chain that rank2._FAMILIES replaced."""
+    R = ring
+    n = R.normalize
+    T = rank2.MultTable
+
+    def fp_rootless(poly) -> bool:
+        return R.kind != "Fp" or all(poly(y) != R.zero for y in R.elements())
+
+    if label == "m6":
+        a2, b2 = params
+        return T(R, (1, 0), (a2, b2), (0, 1))
+    if label == "m7":
+        return T(R, (1, 0), (1, _half(R)), (0, 0))
+    if label == "m8":
+        return T(R, (1, 0), (0, _half(R)), (1, 0))
+    if label == "m9":
+        (b2,) = params
+        if R.kind == "Fp" and R.p != 2 and n(b2) == _half(R):
+            raise ValueError("m9 excludes beta2 = 1/2")
+        return T(R, (1, 0), (0, b2), (0, 0))
+    if label == "m10":
+        (a4,) = params
+        return T(R, (1, 0), (1, 0), (a4, 0))
+    if label == "m11":
+        return T(R, (1, 0), (0, 0), (1, 0))
+    if label == "m12":
+        return T(R, (1, 0), (0, 0), (0, 0))
+    if label == "m13":
+        return T(R, (0, 1), (0, 1), (0, 0))
+    if label == "m14":
+        return T(R, (0, 1), (0, 0), (0, 0))
+    if label == "m15":
+        return T(R, (0, 1), (-2, 3), (-8, 8))
+    if label == "m16":
+        return T(R, (0, 0), (1, 0), (0, 0))
+    if label == "m17":
+        return T(R, (0, 0), (0, 0), (0, 0))
+    if label == "m8_1R":
+        (l2,) = params
+        if R.kind == "Fp" and not _is_nonresidue(R, l2):
+            raise ValueError("m8_1R needs a nonresidue lambda2")
+        return T(R, (1, 0), (0, _half(R)), (l2, 0))
+    if label == "m8_2R":
+        b2, l2 = params
+        if R.kind == "Fp":
+            if not _is_nonresidue(R, l2):
+                raise ValueError("m8_2R needs a nonresidue lambda2")
+            if not _is_nonresidue(R, R.sub(R.one, R.mul(n(2), n(b2)))):
+                raise ValueError("m8_2R needs 1 - 2*beta2 a nonresidue")
+        return T(R, (1, 0), (0, b2), (l2, 0))
+    if label == "m11R":
+        (l2,) = params
+        if R.kind == "Fp" and not _is_nonresidue(R, l2):
+            raise ValueError("m11R needs lambda2 outside the nonzero squares")
+        return T(R, (1, 0), (0, 0), (l2, 0))
+    if label == "m14_1R":
+        (a2,) = params
+        if R.kind == "Fp" and _pow_in_squares(R, R.add(R.mul(n(2), n(a2)), R.one)):
+            raise ValueError("m14_1R needs 2*alpha2 + 1 outside the squares")
+        return T(R, (1, 0), (a2, 1), (0, 0))
+    if label == "m14_2R":
+        (a2,) = params
+        if R.kind == "Fp" and _pow_in_squares(R, R.add(R.mul(n(2), n(a2)), R.one)):
+            raise ValueError("m14_2R needs 2*alpha2 + 1 outside the squares")
+        return T(R, (1, 0), (a2, 0), (0, 0))
+    if label == "m15_1R":
+        a2, b2, a4, b4 = coeffs = tuple(map(n, params))
+        if not fp_rootless(lambda y: n(rank2._pa(*coeffs, y))):
+            raise ValueError("m15_1R needs a rootless obstruction polynomial")
+        return T(R, (0, 1), (a2, b2), (a4, b4))
+    if label == "m2_1":
+        return T(R, (1, 0), (0, 1), (0, 1))
+    if label == "m2_2":
+        return T(R, (1, 0), (0, 0), (0, 0))
+    if label == "m2_3":
+        return T(R, (1, 0), (0, 0), (0, 1))
+    if label == "m2_4":
+        (a4,) = params
+        return T(R, (1, 0), (0, 1), (a4, 0))
+    if label == "m2_5":
+        (a4,) = params
+        if R.kind == "Fp":
+            # x^2 + x + a4 must have no roots outside {0, 1}
+            for x in R.elements():
+                if x in (0, 1):
+                    continue
+                if R.add(R.add(R.mul(x, x), x), n(a4)) == R.zero:
+                    raise ValueError("m2_5 side condition violated")
+        return T(R, (1, 0), (0, 1), (a4, 1))
+    if label == "m2_6":
+        return T(R, (0, 1), (0, 0), (0, 0))
+    if label == "m2_7":
+        return T(R, (0, 0), (0, 0), (0, 0))
+    if label == "m2R":
+        a2, b2 = params
+        a2n, b2n = n(a2), n(b2)
+        a4 = R.mul(a2n, b2n)
+        b4 = R.add(a2n, R.mul(b2n, b2n))
+        poly = lambda y: R.add(  # noqa: E731
+            R.add(R.mul(R.mul(y, R.mul(y, y)), R.mul(R.mul(a2n, a2n), R.mul(b2n, b2n))), R.mul(y, b4)),
+            R.one,
+        )
+        if not fp_rootless(poly):
+            raise ValueError("m2R needs a rootless obstruction polynomial")
+        return T(R, (0, 1), (a2, b2), (a4, b4))
+    if label == "nc_left":
+        return T(R, (0, 0), (0, 0), (0, 1), e21=(1, 0))
+    if label == "nc_right":
+        return T(R, (0, 0), (1, 0), (0, 1), e21=(0, 0))
+    raise ValueError(f"unknown family {label!r}")
+
+
+def _outcome(make, label, params, ring, rejections=(ValueError,)):
+    try:
+        return make(label, params, ring).to_json()
+    except rejections:
+        return "rejected"
+
+
+def test_families_match_reference():
+    half = [Fraction(k, 2) for k in range(-3, 4)]
+    for label, (arity, _, _) in rank2._FAMILIES.items():
+        domains = [(GF(p), range(p)) for p in (2, 3, 5, 7)] + [(ZZ, range(-2, 3)), (QQ, half)]
+        for ring, entries in domains:
+            for params in itertools.product(entries, repeat=arity):
+                # the reference divides by 2 where 1/2 is missing
+                want = _outcome(
+                    _reference_representative, label, params, ring, (ValueError, ZeroDivisionError)
+                )
+                got = _outcome(rank2.representative, label, params, ring)
+                assert got == want, (label, params, str(ring))
+
+
+def test_representative_rejects_with_value_error():
+    for label, params, ring, match in (
+        ("m99", (), F3, "unknown family 'm99'"),
+        ("m6", (1,), F3, "family m6 takes 2 parameters, got 1"),
+        ("m12", (0,), F3, "family m12 takes 0 parameters, got 1"),
+        ("m7", (), ZZ, "not an integer"),  # 1/2 is not in Z
+        ("m8", (), F2, "divisible by 2"),
+        ("m11R", (4,), F5, "family m11R excludes"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            rank2.representative(label, params, ring)
+    assert rank2.representative("m7", (), QQ).e12 == (1, Fraction(1, 2))
 
 
 # --- P_R / P_A -------------------------------------------------------------

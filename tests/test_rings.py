@@ -22,6 +22,8 @@ def test_fp_requires_prime():
         GF(1)
     with pytest.raises(ValueError):
         GF(5.0)  # a JSON float modulus would make float residues
+    with pytest.raises(ValueError, match="p <= 2"):
+        GF(1000000016000000063)  # (10**9 + 7)(10**9 + 9), past the bound
 
 
 def test_z_units():
@@ -51,7 +53,7 @@ def test_fp_normalize_residues():
 def test_normalize_rejects_floats_and_bools():
     # JSON numbers like 1.5 or true are not exact scalars; 1.0 is refused too
     for ring in (ZZ, QQ, GF(3)):
-        for x in (1.5, 0.1, 1.0, True, False):
+        for x in (1.5, 0.1, 1.0, True, False, "1/0"):
             with pytest.raises(ValueError):
                 ring.normalize(x)
     assert ZZ.normalize(1) == 1 and type(QQ.normalize(1)) is Fraction
