@@ -18,10 +18,6 @@ from . import rank2, verifier
 from .rings import QQ, ZZ, GF, RingSpec
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_diagram(spec: str) -> dg.LinkDiagram:
     if spec.startswith("builder:"):
         name = spec[len("builder:") :]
@@ -29,16 +25,16 @@ def _load_diagram(spec: str) -> dg.LinkDiagram:
             return dg.BUILDERS[name]()
         except KeyError:
             known = ", ".join(sorted(dg.BUILDERS))
-            raise InputError(f"unknown builder {name!r}; known: {known}") from None
+            raise ValueError(f"unknown builder {name!r}; known: {known}") from None
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise InputError(f"cannot read {spec}: {e}") from None
+        raise ValueError(f"cannot read {spec}: {e}") from None
     try:
         return dg.parse_pd(text)
     except dg.PDError as e:
-        raise InputError(f"{spec}: {e}") from None
+        raise ValueError(f"{spec}: {e}") from None
 
 
 def _parse_ring(spec: str) -> RingSpec:
@@ -50,8 +46,8 @@ def _parse_ring(spec: str) -> RingSpec:
         try:
             return GF(int(spec[3:]))
         except ValueError as e:
-            raise InputError(f"bad ring {spec!r}: {e}") from None
-    raise InputError(f"bad ring {spec!r}; expected Z, Q, or Fp:P")
+            raise ValueError(f"bad ring {spec!r}: {e}") from None
+    raise ValueError(f"bad ring {spec!r}; expected Z, Q, or Fp:P")
 
 
 def _load_json(path: str) -> dict:
@@ -59,7 +55,7 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read {path}: {e}") from None
+        raise ValueError(f"cannot read {path}: {e}") from None
 
 
 def _load_algebra(path: str) -> fb.FrobeniusData:
@@ -67,25 +63,25 @@ def _load_algebra(path: str) -> fb.FrobeniusData:
     try:
         return fb.FrobeniusData.from_json(data)
     except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _algebra_from_args(args) -> fb.FrobeniusData:
     if args.algebra and args.a5:
-        raise InputError("--algebra and --a5 are mutually exclusive")
+        raise ValueError("--algebra and --a5 are mutually exclusive")
     ring = _parse_ring(args.ring) if args.ring else None
     if args.a5:
         try:
             h, t = (int(x) for x in args.a5.split(","))
         except ValueError:
-            raise InputError("--a5 expects two integers: H,T") from None
+            raise ValueError("--a5 expects two integers: H,T") from None
         return fb.a5(h, t, ring or ZZ)
     if args.algebra:
         F = _load_algebra(args.algebra)
         if ring is not None and ring != F.ring:
             return fb.FrobeniusData(ring, F.rank, F.mult, F.comult, F.unit, F.counit)
         return F
-    raise InputError(
+    raise ValueError(
         "homology over the generic two-parameter coefficient ring is not "
         "supported; specialize with --a5 H,T or supply --algebra FILE"
     )
@@ -101,7 +97,7 @@ def _cmd_homology(args) -> int:
     try:
         C = cx.chain_complex(d, F, normalize=args.normalize)
     except dg.PDError as e:  # a code that parses but has no cube, such as a non-planar one
-        raise InputError(f"{args.diagram}: {e}") from None
+        raise ValueError(f"{args.diagram}: {e}") from None
     table = cx.homology(C)
     if args.json:
         _emit_json(table.to_json())
@@ -151,7 +147,7 @@ def _cmd_classify(args) -> int:
     try:
         t = rank2.MultTable.from_json(data)
     except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{args.file}: {e}") from None
+        raise ValueError(f"{args.file}: {e}") from None
     if args.p is not None:
         ring = GF(args.p)
         t = rank2.MultTable(ring, t.e11, t.e12, t.e22, t.e21)
@@ -160,8 +156,6 @@ def _cmd_classify(args) -> int:
     except rank2.ClassificationGap as e:
         print(f"classification gap: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        raise InputError(str(e)) from None
     if args.json:
         _emit_json({"family": label, "params": list(params)})
     else:
@@ -173,12 +167,12 @@ def _cmd_verify(args) -> int:
     reports = []
     which = args.target
     if args.zbound is not None and which != "thm1.2":
-        raise InputError(f"verify {which} takes no --zbound; only thm1.2 runs over a Z box")
+        raise ValueError(f"verify {which} takes no --zbound; only thm1.2 runs over a Z box")
     if args.p is not None and which == "char2":
-        raise InputError("verify char2 runs over F_2 only and takes no --p")
+        raise ValueError("verify char2 runs over F_2 only and takes no --p")
     if which == "thm1.2":
         if args.p is not None and args.zbound is not None:
-            raise InputError("verify thm1.2 takes --p or --zbound, not both")
+            raise ValueError("verify thm1.2 takes --p or --zbound, not both")
         if args.zbound is not None:
             reports.append(verifier.verify_theorem_1_2(zbound=args.zbound))
         elif args.p is not None:
@@ -199,7 +193,7 @@ def _cmd_verify(args) -> int:
         for p in [args.p] if args.p is not None else (2, 3):
             reports.append(verifier.verify_noncommutative(p))
     else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown verify target {which!r}")
+        raise ValueError(f"unknown verify target {which!r}")
 
     if args.json:
         _emit_json([r.to_json() for r in reports])
@@ -265,9 +259,6 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -291,48 +291,6 @@ def normalized_bracket(d: LinkDiagram) -> Laurent:
 # ---------------------------------------------------------------------------
 
 
-def unknot_0() -> LinkDiagram:
-    return LinkDiagram((), free_loops=1, n_plus=0, n_minus=0)
-
-
-def unknot_1kink(sign: int) -> LinkDiagram:
-    if sign == 1:
-        return LinkDiagram(((1, 1, 2, 2),), n_plus=1, n_minus=0)
-    if sign == -1:
-        return LinkDiagram(((1, 2, 2, 1),), n_plus=0, n_minus=1)
-    raise PDError("kink sign must be +1 or -1")
-
-
-def hopf(sign: int) -> LinkDiagram:
-    if sign == 1:
-        return LinkDiagram(((1, 3, 2, 4), (2, 4, 1, 3)), n_plus=2, n_minus=0)
-    if sign == -1:
-        return LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), n_plus=0, n_minus=2)
-    raise PDError("hopf sign must be +1 or -1")
-
-
-def trefoil(hand: str) -> LinkDiagram:
-    if hand == "left":
-        return LinkDiagram(
-            ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), n_plus=0, n_minus=3
-        )
-    if hand == "right":
-        return LinkDiagram(
-            ((4, 2, 5, 1), (6, 4, 1, 3), (2, 6, 3, 5)), n_plus=3, n_minus=0
-        )
-    raise PDError("trefoil hand must be 'left' or 'right'")
-
-
-def figure10_d1() -> LinkDiagram:
-    """Two-crossing two-component diagram removable by one RII move."""
-    return LinkDiagram(((1, 3, 2, 4), (2, 3, 1, 4)), n_plus=1, n_minus=1)
-
-
-def figure10_d2() -> LinkDiagram:
-    """Crossing-free two-component unlink."""
-    return LinkDiagram((), free_loops=2, n_plus=0, n_minus=0)
-
-
 def rii_pair(base: LinkDiagram, arc: int) -> LinkDiagram:
     """Push a finger of the named arc across itself: two extra crossings
     forming an empty bigon (one positive, one negative).  The result is
@@ -359,14 +317,21 @@ def rii_pair(base: LinkDiagram, arc: int) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), base.free_loops, np, nm)
 
 
+# Zero-argument builders of the built-in diagrams, by name.
 BUILDERS = {
-    "unknot_0": unknot_0,
-    "unknot_1kink_pos": lambda: unknot_1kink(1),
-    "unknot_1kink_neg": lambda: unknot_1kink(-1),
-    "hopf_pos": lambda: hopf(1),
-    "hopf_neg": lambda: hopf(-1),
-    "trefoil_left": lambda: trefoil("left"),
-    "trefoil_right": lambda: trefoil("right"),
-    "figure10_d1": figure10_d1,
-    "figure10_d2": figure10_d2,
+    "unknot_0": lambda: LinkDiagram((), free_loops=1, n_plus=0, n_minus=0),
+    "unknot_1kink_pos": lambda: LinkDiagram(((1, 1, 2, 2),), n_plus=1, n_minus=0),
+    "unknot_1kink_neg": lambda: LinkDiagram(((1, 2, 2, 1),), n_plus=0, n_minus=1),
+    "hopf_pos": lambda: LinkDiagram(((1, 3, 2, 4), (2, 4, 1, 3)), n_plus=2, n_minus=0),
+    "hopf_neg": lambda: LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), n_plus=0, n_minus=2),
+    "trefoil_left": lambda: LinkDiagram(
+        ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), n_plus=0, n_minus=3
+    ),
+    "trefoil_right": lambda: LinkDiagram(
+        ((4, 2, 5, 1), (6, 4, 1, 3), (2, 6, 3, 5)), n_plus=3, n_minus=0
+    ),
+    # two-crossing two-component diagram removable by one RII move
+    "figure10_d1": lambda: LinkDiagram(((1, 3, 2, 4), (2, 3, 1, 4)), n_plus=1, n_minus=1),
+    # crossing-free two-component unlink
+    "figure10_d2": lambda: LinkDiagram((), free_loops=2, n_plus=0, n_minus=0),
 }

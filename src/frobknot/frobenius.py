@@ -52,33 +52,18 @@ class FrobeniusData:
     # -- elementwise operations -------------------------------------------
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
+        """Product of two vectors: the merge map applied to u (x) v."""
         R, r = self.ring, self.rank
-        out = [R.zero] * r
-        for i in range(r):
-            ui = R.normalize(u[i])
-            if ui == R.zero:
-                continue
-            for j in range(r):
-                vj = R.normalize(v[j])
-                if vj == R.zero:
-                    continue
-                c = R.mul(ui, vj)
-                for k in range(r):
-                    out[k] = R.add(out[k], R.mul(c, self.mult[i][j][k]))
-        return tuple(out)
+        u, v = ([R.normalize(x) for x in w] for w in (u, v))
+        if len(u) != r or len(v) != r:
+            raise ValueError(f"product takes two vectors of length {r}")
+        uv = [R.mul(a, b) for a in u for b in v]
+        return tuple(generator_map(self, 2, 1, Merge(1, 2, 1)).mul_vector(uv))
 
     def coproduct(self, v: Sequence) -> tuple:
-        """Coproduct of a vector, as an r*r coefficient tuple (first factor slow)."""
-        R, r = self.ring, self.rank
-        out = [R.zero] * (r * r)
-        for k in range(r):
-            vk = R.normalize(v[k])
-            if vk == R.zero:
-                continue
-            for i in range(r):
-                for j in range(r):
-                    out[i * r + j] = R.add(out[i * r + j], R.mul(vk, self.comult[k][i][j]))
-        return tuple(out)
+        """Coproduct of a vector, as an r*r coefficient tuple (first factor
+        slow): the split map applied to v."""
+        return tuple(generator_map(self, 1, 2, Split(1, 1, 2)).mul_vector(v))
 
     # -- serialization -----------------------------------------------------
 
@@ -272,13 +257,10 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     return FrobeniusData(R, 2, mult, comult, unit=(1, 0), counit=(R.neg(c), a))
 
 
-def _left_mult(R: RingSpec, c, y) -> list:
-    """Matrix of v |-> y*v: entry (k, j) is the e_k coefficient of y*e_j."""
-    r = len(c)
-    return [
-        [_sum(R, (R.mul(y[i], c[i][j][k]) for i in range(r))) for j in range(r)]
-        for k in range(r)
-    ]
+def _left_mult(F: FrobeniusData, y: Sequence) -> list:
+    """Matrix of v |-> y*v: column j is y*e_j."""
+    basis = [[int(i == j) for i in range(F.rank)] for j in range(F.rank)]
+    return [list(row) for row in zip(*(F.product(y, e) for e in basis))]
 
 
 def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
@@ -289,9 +271,7 @@ def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
     form a coset of a nontrivial kernel raise ValueError."""
     if F.unit is None:
         raise ValueError("algebra has no unit")
-    R = F.ring
-    Ly = _left_mult(R, F.mult, [R.normalize(x) for x in y])
-    sol = solve_linear(_matrix(R, Ly), list(F.unit))
+    sol = solve_linear(_matrix(F.ring, _left_mult(F, y)), list(F.unit))
     return tuple(sol) if sol is not None else None
 
 
@@ -299,13 +279,12 @@ def twist(F: FrobeniusData, y: Sequence) -> FrobeniusData:
     """Replace counit by v |-> counit(y*v) and coproduct by v |-> coproduct
     of y^{-1}*v.  Multiplication and unit are untouched."""
     R, r = F.ring, F.rank
-    y = tuple(R.normalize(x) for x in y)
     yinv = invert_element(F, y)
     if yinv is None:
         raise ValueError("twisting element is not invertible")
 
-    Ly = _left_mult(R, F.mult, y)
-    Lyi = _left_mult(R, F.mult, yinv)
+    Ly = _left_mult(F, y)
+    Lyi = _left_mult(F, yinv)
     new_counit = None
     if F.counit is not None:
         new_counit = tuple(

@@ -271,13 +271,6 @@ def rank(M: ExactMatrix) -> int:
     return M._reduced[0]
 
 
-def _to_field(M: ExactMatrix) -> tuple[RingSpec, list]:
-    """Lift to the fraction field (Z -> Q); fields pass through."""
-    if M.ring == ZZ:
-        return QQ, [[Fraction(x) for x in M.row(i)] for i in range(M.rows)]
-    return M.ring, M.to_lists()
-
-
 def _row_echelon(ring: RingSpec, m: list, cols: int) -> list:
     """In-place reduction to reduced echelon form; returns pivot column list."""
     pivots = []
@@ -311,10 +304,9 @@ def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
     """
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
-    field, m = _to_field(M)
-    for row, x in zip(m, b):
-        x = M.ring.normalize(x)
-        row.append(Fraction(x) if M.ring == ZZ else x)
+    # over Z the rows stay integers: QQ.inv turns each pivot row into Fractions
+    field = QQ if M.ring == ZZ else M.ring
+    m = [list(M.row(i)) + [M.ring.normalize(x)] for i, x in enumerate(b)]
     pivots = _row_echelon(field, m, M.cols + 1)
     if pivots and pivots[-1] == M.cols:
         return None  # inconsistent

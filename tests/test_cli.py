@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot import rank2
 from frobknot.cli import main
-from frobknot.rings import GF, QQ
+from frobknot.rings import GF, QQ, ZZ
 
 
 def run(capsys, *argv):
@@ -223,3 +229,140 @@ def test_nonplanar_and_phantom_orient_inputs_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "which no crossing has" in captured.err
+
+
+# homology --a5 0,0 --normalize --json over Z as (i, free rank, torsion) rows,
+# and bracket --json, of every built-in diagram, as first written down
+FROZEN_BUILDERS = {
+    "unknot_0": ([(0, 2, [])], {"0": 1}),
+    "unknot_1kink_pos": ([(0, 2, []), (1, 0, [])], {"3": -1}),
+    "unknot_1kink_neg": ([(-1, 0, []), (0, 2, [])], {"-3": -1}),
+    "hopf_pos": ([(0, 2, []), (1, 0, []), (2, 2, [])], {"-4": -1, "4": -1}),
+    "hopf_neg": ([(-2, 2, []), (-1, 0, []), (0, 2, [])], {"-4": -1, "4": -1}),
+    "trefoil_left": ([(-3, 1, []), (-2, 1, [2]), (-1, 0, []), (0, 2, [])], {"-5": -1, "3": -1, "7": 1}),
+    "trefoil_right": ([(0, 2, []), (1, 0, []), (2, 1, []), (3, 1, [2])], {"-3": -1, "-7": 1, "5": -1}),
+    "figure10_d1": ([(-1, 0, []), (0, 4, []), (1, 0, [])], {"-2": -1, "2": -1}),
+    "figure10_d2": ([(0, 4, [])], {"-2": -1, "2": -1}),
+}
+
+
+@pytest.mark.parametrize("name", list(dg.BUILDERS))
+def test_builders_are_frozen(capsys, name):
+    assert list(dg.BUILDERS) == list(FROZEN_BUILDERS)
+    rows, bracket = FROZEN_BUILDERS[name]
+    code, out = run(capsys, "homology", f"builder:{name}", "--a5", "0,0", "--normalize", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "groups": [{"i": i, "free_rank": f, "torsion": t} for i, f, t in rows],
+        "normalized": True,
+        "ring": {"kind": "Z"},
+    }
+    code, out = run(capsys, "bracket", f"builder:{name}", "--json")
+    assert (code, json.loads(out)) == (0, {"bracket": bracket})
+
+
+# --- fuzzing the input contract: 0 ok, 1 only for a failed relation or a
+# classification gap, 2 for bad input, and never a traceback -----------------
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "4", "5", "7", "-1", "+", "-", "X", "O", "SIGNS", "ORIENT", "#", "a", "1.5", ""]
+)
+_LEAVES = st.one_of(
+    st.integers(-3, 7),
+    st.sampled_from(["1/2", "1/0", "-2", "x", "", 1.5, True, None, [], {}, [0], 2**40, "Z", "Fp"]),
+)
+_RINGS = st.one_of(
+    st.sampled_from(["Z", "Q", "Fp:2", "Fp:3", "Fp:5", "Fp:4", "Fp:0", "Fp:-3", "Fp:", "Fp:x", "R"]),
+    st.text(alphabet="ZQFp:0123456789-", max_size=6),
+)
+
+
+def _pd_text(d) -> list:
+    lines = [f"X {a} {b} {c} {e}" for a, b, c, e in d.crossings] + ["O"] * d.free_loops
+    return lines + ["SIGNS " + " ".join("+" * d.n_plus + "-" * d.n_minus)]
+
+
+def _slots(x) -> list:
+    """Every (container, key) pair in a JSON tree."""
+    items = list(x.items()) if isinstance(x, dict) else list(enumerate(x)) if isinstance(x, list) else []
+    return [(x, k) for k, _ in items] + [s for _, v in items for s in _slots(v)]
+
+
+def _mutated_json(draw, data):
+    data = json.loads(json.dumps(data))
+    for _ in range(draw(st.integers(0, 2))):
+        slots = _slots(data)
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            parent[key] = draw(_LEAVES)
+        else:
+            del parent[key]
+    return data
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, files): a command line and the files it names, by placeholder."""
+    kind = draw(st.sampled_from(["pd", "algebra", "table"]))
+    ring = draw(st.one_of(st.none(), _RINGS))
+    ring_opt = ["--ring", ring] if ring is not None else []
+    if kind == "pd":
+        lines = _pd_text(dg.BUILDERS[draw(st.sampled_from(list(dg.BUILDERS)))]())
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(lines)))
+            tokens = draw(st.lists(_TOKENS, max_size=5))
+            if i < len(lines) and draw(st.booleans()):
+                parts = lines[i].split() or [""]
+                parts[draw(st.integers(0, len(parts) - 1))] = tokens[0] if tokens else ""
+                lines[i] = " ".join(parts)
+            else:
+                lines.insert(i, " ".join(tokens))
+        a5 = draw(st.sampled_from(["0,0", "1,1", "2,-1", "x", "1"]))
+        flags = draw(st.lists(st.sampled_from(["--normalize", "--json"]), unique=True))
+        argv = draw(st.sampled_from([["homology", "{f}", "--a5", a5, *ring_opt, *flags], ["bracket", "{f}"]]))
+        return argv, "\n".join(lines) + "\n"
+    if kind == "algebra":
+        R = draw(st.sampled_from([ZZ, QQ, GF(2), GF(3)]))
+        base = fr.a5(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), R).to_json()
+        for key in ("unit", "counit"):  # declared, they reject most changed tensors
+            if draw(st.booleans()):
+                del base[key]
+        argv = draw(
+            st.sampled_from(
+                [
+                    ["check-algebra", "{f}", "--json"],
+                    ["relations", "{f}"],
+                    ["homology", "builder:hopf_pos", "--algebra", "{f}", *ring_opt],
+                ]
+            )
+        )
+        return argv, json.dumps(_mutated_json(draw, base))
+    R = draw(st.sampled_from([GF(2), GF(3), GF(5)]))
+    pair = st.tuples(*[st.sampled_from(range(R.p))] * 2)
+    table = rank2.MultTable(R, draw(pair), draw(pair), draw(pair), draw(st.one_of(st.none(), pair)))
+    p = draw(st.one_of(st.none(), st.sampled_from([2, 3, 5]), st.integers(-1, 7)))
+    argv = ["classify", "{f}", "--json"] + (["--p", str(p)] if p is not None else [])
+    return argv, json.dumps(_mutated_json(draw, table.to_json()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_calls())
+def test_cli_fuzz_keeps_the_exit_code_contract(call):
+    argv, text = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if a == "{f}" else a for a in argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith(("error: ", "usage: ")), err
+    elif code == 1:
+        assert argv[0] == "relations" or err.startswith("classification gap: "), (argv, err)
+    else:
+        assert code == 0 and err == "", (code, err)

@@ -172,7 +172,7 @@ def test_universal_coefficients():
     # read off the integral table
     diagrams = [b() for b in dg.BUILDERS.values()]
     for hand in ("left", "right"):
-        base = dg.trefoil(hand)
+        base = dg.BUILDERS[f"trefoil_{hand}"]()
         diagrams += [dg.rii_pair(base, arc) for arc in (1, 4)]
     for d in diagrams:
         cube = dg.build_cube(d)

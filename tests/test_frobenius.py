@@ -216,6 +216,40 @@ def test_unit_over_z_is_the_integral_rational_solution(F):
     assert fr._unit(ZZ, c) == expect
 
 
+@settings(max_examples=100, deadline=None)
+@given(structure_tensors(rings=(ZZ, QQ, F2, F3, F5)), st.data())
+def test_product_and_coproduct_match_the_structure_constants(F, data):
+    # oracle: the sums over mult[i][j][k] and comult[k][i][j] that the merge
+    # and split maps replace, value and scalar type
+    R, r, rng = F.ring, F.rank, range(F.rank)
+    vec = st.lists(st.sampled_from((0, 1, -1, 2, "1/3" if R == QQ else "4")), min_size=r, max_size=r)
+    u, v = ([R.normalize(x) for x in data.draw(vec)] for _ in range(2))
+    typed = lambda xs: [(type(x), x) for x in xs]
+    prod = [sum((u[i] * v[j] * F.mult[i][j][k] for i in rng for j in rng), R.zero) for k in rng]
+    coprod = [sum((v[k] * F.comult[k][i][j] for k in rng), R.zero) for i in rng for j in rng]
+    if R.p:
+        prod, coprod = [x % R.p for x in prod], [x % R.p for x in coprod]
+    assert typed(F.product(u, v)) == typed(prod)
+    assert typed(F.coproduct(v)) == typed(coprod)
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    # extra entries were dropped and short vectors raised IndexError; a
+    # length-1 and a length-4 vector must not pass as one rank^2 vector
+    F = fr.a5(0, 0)
+    for u, v in (((1, 0), (0, 1, 7)), ((1, 0, 0), (0, 1)), ((1,), (0, 1)), ((1,), (1, 0, 0, 0))):
+        with pytest.raises(ValueError):
+            F.product(u, v)
+    for v in ((0, 1, 5), (1,), ()):
+        with pytest.raises(ValueError):
+            F.coproduct(v)
+    for y in ((1, 0, 3), (1,)):
+        with pytest.raises(ValueError):
+            fr.invert_element(F, y)
+        with pytest.raises(ValueError):
+            fr.twist(F, y)
+
+
 # --- JSON ------------------------------------------------------------------------
 
 
