@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification counterexample / failed relation,
-2 input error.
+2 input error.  A reader that closes the pipe early ends the run quietly
+with exit 0.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import complex as cx
@@ -258,10 +260,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return code
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; what is left goes to devnull, so the flush
+        # at exit stays silent
+        sys.stdout = open(os.devnull, "w")
+        return 0
 
 
 if __name__ == "__main__":

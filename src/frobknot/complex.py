@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube
-from .frobenius import FrobeniusData, Merge, Split, a5, generator_map
+from .frobenius import FrobeniusData
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
-from .rings import ZZ, RingSpec
+from .rings import RingSpec
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,45 @@ class HomologyTable:
         }
 
 
+# (rank, mult, comult, unit, counit) of a5(0, 0); Fraction(1) == 1, so one
+# comparison serves Z, Q and F_p
+_GRADED = (2, (((1, 0), (0, 1)), ((0, 1), (0, 0))), (((0, 1), (1, 0)), ((0, 0), (0, 1))),
+           (1, 0), (0, 1))
+
+
 def _is_graded_algebra(F: FrobeniusData) -> bool:
-    return F.rank == 2 and F == a5(0, 0, F.ring)
+    return (F.rank, F.mult, F.comult, F.unit, F.counit) == _GRADED
+
+
+def _edge_kernel(F: FrobeniusData, c_in: int, kind: str, src: tuple, dst: tuple) -> tuple:
+    """The block of one edge shape as (spectators, cells): the (row, col)
+    offset pairs of the untouched circles' basis bits, and for each sign the
+    (row, col, value) nonzeros of the product or coproduct on the touched
+    positions, sorted, so each row takes its cells in column order.
+    Untouched circles keep their order, first factor slowest, as in the
+    tensor-power bases."""
+    R, r = F.ring, F.rank
+    rng = range(r)
+    if kind == "merge":
+        c_out = c_in - 1
+        table = [((x, y), (s,), F.mult[x][y][s]) for x in rng for y in rng for s in rng]
+    else:
+        c_out = c_in + 1
+        table = [((x,), (u, v), F.comult[x][u][v]) for x in rng for u in rng for v in rng]
+    w_in = [r ** (c_in - 1 - p) for p in range(c_in)]
+    w_out = [r ** (c_out - 1 - p) for p in range(c_out)]
+    cells = sorted(
+        (sum(w_out[p] * b for p, b in zip(dst, out)), sum(w_in[p] * b for p, b in zip(src, inp)), v)
+        for inp, out, v in table
+        if v != R.zero
+    )
+    spectators = [(0, 0)]
+    carried = zip(
+        (w for p, w in enumerate(w_out) if p not in dst), (w for p, w in enumerate(w_in) if p not in src)
+    )
+    for wo, wi in carried:
+        spectators = [(so + wo * b, si + wi * b) for so, si in spectators for b in rng]
+    return spectators, (cells, [(a, b, R.neg(v)) for a, b, v in cells])
 
 
 def build_complex(
@@ -77,7 +114,7 @@ def build_complex(
     edges_by_degree: list[list] = [[] for _ in range(n)]
     for e in cube.edges:
         edges_by_degree[sum(e.s1)].append(e)
-    cells: dict[tuple, list] = {}  # nonzero cells of each distinct generator map
+    kernels: dict[tuple, tuple] = {}  # edge shape -> _edge_kernel
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
@@ -85,22 +122,18 @@ def build_complex(
         # receives its columns in increasing order, each at most once
         scatter: list[list] = [[] for _ in range(rows)]
         for e in edges:
-            c_in = len(cube.circles[e.s1])
-            key = (c_in, e.kind, e.src, e.dst)
-            nz = cells.get(key)
-            if nz is None:
-                if e.kind == "merge":
-                    op = Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
-                    mat = generator_map(F, c_in, c_in - 1, op)
-                else:
-                    op = Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
-                    mat = generator_map(F, c_in, c_in + 1, op)
-                nz = cells[key] = [(a, b, v) for a, row in enumerate(mat.nz) for b, v in row]
-            negate = e.sign < 0
+            key = (len(cube.circles[e.s1]), e.kind, e.src, e.dst)
+            kernel = kernels.get(key)
+            if kernel is None:
+                kernel = kernels[key] = _edge_kernel(F, *key)
+            spectators, signed = kernel
+            cells = signed[e.sign < 0]
             ro, co = offsets[e.s2], offsets[e.s1]
-            for a, b, v in nz:
-                scatter[ro + a].append((co + b, R.neg(v) if negate else v))
-        # generator_map entries are already ring elements: no normalization
+            for so, si in spectators:
+                row, col = ro + so, co + si
+                for a, b, v in cells:
+                    scatter[row + a].append((col + b, v))
+        # structure constants are already ring elements: no normalization
         diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled
 

@@ -160,42 +160,81 @@ def _signs_from_orientation(crossings, components) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _smoothings(q) -> tuple:
+    """The arc pairs the 0- and the 1-smoothing of crossing q join."""
+    a, b, c, d = q
+    return ((a, b), (c, d)), ((a, d), (b, c))
+
+
+def _union(parent: list, pairs) -> int:
+    """Join the circles of each pair; returns how many joins merged two.
+
+    parent[x] <= x throughout: a union hangs the larger root under the
+    smaller, so every root is the minimal label of its circle."""
+    merged = 0
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+            merged += 1
+    return merged
+
+
+def _circles(d: LinkDiagram, parent: list) -> tuple:
+    """(circles, where) of a finished union-find array: the circles as
+    ``resolve`` returns them, and the position of each arc label's circle.
+    In label order each parent is already a root, so one pass compresses,
+    and roots first appear in circle order."""
+    where = [0] * (d.arc_count + 1)
+    circles = [(-i,) for i in range(d.free_loops, 0, -1)]
+    for a in range(1, d.arc_count + 1):
+        parent[a] = root = parent[parent[a]]
+        if root == a:
+            where[a] = len(circles)
+            circles.append([a])
+        else:
+            where[a] = i = where[root]
+            circles[i].append(a)
+    return tuple(map(tuple, circles)), where
+
+
+def _states(d: LinkDiagram):
+    """(parent, circle count) of every state, in lexicographic order.
+
+    A depth-first walk over the crossings: states that share a prefix share
+    that prefix's unions.  The walk goes on down the 0-branch in place and
+    leaves a copy, joined at the 1-smoothing, on the stack, so each yielded
+    array is the caller's to keep or change."""
+    n = d.n_crossings
+    joins = [_smoothings(q) for q in d.crossings]
+    stack = [(0, list(range(d.arc_count + 1)), d.arc_count + d.free_loops)]
+    while stack:
+        k, parent, count = stack.pop()
+        for zero, one in joins[k:]:
+            other = parent[:]
+            stack.append((k + 1, other, count - _union(other, one)))
+            count -= _union(parent, zero)
+            k += 1
+        yield parent, count
+
+
 def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
     """Circle partition of the state: tuple of sorted arc-label tuples,
     ordered by minimal label.  Crossing-free loops appear as single
     synthetic negative labels."""
     if len(state) != d.n_crossings:
         raise PDError("state length does not match crossing count")
-    # parent[x] <= x throughout: a union hangs the larger root under the
-    # smaller, so every root is the minimal label of its circle
     parent = list(range(d.arc_count + 1))
-    for (a, b, c, dd), bit in zip(d.crossings, state):
-        if bit == 0:
-            pairs = ((a, b), (c, dd))
-        elif bit == 1:
-            pairs = ((a, dd), (b, c))
-        else:
+    for q, bit in zip(d.crossings, state):
+        if bit not in (0, 1):
             raise PDError("state bits must be 0 or 1")
-        for x, y in pairs:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            while parent[y] != y:
-                parent[y] = parent[parent[y]]
-                y = parent[y]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
-
-    # in label order each parent is already a root, so one pass compresses
-    groups: dict[int, list[int]] = {}
-    for a in range(1, d.arc_count + 1):
-        parent[a] = root = parent[parent[a]]
-        groups.setdefault(root, []).append(a)
-    circles = [(-i,) for i in range(d.free_loops, 0, -1)]
-    circles += map(tuple, groups.values())
-    return tuple(circles)
+        _union(parent, _smoothings(q)[bit == 1])
+    return _circles(d, parent)[0]
 
 
 @dataclass(frozen=True)
@@ -224,26 +263,26 @@ class ResolutionCube:
 
 
 def build_cube(d: LinkDiagram) -> ResolutionCube:
-    """Resolve every state and classify each edge at the crossing it flips:
-    a merge when the circles of a and c differ in s1, else a split when
-    those of a and b differ in s2; no planar diagram has a third case."""
+    """Resolve every state in one walk and classify each edge at the
+    crossing it flips: a merge when the circles of a and c differ in s1,
+    else a split when those of a and b differ in s2; no planar diagram has
+    a third case."""
     n = d.n_crossings
-    circles = {s: resolve(d, s) for s in itertools.product((0, 1), repeat=n)}
-    where = {}  # state -> position of each arc label's circle
-    for s, cs in circles.items():
-        w = where[s] = [0] * (d.arc_count + 1)
-        for i, c in enumerate(cs[d.free_loops :], d.free_loops):
-            for a in c:
-                w[a] = i
+    states = list(itertools.product((0, 1), repeat=n))
+    circles, where = {}, []  # where[i]: position of each arc's circle in states[i]
+    for s, (parent, _) in zip(states, _states(d)):
+        circles[s], w = _circles(d, parent)
+        where.append(w)
     edges = []
-    for s1, w1 in where.items():
+    for i, s1 in enumerate(states):
+        w1 = where[i]
         ones = sum(s1)  # 1-bits of s1 before pos, as pos falls
         for pos in reversed(range(n)):  # s2 rises as the raised bit moves left
             if s1[pos]:
                 ones -= 1
                 continue
-            s2 = s1[:pos] + (1,) + s1[pos + 1 :]
-            w2 = where[s2]
+            j = i + (1 << (n - 1 - pos))
+            w2 = where[j]
             a, b, c, dd = d.crossings[pos]
             if w1[a] != w1[c]:
                 kind, src, dst = "merge", tuple(sorted((w1[a], w1[c]))), (w2[a],)
@@ -254,7 +293,7 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
                     f"crossing {pos + 1} (X {a} {b} {c} {dd}) keeps one circle when "
                     "its smoothing flips; the PD code is not planar"
                 )
-            edges.append(CubeEdge(s1, s2, kind, src, dst, -1 if ones % 2 else 1))
+            edges.append(CubeEdge(s1, states[j], kind, src, dst, -1 if ones % 2 else 1))
     return ResolutionCube(d, circles, tuple(edges))
 
 
@@ -265,14 +304,14 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
 
 def kauffman_bracket(d: LinkDiagram) -> Laurent:
     """State sum over all smoothings: sum of A^(#0 - #1) * delta^(circles - 1)
-    with delta = -A^2 - A^(-2).  Direct enumeration through ``resolve``, no
-    cube involved: the states are tallied by (A-exponent, circle count), and
-    each distinct pair contributes its multiplicity times one such term."""
+    with delta = -A^2 - A^(-2).  Direct enumeration of the circle counts,
+    no cube involved: the states are tallied by (A-exponent, circle count),
+    and each distinct pair contributes its multiplicity times one such term."""
     delta = Laurent.from_dict({2: -1, -2: -1})
     n = d.n_crossings
     tally: dict[tuple, int] = {}
-    for s in itertools.product((0, 1), repeat=n):
-        key = (n - 2 * sum(s), len(resolve(d, s)))
+    for s, (_, count) in zip(itertools.product((0, 1), repeat=n), _states(d)):
+        key = (n - 2 * sum(s), count)
         tally[key] = tally.get(key, 0) + 1
     total = Laurent.zero()
     for (e, c), k in tally.items():

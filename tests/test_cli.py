@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot import rank2
+from frobknot import cli
 from frobknot.cli import main
 from frobknot.rings import GF, QQ, ZZ
 
@@ -173,6 +177,38 @@ def test_parser_survives_a_usage_error(capsys):
     code, out = run(capsys, "homology", "builder:unknot_0", "--a5", "0,0", "--json")
     assert code == 0
     assert [g["free_rank"] for g in json.loads(out)["groups"]] == [2]
+
+
+ONE_CALL = "import sys; from frobknot.cli import main; sys.exit(main())"
+# three in-process calls: after the first meets the closed pipe, the rest
+# must not fail on it either
+THREE_CALLS = "import sys; from frobknot.cli import main; sys.exit(max([main() for _ in range(3)]))"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (ONE_CALL, ["bracket", "builder:trefoil_left", "--json"]),
+        (THREE_CALLS, ["verify", "thm1.1", "--p", "5", "--json"]),
+    ],
+    ids=["one call", "three calls"],
+)
+def test_closed_stdout_exits_quietly(code, argv):
+    # the reader has closed the pipe before the CLI writes a byte
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 def test_verify_subcommand(capsys):

@@ -1,12 +1,15 @@
 """The cube-side stages against per-term references.
 
-``resolve``, ``build_cube``, ``kauffman_bracket``, ``build_complex`` and
-``graded_euler_characteristic`` count states, classify edges at their
-crossing, tally monomials and append row cells in order.  The references
-below are the direct forms they replaced: a breadth-first search for
-circles, set differences over every circle of both states of an edge, one
-Laurent term per state or generator, and a per-row dict scatter sorted at
-the end with each edge's sign counted from its states.
+``build_cube`` and ``kauffman_bracket`` resolve every state in one
+depth-first walk over the crossings; ``build_cube`` classifies edges at
+their crossing, ``kauffman_bracket`` tallies monomials, and
+``build_complex`` appends row cells in order from a small kernel per edge
+shape.  The references below are the direct forms they replaced: a
+breadth-first search for circles, one ``resolve`` per state, set
+differences over every circle of both states of an edge, one Laurent term
+per state or generator, and the whole ``generator_map`` matrix of each edge
+scattered into per-row dicts, sorted at the end, with each edge's sign
+counted from its states.
 """
 
 import importlib.util
@@ -19,7 +22,7 @@ from frobknot import complex as cx
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot.laurent import Laurent
-from frobknot.rings import GF
+from frobknot.rings import GF, QQ, ZZ
 
 _spec = importlib.util.spec_from_file_location(
     "braid", Path(__file__).resolve().parents[1] / "perfbench" / "braid.py"
@@ -41,6 +44,15 @@ def random_closures(seed=20261018, count=40):
         strands = rng.randint(2, 4)
         word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 7))]
         out.append(closure(word, strands))
+    return out
+
+
+def eight_crossing_closures(seed=816, count=6):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(2, 4)
+        out.append(closure([rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(8)], strands))
     return out
 
 
@@ -81,6 +93,16 @@ def components(d, state):
     return tuple(sorted(circles))
 
 
+def where_of(d, circles):
+    """Position of each arc label's circle, 0 at the unused label 0."""
+    where = [0] * (d.arc_count + 1)
+    for i, c in enumerate(circles):
+        for a in c:
+            if a > 0:
+                where[a] = i
+    return where
+
+
 def edges_by_set_difference(cube):
     """(s1, s2, kind, src, dst) of every edge, sorted: the circles of s1
     missing from s2 are the source, those of s2 missing from s1 the target."""
@@ -118,8 +140,9 @@ def euler_per_generator(C):
 
 
 def complex_by_dict_scatter(cube, F, normalize):
-    """(ranks, differential rows, q-degrees): each row filled as a dict and
-    sorted, each state's q-degrees from its own product over basis bits."""
+    """(ranks, differential rows, q-degrees): each edge's whole
+    ``generator_map`` matrix scattered into rows filled as dicts and sorted,
+    each state's q-degrees from its own product over basis bits."""
     d, R, r = cube.diagram, F.ring, F.rank
     n = d.n_crossings
     by_degree = [[] for _ in range(n + 1)]
@@ -174,6 +197,18 @@ def test_resolve_matches_breadth_first_search():
             assert dg.resolve(d, s) == components(d, s), (d, s)
 
 
+def test_state_walk_matches_graph_walk():
+    # circles, arc positions and circle counts of every state, in order
+    for d in diagrams() + eight_crossing_closures():
+        states = list(itertools.product((0, 1), repeat=d.n_crossings))
+        walked = list(dg._states(d))
+        assert len(walked) == len(states), d
+        for s, (parent, count) in zip(states, walked):
+            circles = components(d, s)
+            assert count == len(circles), (d, s)
+            assert dg._circles(d, parent) == (circles, where_of(d, circles)), (d, s)
+
+
 def test_cube_edges_match_set_differences():
     for d in diagrams():
         cube = dg.build_cube(d)
@@ -201,3 +236,31 @@ def test_complex_and_euler_match_references():
                 if q_degrees is not None:
                     assert cx.graded_euler_characteristic(C) == euler_per_generator(C)
                     assert cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d)
+
+
+def scaled(R):
+    """a5(0, 0) with its product times 2 and its coproduct times 3."""
+    mult = (((2, 0), (0, 2)), ((0, 2), (0, 0)))
+    comult = (((0, 3), (3, 0)), ((0, 0), (0, 3)))
+    return fr.FrobeniusData(R, 2, mult, comult)
+
+
+def rank3(R, seed=3):
+    """Seeded rank-3 structure constants, neither commutative nor
+    cocommutative, so a leg order mix-up shows."""
+    rng = random.Random(seed)
+    tensor = lambda: [[[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    return fr.FrobeniusData(R, 3, tensor(), tensor())
+
+
+def test_complex_matches_generator_map_over_rings():
+    small = [d for d in diagrams() if d.n_crossings <= 5]
+    for R in (ZZ, QQ, GF(2), GF(3)):
+        algebras = [fr.a5(0, 0, R), fr.a5(1, 1, R), fr.a5(1, -1, R), scaled(R), rank3(R)]
+        for F in algebras:
+            for d in small if F.rank == 2 else small[::3]:
+                cube = dg.build_cube(d)
+                normalize = d.oriented
+                C = cx.build_complex(cube, F, normalize)
+                ranks, rows, q_degrees = complex_by_dict_scatter(cube, F, normalize)
+                assert (C.ranks, tuple(m.nz for m in C.diffs), C.q_degrees) == (ranks, rows, q_degrees), (R, F, d)
