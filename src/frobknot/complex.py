@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube
@@ -59,35 +60,37 @@ def _is_graded_algebra(F: FrobeniusData) -> bool:
     return (F.rank, F.mult, F.comult, F.unit, F.counit) == _GRADED
 
 
-def _edge_kernel(F: FrobeniusData, c_in: int, kind: str, src: tuple, dst: tuple) -> tuple:
+def _local_cells(F: FrobeniusData) -> tuple:
+    """The nonzero structure constants of the product and of the coproduct,
+    by edge kind, as (input bits, output bits, value), and each value's
+    negative."""
+    R, rng = F.ring, range(F.rank)
+    cells = {
+        "merge": [((x, y), (s,), v) for x in rng for y in rng for s in rng
+                  if (v := F.mult[x][y][s]) != R.zero],
+        "split": [((x,), (u, w), v) for x in rng for u in rng for w in rng
+                  if (v := F.comult[x][u][w]) != R.zero],
+    }
+    return cells, {v: R.neg(v) for table in cells.values() for _, _, v in table}
+
+
+def _edge_kernel(r: int, local: list, neg: dict, c_in: int, c_out: int, src: tuple,
+                 dst: tuple) -> tuple:
     """The block of one edge shape as (spectators, cells): the (row, col)
-    offset pairs of the untouched circles' basis bits, and for each sign the
-    (row, col, value) nonzeros of the product or coproduct on the touched
-    positions, sorted, so each row takes its cells in column order.
-    Untouched circles keep their order, first factor slowest, as in the
-    tensor-power bases."""
-    R, r = F.ring, F.rank
-    rng = range(r)
-    if kind == "merge":
-        c_out = c_in - 1
-        table = [((x, y), (s,), F.mult[x][y][s]) for x in rng for y in rng for s in rng]
-    else:
-        c_out = c_in + 1
-        table = [((x,), (u, v), F.comult[x][u][v]) for x in rng for u in rng for v in rng]
-    w_in = [r ** (c_in - 1 - p) for p in range(c_in)]
-    w_out = [r ** (c_out - 1 - p) for p in range(c_out)]
-    cells = sorted(
-        (sum(w_out[p] * b for p, b in zip(dst, out)), sum(w_in[p] * b for p, b in zip(src, inp)), v)
-        for inp, out, v in table
-        if v != R.zero
-    )
+    offset pairs of the untouched circles' basis labellings, and for each
+    sign the (row, col, value) local cells placed at the touched positions,
+    sorted, so each row takes its cells in column order.  Untouched circles
+    keep their order, first factor slowest, as in the tensor-power bases."""
+    w_in = [r ** p for p in range(c_in - 1, -1, -1)]
+    w_out = [r ** p for p in range(c_out - 1, -1, -1)]
+    wi, wo = [w_in[p] for p in src], [w_out[p] for p in dst]
+    cells = sorted([(sum(map(mul, wo, out)), sum(map(mul, wi, inp)), v) for inp, out, v in local])
     spectators = [(0, 0)]
-    carried = zip(
-        (w for p, w in enumerate(w_out) if p not in dst), (w for p, w in enumerate(w_in) if p not in src)
-    )
-    for wo, wi in carried:
-        spectators = [(so + wo * b, si + wi * b) for so, si in spectators for b in rng]
-    return spectators, (cells, [(a, b, R.neg(v)) for a, b, v in cells])
+    carried = zip([w for p, w in enumerate(w_out) if p not in dst],
+                  [w for p, w in enumerate(w_in) if p not in src])
+    for a, b in carried:
+        spectators = [(so + a * x, si + b * x) for so, si in spectators for x in range(r)]
+    return spectators, (cells, [(a, b, neg[v]) for a, b, v in cells])
 
 
 def build_complex(
@@ -99,21 +102,20 @@ def build_complex(
     if normalize and not d.oriented:
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 
-    by_degree: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for s in cube.circles:
-        by_degree[sum(s)].append(s)
-    offsets: dict[tuple, int] = {}
-    ranks = []
-    for states in by_degree:
-        off = 0
-        for s in states:
-            offsets[s] = off
-            off += r ** len(cube.circles[s])
-        ranks.append(off)
+    # states by position in cube.circles (lexicographic order)
+    index = {s: k for k, s in enumerate(cube.circles)}
+    degree = [sum(s) for s in cube.circles]
+    count = list(map(len, cube.circles.values()))
+    offset, ranks = [], [0] * (n + 1)
+    for i, c in zip(degree, count):
+        offset.append(ranks[i])
+        ranks[i] += r ** c
 
     edges_by_degree: list[list] = [[] for _ in range(n)]
     for e in cube.edges:
-        edges_by_degree[sum(e.s1)].append(e)
+        k = index[e.s1]
+        edges_by_degree[degree[k]].append((k, index[e.s2], e))
+    local, neg = _local_cells(F)
     kernels: dict[tuple, tuple] = {}  # edge shape -> _edge_kernel
     diffs = []
     for i, edges in enumerate(edges_by_degree):
@@ -121,14 +123,16 @@ def build_complex(
         # edges come in s1 order and columns are offset by s1, so each row
         # receives its columns in increasing order, each at most once
         scatter: list[list] = [[] for _ in range(rows)]
-        for e in edges:
-            key = (len(cube.circles[e.s1]), e.kind, e.src, e.dst)
+        for k1, k2, e in edges:
+            key = (count[k1], e.kind, e.src, e.dst)
             kernel = kernels.get(key)
             if kernel is None:
-                kernel = kernels[key] = _edge_kernel(F, *key)
+                kernel = kernels[key] = _edge_kernel(
+                    r, local[e.kind], neg, count[k1], count[k2], e.src, e.dst
+                )
             spectators, signed = kernel
             cells = signed[e.sign < 0]
-            ro, co = offsets[e.s2], offsets[e.s1]
+            ro, co = offset[k2], offset[k1]
             for so, si in spectators:
                 row, col = ro + so, co + si
                 for a, b, v in cells:
@@ -141,23 +145,18 @@ def build_complex(
 
     q_degrees = None
     if normalize and d.oriented and _is_graded_algebra(F):
-        patterns: dict[int, tuple] = {}  # circle count -> q-degree offsets
-        q_degrees = []
-        for i, states in enumerate(by_degree):
-            degs = []
-            base = i + d.n_plus - 2 * d.n_minus
-            for s in states:
-                c = len(cube.circles[s])
-                pattern = patterns.get(c)
-                if pattern is None:
-                    # basis index 0 has degree +1, index 1 degree -1
-                    pattern = patterns[c] = tuple(
-                        sum(1 - 2 * b for b in bits)
-                        for bits in itertools.product((0, 1), repeat=c)
-                    )
-                degs += [base + x for x in pattern]
-            q_degrees.append(tuple(degs))
-        q_degrees = tuple(q_degrees)
+        # basis index 0 has degree +1, index 1 degree -1
+        blocks: dict[tuple, tuple] = {}  # (degree, circle count) -> one state's q-degrees
+        degs: list[list] = [[] for _ in range(n + 1)]
+        for i, c in zip(degree, count):
+            block = blocks.get((i, c))
+            if block is None:
+                base = i + d.n_plus - 2 * d.n_minus + c
+                block = blocks[i, c] = tuple(
+                    base - 2 * sum(bits) for bits in itertools.product((0, 1), repeat=c)
+                )
+            degs[i] += block
+        q_degrees = tuple(map(tuple, degs))
 
     return ChainComplex(R, shift, tuple(ranks), tuple(diffs), q_degrees, normalize)
 
@@ -184,10 +183,6 @@ def homology(C: ChainComplex) -> HomologyTable:
         free, torsion = homology_summands(d_in, d_out)
         rows.append((C.shift + idx, free, tuple(torsion)))
     return HomologyTable(R, C.normalized, tuple(rows))
-
-
-def euler_characteristic(C: ChainComplex) -> int:
-    return sum(-rk if i % 2 else rk for i, rk in zip(C.degree_range(), C.ranks))
 
 
 def graded_euler_characteristic(C: ChainComplex) -> Laurent:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .laurent import Laurent
 
@@ -237,8 +237,7 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
     return _circles(d, parent)[0]
 
 
-@dataclass(frozen=True)
-class CubeEdge:
+class CubeEdge(NamedTuple):
     """One cube edge s1 -> s2 (single bit raised).
 
     kind is "merge" (src positions (i, j) -> dst position (k,)) or "split"
@@ -284,10 +283,11 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
             j = i + (1 << (n - 1 - pos))
             w2 = where[j]
             a, b, c, dd = d.crossings[pos]
-            if w1[a] != w1[c]:
-                kind, src, dst = "merge", tuple(sorted((w1[a], w1[c]))), (w2[a],)
-            elif w2[a] != w2[b]:
-                kind, src, dst = "split", (w1[a],), tuple(sorted((w2[a], w2[b])))
+            x, y = w1[a], w1[c]
+            if x != y:
+                kind, src, dst = "merge", (x, y) if x < y else (y, x), (w2[a],)
+            elif (x := w2[a]) != (y := w2[b]):
+                kind, src, dst = "split", (w1[a],), (x, y) if x < y else (y, x)
             else:
                 raise PDError(
                     f"crossing {pos + 1} (X {a} {b} {c} {dd}) keeps one circle when "

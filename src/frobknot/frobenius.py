@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, rank, smith_normal_form, solve_linear
@@ -58,12 +59,21 @@ class FrobeniusData:
         if len(u) != r or len(v) != r:
             raise ValueError(f"product takes two vectors of length {r}")
         uv = [R.mul(a, b) for a in u for b in v]
-        return tuple(generator_map(self, 2, 1, Merge(1, 2, 1)).mul_vector(uv))
+        return tuple(self._merge.mul_vector(uv))
 
     def coproduct(self, v: Sequence) -> tuple:
         """Coproduct of a vector, as an r*r coefficient tuple (first factor
         slow): the split map applied to v."""
-        return tuple(generator_map(self, 1, 2, Split(1, 1, 2)).mul_vector(v))
+        return tuple(self._split.mul_vector(v))
+
+    # the merge and split maps, built on first use: data are immutable
+    @cached_property
+    def _merge(self) -> ExactMatrix:
+        return generator_map(self, 2, 1, Merge(1, 2, 1))
+
+    @cached_property
+    def _split(self) -> ExactMatrix:
+        return generator_map(self, 1, 2, Split(1, 1, 2))
 
     # -- serialization -----------------------------------------------------
 

@@ -7,7 +7,8 @@ cancelled first (Bar-Natan's Gaussian-elimination lemma), then entries that
 divide their row and column, reached by remainders (Dumas, Saunders and
 Villard's sparse Smith form).  Also provides exact linear solving by
 elimination over the fraction field, and homology summands ker/im of a pair
-of composable differentials.  Arbitrary-precision integers throughout.
+of composable differentials, which reduce d_out without its columns at the
+rows of d_in's unit pivots.  Arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class ExactMatrix:
             out[j] = v
         return tuple(out)
 
-    def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return not any(self.nz)
 
@@ -117,8 +115,9 @@ class ExactMatrix:
 
     @cached_property
     def _reduced(self) -> tuple:
-        # (rank, torsion), computed on first use: rank, smith_normal_form and
-        # homology_summands all read this one reduction
+        # (rank, torsion, unit pivot rows), computed on first use: rank,
+        # smith_normal_form and homology_summands all read this one
+        # reduction, which homology_summands may store first (see there)
         return _reduce(self)
 
 
@@ -128,8 +127,9 @@ def _integral(row) -> tuple:
     return d, [(j, v.numerator * (d // v.denominator)) for j, v in row]
 
 
-def _reduce(M: ExactMatrix) -> tuple:
-    """(rank over the fraction field, invariant factors > 1 over Z).
+def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
+    """(rank over the fraction field, invariant factors > 1 over Z, rows of
+    the unit pivots) of M without its columns in ``skip``.
 
     One sparse elimination.  A pivot v at (i, j) that divides every entry
     of its row and column clears them, and row i and column j are dropped:
@@ -146,6 +146,8 @@ def _reduce(M: ExactMatrix) -> tuple:
     p = M.ring.p
     rows: dict = {}
     for i, row in enumerate(M.nz):
+        if skip:
+            row = [x for x in row if x[0] not in skip]
         if row and M.ring == QQ:
             ints = _integral(row)[1]
             g = gcd(*(v for _, v in ints))
@@ -158,7 +160,7 @@ def _reduce(M: ExactMatrix) -> tuple:
             cols.setdefault(j, set()).add(i)
     heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
-    pivots = 0
+    unit_rows = set()
     while heap:
         n, j = heapq.heappop(heap)
         col = cols.get(j)
@@ -168,6 +170,7 @@ def _reduce(M: ExactMatrix) -> tuple:
         if not units:
             continue  # queued again if an elimination changes this column
         i = min(units, key=lambda i: len(rows[i]))
+        unit_rows.add(i)
         prow = rows.pop(i)
         inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)  # a unit of Z is its inverse
         del cols[j]
@@ -195,9 +198,9 @@ def _reduce(M: ExactMatrix) -> tuple:
                 heapq.heappush(heap, (len(cols[c]), c))
             else:
                 del cols[c]
-        pivots += 1
+    pivots = len(unit_rows)
     if not rows:
-        return pivots, ()
+        return pivots, (), unit_rows
     # no unit is left anywhere: queue every column again
     heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
@@ -252,7 +255,7 @@ def _reduce(M: ExactMatrix) -> tuple:
         a, b = pair
         n = min(d[a], d[b])
         d = d - Counter({a: n, b: n}) + Counter({gcd(a, b): n, lcm(a, b): n})
-    return pivots + len(factors), tuple(x for x in sorted(d.elements()) if x > 1)
+    return pivots + len(factors), tuple(x for x in sorted(d.elements()) if x > 1), unit_rows
 
 
 def smith_normal_form(M: ExactMatrix) -> tuple:
@@ -261,7 +264,7 @@ def smith_normal_form(M: ExactMatrix) -> tuple:
     zeros last.  Read off the matrix's cached reduction."""
     if M.ring != ZZ:
         raise ValueError("SNF requires integer matrix")
-    r, torsion = M._reduced
+    r, torsion, _ = M._reduced
     return (1,) * (r - len(torsion)) + torsion + (0,) * (min(M.rows, M.cols) - r)
 
 
@@ -332,6 +335,8 @@ def homology_summands(d_in: ExactMatrix, d_out: ExactMatrix) -> tuple[int, list]
         raise ValueError("middle module dimension mismatch")
     if d_out.rows and d_in.cols and not (d_out @ d_in).is_zero():
         raise ValueError("not a complex at this degree")
+    if "_reduced" not in vars(d_out):
+        vars(d_out)["_reduced"] = _reduce(d_out, d_in._reduced[2])
     middle = d_out.cols
     r_out = rank(d_out)
     r_in = rank(d_in)

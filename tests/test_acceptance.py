@@ -121,7 +121,7 @@ def test_criterion_8_two_diagram_comparison():
     with Budget(5):
         cube1 = dg.build_cube(dg.BUILDERS["figure10_d1"]())
         raw = cx.build_complex(cube1, fr.a5(0, 0), normalize=False)
-        assert cx.euler_characteristic(raw) == -4  # = 2r(1-r) at r = 2
+        assert sum((-1) ** i * rk for i, rk in enumerate(raw.ranks)) == -4  # = 2r(1-r) at r = 2
         c1 = cx.build_complex(cube1, fr.a5(0, 0), normalize=True)
         rows1 = [(i, f) for i, f, tors in _homology_rows(c1) if f or tors]
         assert len(rows1) == 1 and rows1[0][1] == 4
@@ -206,7 +206,7 @@ def test_criterion_11_deformed_rank_counts_components():
         assert list(c.ranks) == [4, 4, 4]
         for d in c.diffs:
             assert rank(d) == 2
-            assert sympy.Matrix(d.to_lists()).rank() == 2
+            assert sympy.Matrix(list(map(d.row, range(d.rows)))).rank() == 2
 
 
 def test_criterion_12_stabilization_invariance():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from frobknot.linalg import (
     ExactMatrix,
+    _reduce,
     homology_summands,
     rank,
     smith_normal_form,
@@ -213,7 +215,93 @@ def test_homology_summands_rejects_non_complex():
         homology_summands(d_in, d_out)
 
 
+def _known_complex(rnd, length):
+    """(dense differentials over Z, module ranks, summands) of a random
+    direct sum of elementary complexes, conjugated by a random unimodular
+    basis change in every degree.  A summand (i, k) is Z in degree i with
+    k = 0, else Z --k--> Z from degree i to i + 1."""
+    summands = []
+    for _ in range(rnd.randint(0, 8)):
+        i = rnd.randrange(length)
+        summands.append((i, rnd.choice([0, 1, 1, 2, 3, 4, 6]) if i + 1 < length else 0))
+    dims, where = [0] * length, []  # where: basis index of each summand's generators
+    for i, k in summands:
+        where.append((dims[i], dims[i + 1] if k else None))
+        dims[i] += 1
+        if k:
+            dims[i + 1] += 1
+    diffs = [[[0] * dims[i] for _ in range(dims[i + 1])] for i in range(length - 1)]
+    for (i, k), (a, b) in zip(summands, where):
+        if k:
+            diffs[i][b][a] = k
+    # g_i and its inverse from elementary row operations: g <- E g and
+    # g^-1 <- g^-1 E^-1; then d_i <- g_(i+1) d_i g_i^-1
+    basis = []
+    for n in dims:
+        g = [[int(x == y) for y in range(n)] for x in range(n)]
+        ginv = [row[:] for row in g]
+        for _ in range(3 * n if n > 1 else 0):
+            a, b = rnd.sample(range(n), 2)
+            m = rnd.choice([-3, -2, -1, 1, 2, 3])
+            g[a] = [x + m * y for x, y in zip(g[a], g[b])]
+            for row in ginv:
+                row[b] -= m * row[a]
+        basis.append((g, ginv))
+
+    def mul(A, B, inner, cols):
+        return [[sum(A[x][t] * B[t][y] for t in range(inner)) for y in range(cols)] for x in range(len(A))]
+
+    for i, d in enumerate(diffs):
+        diffs[i] = mul(mul(basis[i + 1][0], d, dims[i + 1], dims[i]), basis[i][1], dims[i], dims[i])
+    return diffs, dims, summands
+
+
+def _sparse(R, dense, cols):
+    nz = tuple(tuple((j, x) for j, x in enumerate(map(R.normalize, row)) if x) for row in dense)
+    return ExactMatrix(R, len(dense), cols, nz)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([ZZ, QQ, GF(2), GF(3)]), st.integers(2, 5), st.integers(0, 2**32))
+def test_homology_without_covered_columns_matches_construction(R, length, seed):
+    """homology_summands, in degree order as ``homology`` calls it, reduces
+    each differential without the columns its predecessor's unit pivots
+    cover; free ranks and torsion must equal the construction's and those of
+    a per-matrix reduction."""
+    dense, dims, summands = _known_complex(random.Random(seed), length)
+    free, torsion = [0] * length, [[] for _ in range(length)]
+    for i, k in summands:
+        if not k:
+            free[i] += 1
+        elif R == ZZ and k > 1:
+            torsion[i + 1].append(k)
+        elif R.p and k % R.p == 0:
+            free[i] += 1
+            free[i + 1] += 1
+    diffs = [_sparse(R, d, dims[i]) for i, d in enumerate(dense)]
+    ends = [ExactMatrix(R, dims[0], 0, ((),) * dims[0])] + diffs + [ExactMatrix(R, 0, dims[-1], ())]
+    got = [homology_summands(d_in, d_out) for d_in, d_out in zip(ends, ends[1:])]
+    # Z/2 + Z/3 is Z/6: the torsion is reported as invariant factors
+    factors = lambda t: sorted(x for x in map(abs, sympy_snf(sympy.diag(*t)).diagonal()) if x > 1)
+    assert got == [(f, factors(t) if t else []) for f, t in zip(free, torsion)]
+    for i, d in enumerate(diffs):
+        fresh = _sparse(R, dense[i], dims[i])
+        assert d._reduced[:2] == _reduce(fresh)[:2]
+
+
+def test_covered_columns_are_only_those_of_unit_pivots():
+    """d_in = (2, 3)^T has no unit entry, so its pivots are remainder pivots;
+    dropping d_out's column at either row would leave d_out = (3, -2) with
+    image 3Z or 2Z instead of Z."""
+    d_in = ExactMatrix.from_rows(ZZ, [[2], [3]])
+    d_out = ExactMatrix.from_rows(ZZ, [[3, -2]])
+    last = ExactMatrix(ZZ, 0, 1, ())
+    assert homology_summands(d_in, d_out) == (0, [])
+    assert homology_summands(d_out, last) == (0, [])
+    assert smith_normal_form(d_out) == (1,)
+
+
 def test_matmul():
     A = ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]])
     B = ExactMatrix.from_rows(ZZ, [[0, 1], [1, 0]])
-    assert (A @ B).to_lists() == [[2, 1], [4, 3]]
+    assert A @ B == ExactMatrix.from_rows(ZZ, [[2, 1], [4, 3]])
