@@ -122,26 +122,24 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
-def _cmd_check_algebra(args) -> int:
-    F = _load_algebra(args.file)
-    flags = fb.check_axioms(F)
+def _print_flags(args, flags: dict, yes: str, no: str) -> bool:
+    """Print the flags, as JSON or one per line; True when all of them hold."""
     if args.json:
         _emit_json(flags)
     else:
         for k, v in flags.items():
-            print(f"{k}: {'yes' if v else 'no'}")
+            print(f"{k}: {yes if v else no}")
+    return all(flags.values())
+
+
+def _cmd_check_algebra(args) -> int:
+    _print_flags(args, fb.check_axioms(_load_algebra(args.file)), "yes", "no")
     return 0
 
 
 def _cmd_relations(args) -> int:
-    F = _load_algebra(args.file)
-    report = fb.verify_n2cob_relations(F)
-    if args.json:
-        _emit_json(report)
-    else:
-        for k, v in report.items():
-            print(f"{k}: {'holds' if v else 'FAILS'}")
-    return 0 if all(report.values()) else 1
+    report = fb.verify_n2cob_relations(_load_algebra(args.file))
+    return 0 if _print_flags(args, report, "holds", "FAILS") else 1
 
 
 def _cmd_classify(args) -> int:
@@ -165,38 +163,39 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    reports = []
-    which = args.target
-    if args.zbound is not None and which != "thm1.2":
-        raise ValueError(f"verify {which} takes no --zbound; only thm1.2 runs over a Z box")
-    if args.p is not None and which == "char2":
-        raise ValueError("verify char2 runs over F_2 only and takes no --p")
-    if which == "thm1.2":
-        if args.p is not None and args.zbound is not None:
-            raise ValueError("verify thm1.2 takes --p or --zbound, not both")
-        if args.zbound is not None:
-            reports.append(verifier.verify_theorem_1_2(zbound=args.zbound))
-        elif args.p is not None:
-            reports.append(verifier.verify_theorem_1_2(ring=GF(args.p)))
-        else:
-            for p in (2, 3, 5):
-                reports.append(verifier.verify_theorem_1_2(ring=GF(p)))
-            reports.append(verifier.verify_theorem_1_2(zbound=2))
-    elif which == "thm1.1":
-        for p in [args.p] if args.p is not None else (2, 3):
-            reports.append(verifier.verify_theorem_1_1(p))
-    elif which == "prop3.4":
-        for p in [args.p] if args.p is not None else (3, 5):
-            reports.append(verifier.verify_prop_3_4(p))
-    elif which == "char2":
-        reports.append(verifier.verify_char2_classification())
-    elif which == "noncomm":
-        for p in [args.p] if args.p is not None else (2, 3):
-            reports.append(verifier.verify_noncommutative(p))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verify target {which!r}")
+# verify target: (battery over F_p, primes run by default, battery over the Z
+# box [-B, B], run made by default after the primes); a target without a
+# battery for --p or --zbound refuses it.  Each lambda looks its battery up in
+# `verifier` as it runs, so a tracer that rebinds those names sees every call.
+_BATTERIES = {
+    "thm1.1": (lambda p: verifier.verify_theorem_1_1(p), (2, 3), None, None),
+    "thm1.2": (
+        lambda p: verifier.verify_theorem_1_2(ring=GF(p)),
+        (2, 3, 5),
+        lambda b: verifier.verify_theorem_1_2(zbound=b),
+        lambda: verifier.verify_theorem_1_2(zbound=2),
+    ),
+    "prop3.4": (lambda p: verifier.verify_prop_3_4(p), (3, 5), None, None),
+    "char2": (None, (), None, lambda: verifier.verify_char2_classification()),
+    "noncomm": (lambda p: verifier.verify_noncommutative(p), (2, 3), None, None),
+}
 
+
+def _cmd_verify(args) -> int:
+    which, p, zbound = args.target, args.p, args.zbound
+    over_p, primes, over_z, then = _BATTERIES[which]
+    if zbound is not None and over_z is None:
+        raise ValueError(f"verify {which} takes no --zbound; only thm1.2 runs over a Z box")
+    if p is not None and over_p is None:
+        raise ValueError(f"verify {which} runs over F_2 only and takes no --p")
+    if p is not None and zbound is not None:
+        raise ValueError(f"verify {which} takes --p or --zbound, not both")
+    if zbound is not None:
+        reports = [over_z(zbound)]
+    elif p is not None:
+        reports = [over_p(p)]
+    else:
+        reports = [over_p(q) for q in primes] + ([then()] if then else [])
     if args.json:
         _emit_json([r.to_json() for r in reports])
     else:
@@ -244,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify", help="run an exhaustive verification battery")
-    p.add_argument("target", choices=["thm1.1", "thm1.2", "prop3.4", "char2", "noncomm"])
+    p.add_argument("target", choices=list(_BATTERIES))
     p.add_argument("--p", type=int)
     p.add_argument("--zbound", type=int)
     p.add_argument("--json", action="store_true")

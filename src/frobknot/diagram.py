@@ -116,22 +116,21 @@ def parse_pd(text: str) -> LinkDiagram:
             raise PDError("SIGNS tokens must be + or -")
         n_plus = signs_tokens.count("+")
         n_minus = signs_tokens.count("-")
-    elif orient:
-        n_plus, n_minus = _signs_from_orientation(crossings, orient)
-    return LinkDiagram(tuple(crossings), loops, n_plus, n_minus)
-
-
-def _signs_from_orientation(crossings, components) -> tuple[int, int]:
     arcs = {a for q in crossings for a in q}
-    succ: dict[int, int] = {}
-    for comp in components:
+    succ: dict[int, int] = {}  # each ORIENT arc's successor, checked even under SIGNS
+    for comp in orient:
         for i, a in enumerate(comp):
             if a not in arcs:
                 raise PDError(f"ORIENT lists arc {a}, which no crossing has")
             if a in succ:
                 raise PDError(f"arc {a} listed twice in ORIENT data")
             succ[a] = comp[(i + 1) % len(comp)]
+    if signs_tokens is None and orient:
+        n_plus, n_minus = _signs_from_orientation(crossings, succ)
+    return LinkDiagram(tuple(crossings), loops, n_plus, n_minus)
 
+
+def _signs_from_orientation(crossings, succ) -> tuple[int, int]:
     def direction(u, v):
         fwd = succ.get(u) == v
         bwd = succ.get(v) == u

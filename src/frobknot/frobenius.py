@@ -118,13 +118,6 @@ def _transpose(t) -> tuple:
     return tuple(tuple(tuple(t[k][i][j] for k in range(r)) for j in range(r)) for i in range(r))
 
 
-def _matrix(R: RingSpec, rows: list) -> ExactMatrix:
-    """Matrix of rows of ring elements, taken as they are: the tensors of a
-    FrobeniusData are normalized once, at construction."""
-    nz = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-    return ExactMatrix(R, len(rows), len(rows[0]), nz)
-
-
 def _unit_equations(R: RingSpec, c) -> tuple:
     """The system u*e_j = e_j = e_j*u in the unknown u, as (matrix, rhs)."""
     r = len(c)
@@ -136,7 +129,7 @@ def _unit_equations(R: RingSpec, c) -> tuple:
         for k in range(r):
             rows.append([c[j][i][k] for i in range(r)])
             rhs.append(R.one if k == j else R.zero)
-    return _matrix(R, rows), rhs
+    return ExactMatrix.from_rows(R, rows), rhs
 
 
 def _is_unit(R: RingSpec, c, u) -> bool:
@@ -158,7 +151,7 @@ def _algebra_flags(R: RingSpec, c) -> dict:
     whether it has full rank over the fraction field."""
     r = len(c)
     rng = range(r)
-    M = _matrix(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
+    M = ExactMatrix.from_rows(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
     if R == ZZ:
         diag = smith_normal_form(M)
         onto, full_rank = all(x == 1 for x in diag), all(diag)
@@ -267,12 +260,6 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     return FrobeniusData(R, 2, mult, comult, unit=(1, 0), counit=(R.neg(c), a))
 
 
-def _left_mult(F: FrobeniusData, y: Sequence) -> list:
-    """Matrix of v |-> y*v: column j is y*e_j."""
-    basis = [[int(i == j) for i in range(F.rank)] for j in range(F.rank)]
-    return [list(row) for row in zip(*(F.product(y, e) for e in basis))]
-
-
 def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
     """Multiplicative inverse of y, by solving y*z = unit.
 
@@ -281,7 +268,9 @@ def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
     form a coset of a nontrivial kernel raise ValueError."""
     if F.unit is None:
         raise ValueError("algebra has no unit")
-    sol = solve_linear(_matrix(F.ring, _left_mult(F, y)), list(F.unit))
+    basis = [[int(i == j) for i in range(F.rank)] for j in range(F.rank)]
+    cols = [F.product(y, e) for e in basis]  # column j is y*e_j
+    sol = solve_linear(ExactMatrix.from_rows(F.ring, list(zip(*cols))), list(F.unit))
     return tuple(sol) if sol is not None else None
 
 
@@ -292,22 +281,13 @@ def twist(F: FrobeniusData, y: Sequence) -> FrobeniusData:
     yinv = invert_element(F, y)
     if yinv is None:
         raise ValueError("twisting element is not invertible")
-
-    Ly = _left_mult(F, y)
-    Lyi = _left_mult(F, yinv)
-    new_counit = None
+    basis = [[int(i == j) for i in range(r)] for j in range(r)]
+    counit = None
     if F.counit is not None:
-        new_counit = tuple(
-            _sum(R, (R.mul(F.counit[k], Ly[k][j]) for k in range(r))) for j in range(r)
-        )
-    new_comult = tuple(
-        tuple(
-            tuple(_sum(R, (R.mul(Lyi[k][j], F.comult[k][a][b]) for k in range(r))) for b in range(r))
-            for a in range(r)
-        )
-        for j in range(r)
-    )
-    return FrobeniusData(R, r, F.mult, new_comult, unit=F.unit, counit=new_counit)
+        counit = [_sum(R, map(R.mul, F.counit, F.product(y, e))) for e in basis]
+    splits = [F.coproduct(F.product(yinv, e)) for e in basis]
+    comult = [[d[a * r : (a + 1) * r] for a in range(r)] for d in splits]
+    return FrobeniusData(R, r, F.mult, comult, unit=F.unit, counit=counit)
 
 
 def dualize(F: FrobeniusData) -> FrobeniusData:

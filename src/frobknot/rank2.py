@@ -273,12 +273,8 @@ def idempotents(t: MultTable, bound: Optional[int] = None) -> list[Pair]:
         space = itertools.product(range(-bound, bound + 1), repeat=2)
     else:
         raise ValueError("idempotent enumeration needs F_p or a bounded Z box")
-    out = []
-    for v in space:
-        if v != (0, 0) and multiply(t, v, v) == (R.normalize(v[0]), R.normalize(v[1])):
-            out.append(v)
-    out.sort()
-    return out
+    t4, m = _entries(t), R.p or 0  # the space is in lexicographic order, and so is the answer
+    return [v for v in space if v != (0, 0) and _mul(t4, v, v, m) == v]
 
 
 def _signature(t, p) -> tuple:
@@ -324,8 +320,6 @@ def isomorphic(a: MultTable, b: MultTable):
     b), or None."""
     if a.ring != b.ring or a.ring.kind != "Fp":
         raise ValueError("isomorphism search needs matching prime fields")
-    if a.commutative != b.commutative:
-        return None
     return _isomorphism(_entries(a), _entries(b), a.ring.p)
 
 
@@ -489,7 +483,7 @@ def classify(t: MultTable) -> tuple[str, tuple]:
     if t.ring.kind != "Fp":
         raise ValueError("classification runs over prime fields")
     p, t4 = t.ring.p, _entries(t)
-    if not t.commutative or not _associative(t4, p):
+    if t4[1] != t4[2] or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
     sig = _signature(t4, p)
     for label, params, rep, rep_sig in _signed_targets(t.ring):

@@ -120,6 +120,22 @@ def test_check_algebra_exit_codes(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_tripled_coproduct_is_injective_but_not_split(tmp_path, capsys):
+    # Z[x]/x^2 with a5(0, 0)'s coproduct tripled and no counit: the coproduct
+    # has full rank, but its invariant factors are 3, and the counit would
+    # send x to 1/3
+    A = fr.a5(0, 0)
+    F = fr.FrobeniusData(ZZ, 2, A.mult, [[[3 * x for x in row] for row in d] for d in A.comult])
+    f = tmp_path / "tripled.json"
+    f.write_text(json.dumps(F.to_json()))
+    code, out = run(capsys, "check-algebra", str(f), "--json")
+    flags = json.loads(out)
+    assert code == 0
+    assert flags["mult_surjective"] and flags["comult_injective"] and flags["frobenius_relation"]
+    assert not flags["comult_split_injective"] and not flags["counit_ok"]
+    assert run(capsys, "relations", str(f))[0] == 0
+
+
 def test_classify_and_gap_exit_code(tmp_path, capsys):
     t = rank2.representative("m2_7", (), GF(2))
     f = tmp_path / "t.json"
@@ -151,6 +167,12 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
         f4.write_text(json.dumps(data))
         assert main(["classify", str(f4)]) == 2, name
         assert capsys.readouterr().err.startswith("error: ")
+
+    # a table that writes out e2e1 equal to e1e2 is commutative, and classified
+    explicit = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0), (0, 1)).to_json()
+    f5 = tmp_path / "explicit.json"
+    f5.write_text(json.dumps(explicit))
+    assert run(capsys, "classify", str(f5), "--json") == (0, '{"family":"m9","params":[1]}\n')
 
 
 def test_classify_rejects_malformed_products(tmp_path, capsys):
@@ -232,6 +254,48 @@ def test_verify_bounded_z(capsys):
     assert code == 0
 
 
+# verify target -> the report names of its default run, and the error line of
+# each option set it refuses, over the options none, --p 3, --zbound 1 and both
+_ZBOUND_ERR = "verify {} takes no --zbound; only thm1.2 runs over a Z box"
+VERIFY_MATRIX = {
+    "thm1.1": (["thm1.1 over F_2", "thm1.1 over F_3"], {"z": _ZBOUND_ERR, "pz": _ZBOUND_ERR}),
+    "thm1.2": (
+        ["thm1.2 over F_2", "thm1.2 over F_3", "thm1.2 over F_5", "thm1.2 over Z box [-2,2]"],
+        {"pz": "verify {} takes --p or --zbound, not both"},
+    ),
+    "prop3.4": (
+        ["prop3.4 sweeps over F_3", "prop3.4 sweeps over F_5"],
+        {"z": _ZBOUND_ERR, "pz": _ZBOUND_ERR},
+    ),
+    "char2": (
+        ["char-2 classification over F_2"],
+        {"p": "verify {} runs over F_2 only and takes no --p", "z": _ZBOUND_ERR, "pz": _ZBOUND_ERR},
+    ),
+    "noncomm": (
+        ["noncommutative targets over F_2", "noncommutative targets over F_3"],
+        {"z": _ZBOUND_ERR, "pz": _ZBOUND_ERR},
+    ),
+}
+
+
+@pytest.mark.parametrize("target", VERIFY_MATRIX)
+def test_verify_option_matrix(capsys, target):
+    names, refused = VERIFY_MATRIX[target]
+    options = {"": [], "p": ["--p", "3"], "z": ["--zbound", "1"], "pz": ["--p", "3", "--zbound", "1"]}
+    for key, opts in options.items():
+        code = main(["verify", target, *opts, "--json"])
+        out, err = capsys.readouterr()
+        if key in refused:
+            assert (code, out, err) == (2, "", f"error: {refused[key].format(target)}\n"), key
+            continue
+        assert (code, err) == (0, ""), key
+        reports = json.loads(out)
+        if key == "":
+            assert [r["name"] for r in reports] == names
+        else:
+            assert len(reports) == 1 and reports[0]["name"].endswith("F_3" if key == "p" else "[-1,1]")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["homology"]) == 2  # missing diagram
     assert main(["homology", "builder:nope", "--a5", "0,0"]) == 2
@@ -239,11 +303,6 @@ def test_usage_errors_exit_2(capsys):
     assert main(["verify", "bogus"]) == 2
     assert main(["verify", "thm1.2", "--zbound", "-1"]) == 2
     assert main(["verify", "thm1.1", "--p", "0"]) == 2  # not the default battery
-    # options that the target would ignore
-    assert main(["verify", "char2", "--p", "3"]) == 2
-    for target in ("thm1.1", "prop3.4", "char2", "noncomm"):
-        assert main(["verify", target, "--zbound", "1"]) == 2
-    assert main(["verify", "thm1.2", "--p", "3", "--zbound", "1"]) == 2
     # a composite above 2**31 is refused by the bound, before any trial division
     ring = "Fp:1000000016000000063"
     assert main(["homology", "builder:hopf_pos", "--a5", "0,0", "--ring", ring]) == 2
@@ -258,7 +317,7 @@ def test_nonplanar_and_phantom_orient_inputs_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"error: {nonplanar}: crossing 1 (X 1 2 1 2)")
-    for text in ("X 1 1 2 2\nORIENT 1 2 7\n", "O\nORIENT 1 2\n"):
+    for text in ("X 1 1 2 2\nORIENT 1 2 7\n", "O\nORIENT 1 2\n", "X 1 1 2 2\nSIGNS +\nORIENT 1 2 7\n"):
         phantom = tmp_path / "phantom.pd"
         phantom.write_text(text)
         code = main(["homology", str(phantom), "--a5", "0,0"])

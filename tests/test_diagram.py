@@ -55,6 +55,21 @@ def test_signs_header_wins():
     assert d.n_plus == 3 and d.n_minus == 0
 
 
+@pytest.mark.parametrize(
+    "orient, error",
+    [("ORIENT 1 2 7", "which no crossing has"), ("ORIENT 1 1", "listed twice"), ("ORIENT 1 2", None)],
+)
+def test_orient_labels_are_checked_under_signs(orient, error):
+    # SIGNS gives the signs, so a two-arc component is no ambiguity; the
+    # ORIENT labels are still checked
+    text = f"X 1 1 2 2\nSIGNS +\n{orient}\n"
+    if error is None:
+        assert (dg.parse_pd(text).n_plus, dg.parse_pd(text).n_minus) == (1, 0)
+    else:
+        with pytest.raises(dg.PDError, match=error):
+            dg.parse_pd(text)
+
+
 # --- resolutions ---------------------------------------------------------------
 
 

@@ -233,6 +233,71 @@ def test_product_and_coproduct_match_the_structure_constants(F, data):
     assert typed(F.coproduct(v)) == typed(coprod)
 
 
+@st.composite
+def frobenius_quotients(draw):
+    """R[x]/(f) for a monic f of degree 1-3 with small integer coefficients,
+    on the basis 1, x, x^2, with the Frobenius form that reads the
+    coefficient of x^(r-1) as counit (dropped at random) and the coproduct
+    v |-> sum_j v x^j (x) x_j^, where x_j^ is the dual basis of the form."""
+    R, r = draw(st.sampled_from((ZZ, QQ, F2, F3, F5))), draw(st.integers(1, 3))
+    a = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))  # x^r = sum a_i x^i
+    pw = [[int(i == n) for i in range(r)] for n in range(r)]  # pw[n]: x^n mod f
+    while len(pw) < 2 * r - 1:
+        pw.append([(pw[-1][i - 1] if i else 0) + pw[-1][-1] * a[i] for i in range(r)])
+    # the Gram matrix of the form is Hankel with ones on its antidiagonal and
+    # zeros above it, so it is unimodular and the dual basis is integral
+    ginv = sympy.Matrix(r, r, lambda i, j: pw[i + j][-1]).inv()
+    comult = [
+        [[sum(int(ginv[j, b]) * pw[j + k][a] for j in range(r)) for b in range(r)] for a in range(r)]
+        for k in range(r)
+    ]
+    counit = tuple(int(i == r - 1) for i in range(r)) if draw(st.booleans()) else None
+    mult = [[pw[i + j] for j in range(r)] for i in range(r)]
+    unit = tuple(int(i == 0) for i in range(r))
+    return fr.FrobeniusData(R, r, mult, comult, unit=unit, counit=counit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frobenius_quotients(), st.data())
+def test_twist_and_inverse_match_the_structure_constants(F, data):
+    # oracle: y is a unit exactly when its left multiplication matrix
+    # L[k][j] = sum_i y_i mult[i][j][k] is invertible over the ring (the
+    # algebra is associative); then the inverse is L^-1 applied to the unit,
+    # the twisted counit is counit(y e_j) and the twisted coproduct of e_j is
+    # the coproduct of y^-1 e_j, all as sums over the structure constants
+    R, r, rng = F.ring, F.rank, range(F.rank)
+    c, d = F.mult, F.comult
+    vec = st.lists(st.sampled_from((0, 1, -1, 2, "1/3" if R == QQ else "4")), min_size=r, max_size=r)
+    y = [R.normalize(x) for x in data.draw(vec)]
+    red = lambda x: x % R.p if R.p else x
+    typed = lambda xs: [(type(x), x) for x in xs]
+    entry = lambda k, j: sum((y[i] * c[i][j][k] for i in rng), R.zero)
+    L = sympy.Matrix(r, r, lambda k, j: sympy.Rational(str(entry(k, j))))
+    det = L.det()
+    if R.p:
+        invertible = det % R.p != 0
+    else:
+        invertible = det in (1, -1) if R == ZZ else det != 0
+    if not invertible:
+        assert fr.invert_element(F, y) is None
+        with pytest.raises(ValueError, match="not invertible"):
+            fr.twist(F, y)
+        return
+    inv = L.inv_mod(R.p) if R.p else L.inv()
+    z = [int(x) % R.p if R.p else int(x) if R == ZZ else Fraction(int(x.p), int(x.q)) for x in inv[:, 0]]
+    assert typed(fr.invert_element(F, y)) == typed(z)
+    T = fr.twist(F, y)
+    assert (T.mult, T.unit) == (F.mult, F.unit)
+    if F.counit is None:
+        assert T.counit is None
+    else:
+        counit = [red(sum((F.counit[k] * entry(k, j) for k in rng), R.zero)) for j in rng]
+        assert typed(T.counit) == typed(counit)
+    for j, a, b in itertools.product(rng, repeat=3):
+        expect = red(sum((z[i] * c[i][j][k] * d[k][a][b] for i in rng for k in rng), R.zero))
+        assert typed([T.comult[j][a][b]]) == typed([expect])
+
+
 def test_vectors_of_the_wrong_length_are_rejected():
     # extra entries were dropped and short vectors raised IndexError; a
     # length-1 and a length-4 vector must not pass as one rank^2 vector

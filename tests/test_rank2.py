@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,41 @@ def test_idempotents_over_z_needs_bound():
     with pytest.raises(ValueError):
         rank2.idempotents(t)
     assert rank2.idempotents(t, bound=3) == [(1, 0)]
+
+
+def _brute_idempotents(t, space):
+    """Nonzero v with v*v = v, from the products written out: v*v is
+    v1^2 e1e1 + v1 v2 (e1e2 + e2e1) + v2^2 e2e2."""
+    e21 = t.e12 if t.e21 is None else t.e21
+    n = t.ring.normalize
+    out = []
+    for v1, v2 in space:
+        sq = tuple(
+            n(v1 * v1 * a + v1 * v2 * (b + c) + v2 * v2 * d)
+            for a, b, c, d in zip(t.e11, t.e12, e21, t.e22)
+        )
+        if (v1, v2) != (0, 0) and sq == (n(v1), n(v2)):
+            out.append((v1, v2))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("ring", [F2, F3])
+def test_idempotents_match_brute_force_on_every_table(ring):
+    space = list(itertools.product(ring.elements(), repeat=2))
+    for e in itertools.product(ring.elements(), repeat=8):
+        for e21 in (None, e[6:8]) if e[2:4] == e[6:8] else (e[6:8],):
+            t = table(ring, e[0:2], e[2:4], e[4:6], e21)
+            assert rank2.idempotents(t) == _brute_idempotents(t, space), t
+
+
+def test_idempotents_match_brute_force_on_a_z_box():
+    rnd = random.Random(5)
+    for _ in range(300):
+        e = [rnd.randint(-2, 2) for _ in range(8)]
+        t = table(ZZ, e[0:2], e[2:4], e[4:6], e[6:8] if rnd.random() < 0.5 else None)
+        bound = rnd.randint(0, 3)
+        space = itertools.product(range(-bound, bound + 1), repeat=2)
+        assert rank2.idempotents(t, bound) == _brute_idempotents(t, space), (t, bound)
 
 
 # --- surjectivity ---------------------------------------------------------
@@ -269,6 +305,18 @@ def test_isomorphic_examples():
     m12 = rank2.representative("m12", (), F2)
     m17 = rank2.representative("m17", (), F2)
     assert rank2.isomorphic(m12, m17) is None
+
+
+def test_commutativity_is_read_from_the_products():
+    # the same table, once with e2e1 left implicit and once written out
+    implicit = table(F3, (1, 0), (0, 1), (0, 0))
+    explicit = table(F3, (1, 0), (0, 1), (0, 0), (0, 1))
+    assert not explicit.commutative
+    assert rank2.isomorphic(implicit, explicit) == rank2.isomorphic(implicit, implicit) is not None
+    assert rank2.isomorphic(explicit, implicit) is not None
+    assert rank2.classify(explicit) == rank2.classify(implicit)
+    with pytest.raises(ValueError, match="commutative"):
+        rank2.classify(table(F3, (1, 0), (0, 1), (0, 0), (0, 2)))
 
 
 def test_isomorphic_matches_reference_on_noncommutative_f2():
