@@ -8,7 +8,8 @@ divide their row and column, reached by remainders (Dumas, Saunders and
 Villard's sparse Smith form).  Also provides exact linear solving by
 elimination over the fraction field, and homology summands ker/im of a pair
 of composable differentials, which reduce d_out without its columns at the
-rows of d_in's unit pivots.  Arbitrary-precision integers throughout.
+rows of d_in's unit pivots.  Arbitrary-precision integers throughout: over
+Q, products and eliminations run on rows lifted to integers once.
 """
 
 from __future__ import annotations
@@ -80,24 +81,24 @@ class ExactMatrix:
             raise ValueError("ring mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        p, a, b, dens = self.ring.p, self.nz, other.nz, None
-        if self.ring == QQ:
+        p, q, a, b = self.ring.p, self.ring == QQ, self.nz, other.nz
+        if q:
             # multiply integers: A B = D^-1 (D A E^-1)(E B), where the
             # diagonal E clears the denominators of B's rows, D those of A E^-1
-            b = [_integral(row) for row in b]
-            a = [_integral([(k, x / b[k][0]) for k, x in row]) for row in a]
-            dens, a, b = [d for d, _ in a], [row for _, row in a], [row for _, row in b]
+            e, b = _lifted(other, keep=False)
+            dens, a = _lifted(self, keep=True)
+            if any(d != 1 for d in e):
+                dens, a = _lift([(k, x / e[k] if e[k] != 1 else x) for k, x in row] for row in self.nz)
         out = []
         for row in a:
             acc: dict = {}
             for k, x in row:
                 for j, v in b[k]:
                     acc[j] = acc.get(j, 0) + x * v
-            if p:
-                acc = {j: s % p for j, s in acc.items()}
-            out.append(tuple(sorted((j, s) for j, s in acc.items() if s)))
-        if dens is not None:
-            out = [tuple((j, Fraction(s, d)) for j, s in row) for d, row in zip(dens, out)]
+            row = [(j, r) for j, s in acc.items() if (r := s % p if p else s)]
+            out.append(tuple(sorted(row)) if row else ())
+        if q:
+            out = [row and tuple((j, Fraction(s, d)) for j, s in row) for d, row in zip(dens, out)]
         return ExactMatrix(self.ring, self.rows, other.cols, tuple(out))
 
     def mul_vector(self, v: Sequence) -> list:
@@ -121,10 +122,29 @@ class ExactMatrix:
         return _reduce(self)
 
 
-def _integral(row) -> tuple:
-    """A row over Q as (d, integer row): each value is its integer over d."""
-    d = lcm(*(v.denominator for _, v in row))
-    return d, [(j, v.numerator * (d // v.denominator)) for j, v in row]
+def _lift(nz) -> tuple:
+    """Rows over Q as (dens, integer rows): row i is its integer row over
+    dens[i], the least common denominator of its values."""
+    dens, rows = [], []
+    for row in nz:
+        d, ints = 1, [(j, v.numerator) for j, v in row if v.denominator == 1]
+        if len(ints) < len(row):
+            d = lcm(*(v.denominator for _, v in row))
+            ints = [(j, v.numerator * (d // v.denominator)) for j, v in row]
+        dens.append(d)
+        rows.append(ints)
+    return dens, rows
+
+
+def _lifted(M: ExactMatrix, keep: bool) -> tuple:
+    """``_lift(M.nz)``, left on M with ``keep`` until the next call without
+    it.  In a chain of products d2 @ d1, d3 @ d2, ... a left factor keeps it
+    for its reduction and the next product, which takes it on the right: a
+    chain lifts each matrix once and holds at most two lifts at a time."""
+    lift = vars(M).pop("_lift", None) or _lift(M.nz)
+    if keep:
+        vars(M)["_lift"] = lift
+    return lift
 
 
 def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
@@ -143,16 +163,15 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
     it is alone in column j, leave remainders, and a smallest one becomes the
     next pivot.  The torsion is () unless the ring is Z.
     """
-    p = M.ring.p
+    p, q = M.ring.p, M.ring == QQ
     rows: dict = {}
-    for i, row in enumerate(M.nz):
+    nz = (vars(M).get("_lift") or _lift(M.nz))[1] if q else M.nz
+    for i, row in enumerate(nz):
         if skip:
             row = [x for x in row if x[0] not in skip]
-        if row and M.ring == QQ:
-            ints = _integral(row)[1]
-            g = gcd(*(v for _, v in ints))
-            row = [(j, v // g) for j, v in ints]
         if row:
+            if q and (g := gcd(*(v for _, v in row))) != 1:
+                row = [(j, v // g) for j, v in row]
             rows[i] = dict(row)
     cols: dict = {}
     for i, row in rows.items():
@@ -169,7 +188,7 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
         units = [i for i in col if p or rows[i][j] in (1, -1)]
         if not units:
             continue  # queued again if an elimination changes this column
-        i = min(units, key=lambda i: len(rows[i]))
+        i = units[0] if len(units) == 1 else min(units, key=lambda i: len(rows[i]))
         unit_rows.add(i)
         prow = rows.pop(i)
         inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)  # a unit of Z is its inverse

@@ -46,7 +46,7 @@ class MultTable:
 
     @property
     def commutative(self) -> bool:
-        return self.e21 is None
+        return self.e21 is None or self.e21 == self.e12
 
     def to_json(self) -> dict:
         f = self.ring.format_scalar
@@ -65,10 +65,10 @@ class MultTable:
         prods = d["products"]
         if not isinstance(prods, dict):
             raise ValueError('"products" must be an object')
-        e21 = prods.get("e2e1")
-        if d.get("commutative", e21 is None) != (e21 is None):
-            raise ValueError('"commutative" must be true exactly when "e2e1" is absent')
-        return cls(ring, prods["e1e1"], prods["e1e2"], prods["e2e2"], e21)
+        t = cls(ring, prods["e1e1"], prods["e1e2"], prods["e2e2"], prods.get("e2e1"))
+        if d.get("commutative", t.commutative) != t.commutative:
+            raise ValueError('"commutative" must be true exactly when the products commute')
+        return t
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,44 @@ def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["integral", "fractional right", "fractional left"]),
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.randoms(use_true_random=False),
+)
+def test_lifted_rational_products_and_ranks_match_sympy(case, r, m, c, rnd):
+    """Over Q, products and reductions run on integer rows.  A product keeps
+    its left factor's rows for the matrix's reduction and for the next
+    product that takes it on the right: A @ B, rank(A), T @ A lifts A once
+    and reads it twice.  Every cell must be a Fraction of the right value."""
+    integral = lambda rows, cols: [[Fraction(x) for x in row] for row in _sparse_rows(rnd, ZZ, rows, cols)]
+    fractional = lambda rows, cols: _sparse_rows(rnd, QQ, rows, cols)
+    left, right = {
+        "integral": (integral, integral),
+        "fractional right": (integral, fractional),
+        "fractional left": (fractional, integral),
+    }[case]
+    t_rows, a_rows, b_rows = left(c, r), left(r, m), right(m, c)
+    T, A, B = (ExactMatrix.from_rows(QQ, rows) for rows in (t_rows, a_rows, b_rows))
+
+    def check(got, x_rows, y_rows):
+        product = sympy.Matrix(x_rows) * sympy.Matrix(y_rows)
+        assert [(type(x), x) for x in got.entries] == [
+            (Fraction, Fraction(int(x.p), int(x.q))) for x in product
+        ]
+
+    check(A @ B, a_rows, b_rows)
+    assert rank(A) == sympy.Matrix(a_rows).rank()
+    check(T @ A, t_rows, a_rows)
+    check(A @ B, a_rows, b_rows)
+    for rows, M in ((t_rows, T), (b_rows, B)):
+        assert rank(M) == sympy.Matrix(rows).rank()
+    assert all(type(x) is Fraction for M in (T, A, B) for row in M.nz for _, x in row)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 25), st.integers(1, 25), st.integers(3, 40), st.randoms(use_true_random=False))
 def test_one_reduction_matches_sympy(r, c, fill, rnd):
     """Mostly 0 and +-1 with some +-2 and +-3, so that unit cancellation

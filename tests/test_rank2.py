@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -311,12 +312,24 @@ def test_commutativity_is_read_from_the_products():
     # the same table, once with e2e1 left implicit and once written out
     implicit = table(F3, (1, 0), (0, 1), (0, 0))
     explicit = table(F3, (1, 0), (0, 1), (0, 0), (0, 1))
-    assert not explicit.commutative
+    assert explicit.commutative
     assert rank2.isomorphic(implicit, explicit) == rank2.isomorphic(implicit, implicit) is not None
     assert rank2.isomorphic(explicit, implicit) is not None
     assert rank2.classify(explicit) == rank2.classify(implicit)
     with pytest.raises(ValueError, match="commutative"):
         rank2.classify(table(F3, (1, 0), (0, 1), (0, 0), (0, 2)))
+
+
+def test_json_round_trip_keeps_commutativity():
+    # e2e1 written out equal to e1e2 commutes; the flag says so and reads back
+    for e21, commutes in ((None, True), ((0, 1), True), ((0, 2), False)):
+        t = table(F3, (1, 0), (0, 1), (0, 0), e21)
+        data = json.loads(json.dumps(t.to_json()))
+        assert t.commutative is data["commutative"] is commutes
+        assert rank2.MultTable.from_json(data) == t
+        data["commutative"] = not commutes
+        with pytest.raises(ValueError, match="commutative"):
+            rank2.MultTable.from_json(data)
 
 
 def test_isomorphic_matches_reference_on_noncommutative_f2():
