@@ -52,20 +52,21 @@ def _parse_ring(spec: str) -> RingSpec:
     raise ValueError(f"bad ring {spec!r}; expected Z, Q, or Fp:P")
 
 
-def _load_json(path: str) -> dict:
+def _from_json(cls, path: str):
+    """cls.from_json of the JSON file at path; every error names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from None
+    try:
+        return cls.from_json(data)
+    except (KeyError, ValueError, TypeError) as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _load_algebra(path: str) -> fb.FrobeniusData:
-    data = _load_json(path)
-    try:
-        return fb.FrobeniusData.from_json(data)
-    except (KeyError, ValueError, TypeError) as e:
-        raise ValueError(f"{path}: {e}") from None
+    return _from_json(fb.FrobeniusData, path)
 
 
 def _algebra_from_args(args) -> fb.FrobeniusData:
@@ -143,11 +144,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    data = _load_json(args.file)
-    try:
-        t = rank2.MultTable.from_json(data)
-    except (KeyError, ValueError, TypeError) as e:
-        raise ValueError(f"{args.file}: {e}") from None
+    t = _from_json(rank2.MultTable, args.file)
     if args.p is not None:
         ring = GF(args.p)
         t = rank2.MultTable(ring, t.e11, t.e12, t.e22, t.e21)

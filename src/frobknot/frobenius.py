@@ -225,16 +225,10 @@ def a5(h, t, ring: RingSpec = ZZ) -> FrobeniusData:
     """Rank-2 data on basis (1, x) with x^2 = h x + t.
 
     Coproduct: 1 |-> 1(x)x + x(x)1 - h 1(x)1 and x |-> x(x)x + t 1(x)1;
-    counit kills 1 and sends x to 1.
+    counit kills 1 and sends x to 1.  This is the six-parameter family at
+    a = f = 1, c = e = 0.
     """
-    n = ring.normalize
-    h, t = n(h), n(t)
-    mult = (((1, 0), (0, 1)), ((0, 1), (t, h)))
-    comult = (
-        ((ring.neg(h), 1), (1, 0)),
-        ((t, 0), (0, 1)),
-    )
-    return FrobeniusData(ring, 2, mult, comult, unit=(1, 0), counit=(0, 1))
+    return a4_evaluate((1, 0, 0, 1, h, t), ring)
 
 
 def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:

@@ -69,9 +69,6 @@ class Laurent:
             n >>= 1
         return out
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def map_even_exponents(self, func) -> "Laurent":
         """For polynomials in v**2: send v**(2k) to func(k) = (exp, sign)."""
         d: dict = {}

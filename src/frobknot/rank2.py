@@ -233,6 +233,12 @@ def _entries(t: MultTable):
     return (t.e11, t.e12, t.e12 if t.e21 is None else t.e21, t.e22)
 
 
+def _table(ring: RingSpec, t) -> MultTable:
+    """The MultTable of the kernel tuple t, the inverse of _entries: e2e1 is
+    stored exactly when it differs from e1e2."""
+    return MultTable(ring, t[0], t[1], t[3], None if t[1] == t[2] else t[2])
+
+
 def multiply(t: MultTable, u: Pair, v: Pair) -> Pair:
     """Bilinear extension of the table to arbitrary coefficient pairs."""
     n = t.ring.normalize

@@ -1,10 +1,13 @@
 """Exhaustive desk-scale verification over small prime fields and bounded
 integer boxes.
 
-Hot loops run the rank2 tuple kernel on plain integer tuples; structure
-objects are only materialized for survivors and counterexample records.
-Every report carries the closed form search-space size and per-stage
-survivor counts so exhaustiveness is auditable.
+Hot loops run the rank2 tuple kernel on plain integer tuples; a tuple
+becomes a MultTable (rank2._table) only where a battery classifies it or
+records it.  A failure is recorded once, by VerifyReport.fail, as the JSON
+record the report prints: its kind plus that kind's fields, a "table" field
+being the table's MultTable JSON.  Every report carries the closed form
+search-space size and per-stage survivor counts so exhaustiveness is
+auditable.
 """
 
 from __future__ import annotations
@@ -13,15 +16,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import rank2
-from .rank2 import _entries, _isomorphism, _surjective, _unit
+from .rank2 import _entries, _isomorphism, _surjective, _table, _unit
 from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults
 from .rings import ZZ, GF, RingSpec
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    kind: str
-    data: dict
 
 
 @dataclass
@@ -29,7 +26,10 @@ class VerifyReport:
     name: str
     space_size: int
     stages: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list = field(default_factory=list)  # JSON records
+
+    def fail(self, kind: str, **fields) -> None:
+        self.counterexamples.append({"kind": kind, **fields})
 
     @property
     def ok(self) -> bool:
@@ -40,7 +40,7 @@ class VerifyReport:
             "name": self.name,
             "space_size": self.space_size,
             "stages": self.stages,
-            "counterexamples": [{"kind": c.kind, **c.data} for c in self.counterexamples],
+            "counterexamples": self.counterexamples,
         }
 
     def summary(self) -> str:
@@ -49,10 +49,6 @@ class VerifyReport:
             f"{self.name}: {self.space_size} candidates ({stages}), "
             f"{len(self.counterexamples)} counterexamples"
         )
-
-
-def _record_table(ring: RingSpec, t) -> dict:
-    return {"table": rank2.MultTable(ring, t[0], t[1], t[3]).to_json()}
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +80,7 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
             continue
         n_surj += 1
         if _unit(t, m) is None:
-            rep.counterexamples.append(
-                Counterexample("surjective_without_unit", _record_table(ring, t))
-            )
+            rep.fail("surjective_without_unit", table=_table(ring, t).to_json())
     rep.stages = {"associative": n_assoc, "surjective": n_surj}
     return rep
 
@@ -114,10 +108,12 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
             n_pairs += 1
             counit = _unit(dual, p)
             if unit is None or counit is None:
-                rec = _record_table(ring, t)
-                rec["comult"] = [[list(row) for row in dk] for dk in d]
-                rec["missing"] = "unit" if unit is None else "counit"
-                rep.counterexamples.append(Counterexample("frobenius_without_identity", rec))
+                rep.fail(
+                    "frobenius_without_identity",
+                    table=_table(ring, t).to_json(),
+                    comult=[[list(row) for row in dk] for dk in d],
+                    missing="unit" if unit is None else "counit",
+                )
     rep.stages = {
         "mult_survivors": len(mults),
         # transposition is a bijection from the injective cocommutative
@@ -179,16 +175,12 @@ def verify_prop_3_4(p: int) -> VerifyReport:
             got_assoc = rank2.is_associative(t)
             got_unital = rank2.find_unit(t) is not None
             if got_assoc != want_assoc or got_unital != want_unital:
-                rep.counterexamples.append(
-                    Counterexample(
-                        "sweep_mismatch",
-                        {
-                            "family": label,
-                            "params": list(params),
-                            "expected": {"associative": want_assoc, "unital": want_unital},
-                            "got": {"associative": got_assoc, "unital": got_unital},
-                        },
-                    )
+                rep.fail(
+                    "sweep_mismatch",
+                    family=label,
+                    params=list(params),
+                    expected={"associative": want_assoc, "unital": want_unital},
+                    got={"associative": got_assoc, "unital": got_unital},
                 )
 
     rep.space_size = checked
@@ -209,22 +201,15 @@ def verify_char2_classification() -> VerifyReport:
     n_assoc = 0
     for t4 in _associative_comm_tables(range(2), 2):
         n_assoc += 1
-        t = rank2.MultTable(ring, t4[0], t4[1], t4[3])
+        t = _table(ring, t4)
         try:
             label, params = rank2.classify(t)
         except rank2.ClassificationGap:
-            rep.counterexamples.append(
-                Counterexample("classification_gap", {"table": t.to_json()})
-            )
+            rep.fail("classification_gap", table=t.to_json())
             continue
         unital = rank2.find_unit(t) is not None
         if unital != (label in _CHAR2_UNITAL):
-            rep.counterexamples.append(
-                Counterexample(
-                    "unitality_pattern_mismatch",
-                    {"table": t.to_json(), "label": label, "unital": unital},
-                )
-            )
+            rep.fail("unitality_pattern_mismatch", table=t.to_json(), label=label, unital=unital)
     rep.stages = {"associative": n_assoc}
     return rep
 
@@ -246,10 +231,7 @@ def verify_noncommutative(p: int) -> VerifyReport:
             continue
         n_survivors += 1
         if all(_isomorphism(t4, tgt, p) is None for tgt in targets):
-            t = rank2.MultTable(ring, t4[0], t4[1], t4[3], e21=t4[2])
-            rep.counterexamples.append(
-                Counterexample("unmatched_noncommutative_table", {"table": t.to_json()})
-            )
+            rep.fail("unmatched_noncommutative_table", table=_table(ring, t4).to_json())
     rep.stages = {"survivors": n_survivors}
     return rep
 

@@ -175,6 +175,25 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
     assert run(capsys, "classify", str(f5), "--json") == (0, '{"family":"m9","params":[1]}\n')
 
 
+def test_algebra_file_takes_the_ring_option(tmp_path, capsys):
+    # --ring re-rings the data read by --algebra, as it does --a5's
+    f = tmp_path / "a5.json"
+    f.write_text(json.dumps(fr.a5(0, 0).to_json()))
+    diagram = "builder:trefoil_left"
+    code, out = run(capsys, "homology", diagram, "--algebra", str(f), "--ring", "Fp:2", "--json")
+    assert code == 0
+    assert out == run(capsys, "homology", diagram, "--a5", "0,0", "--ring", "Fp:2", "--json")[1]
+    assert out != run(capsys, "homology", diagram, "--algebra", str(f), "--json")[1]
+
+
+def test_text_mode_classify_and_verify(tmp_path, capsys):
+    f = tmp_path / "dual.json"
+    f.write_text(json.dumps(rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()))
+    assert run(capsys, "classify", str(f)) == (0, "m9 (1,)\n")
+    want = "thm1.2 over F_3: 729 candidates (associative=105, surjective=72), 0 counterexamples\n"
+    assert run(capsys, "verify", "thm1.2", "--p", "3") == (0, want)
+
+
 def test_classify_rejects_malformed_products(tmp_path, capsys):
     # each was a traceback (IndexError, AttributeError) or, for the triple,
     # silently cut to a pair and classified

@@ -35,11 +35,25 @@ def test_parse_pd_rejects_bad_labels():
         dg.LinkDiagram(((True, 1, 2, 2),))  # bool is an int subclass, not a label
 
 
-def test_orient_header_recovers_signs():
-    # left trefoil, orientation given as the cyclic arc order of the knot
-    text = "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\nORIENT 1 2 3 4 5 6\n"
-    d = dg.parse_pd(text)
-    assert d.n_plus == 0 and d.n_minus == 3
+_LEFT_TREFOIL = "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n"
+_RIGHT_TREFOIL = "X 4 2 5 1\nX 6 4 1 3\nX 2 6 3 5\n"
+
+
+@pytest.mark.parametrize(
+    "pd, orient, signs",
+    [
+        (_LEFT_TREFOIL, "1 2 3 4 5 6", (0, 3)),
+        (_RIGHT_TREFOIL, "1 2 3 4 5 6", (3, 0)),
+        # reversing a knot's orientation keeps every crossing sign
+        (_LEFT_TREFOIL, "6 5 4 3 2 1", (0, 3)),
+        (_RIGHT_TREFOIL, "6 5 4 3 2 1", (3, 0)),
+    ],
+    ids=["left", "right", "left-reversed", "right-reversed"],
+)
+def test_orient_header_recovers_signs(pd, orient, signs):
+    # orientation given as the cyclic arc order of the knot
+    d = dg.parse_pd(f"{pd}ORIENT {orient}\n")
+    assert (d.n_plus, d.n_minus) == signs
 
 
 def test_orient_ambiguity_on_two_arc_component():

@@ -178,10 +178,12 @@ def test_surjectivity_examples():
 
 
 def _reference_tables():
-    # the Z box of bound 1, every commutative F_2/F_3 table, every
-    # noncommutative F_2 table
+    # the Z box of bound 1, the Q box with entries in {0, 1/2, 1}, every
+    # commutative F_2/F_3 table, every noncommutative F_2 table
     for c in itertools.product(range(-1, 2), repeat=6):
         yield table(ZZ, c[0:2], c[2:4], c[4:6])
+    for c in itertools.product((0, Fraction(1, 2), 1), repeat=6):
+        yield table(QQ, c[0:2], c[2:4], c[4:6])
     for ring in (F2, F3):
         yield from all_commutative_tables(ring)
     for c in itertools.product(range(2), repeat=8):

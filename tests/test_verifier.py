@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from frobknot import cli
 from frobknot import frobenius as fr
 from frobknot import rank2
 from frobknot import verifier as vf
-from frobknot.rings import GF
+from frobknot.rings import GF, ZZ
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -195,3 +197,113 @@ def test_search_nearly_frobenius_matches_reference(p):
         e11, e12, _, e22 = t
         want = [d for d, _ in comults if _frobenius_relation(t, d, p)]
         assert vf.search_nearly_frobenius(rank2.MultTable(ring, e11, e12, e22)) == want
+
+
+# --- failure branches -----------------------------------------------------
+#
+# Each test forces one failure with one patch, runs the battery through
+# cli.main, and checks every record: its kind, its fields, and that its table
+# reads back to the kernel tuple of the candidate that failed.
+
+
+def _gap(t):
+    raise rank2.ClassificationGap("forced")
+
+
+def _forced(monkeypatch, capsys, module, name, fake, *argv):
+    """The counterexample records of one verify run with module.name patched
+    to fake; the run must exit 1 and print one report."""
+    monkeypatch.setattr(module, name, fake)
+    assert cli.main(["verify", *argv, "--json"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)
+    return report["counterexamples"]
+
+
+def _read_back(records, ring):
+    # a table writes out e2e1 exactly when it differs from e1e2
+    tables = [rank2.MultTable.from_json(r["table"]) for r in records]
+    assert all(t.ring == ring for t in tables)
+    assert all(("e2e1" in r["table"]["products"]) != t.commutative for r, t in zip(records, tables))
+    return [rank2._entries(t) for t in tables]
+
+
+def _comm_tables(entries, m):
+    return list(rank2._associative_comm_tables(entries, m))
+
+
+@pytest.mark.parametrize(
+    "argv, ring, entries",
+    [(("--p", "3"), GF(3), range(3)), (("--zbound", "1"), ZZ, range(-1, 2))],
+    ids=["F_3", "Z box"],
+)
+def test_thm1_2_records_each_surjective_table_without_unit(
+    monkeypatch, capsys, argv, ring, entries
+):
+    m = ring.p or 0
+    want = [t for t in _comm_tables(entries, m) if rank2._surjective(t, m)]
+    recs = _forced(monkeypatch, capsys, vf, "_unit", lambda t, m: None, "thm1.2", *argv)
+    assert [r["kind"] for r in recs] == ["surjective_without_unit"] * len(want)
+    assert all(set(r) == {"kind", "table"} for r in recs)
+    assert _read_back(recs, ring) == want
+
+
+def test_thm1_1_records_each_pair_without_unit(monkeypatch, capsys):
+    want = [
+        (t, d)
+        for t in _comm_tables(range(3), 3)
+        if rank2._surjective(t, 3)
+        for d, dual in rank2._frobenius_comults(t, 3)
+        if rank2._surjective(dual, 3)
+    ]
+    recs = _forced(monkeypatch, capsys, vf, "_unit", lambda t, m: None, "thm1.1", "--p", "3")
+    assert len(recs) == 432
+    assert all(set(r) == {"kind", "table", "comult", "missing"} for r in recs)
+    assert {(r["kind"], r["missing"]) for r in recs} == {("frobenius_without_identity", "unit")}
+    comults = [tuple(tuple(map(tuple, dk)) for dk in r["comult"]) for r in recs]
+    assert list(zip(_read_back(recs, GF(3)), comults)) == want
+
+
+def test_noncomm_records_each_unmatched_table(monkeypatch, capsys):
+    want = [t for t in rank2._associative_noncomm_tables(3) if rank2._surjective(t, 3)]
+    no_iso = lambda a, b, p: None
+    recs = _forced(monkeypatch, capsys, vf, "_isomorphism", no_iso, "noncomm", "--p", "3")
+    assert [r["kind"] for r in recs] == ["unmatched_noncommutative_table"] * 16
+    assert all(set(r) == {"kind", "table"} and not r["table"]["commutative"] for r in recs)
+    assert _read_back(recs, GF(3)) == want
+
+
+def test_char2_records_each_classification_gap(monkeypatch, capsys):
+    recs = _forced(monkeypatch, capsys, rank2, "classify", _gap, "char2")
+    assert [r["kind"] for r in recs] == ["classification_gap"] * 22
+    assert all(set(r) == {"kind", "table"} for r in recs)
+    assert _read_back(recs, GF(2)) == _comm_tables(range(2), 2)
+
+
+def test_char2_records_each_unitality_mismatch(monkeypatch, capsys):
+    # with no unit found, every table of a unital family is a mismatch
+    tables = _comm_tables(range(2), 2)
+    labels = [rank2.classify(rank2.MultTable(GF(2), t[0], t[1], t[3]))[0] for t in tables]
+    want = [(t, label) for t, label in zip(tables, labels) if label in vf._CHAR2_UNITAL]
+    recs = _forced(monkeypatch, capsys, rank2, "find_unit", lambda t: None, "char2")
+    assert len(recs) == len(want) > 0
+    assert all(set(r) == {"kind", "table", "label", "unital"} for r in recs)
+    assert {(r["kind"], r["unital"]) for r in recs} == {("unitality_pattern_mismatch", False)}
+    assert list(zip(_read_back(recs, GF(2)), (r["label"] for r in recs))) == want
+
+
+def test_prop3_4_records_each_sweep_mismatch(monkeypatch, capsys):
+    # the unital members of the swept families over F_3, in sweep order
+    unital = [("m6", (0, 0)), ("m6", (0, 1)), ("m6", (1, 0)), ("m9", (1,))]
+    unital += [("m8_2R", (1, 0)), ("m8_2R", (1, 2))]
+    assert all(rank2.find_unit(rank2.representative(*fp, GF(3))) is not None for fp in unital)
+    recs = _forced(monkeypatch, capsys, rank2, "find_unit", lambda t: None, "prop3.4", "--p", "3")
+    assert recs == [
+        {
+            "kind": "sweep_mismatch",
+            "family": family,
+            "params": list(params),
+            "expected": {"associative": True, "unital": True},
+            "got": {"associative": True, "unital": False},
+        }
+        for family, params in unital
+    ]
