@@ -30,9 +30,6 @@ class ChainComplex:
     q_degrees: Optional[tuple] = None  # per degree: tuple of quantum degrees
     normalized: bool = False
 
-    def degree_range(self):
-        return range(self.shift, self.shift + len(self.ranks))
-
 
 @dataclass(frozen=True)
 class HomologyTable:

@@ -133,8 +133,13 @@ def _unit_equations(R: RingSpec, c) -> tuple:
 
 
 def _is_unit(R: RingSpec, c, u) -> bool:
-    M, rhs = _unit_equations(R, c)
-    return M.mul_vector(u) == rhs
+    """u*e_j = e_j = e_j*u: sum_i u_i c[i][j][k] = delta_jk on both sides."""
+    rng, m = range(len(c)), R.p or 0
+    for j, k in itertools.product(rng, repeat=2):
+        for s in (sum(u[i] * c[i][j][k] for i in rng), sum(u[i] * c[j][i][k] for i in rng)):
+            if (s % m if m else s) != (j == k):
+                return False
+    return True
 
 
 def _unit(R: RingSpec, c) -> Optional[tuple]:

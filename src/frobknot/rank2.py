@@ -79,10 +79,7 @@ class MultTable:
 # call the kernel directly.
 # ---------------------------------------------------------------------------
 
-_E1 = (1, 0)
-_E2 = (0, 1)
-_BASIS = (_E1, _E2)
-_TRIPLES = tuple(itertools.product(_BASIS, repeat=3))
+_TRIPLES = tuple(itertools.product(((1, 0), (0, 1)), repeat=3))
 
 
 def _mul(t, u, v, m):
@@ -93,12 +90,22 @@ def _mul(t, u, v, m):
     return (a % m, b % m) if m else (a, b)
 
 
+def _vanish(vals, m) -> bool:
+    """Every value is 0, mod m when m is nonzero."""
+    return not any(v % m for v in vals) if m else not any(vals)
+
+
 def _associative(t, m) -> bool:
-    e11, e12, e21, e22 = t
-    if e12 == e21:  # commutative: the two corner identities suffice
-        return (
-            _mul(t, e11, _E2, m) == _mul(t, _E1, e12, m)
-            and _mul(t, e22, _E1, m) == _mul(t, _E2, e21, m)
+    (a1, b1), e12, e21, (a4, b4) = t
+    if e12 == e21:  # commutative: the corner identities, written out
+        a2, b2 = e12
+        return _vanish(
+            (
+                b1 * a4 - a2 * b2,
+                b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,
+                (a1 - b2) * a4 + a2 * b4 - a2 * a2,
+            ),
+            m,
         )
     return all(
         _mul(t, _mul(t, x, y, m), z, m) == _mul(t, x, _mul(t, y, z, m), m) for x, y, z in _TRIPLES
@@ -224,9 +231,7 @@ def _unit(t, m):
         u = (xn / det, yn / det)
     else:  # Z: a floored quotient fails the check below unless it is exact
         u = (xn // det, yn // det)
-    if all(_mul(t, u, e, m) == e == _mul(t, e, u, m) for e in _BASIS):
-        return u
-    return None
+    return u if _vanish([u[0] * c + u[1] * d - r for c, d, r in rows], m) else None
 
 
 def _entries(t: MultTable):
@@ -296,27 +301,39 @@ def _signature(t, p) -> tuple:
     return _unit(t, p) is not None, idem, nil, rank
 
 
-def _transport(t, g, p, dinv):
-    """The products of t in the basis f_j = g[0][j] e1 + g[1][j] e2, lazily, in
-    kernel order; dinv is the inverse of det g mod p."""
-    (g00, g01), (g10, g11) = g
-    f = ((g00, g10), (g01, g11))
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        x, y = _mul(t, f[i], f[j], p)
-        yield ((g11 * x - g01 * y) * dinv % p, (g00 * y - g10 * x) * dinv % p)
-
-
 def _isomorphism(a, b, p):
     """The first g in GL_2(F_p), in lexicographic order of its entries, that
-    transports the tuple a onto the tuple b, or None."""
-    inv = [0] + [pow(d, -1, p) for d in range(1, p)]
-    for g00, g01, g10, g11 in itertools.product(range(p), repeat=4):
-        det = (g00 * g11 - g01 * g10) % p
-        if not det:
-            continue
-        g = ((g00, g01), (g10, g11))
-        if all(x == y for x, y in zip(_transport(a, g, p, inv[det]), b)):
-            return g
+    transports the tuple a onto the tuple b, or None.
+
+    With f0 = (g00, g10) and f1 = (g01, g11), g does so exactly when
+    a(f_i, f_j) = b_ij[0] f0 + b_ij[1] f1 for the four products, an identity
+    in e-coordinates that needs no inverse of g.  When b's e1e1 = (c0, c1)
+    has c1 != 0, the product f0 f0 fixes f1 = (f0 f0 - c0 f0) / c1;
+    otherwise it only filters f0, and f1 is scanned.
+    """
+    (c0, c1), *rest = b
+    c1inv = pow(c1, -1, p) if c1 else 0
+    for g00 in range(p):  # the first entry of g is its most significant
+        found = []
+        for g10 in range(p):
+            f0 = (g00, g10)
+            x, y = _mul(a, f0, f0, p)
+            x, y = x - c0 * g00, y - c0 * g10
+            if c1:
+                f1s = ((x * c1inv % p, y * c1inv % p),)
+            elif x % p or y % p:
+                continue
+            else:
+                f1s = itertools.product(range(p), repeat=2)
+            for f1 in f1s:
+                g01, g11 = f1
+                if (g00 * g11 - g01 * g10) % p and all(
+                    _mul(a, u, v, p) == ((s * g00 + t * g01) % p, (s * g10 + t * g11) % p)
+                    for (u, v), (s, t) in zip(((f0, f1), (f1, f0), (f1, f1)), rest)
+                ):
+                    found.append(((g00, g01), (g10, g11)))
+        if found:
+            return min(found)
     return None
 
 

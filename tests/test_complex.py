@@ -14,7 +14,7 @@ F2, F3 = GF(2), GF(3)
 
 
 def euler_characteristic(C):
-    return sum(-rk if i % 2 else rk for i, rk in zip(C.degree_range(), C.ranks))
+    return sum(-rk if i % 2 else rk for i, rk in enumerate(C.ranks, C.shift))
 
 
 def build(name, F, normalize=True):

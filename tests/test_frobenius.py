@@ -41,6 +41,25 @@ def test_a5_coproduct_of_x():
     assert F.coproduct((0, 1)) == (5, 0, 0, 1)  # t*1(x)1 + x(x)x
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=str)
+def test_declared_unit_and_counit_are_checked(ring):
+    F = fr.a5(1, 1, ring)
+    assert fr.FrobeniusData(ring, 2, F.mult, F.comult, (1, 0), (0, 1)) == F
+    for unit in ((0, 1), (1, 1), (2, 0)):
+        with pytest.raises(ValueError, match="declared unit is not a two-sided identity"):
+            fr.FrobeniusData(ring, 2, F.mult, F.comult, unit=unit)
+    for counit in ((1, 0), (1, 1), (0, 2)):
+        with pytest.raises(ValueError, match="declared counit does not split the coproduct"):
+            fr.FrobeniusData(ring, 2, F.mult, F.comult, counit=counit)
+    # e1 is a one-sided identity of these tables: e1 e2 = e2 but e2 e1 = 0,
+    # and the mirror image; as a counit it splits the coproduct on one side
+    for c in ((((1, 0), (0, 1)), ((0, 0), (0, 0))), (((1, 0), (0, 0)), ((0, 1), (0, 0)))):
+        with pytest.raises(ValueError, match="declared unit"):
+            fr.FrobeniusData(ring, 2, c, F.comult, unit=(1, 0))
+        with pytest.raises(ValueError, match="declared counit"):
+            fr.FrobeniusData(ring, 2, F.mult, fr._transpose(fr._transpose(c)), counit=(1, 0))
+
+
 # --- the four-parameter evaluation -------------------------------------------
 
 

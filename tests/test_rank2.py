@@ -83,6 +83,31 @@ def test_associative_comm_tables_match_brute_force(entries, m):
     assert list(rank2._associative_comm_tables(entries, m)) == brute
 
 
+def _associative_by_triples(t, m):
+    # the definition: (x y) z = x (y z) on all eight basis triples
+    mul = rank2._mul
+    return all(
+        mul(t, mul(t, x, y, m), z, m) == mul(t, x, mul(t, y, z, m), m) for x, y, z in rank2._TRIPLES
+    )
+
+
+@pytest.mark.parametrize(
+    "entries, m",
+    [(range(3), 3), (range(-2, 3), 0), ((0, Fraction(1, 2), Fraction(-1)), 0)],
+    ids=["F3", "Z", "Q"],
+)
+def test_corner_polynomials_match_the_triples(entries, m):
+    # the commutative branch evaluates three polynomials; on every
+    # commutative tuple of the box they decide as the eight triples do
+    verdicts = set()
+    for e in itertools.product(entries, repeat=6):
+        t = (e[0:2], e[2:4], e[2:4], e[4:6])
+        verdict = rank2._associative(t, m)
+        assert verdict == _associative_by_triples(t, m), t
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # --- units ----------------------------------------------------------------
 
 
@@ -108,6 +133,19 @@ def test_find_unit_over_z():
     assert rank2.find_unit(t) == (1, 0)
     t2 = table(ZZ, (2, 0), (0, 2), (0, 0))  # everything divisible by 2
     assert rank2.find_unit(t2) is None
+
+
+def test_unit_matches_brute_force_on_every_f3_tuple():
+    # Cramer's candidate, checked against its eight equations, is the one
+    # u in F_3^2 with u e = e = e u, noncommutative tuples included
+    plane, basis = list(itertools.product(range(3), repeat=2)), ((1, 0), (0, 1))
+    units = 0
+    for e in itertools.product(range(3), repeat=8):
+        t = (e[0:2], e[2:4], e[4:6], e[6:8])
+        found = [u for u in plane if all(_mul(t, u, v, 3) == v == _mul(t, v, u, 3) for v in basis)]
+        assert rank2._unit(t, 3) == (found[0] if found else None), t
+        units += bool(found)
+    assert units > 0
 
 
 # --- idempotents ----------------------------------------------------------
@@ -245,9 +283,30 @@ def _reference_transport(t, g):
     return rank2.MultTable(R, *prods, e21)
 
 
+def _transport(t, g, p, dinv):
+    """The products of the kernel tuple t in the basis f_j = g[0][j] e1 +
+    g[1][j] e2, lazily, in kernel order; dinv is the inverse of det g mod p."""
+    (g00, g01), (g10, g11) = g
+    f = ((g00, g10), (g01, g11))
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x, y = rank2._mul(t, f[i], f[j], p)
+        yield ((g11 * x - g01 * y) * dinv % p, (g00 * y - g10 * x) * dinv % p)
+
+
+def _scan_isomorphism(a, b, p):
+    """The first g in GL_2(F_p), in lexicographic order of its entries, that
+    transports the tuple a onto the tuple b, or None: every g is tried."""
+    inv = [0] + [pow(d, -1, p) for d in range(1, p)]
+    for g in _gl2(p):
+        det = (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p
+        if all(x == y for x, y in zip(_transport(a, g, p, inv[det]), b)):
+            return g
+    return None
+
+
 def _kernel_transport(t4, g, p):
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    return tuple(rank2._transport(t4, g, p, pow(det, -1, p)))
+    return tuple(_transport(t4, g, p, pow(det, -1, p)))
 
 
 def _reference_isomorphic(a, b):
@@ -396,6 +455,45 @@ def test_signature_is_invariant_under_base_change(p, data):
     moved = _kernel_transport(t4, g, p)
     assert rank2._signature(moved, p) == rank2._signature(t4, p)
     assert rank2._isomorphism(t4, moved, p) is not None
+
+
+def test_isomorphism_matches_scan_on_every_f2_pair():
+    # the scan's answer for (a, b) is the first g whose image of a is b, so
+    # one pass over GL_2(F_2) per a serves every b
+    tuples = list(itertools.product(itertools.product(range(2), repeat=2), repeat=4))
+    for a in tuples:
+        first = {}
+        for g in _gl2(2):
+            first.setdefault(_kernel_transport(a, g, 2), g)
+        for b in tuples:
+            assert rank2._isomorphism(a, b, 2) == first.get(b), (a, b)
+
+
+@pytest.mark.parametrize("p, pairs", [(3, 180), (5, 90), (7, 48)])
+def test_isomorphism_matches_scan_on_seeded_pairs(p, pairs):
+    # half of the pairs are a tuple and a transported image of it, which
+    # the scan finds somewhere in GL_2(F_p); commutative tuples meet
+    # commutative partners, noncommutative and non-associative ones abound
+    rnd = random.Random(p)
+    gl2 = list(_gl2(p))
+    assoc = list(rank2._associative_comm_tables(range(p), p))
+    kinds = set()
+    for k in range(pairs):
+        a = [(rnd.randrange(p), rnd.randrange(p)) for _ in range(4)]
+        if k % 3 == 1:
+            a[2] = a[1]
+        a = rnd.choice(assoc) if k % 3 == 0 else tuple(a)
+        if k % 2:
+            b = _kernel_transport(a, rnd.choice(gl2), p)
+        else:
+            b = tuple((rnd.randrange(p), rnd.randrange(p)) for _ in range(4))
+            b = (b[0], b[1], b[1] if a[1] == a[2] else b[2], b[3])
+        g = rank2._isomorphism(a, b, p)
+        assert g == _scan_isomorphism(a, b, p), (a, b)
+        if k % 2:
+            assert g is not None
+        kinds.add((a[1] == a[2], rank2._associative(a, p)))
+    assert kinds >= {(True, True), (True, False), (False, False)}
 
 
 # --- representative side conditions ----------------------------------------
