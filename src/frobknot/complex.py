@@ -61,14 +61,14 @@ def _local_cells(F: FrobeniusData) -> tuple:
     """The nonzero structure constants of the product and of the coproduct,
     by edge kind, as (input bits, output bits, value), and each value's
     negative."""
-    R, rng = F.ring, range(F.rank)
+    R, m, rng = F.ring, F.ring.p or 0, range(F.rank)
     cells = {
         "merge": [((x, y), (s,), v) for x in rng for y in rng for s in rng
                   if (v := F.mult[x][y][s]) != R.zero],
         "split": [((x,), (u, w), v) for x in rng for u in rng for w in rng
                   if (v := F.comult[x][u][w]) != R.zero],
     }
-    return cells, {v: R.neg(v) for table in cells.values() for _, _, v in table}
+    return cells, {v: -v % m if m else -v for table in cells.values() for _, _, v in table}
 
 
 def _edge_kernel(r: int, local: list, neg: dict, c_in: int, c_out: int, src: tuple,

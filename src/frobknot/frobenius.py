@@ -58,8 +58,7 @@ class FrobeniusData:
         u, v = ([R.normalize(x) for x in w] for w in (u, v))
         if len(u) != r or len(v) != r:
             raise ValueError(f"product takes two vectors of length {r}")
-        uv = [R.mul(a, b) for a in u for b in v]
-        return tuple(self._merge.mul_vector(uv))
+        return tuple(self._merge.mul_vector([a * b for a in u for b in v]))
 
     def coproduct(self, v: Sequence) -> tuple:
         """Coproduct of a vector, as an r*r coefficient tuple (first factor
@@ -132,6 +131,11 @@ def _unit_equations(R: RingSpec, c) -> tuple:
     return ExactMatrix.from_rows(R, rows), rhs
 
 
+def _zero(x, m) -> bool:
+    """x is 0, mod m when m is nonzero."""
+    return not (x % m if m else x)
+
+
 def _is_unit(R: RingSpec, c, u) -> bool:
     """u*e_j = e_j = e_j*u: sum_i u_i c[i][j][k] = delta_jk on both sides."""
     rng, m = range(len(c)), R.p or 0
@@ -154,7 +158,7 @@ def _algebra_flags(R: RingSpec, c) -> dict:
     """Associative, commutative and unital flags of the table c, whether
     its product is onto over the ring (all invariant factors 1 over Z) and
     whether it has full rank over the fraction field."""
-    r = len(c)
+    r, m = len(c), R.p or 0
     rng = range(r)
     M = ExactMatrix.from_rows(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
     if R == ZZ:
@@ -164,8 +168,7 @@ def _algebra_flags(R: RingSpec, c) -> dict:
         onto = full_rank = rank(M) == r
     return {
         "associative": all(
-            _sum(R, (R.mul(c[i][j][s], c[s][k][l]) for s in rng))
-            == _sum(R, (R.mul(c[j][k][s], c[i][s][l]) for s in rng))
+            _zero(sum(c[i][j][s] * c[s][k][l] - c[j][k][s] * c[i][s][l] for s in rng), m)
             for i, j, k, l in itertools.product(rng, repeat=4)
         ),
         "commutative": all(c[i][j] == c[j][i] for i in rng for j in rng),
@@ -185,18 +188,17 @@ def check_axioms(F: FrobeniusData) -> dict:
     injectivity notions are reported: full rank over the fraction field, and
     split injectivity (all invariant factors units).
     """
-    R, r = F.ring, F.rank
-    c, d = F.mult, F.comult
-    rng = range(r)
+    R, c, d = F.ring, F.mult, F.comult
+    rng, m = range(F.rank), R.p or 0
     alg = _algebra_flags(R, c)
     coalg = _algebra_flags(R, _transpose(d))
 
     frob = True
     for i, j, a, b in itertools.product(rng, repeat=4):
-        lhs = _sum(R, (R.mul(c[i][j][s], d[s][a][b]) for s in rng))
-        mid = _sum(R, (R.mul(c[i][u][a], d[j][u][b]) for u in rng))
-        rhs = _sum(R, (R.mul(d[i][a][v], c[v][j][b]) for v in rng))
-        if lhs != mid or lhs != rhs:
+        lhs = sum(c[i][j][s] * d[s][a][b] for s in rng)
+        mid = sum(c[i][u][a] * d[j][u][b] for u in rng)
+        rhs = sum(d[i][a][v] * c[v][j][b] for v in rng)
+        if not (_zero(lhs - mid, m) and _zero(lhs - rhs, m)):
             frob = False
             break
 
@@ -212,13 +214,6 @@ def check_axioms(F: FrobeniusData) -> dict:
         "comult_injective": coalg["full_rank"],
         "comult_split_injective": coalg["onto"],
     }
-
-
-def _sum(R: RingSpec, xs):
-    out = R.zero
-    for x in xs:
-        out = R.add(out, x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +238,15 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     otherwise the point is rejected.
     """
     a, c, e, f, h, t = (ring.normalize(x) for x in pt)
-    R = ring
-    if R.sub(R.mul(a, e), R.mul(c, f)) != R.zero or R.sub(
-        R.add(R.mul(a, f), R.mul(c, R.mul(h, f))), R.mul(c, R.mul(e, t))
-    ) != R.one:
+    m = ring.p or 0
+    if not (_zero(a * e - c * f, m) and _zero(a * f + c * h * f - c * e * t - 1, m)):
         raise ValueError(
             "parameters must satisfy a*e = c*f and a*f + c*h*f - c*e*t = 1"
         )
     mult = (((1, 0), (0, 1)), ((0, 1), (t, h)))
-    et_hf = R.sub(R.mul(e, t), R.mul(h, f))
-    comult = (
-        ((et_hf, f), (f, e)),
-        ((R.mul(f, t), R.mul(e, t)), (R.mul(e, t), R.add(f, R.mul(e, h)))),
-    )
-    return FrobeniusData(R, 2, mult, comult, unit=(1, 0), counit=(R.neg(c), a))
+    comult = (((e * t - h * f, f), (f, e)), ((f * t, e * t), (e * t, f + e * h)))
+    # FrobeniusData reduces every entry into the ring
+    return FrobeniusData(ring, 2, mult, comult, unit=(1, 0), counit=(-c, a))
 
 
 def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
@@ -276,17 +266,17 @@ def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
 def twist(F: FrobeniusData, y: Sequence) -> FrobeniusData:
     """Replace counit by v |-> counit(y*v) and coproduct by v |-> coproduct
     of y^{-1}*v.  Multiplication and unit are untouched."""
-    R, r = F.ring, F.rank
+    r = F.rank
     yinv = invert_element(F, y)
     if yinv is None:
         raise ValueError("twisting element is not invertible")
     basis = [[int(i == j) for i in range(r)] for j in range(r)]
     counit = None
     if F.counit is not None:
-        counit = [_sum(R, map(R.mul, F.counit, F.product(y, e))) for e in basis]
+        counit = [sum(a * b for a, b in zip(F.counit, F.product(y, e))) for e in basis]
     splits = [F.coproduct(F.product(yinv, e)) for e in basis]
     comult = [[d[a * r : (a + 1) * r] for a in range(r)] for d in splits]
-    return FrobeniusData(R, r, F.mult, comult, unit=F.unit, counit=counit)
+    return FrobeniusData(F.ring, r, F.mult, comult, unit=F.unit, counit=counit)
 
 
 def dualize(F: FrobeniusData) -> FrobeniusData:

@@ -5,11 +5,13 @@ matrix, cached on it, gives both the rank over the fraction field and the
 invariant factors of the Smith normal form over Z: unit entries are
 cancelled first (Bar-Natan's Gaussian-elimination lemma), then entries that
 divide their row and column, reached by remainders (Dumas, Saunders and
-Villard's sparse Smith form).  Also provides exact linear solving by
-elimination over the fraction field, and homology summands ker/im of a pair
-of composable differentials, which reduce d_out without its columns at the
-rows of d_in's unit pivots.  Arbitrary-precision integers throughout: over
-Q, products and eliminations run on rows lifted to integers once.
+Villard's sparse Smith form).  Also provides exact linear solving by one
+dense Gauss-Jordan elimination on integer rows, fraction-free over Z and Q
+(a cleared row is divided by its content) and on residues mod p, and
+homology summands ker/im of a pair of composable differentials, which
+reduce d_out without its columns at the rows of d_in's unit pivots.
+Arbitrary-precision integers throughout: over Q, products and eliminations
+run on rows lifted to integers once.
 """
 
 from __future__ import annotations
@@ -104,15 +106,10 @@ class ExactMatrix:
     def mul_vector(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        R = self.ring
+        R, p = self.ring, self.ring.p
         v = [R.normalize(x) for x in v]
-        out = []
-        for row in self.nz:
-            s = R.zero
-            for j, a in row:
-                s = R.add(s, R.mul(a, v[j]))
-            out.append(s)
-        return out
+        out = [sum((a * v[j] for j, a in row), R.zero) for row in self.nz]
+        return [s % p for s in out] if p else out
 
     @cached_property
     def _reduced(self) -> tuple:
@@ -293,53 +290,73 @@ def rank(M: ExactMatrix) -> int:
     return M._reduced[0]
 
 
-def _row_echelon(ring: RingSpec, m: list, cols: int) -> list:
-    """In-place reduction to reduced echelon form; returns pivot column list."""
+def _echelon(rows: list, cols: int, p: int) -> list:
+    """Gauss-Jordan elimination in place on dense integer rows, over their
+    first ``cols`` columns; returns the pivot columns, the k-th pivot in row
+    k, which is the only row nonzero in that column.
+
+    Mod a prime p the rows hold residues and each pivot row is scaled to
+    pivot 1.  Over Z (p = 0) the elimination is fraction-free: a row with f
+    in the column of a pivot v becomes v*row - f*pivot_row, then is divided
+    by its content, so its entries stay small integers.
+    """
     pivots = []
-    r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = ring.inv(m[r][c])
-        m[r] = [ring.mul(inv, x) for x in m[r]]
-        nonzero = [(j, x) for j, x in enumerate(m[r]) if x]
-        for i, row in enumerate(m):
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        if p:
+            inv = pow(prow[c], -1, p)
+            prow[:] = [x * inv % p for x in prow]
+        v, nonzero = prow[c], [(j, x) for j, x in enumerate(prow) if x]
+        for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                for j, x in nonzero:
-                    row[j] = ring.sub(row[j], ring.mul(f, x))
+                if p:
+                    for j, x in nonzero:
+                        row[j] = (row[j] - f * x) % p
+                else:
+                    row[:] = [v * y - f * x for y, x in zip(row, prow)]
+                    if (g := gcd(*row)) > 1:
+                        row[:] = [y // g for y in row]
         pivots.append(c)
-        r += 1
     return pivots
 
 
 def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
     """One exact solution of M x = b in the ring, or None.
 
-    Gauss-Jordan elimination of [M | b] over the fraction field; over a
-    field, free unknowns are set to zero.  Over Z the solution must be
-    unique: it is returned when integral and None when not, and a consistent
-    system with a nontrivial kernel raises ValueError, since its integer
-    solutions need not include the rational one found.
+    Gauss-Jordan elimination of [M | b] on integer rows (over Q each row is
+    scaled to integers once); over a field, free unknowns are set to zero.
+    Over Z the solution must be unique: it is returned when integral and
+    None when not, and a consistent system with a nontrivial kernel raises
+    ValueError, since its integer solutions need not include the rational
+    one found.
     """
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
-    # over Z the rows stay integers: QQ.inv turns each pivot row into Fractions
-    field = QQ if M.ring == ZZ else M.ring
-    m = [list(M.row(i)) + [M.ring.normalize(x)] for i, x in enumerate(b)]
-    pivots = _row_echelon(field, m, M.cols + 1)
+    R = M.ring
+    m = [list(M.row(i)) + [R.normalize(x)] for i, x in enumerate(b)]
+    if R == QQ:
+        for row in m:
+            d = lcm(*(x.denominator for x in row))
+            row[:] = [x.numerator * (d // x.denominator) for x in row]
+    pivots = _echelon(m, M.cols + 1, R.p or 0)
     if pivots and pivots[-1] == M.cols:
         return None  # inconsistent
-    x = [field.zero] * M.cols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][M.cols]
-    if M.ring != ZZ:
+    if R != ZZ:  # over F_p every pivot is 1
+        x = [R.zero] * M.cols
+        for row, c in zip(m, pivots):
+            x[c] = Fraction(row[-1], row[c]) if R == QQ else row[-1]
         return x
     if len(pivots) < M.cols:
         raise ValueError("integer solve of a system with a nontrivial kernel")
-    return [v.numerator for v in x] if all(v.denominator == 1 for v in x) else None
+    if any(row[-1] % row[c] for row, c in zip(m, pivots)):
+        return None
+    return [row[-1] // row[c] for row, c in zip(m, pivots)]
 
 
 def homology_summands(d_in: ExactMatrix, d_out: ExactMatrix) -> tuple[int, list]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import _row_echelon
-from .rings import GF, RingSpec, Scalar
+from .linalg import _echelon
+from .rings import RingSpec, Scalar
 
 Pair = tuple[Scalar, Scalar]
 
@@ -180,7 +180,7 @@ def _frobenius_comults(t, p):
             mid[_D[j][u][b]] -= t[2 * i + u][a]
             rhs[_D[i][a][u]] -= t[2 * u + j][b]
         rows += ([x % p for x in mid], [x % p for x in rhs])
-    pivots = _row_echelon(GF(p), rows, 6)
+    pivots = _echelon(rows, 6, p)
     free = [k for k in range(6) if k not in pivots]
     out = []
     for vals in itertools.product(range(p), repeat=len(free)):
@@ -362,24 +362,13 @@ def nonresidues(ring: RingSpec) -> list:
 
 
 def _pa(a2, b2, a4, b4, y):
+    """The obstruction polynomial P_A at y, unreduced.  At a4 = a2*b2 and
+    b4 = a2 + b2^2 it is the root-obstruction polynomial P_R of the
+    exceptional commutative family."""
     return (
         -1 + y * (4 * a2 + b4) + y**2 * (2 * a4 * b2 - 4 * a2**2 - 4 * a2 * b4)
         + y**3 * (a4**2 - 4 * a2 * a4 * b2 + 4 * a2**2 * b4)
     )
-
-
-def evaluate_PR(alpha2, beta2, y, ring: RingSpec) -> Scalar:
-    """The root-obstruction polynomial attached to the exceptional
-    commutative family: -1 + y(5*a2 + b2^2) + y^2(-8*a2^2 - 2*a2*b2^2)
-    + y^3(4*a2^3 + a2^2*b2^2), which is P_A at a4 = a2*b2, b4 = a2 + b2^2."""
-    a2, b2, y = map(ring.normalize, (alpha2, beta2, y))
-    return ring.normalize(_pa(a2, b2, a2 * b2, a2 + b2 * b2, y))
-
-
-def evaluate_PA(alpha2, beta2, alpha4, beta4, y, ring: RingSpec) -> Scalar:
-    """General obstruction polynomial: -1 + y(4*a2 + b4)
-    + y^2(2*a4*b2 - 4*a2^2 - 4*a2*b4) + y^3(a4^2 - 4*a2*a4*b2 + 4*a2^2*b4)."""
-    return ring.normalize(_pa(*map(ring.normalize, (alpha2, beta2, alpha4, beta4, y))))
 
 
 _HALF = Fraction(1, 2)  # MultTable rejects it over Z and F_2, where 2 is no unit

@@ -1,9 +1,9 @@
 """Exact coefficient rings: the integers, the rationals, and prime fields.
 
 Scalars are plain Python objects: ``int`` for Z and F_p (residues kept in
-``range(0, p)``), ``fractions.Fraction`` for Q.  A :class:`RingSpec` bundles
-the arithmetic so generic code (matrices, structure constants) never needs
-to know which ring it is working over.
+``range(0, p)``), ``fractions.Fraction`` for Q.  Arithmetic on them is plain
+``+ - *``, reduced ``% p`` over F_p; a :class:`RingSpec` names the ring and
+normalizes, enumerates and formats its scalars.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class RingSpec:
         elif self.p is not None:
             raise ValueError(f"{self.kind} takes no modulus")
 
-    # -- element arithmetic ------------------------------------------------
+    # -- elements ----------------------------------------------------------
 
     @property
     def zero(self) -> Scalar:
@@ -80,35 +80,6 @@ class RingSpec:
                 raise ValueError(f"{x} has a denominator divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a + b
-        return s % self.p if self.kind == "Fp" else s
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a - b
-        return s % self.p if self.kind == "Fp" else s
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a * b
-        return s % self.p if self.kind == "Fp" else s
-
-    def neg(self, a: Scalar) -> Scalar:
-        return -a % self.p if self.kind == "Fp" else -a
-
-    def is_unit(self, a: Scalar) -> bool:
-        if self.kind == "Z":
-            return a in (1, -1)
-        return a != self.zero
-
-    def inv(self, a: Scalar) -> Scalar:
-        if not self.is_unit(a):
-            raise ZeroDivisionError(f"{a} is not a unit in {self}")
-        if self.kind == "Z":
-            return a
-        if self.kind == "Q":
-            return Fraction(1) / a
-        return pow(a, -1, self.p)
 
     def elements(self):
         """All elements (prime fields only)."""

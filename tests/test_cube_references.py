@@ -143,7 +143,7 @@ def complex_by_dict_scatter(cube, F, normalize):
     """(ranks, differential rows, q-degrees): each edge's whole
     ``generator_map`` matrix scattered into rows filled as dicts and sorted,
     each state's q-degrees from its own product over basis bits."""
-    d, R, r = cube.diagram, F.ring, F.rank
+    d, R, r, m = cube.diagram, F.ring, F.rank, F.ring.p or 0
     n = d.n_crossings
     by_degree = [[] for _ in range(n + 1)]
     for s in sorted(cube.circles):
@@ -172,7 +172,8 @@ def complex_by_dict_scatter(cube, F, normalize):
             negate = sum(e.s1[:pos]) % 2
             for a, row in enumerate(mat.nz):
                 for b, v in row:
-                    scatter[offsets[e.s2] + a][offsets[e.s1] + b] = R.neg(v) if negate else v
+                    w = -v if negate else v
+                    scatter[offsets[e.s2] + a][offsets[e.s1] + b] = w % m if m else w
         diffs.append(tuple(tuple(sorted(cells.items())) for cells in scatter))
     q_degrees = None
     if normalize and F == fr.a5(0, 0, R):

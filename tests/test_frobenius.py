@@ -70,6 +70,17 @@ def test_a4_point_validation():
         fr.a4_evaluate((1, 1, 1, 0, 0, 0))
 
 
+def test_a4_point_valid_only_mod_p():
+    # a*f = 6 is 1 mod 5 but not 1 in Z: the point's constraints and every
+    # axiom sum are read mod p
+    pt = (2, 0, 0, 3, 1, 4)
+    with pytest.raises(ValueError, match="parameters must satisfy"):
+        fr.a4_evaluate(pt)
+    F = fr.a4_evaluate(pt, F5)
+    assert F.counit == (0, 2) and F.comult[1][1][1] == 3
+    assert all(fr.check_axioms(F).values())
+
+
 def test_a4_axioms_on_family_of_points():
     # the one-parameter family (a, 1, 1, a, h, a^2 + h a - 1)
     for a, h in itertools.product((1, 2, -1), (0, 1, -2)):
@@ -132,7 +143,7 @@ def test_perturbed_coproduct_breaks_relations():
     object.__setattr__(bad, "rank", 2)
     object.__setattr__(bad, "mult", F.mult)
     comult = tuple(
-        tuple(tuple(F5.add(c, 1) if (k, i, j) == (0, 0, 0) else c
+        tuple(tuple((c + 1) % 5 if (k, i, j) == (0, 0, 0) else c
                     for j, c in enumerate(row))
               for i, row in enumerate(plane))
         for k, plane in enumerate(F.comult)

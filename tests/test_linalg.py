@@ -5,7 +5,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobknot.linalg import (
@@ -235,6 +235,72 @@ def test_solve_linear_no_integer_solution():
 def test_solve_linear_inconsistent_over_field():
     M = ExactMatrix.from_rows(QQ, [[1, 1], [1, 1]])
     assert solve_linear(M, [1, 2]) is None
+
+
+@st.composite
+def _systems(draw):
+    """(ring, rows, b) over Z, Q, F_3 or F_5; a dependent last row and a
+    right side in the image make kernels and consistent systems common."""
+    ring = draw(st.sampled_from((ZZ, QQ, GF(3), GF(5))))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ent = st.fractions(-4, 4, max_denominator=3) if ring == QQ else st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(ent, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r > 1 and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [k * x + y for x, y in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        x = draw(st.lists(ent, min_size=c, max_size=c))
+        b = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        b = draw(st.lists(ent, min_size=r, max_size=r))
+    return ring, rows, b
+
+
+def _sympy_solve(ring, rows, b):
+    """What solve_linear must return, read off sympy's reduced echelon form
+    of [rows | b] over the fraction field: None when inconsistent, free
+    unknowns zero over a field; over Z "kernel" for a free unknown and None
+    for a non-integral solution."""
+    n = ring.normalize
+    aug = [[n(v) for v in row] + [n(v)] for row, v in zip(rows, b)]
+    dom = sympy.QQ if ring.p is None else sympy.GF(ring.p)
+    ref, piv = DomainMatrix.from_list(aug, dom).rref()
+    cols = len(rows[0])
+    if cols in piv:
+        return None
+    x = [ring.zero] * cols
+    for row, j in zip(ref.to_list(), piv):
+        v = row[cols]
+        x[j] = int(v) % ring.p if ring.p else Fraction(int(v.numerator), int(v.denominator))
+    if ring != ZZ:
+        return x
+    if len(piv) < cols:
+        return "kernel"
+    return [v.numerator for v in x] if all(v.denominator == 1 for v in x) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example((ZZ, [[2, 0], [0, 3]], [1, 3]))  # unique but not integral
+@example((ZZ, [[1, 1], [2, 2]], [1, 2]))  # a kernel
+@example((ZZ, [[1, 1], [2, 2]], [1, 3]))  # inconsistent
+@example((QQ, [[Fraction(1, 2), 1], [1, 2]], [Fraction(1, 3), Fraction(2, 3)]))
+@example((GF(5), [[1, 2], [2, 4]], [3, 1]))  # a kernel mod 5
+@example((GF(3), [[1, 2], [2, 1]], [1, 1]))  # inconsistent mod 3
+def test_solve_linear_matches_sympy(system):
+    ring, rows, b = system
+    M = ExactMatrix.from_rows(ring, rows)
+    want = _sympy_solve(ring, rows, b)
+    if want == "kernel":
+        with pytest.raises(ValueError, match="nontrivial kernel"):
+            solve_linear(M, b)
+        return
+    got = solve_linear(M, b)
+    assert got == want
+    if got is not None:  # int over Z and F_p, Fraction over Q
+        assert all(type(v) is type(ring.zero) for v in got)
+        if ring.p:
+            assert all(0 <= v < ring.p for v in got)
 
 
 def test_homology_summands_simple_torsion():

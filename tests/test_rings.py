@@ -5,14 +5,8 @@ import pytest
 from frobknot.rings import QQ, ZZ, GF, RingSpec
 
 
-def test_fp_arithmetic():
-    F5 = GF(5)
-    assert F5.add(3, 4) == 2
-    assert F5.mul(3, 4) == 2
-    assert F5.neg(2) == 3
-    assert F5.inv(2) == 3
-    assert F5.sub(1, 3) == 3
-    assert sorted(F5.elements()) == [0, 1, 2, 3, 4]
+def test_fp_elements():
+    assert sorted(GF(5).elements()) == [0, 1, 2, 3, 4]
 
 
 def test_fp_requires_prime():
@@ -24,14 +18,6 @@ def test_fp_requires_prime():
         GF(5.0)  # a JSON float modulus would make float residues
     with pytest.raises(ValueError, match="p <= 2"):
         GF(1000000016000000063)  # (10**9 + 7)(10**9 + 9), past the bound
-
-
-def test_z_units():
-    assert ZZ.is_unit(-1) and ZZ.is_unit(1)
-    assert not ZZ.is_unit(2)
-    assert ZZ.inv(-1) == -1
-    with pytest.raises(ZeroDivisionError):
-        ZZ.inv(2)
 
 
 def test_q_normalize_accepts_strings():
