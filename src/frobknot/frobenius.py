@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, rank, smith_normal_form, solve_linear
+from .linalg import ExactMatrix, _solve, rank, smith_normal_form
 from .rings import ZZ, RingSpec
 
 
@@ -117,18 +117,17 @@ def _transpose(t) -> tuple:
     return tuple(tuple(tuple(t[k][i][j] for k in range(r)) for j in range(r)) for i in range(r))
 
 
-def _unit_equations(R: RingSpec, c) -> tuple:
-    """The system u*e_j = e_j = e_j*u in the unknown u, as (matrix, rhs)."""
+def _unit_equations(R: RingSpec, c) -> list:
+    """The system u*e_j = e_j = e_j*u in the unknown u, as dense augmented
+    rows [matrix | rhs]."""
     r = len(c)
-    rows, rhs = [], []
+    rows = []
     for j in range(r):
         for k in range(r):
-            rows.append([c[i][j][k] for i in range(r)])
-            rhs.append(R.one if k == j else R.zero)
+            rows.append([c[i][j][k] for i in range(r)] + [R.one if k == j else R.zero])
         for k in range(r):
-            rows.append([c[j][i][k] for i in range(r)])
-            rhs.append(R.one if k == j else R.zero)
-    return ExactMatrix.from_rows(R, rows), rhs
+            rows.append([c[j][i][k] for i in range(r)] + [R.one if k == j else R.zero])
+    return rows
 
 
 def _zero(x, m) -> bool:
@@ -150,7 +149,7 @@ def _unit(R: RingSpec, c) -> Optional[tuple]:
     # A two-sided unit is unique (u = u*u' = u'), also over the fraction
     # field, so a consistent unit system has no kernel and the Z solve,
     # which needs a unique solution, never raises here.
-    sol = solve_linear(*_unit_equations(R, c))
+    sol = _solve(R, _unit_equations(R, c), len(c))
     return tuple(sol) if sol is not None else None
 
 
@@ -259,7 +258,7 @@ def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
         raise ValueError("algebra has no unit")
     basis = [[int(i == j) for i in range(F.rank)] for j in range(F.rank)]
     cols = [F.product(y, e) for e in basis]  # column j is y*e_j
-    sol = solve_linear(ExactMatrix.from_rows(F.ring, list(zip(*cols))), list(F.unit))
+    sol = _solve(F.ring, [[*row, u] for row, u in zip(zip(*cols), F.unit)], F.rank)
     return tuple(sol) if sol is not None else None
 
 

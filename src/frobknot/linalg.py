@@ -3,7 +3,9 @@
 A matrix stores the nonzeros of each row.  One sparse elimination per
 matrix, cached on it, gives both the rank over the fraction field and the
 invariant factors of the Smith normal form over Z: unit entries are
-cancelled first (Bar-Natan's Gaussian-elimination lemma), then entries that
+cancelled first (Bar-Natan's Gaussian-elimination lemma), starting with rows
+whose only entry is a unit, which clear their column with no fill (the
+structured Gaussian elimination of LaMacchia and Odlyzko), then entries that
 divide their row and column, reached by remainders (Dumas, Saunders and
 Villard's sparse Smith form).  Also provides exact linear solving by one
 dense Gauss-Jordan elimination on integer rows, fraction-free over Z and Q
@@ -151,14 +153,20 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
     One sparse elimination.  A pivot v at (i, j) that divides every entry
     of its row and column clears them, and row i and column j are dropped:
     the rank grows by 1 and |v| is a diagonal entry of an equivalent
-    diagonal matrix.  Units go first, from a column with the fewest entries
-    and the shortest row with a unit there; only their row operations are
-    written out.  The units are +-1 over Z and over Q, whose rows are scaled
-    to primitive integer rows first; over F_p every nonzero entry is one, so
-    nothing is left.  Then each column in turn pivots on a smallest entry:
-    row operations with floor quotients, and column operations on row i once
-    it is alone in column j, leave remainders, and a smallest one becomes the
-    next pivot.  The torsion is () unless the ring is Z.
+    diagonal matrix.  Units go first.  A row whose only entry is a unit
+    pivots with no row arithmetic, since clearing its column changes no
+    other entry; rows left with one entry follow.  These pivots form a
+    unit-triangular minor, so they change neither the rank nor the
+    invariant factors, and their rows cover columns as every unit pivot's
+    do (see ``homology_summands``).  The other units come from a column
+    with the fewest entries and the shortest row with a unit there; only
+    their row operations are written out.  The units are +-1 over Z and
+    over Q, whose rows are scaled to primitive integer rows first; over
+    F_p every nonzero entry is one, so nothing is left.  Then each column
+    in turn pivots on a smallest entry: row operations with floor
+    quotients, and column operations on row i once it is alone in column
+    j, leave remainders, and a smallest one becomes the next pivot.  The
+    torsion is () unless the ring is Z.
     """
     p, q = M.ring.p, M.ring == QQ
     rows: dict = {}
@@ -174,9 +182,27 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    unit_rows = set()
+    lone = [i for i, row in rows.items() if len(row) == 1]
+    while lone:
+        i = lone.pop()
+        if i not in rows:
+            continue  # emptied after it was queued
+        (j, v), = rows[i].items()
+        if not (p or v in (1, -1)):
+            continue
+        unit_rows.add(i)
+        del rows[i]
+        for k in cols.pop(j):
+            if k != i:
+                rk = rows[k]
+                del rk[j]
+                if len(rk) == 1:
+                    lone.append(k)
+                elif not rk:
+                    del rows[k]
     heap = [(len(s), j) for j, s in cols.items()]
     heapq.heapify(heap)
-    unit_rows = set()
     while heap:
         n, j = heapq.heappop(heap)
         col = cols.get(j)
@@ -339,20 +365,26 @@ def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
     R = M.ring
-    m = [list(M.row(i)) + [R.normalize(x)] for i, x in enumerate(b)]
+    return _solve(R, [list(M.row(i)) + [R.normalize(x)] for i, x in enumerate(b)], M.cols)
+
+
+def _solve(R: RingSpec, m: list, cols: int) -> Optional[list]:
+    """``solve_linear`` on the dense augmented rows m = [M | b] of ring
+    elements, as ``RingSpec.normalize`` gives them, with ``cols`` unknowns;
+    m is eliminated in place."""
     if R == QQ:
         for row in m:
             d = lcm(*(x.denominator for x in row))
             row[:] = [x.numerator * (d // x.denominator) for x in row]
-    pivots = _echelon(m, M.cols + 1, R.p or 0)
-    if pivots and pivots[-1] == M.cols:
+    pivots = _echelon(m, cols + 1, R.p or 0)
+    if pivots and pivots[-1] == cols:
         return None  # inconsistent
     if R != ZZ:  # over F_p every pivot is 1
-        x = [R.zero] * M.cols
+        x = [R.zero] * cols
         for row, c in zip(m, pivots):
             x[c] = Fraction(row[-1], row[c]) if R == QQ else row[-1]
         return x
-    if len(pivots) < M.cols:
+    if len(pivots) < cols:
         raise ValueError("integer solve of a system with a nontrivial kernel")
     if any(row[-1] % row[c] for row, c in zip(m, pivots)):
         return None

@@ -206,6 +206,53 @@ def test_reduction_without_units_matches_sympy(r, c, fill, rnd):
         assert rank(ExactMatrix.from_rows(GF(p), rows)) == DomainMatrix.from_list(rows, sympy.GF(p)).rank()
 
 
+def _with_lone_rows(rnd, R, r, c):
+    """Sparse rows with entries +-1, 2 and -3, and up to r more rows that
+    hold one entry: +-1, or the non-units 2 and -3 over Z, many of them in
+    one column.  Clearing a column may leave more rows with one entry.  The
+    Q copy divides each row by 1-6, so its lone entries are fractions."""
+    rows = [[rnd.choice((1, -1, 2, -3)) if rnd.randint(1, 100) <= 25 else 0 for _ in range(c)] for _ in range(r)]
+    hot = rnd.randrange(c)
+    for _ in range(rnd.randint(1, r)):
+        row = [0] * c
+        row[hot if rnd.randint(0, 2) else rnd.randrange(c)] = rnd.choice((1, -1, 1, -1, 2, -3))
+        rows.insert(rnd.randint(0, len(rows)), row)
+    if R == QQ:
+        rows = [[Fraction(x, k) for x in row] for row, k in zip(rows, (rnd.randint(1, 6) for _ in rows))]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(5)]),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.randoms(use_true_random=False),
+)
+def test_rows_with_one_entry_match_sympy(R, r, c, rnd):
+    """A row whose only entry is a unit pivots before the Markowitz loop;
+    a lone non-unit over Z must wait for the remainder phase, or its
+    invariant factor is lost."""
+    rows = _with_lone_rows(rnd, R, r, c)
+    M = ExactMatrix.from_rows(R, rows)
+    if R.p:
+        assert rank(M) == DomainMatrix.from_list(rows, sympy.GF(R.p)).rank()
+    else:
+        assert rank(M) == sympy.Matrix(rows).rank()
+    if R == ZZ:
+        oracle = sympy_snf(sympy.Matrix(rows))
+        odiag = [abs(oracle[i, i]) for i in range(min(M.rows, M.cols))]
+        assert smith_normal_form(M) == tuple(sorted(x for x in odiag if x)) + (0,) * odiag.count(0)
+
+
+def test_lone_non_units_keep_their_factors():
+    # rows (2, 0, 0) and (0, -3, 0) hold one entry each, but neither is a
+    # unit: the determinant is -6, and clearing columns 0 and 1 with them
+    # would leave the lone unit 1 and the diagonal (1, 1, 1)
+    rows = [[2, 0, 0], [0, -3, 0], [1, 1, 1]]
+    assert smith_normal_form(ExactMatrix.from_rows(ZZ, rows)) == (1, 1, 6)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3),
@@ -319,11 +366,12 @@ def test_homology_summands_rejects_non_complex():
         homology_summands(d_in, d_out)
 
 
-def _known_complex(rnd, length):
+def _known_complex(rnd, length, mixes=3):
     """(dense differentials over Z, module ranks, summands) of a random
     direct sum of elementary complexes, conjugated by a random unimodular
-    basis change in every degree.  A summand (i, k) is Z in degree i with
-    k = 0, else Z --k--> Z from degree i to i + 1."""
+    basis change of ``mixes`` row operations per basis vector in every
+    degree.  A summand (i, k) is Z in degree i with k = 0, else Z --k--> Z
+    from degree i to i + 1."""
     summands = []
     for _ in range(rnd.randint(0, 8)):
         i = rnd.randrange(length)
@@ -344,7 +392,7 @@ def _known_complex(rnd, length):
     for n in dims:
         g = [[int(x == y) for y in range(n)] for x in range(n)]
         ginv = [row[:] for row in g]
-        for _ in range(3 * n if n > 1 else 0):
+        for _ in range(mixes * n if n > 1 else 0):
             a, b = rnd.sample(range(n), 2)
             m = rnd.choice([-3, -2, -1, 1, 2, 3])
             g[a] = [x + m * y for x, y in zip(g[a], g[b])]
@@ -391,6 +439,19 @@ def test_homology_without_covered_columns_matches_construction(R, length, seed):
     for i, d in enumerate(diffs):
         fresh = _sparse(R, dense[i], dims[i])
         assert d._reduced[:2] == _reduce(fresh)[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([ZZ, QQ, GF(2), GF(3), GF(5)]), st.integers(2, 5), st.integers(0, 2), st.integers(0, 2**32))
+def test_columns_of_swept_pivots_are_covered(R, length, mixes, seed):
+    """Few basis changes leave many rows with one entry, so many unit pivots
+    of d_in are swept before the Markowitz loop; reducing d_out without the
+    columns at those rows keeps its rank and torsion."""
+    dense, dims, _ = _known_complex(random.Random(seed), length, mixes)
+    diffs = [_sparse(R, d, dims[i]) for i, d in enumerate(dense)]
+    for d_in, d_out in zip(diffs, diffs[1:]):
+        assert (d_out @ d_in).is_zero()
+        assert _reduce(d_out, _reduce(d_in)[2])[:2] == _reduce(d_out)[:2]
 
 
 def test_covered_columns_are_only_those_of_unit_pivots():
