@@ -3,19 +3,19 @@
 Degree i collects the states with i raised bits (lexicographic state order
 inside a degree); each state contributes the tensor power of the algebra
 indexed by its circles, ordered by minimal arc label.  Edge blocks apply the
-product (merge) or coproduct (split) at the touched tensor positions, with
-the alternating sign (-1)^(number of 1-bits before the flipped position).
+product (merge) or coproduct (split) at the touched tensor positions, placed
+by ``frobenius._place``, with the alternating sign (-1)^(number of 1-bits
+before the flipped position).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube
-from .frobenius import FrobeniusData
+from .frobenius import FrobeniusData, _cells, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
 from .rings import RingSpec
@@ -57,39 +57,6 @@ def _is_graded_algebra(F: FrobeniusData) -> bool:
     return (F.rank, F.mult, F.comult, F.unit, F.counit) == _GRADED
 
 
-def _local_cells(F: FrobeniusData) -> tuple:
-    """The nonzero structure constants of the product and of the coproduct,
-    by edge kind, as (input bits, output bits, value), and each value's
-    negative."""
-    R, m, rng = F.ring, F.ring.p or 0, range(F.rank)
-    cells = {
-        "merge": [((x, y), (s,), v) for x in rng for y in rng for s in rng
-                  if (v := F.mult[x][y][s]) != R.zero],
-        "split": [((x,), (u, w), v) for x in rng for u in rng for w in rng
-                  if (v := F.comult[x][u][w]) != R.zero],
-    }
-    return cells, {v: -v % m if m else -v for table in cells.values() for _, _, v in table}
-
-
-def _edge_kernel(r: int, local: list, neg: dict, c_in: int, c_out: int, src: tuple,
-                 dst: tuple) -> tuple:
-    """The block of one edge shape as (spectators, cells): the (row, col)
-    offset pairs of the untouched circles' basis labellings, and for each
-    sign the (row, col, value) local cells placed at the touched positions,
-    sorted, so each row takes its cells in column order.  Untouched circles
-    keep their order, first factor slowest, as in the tensor-power bases."""
-    w_in = [r ** p for p in range(c_in - 1, -1, -1)]
-    w_out = [r ** p for p in range(c_out - 1, -1, -1)]
-    wi, wo = [w_in[p] for p in src], [w_out[p] for p in dst]
-    cells = sorted([(sum(map(mul, wo, out)), sum(map(mul, wi, inp)), v) for inp, out, v in local])
-    spectators = [(0, 0)]
-    carried = zip([w for p, w in enumerate(w_out) if p not in dst],
-                  [w for p, w in enumerate(w_in) if p not in src])
-    for a, b in carried:
-        spectators = [(so + a * x, si + b * x) for so, si in spectators for x in range(r)]
-    return spectators, (cells, [(a, b, neg[v]) for a, b, v in cells])
-
-
 def build_complex(
     cube: ResolutionCube, F: FrobeniusData, normalize: bool = False
 ) -> ChainComplex:
@@ -112,8 +79,8 @@ def build_complex(
     for e in cube.edges:
         k = index[e.s1]
         edges_by_degree[degree[k]].append((k, index[e.s2], e))
-    local, neg = _local_cells(F)
-    kernels: dict[tuple, tuple] = {}  # edge shape -> _edge_kernel
+    local = {kind: _cells(F, kind) for kind in ("merge", "split")}
+    kernels: dict[tuple, tuple] = {}  # edge shape -> (spectators, (cells, negated cells))
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
@@ -124,9 +91,9 @@ def build_complex(
             key = (count[k1], e.kind, e.src, e.dst)
             kernel = kernels.get(key)
             if kernel is None:
-                kernel = kernels[key] = _edge_kernel(
-                    r, local[e.kind], neg, count[k1], count[k2], e.src, e.dst
-                )
+                spectators, cells = _place(r, local[e.kind], count[k1], count[k2], e.src, e.dst)
+                negated = [(a, b, R.normalize(-v)) for a, b, v in cells]
+                kernel = kernels[key] = spectators, (cells, negated)
             spectators, signed = kernel
             cells = signed[e.sign < 0]
             ro, co = offset[k2], offset[k1]

@@ -3,22 +3,31 @@
 Structure constants live in nested tuples: ``mult[i][j][k]`` is the e_k
 coefficient of e_i * e_j, and ``comult[k][i][j]`` the e_i (x) e_j coefficient
 of the coproduct of e_k.  Tensor-power bases are ordered lexicographically
-with the first factor slowest.
+with the first factor slowest.  The cobordism generators and the edges of
+the resolution cube in ``complex`` share one placement kernel, ``_place``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, _solve, rank, smith_normal_form
 from .rings import ZZ, RingSpec
 
 
+def _listed(v, name: str):
+    """v, if a list or tuple: a string's characters would read as scalars."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {v!r}")
+    return v
+
+
 def _norm_tensor(ring: RingSpec, t, r: int):
-    if len(t) != r or any(len(a) != r or any(len(row) != r for row in a) for a in t):
+    sized = lambda v: len(_listed(v, "structure tensor")) == r
+    if not (sized(t) and all(sized(a) and all(map(sized, a)) for a in t)):
         raise ValueError("structure tensor must be r x r x r")
     return tuple(tuple(tuple(ring.normalize(x) for x in row) for row in a) for a in t)
 
@@ -40,7 +49,7 @@ class FrobeniusData:
         for name in ("unit", "counit"):
             v = getattr(self, name)
             if v is not None:
-                v = tuple(self.ring.normalize(x) for x in v)
+                v = tuple(self.ring.normalize(x) for x in _listed(v, name))
                 if len(v) != self.rank:
                     raise ValueError(f"{name} has wrong length")
                 object.__setattr__(self, name, v)
@@ -53,26 +62,23 @@ class FrobeniusData:
     # -- elementwise operations -------------------------------------------
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
-        """Product of two vectors: the merge map applied to u (x) v."""
-        R, r = self.ring, self.rank
+        """Product of two vectors: sum_k (sum_ij u_i v_j mult[i][j][k]) e_k."""
+        R, r, c, rng = self.ring, self.rank, self.mult, range(self.rank)
         u, v = ([R.normalize(x) for x in w] for w in (u, v))
         if len(u) != r or len(v) != r:
             raise ValueError(f"product takes two vectors of length {r}")
-        return tuple(self._merge.mul_vector([a * b for a in u for b in v]))
+        out = [sum((u[i] * v[j] * c[i][j][k] for i in rng for j in rng), R.zero) for k in rng]
+        return tuple(x % R.p for x in out) if R.p else tuple(out)
 
     def coproduct(self, v: Sequence) -> tuple:
         """Coproduct of a vector, as an r*r coefficient tuple (first factor
-        slow): the split map applied to v."""
-        return tuple(self._split.mul_vector(v))
-
-    # the merge and split maps, built on first use: data are immutable
-    @cached_property
-    def _merge(self) -> ExactMatrix:
-        return generator_map(self, 2, 1, Merge(1, 2, 1))
-
-    @cached_property
-    def _split(self) -> ExactMatrix:
-        return generator_map(self, 1, 2, Split(1, 1, 2))
+        slow): the e_i (x) e_j coefficient is sum_k v_k comult[k][i][j]."""
+        R, r, d, rng = self.ring, self.rank, self.comult, range(self.rank)
+        v = [R.normalize(x) for x in v]
+        if len(v) != r:
+            raise ValueError(f"coproduct takes a vector of length {r}")
+        out = [sum((v[k] * d[k][i][j] for k in rng), R.zero) for i in rng for j in rng]
+        return tuple(x % R.p for x in out) if R.p else tuple(out)
 
     # -- serialization -----------------------------------------------------
 
@@ -94,14 +100,7 @@ class FrobeniusData:
     @classmethod
     def from_json(cls, d: dict) -> "FrobeniusData":
         ring = RingSpec.from_json(d["ring"])
-        return cls(
-            ring,
-            d["rank"],
-            d["mult"],
-            d["comult"],
-            tuple(d["unit"]) if d.get("unit") is not None else None,
-            tuple(d["counit"]) if d.get("counit") is not None else None,
-        )
+        return cls(ring, d["rank"], d["mult"], d["comult"], d.get("unit"), d.get("counit"))
 
 
 def _transpose(t) -> tuple:
@@ -324,52 +323,61 @@ class Perm:
     sigma: tuple
 
 
+def _cells(F: FrobeniusData, kind: str) -> list:
+    """The nonzero structure constants of the product (kind "merge") or of
+    the coproduct ("split"), as (input bits, output bits, value): mult[x][y][s]
+    reads (x, y) and writes s, comult[x][u][w] reads x and writes (u, w)."""
+    t, k = (F.mult, 2) if kind == "merge" else (F.comult, 1)
+    return [(i[:k], i[k:], v) for i in itertools.product(range(F.rank), repeat=3)
+            if (v := t[i[0]][i[1]][i[2]]) != F.ring.zero]
+
+
+def _place(r: int, cells: list, n_in: int, n_out: int, src: tuple, dst: tuple) -> tuple:
+    """Local (input bits, output bits, value) cells read at input positions
+    src and written at output positions dst, placed in A^(x)n_in ->
+    A^(x)n_out with the identity on the other (spectator) factors, as
+    (spectators, cells): the spectators' (row, col) offset per basis
+    labelling, and the cells' sorted (row, col, value) offsets.  Spectators
+    keep their order, first factor slowest, so each row meets one spectator
+    labelling and takes its cells in column order."""
+    w_in = [r ** p for p in range(n_in - 1, -1, -1)]
+    w_out = [r ** p for p in range(n_out - 1, -1, -1)]
+    wi, wo = [w_in[p] for p in src], [w_out[p] for p in dst]
+    placed = sorted([(sum(map(mul, wo, out)), sum(map(mul, wi, inp)), v) for inp, out, v in cells])
+    spectators = [(0, 0)]
+    carried = zip([w for p, w in enumerate(w_out) if p not in dst],
+                  [w for p, w in enumerate(w_in) if p not in src])
+    for a, b in carried:
+        spectators = [(so + a * x, si + b * x) for so, si in spectators for x in range(r)]
+    return spectators, placed
+
+
 def generator_map(F: FrobeniusData, n_in: int, n_out: int, op) -> ExactMatrix:
     """Matrix of the map A^(x)n_in -> A^(x)n_out applying one product,
     coproduct, or permutation and the identity elsewhere."""
     R, r = F.ring, F.rank
-    zero, rng = R.zero, range(r)
-    # legs_in: input positions the generator reads; legs_out: output
-    # positions it writes; table: (input leg bits, output leg bits, coefficient)
+    # src: input positions the generator reads; dst: output positions it writes
     if isinstance(op, Perm):
         if n_out != n_in or sorted(op.sigma) != list(range(n_in)):
             raise ValueError("invalid permutation")
-        legs_in, legs_out = tuple(op.sigma), tuple(range(n_out))
-        table = [(bits, bits, R.one) for bits in itertools.product(rng, repeat=n_in)]
+        src, dst = tuple(op.sigma), tuple(range(n_out))
+        cells = [(bits, bits, R.one) for bits in itertools.product(range(r), repeat=n_in)]
     elif isinstance(op, Merge):
         if n_out != n_in - 1 or not (1 <= op.i < op.j <= n_in) or not (1 <= op.k <= n_out):
             raise ValueError("invalid merge positions")
-        legs_in, legs_out = (op.i - 1, op.j - 1), (op.k - 1,)
-        table = [((a, b), (s,), F.mult[a][b][s]) for a in rng for b in rng for s in rng]
+        src, dst, cells = (op.i - 1, op.j - 1), (op.k - 1,), _cells(F, "merge")
     elif isinstance(op, Split):
         if n_out != n_in + 1 or not (1 <= op.k <= n_in) or not (1 <= op.i < op.j <= n_out):
             raise ValueError("invalid split positions")
-        legs_in, legs_out = (op.k - 1,), (op.i - 1, op.j - 1)
-        table = [((k,), (u, v), F.comult[k][u][v]) for k in rng for u in rng for v in rng]
+        src, dst, cells = (op.k - 1,), (op.i - 1, op.j - 1), _cells(F, "split")
     else:
         raise ValueError(f"unknown generator {op!r}")
 
-    # place[p]: weight of output position p in the row index (first factor slowest)
-    place = [r ** (n_out - 1 - p) for p in range(n_out)]
-    scatter: dict[tuple, list] = {}
-    for bits_in, bits_out, coeff in table:
-        if coeff != zero:
-            offset = sum(place[p] * b for p, b in zip(legs_out, bits_out))
-            scatter.setdefault(bits_in, []).append((offset, coeff))
-    carried = list(
-        zip(
-            [place[p] for p in range(n_out) if p not in legs_out],
-            [q for q in range(n_in) if q not in legs_in],
-        )
-    )
-
-    # a column's offsets are distinct (distinct output bits), so it meets each
-    # row at most once; columns come in increasing order
+    spectators, cells = _place(r, cells, n_in, n_out, src, dst)
     rows: list[list] = [[] for _ in range(r**n_out)]
-    for col, src in enumerate(itertools.product(rng, repeat=n_in)):
-        base = sum(w * src[q] for w, q in carried)
-        for offset, coeff in scatter.get(tuple(src[q] for q in legs_in), ()):
-            rows[base + offset].append((col, coeff))
+    for so, si in spectators:
+        for a, b, v in cells:
+            rows[so + a].append((si + b, v))
     return ExactMatrix(R, r**n_out, r**n_in, tuple(map(tuple, rows)))
 
 

@@ -105,14 +105,6 @@ class ExactMatrix:
             out = [row and tuple((j, Fraction(s, d)) for j, s in row) for d, row in zip(dens, out)]
         return ExactMatrix(self.ring, self.rows, other.cols, tuple(out))
 
-    def mul_vector(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        R, p = self.ring, self.ring.p
-        v = [R.normalize(x) for x in v]
-        out = [sum((a * v[j] for j, a in row), R.zero) for row in self.nz]
-        return [s % p for s in out] if p else out
-
     @cached_property
     def _reduced(self) -> tuple:
         # (rank, torsion, unit pivot rows), computed on first use: rank,

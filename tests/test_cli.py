@@ -136,6 +136,33 @@ def test_tripled_coproduct_is_injective_but_not_split(tmp_path, capsys):
     assert run(capsys, "relations", str(f))[0] == 0
 
 
+def test_string_vectors_are_rejected(tmp_path, capsys):
+    # a string's characters read as scalars: each of these exited 0, with
+    # "unit": "10" read as the unit (1, 0)
+    a5 = fr.a5(1, 1).to_json()
+    one = {"ring": {"kind": "Z"}, "rank": 1, "mult": [[[1]]], "comult": [[[1]]]}
+    cases = {
+        "unit": (dict(a5, unit="10"), "unit must be a list, got '10'"),
+        "counit": (dict(a5, counit="01"), "counit must be a list, got '01'"),
+        "tensor": (dict(one, mult="1"), "structure tensor must be a list, got '1'"),
+        "slice": (dict(one, comult=["1"]), "structure tensor must be a list, got '1'"),
+        "row": (dict(a5, mult=[["10", "01"], ["01", "11"]]), "structure tensor must be a list, got '10'"),
+    }
+    for name, (data, message) in cases.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(data))
+        for argv in (("check-algebra", str(f)), ("relations", str(f), "--json")):
+            assert main(list(argv)) == 2, argv
+            assert capsys.readouterr().err == f"error: {f}: {message}\n"
+    # scalars may still be strings
+    halves = {"ring": {"kind": "Q"}, "rank": 1, "mult": [[["1/2"]]], "comult": [[["2"]]],
+              "unit": ["2"], "counit": ["1/2"]}
+    f = tmp_path / "halves.json"
+    f.write_text(json.dumps(halves))
+    code, out = run(capsys, "check-algebra", str(f), "--json")
+    assert code == 0 and all(json.loads(out).values())
+
+
 def test_classify_and_gap_exit_code(tmp_path, capsys):
     t = rank2.representative("m2_7", (), GF(2))
     f = tmp_path / "t.json"

@@ -4,12 +4,13 @@
 depth-first walk over the crossings; ``build_cube`` classifies edges at
 their crossing, ``kauffman_bracket`` tallies monomials, and
 ``build_complex`` appends row cells in order from a small kernel per edge
-shape.  The references below are the direct forms they replaced: a
-breadth-first search for circles, one ``resolve`` per state, set
-differences over every circle of both states of an edge, one Laurent term
-per state or generator, and the whole ``generator_map`` matrix of each edge
-scattered into per-row dicts, sorted at the end, with each edge's sign
-counted from its states.
+shape, placed by ``frobenius._place``.  The references below are the
+direct forms they replaced: a breadth-first search for circles, one
+``resolve`` per state, set differences over every circle of both states of
+an edge, one Laurent term per state or generator, and each edge's block
+read off the basis labellings of the circles themselves, with no index
+arithmetic and no ``frobenius`` placement, scattered into per-row dicts,
+sorted at the end, with each edge's sign counted from its states.
 """
 
 import importlib.util
@@ -139,41 +140,56 @@ def euler_per_generator(C):
     return out
 
 
-def complex_by_dict_scatter(cube, F, normalize):
-    """(ranks, differential rows, q-degrees): each edge's whole
-    ``generator_map`` matrix scattered into rows filled as dicts and sorted,
-    each state's q-degrees from its own product over basis bits."""
+def complex_from_labellings(cube, F, normalize):
+    """(ranks, differential rows, q-degrees) from basis labellings.  A
+    generator of a state labels each of its circles with a basis index,
+    enumerated with the first circle slowest.  An edge keeps the label of
+    each untouched circle, found in the target state by its arc set, and
+    writes the product or coproduct's terms on the circles the edge names.
+    Rows are filled as dicts and sorted, each edge's sign is counted from
+    its states, and each state's q-degrees come from its own product over
+    basis bits."""
     d, R, r, m = cube.diagram, F.ring, F.rank, F.ring.p or 0
     n = d.n_crossings
     by_degree = [[] for _ in range(n + 1)]
     for s in sorted(cube.circles):
         by_degree[sum(s)].append(s)
-    offsets, ranks = {}, []
+    index, ranks = {}, []  # index[s]: labelling of the circles of s -> row in its degree
     for states in by_degree:
-        off = 0
+        count = 0
         for s in states:
-            offsets[s] = off
-            off += r ** len(cube.circles[s])
-        ranks.append(off)
+            index[s] = {}
+            for labels in itertools.product(range(r), repeat=len(cube.circles[s])):
+                index[s][labels] = count
+                count += 1
+        ranks.append(count)
     diffs = []
     for i in range(n):
         scatter = [{} for _ in range(ranks[i + 1])]
         for e in cube.edges:
             if sum(e.s1) != i:
                 continue
-            c_in = len(cube.circles[e.s1])
-            if e.kind == "merge":
-                op = fr.Merge(e.src[0] + 1, e.src[1] + 1, e.dst[0] + 1)
-                mat = fr.generator_map(F, c_in, c_in - 1, op)
-            else:
-                op = fr.Split(e.src[0] + 1, e.dst[0] + 1, e.dst[1] + 1)
-                mat = fr.generator_map(F, c_in, c_in + 1, op)
+            c1, c2 = cube.circles[e.s1], cube.circles[e.s2]
+            kept = [(j, c1.index(c)) for j, c in enumerate(c2) if j not in e.dst]
+            assert sorted(p for _, p in kept) == [p for p in range(len(c1)) if p not in e.src]
             pos = next(k for k in range(n) if e.s1[k] != e.s2[k])
             negate = sum(e.s1[:pos]) % 2
-            for a, row in enumerate(mat.nz):
-                for b, v in row:
+            for labels, col in index[e.s1].items():
+                x = [labels[p] for p in e.src]
+                if e.kind == "merge":
+                    terms = [((s,), F.mult[x[0]][x[1]][s]) for s in range(r)]
+                else:
+                    terms = [((a, b), F.comult[x[0]][a][b]) for a in range(r) for b in range(r)]
+                for bits, v in terms:
+                    if v == R.zero:
+                        continue
+                    out = [None] * len(c2)
+                    for j, p in kept:
+                        out[j] = labels[p]
+                    for j, b in zip(e.dst, bits):
+                        out[j] = b
                     w = -v if negate else v
-                    scatter[offsets[e.s2] + a][offsets[e.s1] + b] = w % m if m else w
+                    scatter[index[e.s2][tuple(out)]][col] = w % m if m else w
         diffs.append(tuple(tuple(sorted(cells.items())) for cells in scatter))
     q_degrees = None
     if normalize and F == fr.a5(0, 0, R):
@@ -228,7 +244,7 @@ def test_complex_and_euler_match_references():
         for F in (fr.a5(0, 0), fr.a5(1, 1), fr.a5(0, 0, GF(3))):
             for normalize in (False, True) if d.oriented else (False,):
                 C = cx.build_complex(cube, F, normalize)
-                ranks, rows, q_degrees = complex_by_dict_scatter(cube, F, normalize)
+                ranks, rows, q_degrees = complex_from_labellings(cube, F, normalize)
                 assert C.ranks == ranks
                 assert tuple(m.nz for m in C.diffs) == rows
                 assert C.q_degrees == q_degrees
@@ -254,7 +270,7 @@ def rank3(R, seed=3):
     return fr.FrobeniusData(R, 3, tensor(), tensor())
 
 
-def test_complex_matches_generator_map_over_rings():
+def test_complex_matches_labellings_over_rings():
     small = [d for d in diagrams() if d.n_crossings <= 5]
     for R in (ZZ, QQ, GF(2), GF(3)):
         algebras = [fr.a5(0, 0, R), fr.a5(1, 1, R), fr.a5(1, -1, R), scaled(R), rank3(R)]
@@ -263,5 +279,5 @@ def test_complex_matches_generator_map_over_rings():
                 cube = dg.build_cube(d)
                 normalize = d.oriented
                 C = cx.build_complex(cube, F, normalize)
-                ranks, rows, q_degrees = complex_by_dict_scatter(cube, F, normalize)
+                ranks, rows, q_degrees = complex_from_labellings(cube, F, normalize)
                 assert (C.ranks, tuple(m.nz for m in C.diffs), C.q_degrees) == (ranks, rows, q_degrees), (R, F, d)

@@ -158,22 +158,22 @@ def test_perturbed_coproduct_breaks_relations():
 # --- elementary cobordism maps --------------------------------------------------
 
 
-def test_generator_map_shapes_and_values():
+def test_generator_map_shapes_and_values(mat_vec):
     F = fr.a5(0, 0)
     m = fr.generator_map(F, 2, 1, fr.Merge(1, 2, 1))
     assert (m.rows, m.cols) == (2, 4)
     # column ordering: first tensor factor slowest; x(x)x -> 0 at h=t=0
     xx = [0, 0, 0, 1]
-    assert m.mul_vector(xx) == [0, 0]
+    assert mat_vec(m, xx) == [0, 0]
     d = fr.generator_map(F, 1, 2, fr.Split(1, 1, 2))
     assert (d.rows, d.cols) == (4, 2)
 
 
-def test_generator_map_permutation():
+def test_generator_map_permutation(mat_vec):
     F = fr.a5(1, 1)
     p = fr.generator_map(F, 2, 2, fr.Perm((1, 0)))
     v = [0, 1, 0, 0]  # 1 (x) x
-    assert p.mul_vector(v) == [0, 0, 1, 0]  # x (x) 1
+    assert mat_vec(p, v) == [0, 0, 1, 0]  # x (x) 1
 
 
 def test_merge_then_split_equals_split_then_merge():
@@ -214,6 +214,52 @@ def structure_tensors(draw, rings=(ZZ, QQ, F2, F3)):
     return fr.FrobeniusData(R, r, mult, comult)
 
 
+def generator_by_labellings(F, n_in, n_out, op):
+    """Rows of a generator map from basis labellings: each input labelling
+    goes to the output labellings that carry the other factors in order and
+    the generator's terms at its positions."""
+    R, r = F.ring, F.rank
+    row_of = {out: k for k, out in enumerate(itertools.product(range(r), repeat=n_out))}
+    rows = [{} for _ in row_of]
+    for col, labels in enumerate(itertools.product(range(r), repeat=n_in)):
+        if isinstance(op, fr.Perm):
+            terms = [([labels[q] for q in op.sigma], R.one)]
+        elif isinstance(op, fr.Merge):
+            x, y = labels[op.i - 1], labels[op.j - 1]
+            rest = [b for q, b in enumerate(labels) if q not in (op.i - 1, op.j - 1)]
+            terms = [(rest[: op.k - 1] + [s] + rest[op.k - 1 :], F.mult[x][y][s]) for s in range(r)]
+        else:
+            x, rest = labels[op.k - 1], [b for q, b in enumerate(labels) if q != op.k - 1]
+            terms = []
+            for a, b in itertools.product(range(r), repeat=2):
+                out = rest[: op.i - 1] + [a] + rest[op.i - 1 :]
+                terms.append((out[: op.j - 1] + [b] + out[op.j - 1 :], F.comult[x][a][b]))
+        for out, v in terms:
+            if v != R.zero:
+                rows[row_of[tuple(out)]][col] = v
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def generators(n_max=4):
+    """(n_in, n_out, op) for every valid generator on at most n_max factors."""
+    out = []
+    for n in range(n_max + 1):
+        out += [(n, n, fr.Perm(sigma)) for sigma in itertools.permutations(range(n))]
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            out += [(n, n - 1, fr.Merge(i, j, k)) for k in range(1, n)]
+            out += [(n - 1, n, fr.Split(k, i, j)) for k in range(1, n)]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(structure_tensors())
+def test_generator_map_matches_labellings(F):
+    # up to three untouched factors, which the cobordism relations (at most
+    # one) never reach
+    for n_in, n_out, op in generators():
+        assert fr.generator_map(F, n_in, n_out, op).nz == generator_by_labellings(F, n_in, n_out, op), op
+
+
 @settings(max_examples=150, deadline=None)
 @given(structure_tensors())
 def test_transposed_coproduct_flags_match_n2cob_oracle(F):
@@ -248,9 +294,10 @@ def test_unit_over_z_is_the_integral_rational_solution(F):
 
 @settings(max_examples=100, deadline=None)
 @given(structure_tensors(rings=(ZZ, QQ, F2, F3, F5)), st.data())
-def test_product_and_coproduct_match_the_structure_constants(F, data):
-    # oracle: the sums over mult[i][j][k] and comult[k][i][j] that the merge
-    # and split maps replace, value and scalar type
+def test_product_and_coproduct_match_the_structure_constants(mat_vec, F, data):
+    # oracles: the sums over mult[i][j][k] and comult[k][i][j], and the merge
+    # and split generator maps applied to u (x) v and to v; value and scalar
+    # type (Fraction over Q, residues in range(p) over F_p)
     R, r, rng = F.ring, F.rank, range(F.rank)
     vec = st.lists(st.sampled_from((0, 1, -1, 2, "1/3" if R == QQ else "4")), min_size=r, max_size=r)
     u, v = ([R.normalize(x) for x in data.draw(vec)] for _ in range(2))
@@ -259,8 +306,16 @@ def test_product_and_coproduct_match_the_structure_constants(F, data):
     coprod = [sum((v[k] * F.comult[k][i][j] for k in rng), R.zero) for i in rng for j in rng]
     if R.p:
         prod, coprod = [x % R.p for x in prod], [x % R.p for x in coprod]
-    assert typed(F.product(u, v)) == typed(prod)
-    assert typed(F.coproduct(v)) == typed(coprod)
+    merge = fr.generator_map(F, 2, 1, fr.Merge(1, 2, 1))
+    split = fr.generator_map(F, 1, 2, fr.Split(1, 1, 2))
+    assert typed(F.product(u, v)) == typed(prod) == typed(mat_vec(merge, [a * b for a in u for b in v]))
+    assert typed(F.coproduct(v)) == typed(coprod) == typed(mat_vec(split, v))
+    scalar = Fraction if R == QQ else int
+    assert all(type(x) is scalar and (not R.p or 0 <= x < R.p) for x in prod + coprod)
+    for w in (v[:-1], v + [1]):
+        for call in (lambda: F.product(u, w), lambda: F.product(w, u), lambda: F.coproduct(w)):
+            with pytest.raises(ValueError):
+                call()
 
 
 @st.composite
