@@ -10,12 +10,13 @@ before the flipped position).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube
-from .frobenius import FrobeniusData, _cells, _place
+from .frobenius import FrobeniusData, _cells, _place, a5
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
 from .rings import RingSpec
@@ -47,14 +48,13 @@ class HomologyTable:
         }
 
 
-# (rank, mult, comult, unit, counit) of a5(0, 0); Fraction(1) == 1, so one
-# comparison serves Z, Q and F_p
-_GRADED = (2, (((1, 0), (0, 1)), ((0, 1), (0, 0))), (((0, 1), (1, 0)), ((0, 0), (0, 1))),
-           (1, 0), (0, 1))
+@functools.cache  # building a5 over Q takes a seventh of a 4-crossing homology
+def _graded(ring: RingSpec) -> FrobeniusData:
+    return a5(0, 0, ring)
 
 
 def _is_graded_algebra(F: FrobeniusData) -> bool:
-    return (F.rank, F.mult, F.comult, F.unit, F.counit) == _GRADED
+    return F == _graded(F.ring)
 
 
 def build_complex(

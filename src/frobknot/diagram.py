@@ -42,8 +42,11 @@ class LinkDiagram:
         if seen and sorted(seen) != list(range(1, len(seen) + 1)):
             raise PDError("arc labels must be 1..arc_count with no gaps")
         object.__setattr__(self, "_arc_count", len(seen))
-        if self.oriented and not (
-            self.n_plus >= 0 and self.n_minus >= 0
+        if type(self.free_loops) is not int or self.free_loops < 0:
+            raise PDError(f"free_loops must be a nonnegative integer, got {self.free_loops!r}")
+        if (self.n_plus, self.n_minus) != (None, None) and not (
+            type(self.n_plus) is type(self.n_minus) is int
+            and self.n_plus >= 0 and self.n_minus >= 0
             and self.n_plus + self.n_minus == len(self.crossings)
         ):
             raise PDError("n_plus and n_minus must count the crossings")
@@ -306,6 +309,8 @@ def kauffman_bracket(d: LinkDiagram) -> Laurent:
     with delta = -A^2 - A^(-2).  Direct enumeration of the circle counts,
     no cube involved: the states are tallied by (A-exponent, circle count),
     and each distinct pair contributes its multiplicity times one such term."""
+    if not (d.crossings or d.free_loops):
+        raise PDError("empty diagram (no crossings, no loops): its bracket would be delta^-1")
     delta = Laurent.from_dict({2: -1, -2: -1})
     n = d.n_crossings
     tally: dict[tuple, int] = {}

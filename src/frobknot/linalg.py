@@ -7,13 +7,14 @@ cancelled first (Bar-Natan's Gaussian-elimination lemma), starting with rows
 whose only entry is a unit, which clear their column with no fill (the
 structured Gaussian elimination of LaMacchia and Odlyzko), then entries that
 divide their row and column, reached by remainders (Dumas, Saunders and
-Villard's sparse Smith form).  Also provides exact linear solving by one
-dense Gauss-Jordan elimination on integer rows, fraction-free over Z and Q
-(a cleared row is divided by its content) and on residues mod p, and
-homology summands ker/im of a pair of composable differentials, which
-reduce d_out without its columns at the rows of d_in's unit pivots.
-Arbitrary-precision integers throughout: over Q, products and eliminations
-run on rows lifted to integers once.
+Villard's sparse Smith form); unit and remainder pivots share one
+row-clearing step.  Also provides exact linear solving by one dense
+Gauss-Jordan elimination on integer rows, fraction-free over Z and Q (a
+cleared row is divided by its content) and on residues mod p, and homology
+summands ker/im of a pair of composable differentials, which reduce d_out
+without its columns at the rows of d_in's unit pivots.  Arbitrary-precision
+integers throughout: over Q, products and eliminations run on d M, d the lcm
+of all denominators.
 """
 
 from __future__ import annotations
@@ -86,13 +87,9 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         p, q, a, b = self.ring.p, self.ring == QQ, self.nz, other.nz
-        if q:
-            # multiply integers: A B = D^-1 (D A E^-1)(E B), where the
-            # diagonal E clears the denominators of B's rows, D those of A E^-1
-            e, b = _lifted(other, keep=False)
-            dens, a = _lifted(self, keep=True)
-            if any(d != 1 for d in e):
-                dens, a = _lift([(k, x / e[k] if e[k] != 1 else x) for k, x in row] for row in self.nz)
+        if q:  # multiply integers: A B = (a A)(b B) / (a b)
+            db, b = _lifted(other, keep=False)
+            da, a = _lifted(self, keep=True)
         out = []
         for row in a:
             acc: dict = {}
@@ -102,7 +99,8 @@ class ExactMatrix:
             row = [(j, r) for j, s in acc.items() if (r := s % p if p else s)]
             out.append(tuple(sorted(row)) if row else ())
         if q:
-            out = [row and tuple((j, Fraction(s, d)) for j, s in row) for d, row in zip(dens, out)]
+            d = da * db
+            out = [row and tuple((j, Fraction(s, d)) for j, s in row) for row in out]
         return ExactMatrix(self.ring, self.rows, other.cols, tuple(out))
 
     @cached_property
@@ -114,17 +112,12 @@ class ExactMatrix:
 
 
 def _lift(nz) -> tuple:
-    """Rows over Q as (dens, integer rows): row i is its integer row over
-    dens[i], the least common denominator of its values."""
-    dens, rows = [], []
-    for row in nz:
-        d, ints = 1, [(j, v.numerator) for j, v in row if v.denominator == 1]
-        if len(ints) < len(row):
-            d = lcm(*(v.denominator for _, v in row))
-            ints = [(j, v.numerator * (d // v.denominator)) for j, v in row]
-        dens.append(d)
-        rows.append(ints)
-    return dens, rows
+    """Rows over Q as (d, integer rows of d M), with d the least common
+    denominator of all the values."""
+    d = lcm(*{v.denominator for row in nz for _, v in row})
+    if d == 1:
+        return 1, [[(j, v.numerator) for j, v in row] for row in nz]
+    return d, [[(j, v.numerator * (d // v.denominator)) for j, v in row] for row in nz]
 
 
 def _lifted(M: ExactMatrix, keep: bool) -> tuple:
@@ -136,6 +129,40 @@ def _lifted(M: ExactMatrix, keep: bool) -> tuple:
     if keep:
         vars(M)["_lift"] = lift
     return lift
+
+
+def _clear(rows: dict, cols: dict, i: int, j: int, p) -> None:
+    """Subtract from every other row k of column j the multiple of pivot row
+    i that leaves the remainder of k's entry at j: mod p, or at a pivot of
+    +-1, that clears it; over Z a floor quotient leaves an entry smaller
+    than the pivot.  Emptied rows are dropped; ``cols`` follows each entry."""
+    prow = rows[i]
+    v = prow.pop(j)  # put back below: the loop updates the other columns
+    inv = pow(v, -1, p) if p else v if v in (1, -1) else None  # a unit of Z is its own inverse
+    left = {i}  # rows with an entry in column j afterwards
+    for k in cols[j]:
+        if k == i:
+            continue
+        rk = rows[k]
+        f, r = divmod(rk.pop(j), v) if inv is None else (rk.pop(j) * inv, 0)
+        if r:
+            rk[j] = r
+            left.add(k)
+        for c, x in prow.items():
+            y = rk.get(c, 0) - f * x
+            if p:
+                y %= p
+            if y:
+                if c not in rk:
+                    cols[c].add(k)
+                rk[c] = y
+            else:
+                del rk[c]
+                cols[c].discard(k)
+        if not rk:
+            del rows[k]
+    prow[j] = v
+    cols[j] = left
 
 
 def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
@@ -151,14 +178,14 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
     unit-triangular minor, so they change neither the rank nor the
     invariant factors, and their rows cover columns as every unit pivot's
     do (see ``homology_summands``).  The other units come from a column
-    with the fewest entries and the shortest row with a unit there; only
-    their row operations are written out.  The units are +-1 over Z and
-    over Q, whose rows are scaled to primitive integer rows first; over
-    F_p every nonzero entry is one, so nothing is left.  Then each column
-    in turn pivots on a smallest entry: row operations with floor
-    quotients, and column operations on row i once it is alone in column
-    j, leave remainders, and a smallest one becomes the next pivot.  The
-    torsion is () unless the ring is Z.
+    with the fewest entries and the shortest row with a unit there, and
+    clear their column by row operations (``_clear``).  The units are +-1
+    over Z and over Q, whose rows are scaled to primitive integer rows
+    first; over F_p every nonzero entry is one, so nothing is left.  Then
+    each column in turn pivots on a smallest entry: the same row operations,
+    now with floor quotients, and column operations on row i once it is
+    alone in column j, leave remainders, and a smallest one becomes the
+    next pivot.  The torsion is () unless the ring is Z.
     """
     p, q = M.ring.p, M.ring == QQ
     rows: dict = {}
@@ -204,30 +231,10 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
         if not units:
             continue  # queued again if an elimination changes this column
         i = units[0] if len(units) == 1 else min(units, key=lambda i: len(rows[i]))
+        _clear(rows, cols, i, j, p)
         unit_rows.add(i)
-        prow = rows.pop(i)
-        inv = pow(prow.pop(j), -1, p) if p else prow.pop(j)  # a unit of Z is its inverse
-        del cols[j]
-        col.discard(i)
-        for c in prow:
+        for c in rows.pop(i):  # column j held only row i now, and is dropped
             cols[c].discard(i)
-        for k in col:
-            rk = rows[k]
-            f = rk.pop(j) * inv
-            for c, v in prow.items():
-                x = rk.get(c, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    if c not in rk:
-                        cols[c].add(k)
-                    rk[c] = x
-                else:
-                    del rk[c]
-                    cols[c].discard(k)
-            if not rk:
-                del rows[k]
-        for c in prow:
             if cols[c]:
                 heapq.heappush(heap, (len(cols[c]), c))
             else:
@@ -250,20 +257,7 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
             prow = rows[i]
             v = prow[j]
             touched.update(prow)
-            for k in cols[j] - {i}:
-                rk = rows[k]
-                q = rk[j] // v
-                for c, x in prow.items():
-                    y = rk.get(c, 0) - q * x
-                    if y:
-                        if c not in rk:
-                            cols[c].add(k)
-                        rk[c] = y
-                    else:
-                        del rk[c]
-                        cols[c].discard(k)
-                if not rk:
-                    del rows[k]
+            _clear(rows, cols, i, j, p)
             if len(cols[j]) > 1:
                 continue  # a remainder is left in column j
             for c in prow.keys() - {j}:

@@ -54,6 +54,19 @@ def test_bracket(capsys):
     assert json.loads(out)["bracket"] == {"-3": -1}
 
 
+def test_bracket_of_the_empty_diagram_exits_2(tmp_path, capsys):
+    # its bracket would be delta^-1; the error was Laurent's "can only
+    # invert monomials"
+    f = tmp_path / "empty.pd"
+    f.write_text("# no crossings, no loops\n")
+    assert main(["bracket", str(f), "--json"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: empty diagram (no crossings, no loops): its bracket would be delta^-1\n"
+    )
+    code, out = run(capsys, "homology", str(f), "--a5", "0,0", "--json")
+    assert (code, json.loads(out)["groups"]) == (0, [{"i": 0, "free_rank": 1, "torsion": []}])
+
+
 def test_pd_file_input(tmp_path, capsys):
     f = tmp_path / "hopf.pd"
     f.write_text("X 1 3 2 4\nX 2 4 1 3\nSIGNS + +\n")
@@ -72,9 +85,21 @@ def test_signs_tokens_are_whole_signs(tmp_path, capsys):
     f.write_text(text)
     code, out = run(capsys, "homology", str(f), "--a5", "0,0", "--normalize", "--json")
     assert (code, out) == (2, "")
-    for n_plus, n_minus in ((1, 0), (3, -1), (0, 3)):
-        with pytest.raises(dg.PDError, match="count the crossings"):
-            dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), 0, n_plus, n_minus)
+    # a negative loop count read as free rank 1 over Z, and a lone n_plus
+    # as an unoriented diagram; bools are no more counts than labels
+    for loops, n_plus, n_minus, message in (
+        (0, 1, 0, "count the crossings"),
+        (0, 3, -1, "count the crossings"),
+        (0, 0, 3, "count the crossings"),
+        (0, True, True, "count the crossings"),
+        (0, 2.0, 0, "count the crossings"),
+        (0, 1, None, "count the crossings"),
+        (0, None, 2, "count the crossings"),
+        (-2, None, None, "free_loops"),
+        (True, None, None, "free_loops"),
+    ):
+        with pytest.raises(dg.PDError, match=message):
+            dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), loops, n_plus, n_minus)
 
 
 def test_check_algebra_exit_codes(tmp_path, capsys):

@@ -199,6 +199,28 @@ def test_universal_coefficients():
                 assert table(GF(p)) == want
 
 
+def test_twisting_by_a_unit_keeps_the_homology():
+    # twisting the coproduct and counit by an invertible y gives an
+    # isomorphic complex (Khovanov, arXiv:math/0411447, Prop. 3); over Q,
+    # y = 2 + x puts 1/2 and -1/4 into the coproduct
+    rng = random.Random(25)
+    diagrams = [b() for b in dg.BUILDERS.values()]
+    for _ in range(4):
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 6))]
+        diagrams.append(dg.parse_pd(braid.closure_pd(word, strands)))
+    for R, y in ((ZZ, (1, 1)), (QQ, (2, 1)), (F3, (2, 1))):
+        F = fr.a5(0, 0, R)
+        twisted = fr.twist(F, y)
+        assert twisted.comult != F.comult
+        if R == QQ:
+            assert {Fraction(1, 2), Fraction(-1, 4)} <= {x for a in twisted.comult for row in a for x in row}
+        for d in diagrams:
+            cube = dg.build_cube(d)
+            table = lambda A: cx.homology(cx.build_complex(cube, A, True)).to_json()
+            assert table(twisted) == table(F)
+
+
 # closure of the 2-strand braid (-1)^8: the (2, -8) torus link
 T28_PD = """X 1 2 4 3
 X 3 4 6 5

@@ -112,7 +112,7 @@ def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["integral", "fractional right", "fractional left"]),
+    st.sampled_from(["integral", "fractional right", "fractional left", "fractional both"]),
     st.integers(1, 10),
     st.integers(1, 10),
     st.integers(1, 10),
@@ -129,6 +129,7 @@ def test_lifted_rational_products_and_ranks_match_sympy(case, r, m, c, rnd):
         "integral": (integral, integral),
         "fractional right": (integral, fractional),
         "fractional left": (fractional, integral),
+        "fractional both": (fractional, fractional),  # denominators differ per row
     }[case]
     t_rows, a_rows, b_rows = left(c, r), left(r, m), right(m, c)
     T, A, B = (ExactMatrix.from_rows(QQ, rows) for rows in (t_rows, a_rows, b_rows))
