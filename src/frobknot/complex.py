@@ -10,13 +10,12 @@ before the flipped position).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube
-from .frobenius import FrobeniusData, _cells, _place, a5
+from .frobenius import FrobeniusData, _cells, _grading, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
 from .rings import RingSpec
@@ -46,15 +45,6 @@ class HomologyTable:
                 {"i": i, "free_rank": free, "torsion": list(tor)} for i, free, tor in self.rows
             ],
         }
-
-
-@functools.cache  # building a5 over Q takes a seventh of a 4-crossing homology
-def _graded(ring: RingSpec) -> FrobeniusData:
-    return a5(0, 0, ring)
-
-
-def _is_graded_algebra(F: FrobeniusData) -> bool:
-    return F == _graded(F.ring)
 
 
 def build_complex(
@@ -105,19 +95,18 @@ def build_complex(
         diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled
 
-    shift = -d.n_minus if (normalize and d.oriented) else 0
+    shift = -d.n_minus if normalize else 0
 
     q_degrees = None
-    if normalize and d.oriented and _is_graded_algebra(F):
-        # basis index 0 has degree +1, index 1 degree -1
+    if normalize and (basis := _grading(r, local)) is not None:
         blocks: dict[tuple, tuple] = {}  # (degree, circle count) -> one state's q-degrees
         degs: list[list] = [[] for _ in range(n + 1)]
         for i, c in zip(degree, count):
             block = blocks.get((i, c))
             if block is None:
-                base = i + d.n_plus - 2 * d.n_minus + c
+                base = i + d.n_plus - 2 * d.n_minus
                 block = blocks[i, c] = tuple(
-                    base - 2 * sum(bits) for bits in itertools.product((0, 1), repeat=c)
+                    base + sum(labels) for labels in itertools.product(basis, repeat=c)
                 )
             degs[i] += block
         q_degrees = tuple(map(tuple, degs))
@@ -154,8 +143,9 @@ def graded_euler_characteristic(C: ChainComplex) -> Laurent:
     in q.  Available only when the complex carries the quantum grading."""
     if C.q_degrees is None:
         raise ValueError(
-            "no quantum grading on this complex (requires h = t = 0, an oriented "
-            "diagram, and normalization)"
+            "no quantum grading on this complex (requires normalization, and "
+            "algebra data with unique integer basis degrees under which the "
+            "product and the coproduct both have degree -1)"
         )
     tally: dict[int, int] = {}  # q-degree -> signed generator count
     for idx, degs in enumerate(C.q_degrees):

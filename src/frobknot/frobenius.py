@@ -54,9 +54,10 @@ class FrobeniusData:
                     raise ValueError(f"{name} has wrong length")
                 object.__setattr__(self, name, v)
         R = self.ring
-        if self.unit is not None and not _is_unit(R, self.mult, self.unit):
+        # a two-sided unit is unique, so the solver finds every true one
+        if self.unit is not None and self.unit != _unit(R, self.mult):
             raise ValueError("declared unit is not a two-sided identity")
-        if self.counit is not None and not _is_unit(R, _transpose(self.comult), self.counit):
+        if self.counit is not None and self.counit != _unit(R, _transpose(self.comult)):
             raise ValueError("declared counit does not split the coproduct")
 
     # -- elementwise operations -------------------------------------------
@@ -132,16 +133,6 @@ def _unit_equations(R: RingSpec, c) -> list:
 def _zero(x, m) -> bool:
     """x is 0, mod m when m is nonzero."""
     return not (x % m if m else x)
-
-
-def _is_unit(R: RingSpec, c, u) -> bool:
-    """u*e_j = e_j = e_j*u: sum_i u_i c[i][j][k] = delta_jk on both sides."""
-    rng, m = range(len(c)), R.p or 0
-    for j, k in itertools.product(rng, repeat=2):
-        for s in (sum(u[i] * c[i][j][k] for i in rng), sum(u[i] * c[j][i][k] for i in rng)):
-            if (s % m if m else s) != (j == k):
-                return False
-    return True
 
 
 def _unit(R: RingSpec, c) -> Optional[tuple]:
@@ -330,6 +321,21 @@ def _cells(F: FrobeniusData, kind: str) -> list:
     t, k = (F.mult, 2) if kind == "merge" else (F.comult, 1)
     return [(i[:k], i[k:], v) for i in itertools.product(range(F.rank), repeat=3)
             if (v := t[i[0]][i[1]][i[2]]) != F.ring.zero]
+
+
+def _grading(r: int, local: dict) -> Optional[tuple]:
+    """Integer degrees of the r basis elements under which every cell of
+    ``local`` (kind -> ``_cells``) has degree -1: its output bits' degrees
+    sum to its input bits' sum minus 1, so the product and the coproduct
+    both lower the degree by 1.  The unique solution, or None when there is
+    none or more than one."""
+    eqs = {(*(out.count(b) - inp.count(b) for b in range(r)), -1)
+           for cells in local.values() for inp, out, _ in cells}
+    try:
+        sol = _solve(ZZ, list(map(list, sorted(eqs))), r)
+    except ValueError:  # a kernel: the degrees are not unique
+        return None
+    return tuple(sol) if sol is not None else None
 
 
 def _place(r: int, cells: list, n_in: int, n_out: int, src: tuple, dst: tuple) -> tuple:

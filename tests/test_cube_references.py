@@ -10,14 +10,20 @@ direct forms they replaced: a breadth-first search for circles, one
 an edge, one Laurent term per state or generator, and each edge's block
 read off the basis labellings of the circles themselves, with no index
 arithmetic and no ``frobenius`` placement, scattered into per-row dicts,
-sorted at the end, with each edge's sign counted from its states.
+sorted at the end, with each edge's sign counted from its states.  The
+quantum grading is solved by sympy from the structure constants.
 """
 
+import functools
 import importlib.util
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+import sympy
 
 from frobknot import complex as cx
 from frobknot import diagram as dg
@@ -140,6 +146,29 @@ def euler_per_generator(C):
     return out
 
 
+@functools.cache
+def sympy_grading(F):
+    """Basis degrees d under which every nonzero mult[i][j][k] has
+    d_k = d_i + d_j - 1 and every nonzero comult[x][u][w] has d_u + d_w =
+    d_x - 1, solved by sympy over Q: the solution if it is unique and
+    integral, else None."""
+    r, zero = F.rank, F.ring.zero
+    d = sympy.symbols(f"d0:{r}")
+    eqs = []
+    for i, j, k in itertools.product(range(r), repeat=3):
+        if F.mult[i][j][k] != zero:
+            eqs.append(d[k] - d[i] - d[j] + 1)
+        if F.comult[i][j][k] != zero:
+            eqs.append(d[j] + d[k] - d[i] + 1)
+    sols = sympy.linsolve(eqs, d)
+    if not sols:
+        return None
+    (sol,) = sols
+    if any(x.free_symbols or not x.is_integer for x in sol):
+        return None
+    return tuple(map(int, sol))
+
+
 def complex_from_labellings(cube, F, normalize):
     """(ranks, differential rows, q-degrees) from basis labellings.  A
     generator of a state labels each of its circles with a basis index,
@@ -148,7 +177,7 @@ def complex_from_labellings(cube, F, normalize):
     writes the product or coproduct's terms on the circles the edge names.
     Rows are filled as dicts and sorted, each edge's sign is counted from
     its states, and each state's q-degrees come from its own product over
-    basis bits."""
+    basis labels, with the degrees ``sympy_grading`` solves for."""
     d, R, r, m = cube.diagram, F.ring, F.rank, F.ring.p or 0
     n = d.n_crossings
     by_degree = [[] for _ in range(n + 1)]
@@ -192,14 +221,15 @@ def complex_from_labellings(cube, F, normalize):
                     scatter[index[e.s2][tuple(out)]][col] = w % m if m else w
         diffs.append(tuple(tuple(sorted(cells.items())) for cells in scatter))
     q_degrees = None
-    if normalize and F == fr.a5(0, 0, R):
+    basis = sympy_grading(F) if normalize else None
+    if basis is not None:
         q_degrees = []
         for states in by_degree:
             degs = []
             for s in states:
                 base = sum(s) + d.n_plus - 2 * d.n_minus
-                for bits in itertools.product((0, 1), repeat=len(cube.circles[s])):
-                    degs.append(base + sum(1 - 2 * b for b in bits))
+                for labels in itertools.product(range(r), repeat=len(cube.circles[s])):
+                    degs.append(base + sum(basis[b] for b in labels))
             q_degrees.append(tuple(degs))
         q_degrees = tuple(q_degrees)
     return tuple(ranks), tuple(diffs), q_degrees
@@ -281,3 +311,75 @@ def test_complex_matches_labellings_over_rings():
                 C = cx.build_complex(cube, F, normalize)
                 ranks, rows, q_degrees = complex_from_labellings(cube, F, normalize)
                 assert (C.ranks, tuple(m.nz for m in C.diffs), C.q_degrees) == (ranks, rows, q_degrees), (R, F, d)
+
+
+def tripled(R):
+    """Z[x]/x^2 (a5(0, 0)'s product) with its coproduct times 3."""
+    F = fr.a5(0, 0, R)
+    return fr.FrobeniusData(R, 2, F.mult, [[[3 * x for x in row] for row in a] for a in F.comult])
+
+
+def grading(F):
+    return fr._grading(F.rank, {kind: fr._cells(F, kind) for kind in ("merge", "split")})
+
+
+def test_unit_free_data_get_khovanovs_grading():
+    # the scaled and tripled data have a5(0, 0)'s degrees, so the same
+    # graded ranks, Euler characteristic and q-degrees
+    graded = [scaled(ZZ), scaled(QQ), scaled(GF(5)), tripled(ZZ)]
+    for F in graded:
+        assert grading(F) == sympy_grading(F) == (1, -1), F
+    for d in [build() for build in dg.BUILDERS.values()] + random_closures(count=20):
+        if not d.oriented:
+            continue
+        cube = dg.build_cube(d)
+        for F in graded:
+            C = cx.build_complex(cube, F, True)
+            assert C.q_degrees == cx.build_complex(cube, fr.a5(0, 0, F.ring), True).q_degrees
+            assert cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d), (F, d)
+
+
+def test_data_without_unique_degrees_get_no_grading():
+    # x^2 = x +- 1 forces 1 and x into one degree, which the coproduct
+    # contradicts; mod 2 the scaled product vanishes and mod 3 the scaled
+    # coproduct does, which leaves one degree free; zero tensors leave all
+    zeros = lambda R, r: fr.FrobeniusData(R, r, [[[0] * r] * r] * r, [[[0] * r] * r] * r)
+    ungraded = [scaled(GF(2)), scaled(GF(3)), zeros(ZZ, 1), zeros(QQ, 2), zeros(GF(3), 3)]
+    for R in (ZZ, QQ, GF(2), GF(3), GF(5)):
+        ungraded += [fr.a5(1, 1, R), fr.a5(1, -1, R), rank3(R)]
+    cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
+    for F in ungraded:
+        assert grading(F) is None and sympy_grading(F) is None, F
+        C = cx.build_complex(cube, F, True)
+        assert C.q_degrees is None
+        with pytest.raises(ValueError, match="no quantum grading"):
+            cx.graded_euler_characteristic(C)
+
+
+def test_scaled_complex_is_the_rescaled_a5_complex():
+    # over a field where 2 and 3 are units, the scaled complex is a5(0, 0)'s
+    # with each state's generators multiplied by 2^merges 3^splits along
+    # any path from the 0-state, which the walk below checks is well defined;
+    # so the homology tables are equal
+    rng = random.Random(2710)
+    words = [(s, [rng.choice((1, -1)) * rng.randint(1, s - 1) for _ in range(rng.randint(1, 6))])
+             for s in [rng.randint(2, 4) for _ in range(24)]]
+    for R in (QQ, GF(5)):
+        for strands, word in words:
+            d = closure(word, strands)
+            cube = dg.build_cube(d)
+            scale = {(0,) * d.n_crossings: 1}
+            for e in sorted(cube.edges, key=lambda e: sum(e.s1)):
+                factor = scale[e.s1] * (2 if e.kind == "merge" else 3)
+                assert scale.setdefault(e.s2, factor) == factor, (word, e)
+            by_degree = [[] for _ in range(d.n_crossings + 1)]
+            for s in sorted(cube.circles):
+                by_degree[sum(s)] += [scale[s]] * 2 ** len(cube.circles[s])
+            C0 = cx.build_complex(cube, fr.a5(0, 0, R), d.oriented)
+            C1 = cx.build_complex(cube, scaled(R), d.oriented)
+            for i, (m0, m1) in enumerate(zip(C0.diffs, C1.diffs)):
+                out, inn = by_degree[i + 1], by_degree[i]
+                want = tuple(tuple((j, R.normalize(Fraction(v * out[k], inn[j]))) for j, v in row)
+                             for k, row in enumerate(m0.nz))
+                assert m1.nz == want, (R, word, i)
+            assert cx.homology(C1).to_json() == cx.homology(C0).to_json(), (R, word)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,64 @@ def test_declared_unit_and_counit_are_checked(ring):
             fr.FrobeniusData(ring, 2, c, F.comult, unit=(1, 0))
         with pytest.raises(ValueError, match="declared counit"):
             fr.FrobeniusData(ring, 2, F.mult, fr._transpose(fr._transpose(c)), counit=(1, 0))
+
+
+def _is_unit(R, c, u):
+    """Reference: u*e_j = e_j = e_j*u, that is sum_i u_i c[i][j][k] =
+    delta_jk on both sides, evaluated term by term."""
+    rng, m = range(len(c)), R.p or 0
+    for j, k in itertools.product(rng, repeat=2):
+        for s in (sum(u[i] * c[i][j][k] for i in rng), sum(u[i] * c[j][i][k] for i in rng)):
+            if (s % m if m else s) != (j == k):
+                return False
+    return True
+
+
+def seeded_tables(rng, R, r):
+    """A random r x r x r table, or one with a unit e_u and its other
+    entries random, times 1 or 2: over Q the doubled table's unit is e_u/2,
+    over Z it has none."""
+    pick = (-2, -1, 0, 0, 1, 2, Fraction(1, 2)) if R == QQ else (-2, -1, 0, 0, 1, 2)
+    c = [[[rng.choice(pick) for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    if rng.random() < 0.5:
+        u = rng.randrange(r)
+        for j, k in itertools.product(range(r), repeat=2):
+            c[u][j][k] = c[j][u][k] = int(j == k)
+    k = rng.choice((1, 2))
+    return [[[k * x for x in row] for row in a] for a in c]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F3], ids=str)
+def test_declared_units_match_the_term_by_term_reference(ring):
+    # FrobeniusData accepts a declared unit or counit exactly when it equals
+    # the solved one; the reference evaluates the identities themselves.
+    # Candidates: the solved unit (or a basis vector when there is none),
+    # that vector with one entry moved, and a random vector.
+    rng = random.Random(27)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        r = rng.choice((2, 3))
+        mult, comult = seeded_tables(rng, ring, r), fr._transpose(fr._transpose(seeded_tables(rng, ring, r)))
+        F = fr.FrobeniusData(ring, r, mult, comult)
+        for name, table, message in (
+            ("unit", F.mult, "declared unit is not a two-sided identity"),
+            ("counit", fr._transpose(F.comult), "declared counit does not split the coproduct"),
+        ):
+            solved = fr._unit(ring, table) or tuple(int(i == 0) for i in range(r))
+            moved = list(solved)
+            moved[rng.randrange(r)] += rng.choice((1, -1))
+            vector = [rng.randint(-2, 2) for _ in range(r)]
+            for cand in (solved, moved, vector):
+                cand = tuple(map(ring.normalize, cand))
+                ok = _is_unit(ring, table, cand)
+                seen[ok] += 1
+                if ok:
+                    G = fr.FrobeniusData(ring, r, mult, comult, **{name: cand})
+                    assert getattr(G, name) == cand
+                else:
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        fr.FrobeniusData(ring, r, mult, comult, **{name: cand})
+    assert seen[True] > 20 and seen[False] > 20, seen
 
 
 # --- the four-parameter evaluation -------------------------------------------
