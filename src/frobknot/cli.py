@@ -82,7 +82,7 @@ def _algebra_from_args(args) -> fb.FrobeniusData:
     if args.algebra:
         F = _load_algebra(args.algebra)
         if ring is not None and ring != F.ring:
-            return fb.FrobeniusData(ring, F.rank, F.mult, F.comult, F.unit, F.counit)
+            return fb.FrobeniusData(ring, F.rank, F.mult, F.comult)
         return F
     raise ValueError(
         "homology over the generic two-parameter coefficient ring is not "

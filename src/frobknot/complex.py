@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import LinkDiagram, ResolutionCube, build_cube
+from .diagram import LinkDiagram, ResolutionCube, build_cube, normalized_bracket
 from .frobenius import FrobeniusData, _cells, _grading, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
@@ -159,8 +159,6 @@ def jones_from_bracket(d: LinkDiagram) -> Laurent:
     """Unnormalized polynomial invariant from the bracket oracle: multiply
     the writhe-corrected bracket by delta, then substitute A^(2k) ->
     (-1)^k q^(-k).  Calibrated so the crossing-free unknot gives q + 1/q."""
-    from .diagram import normalized_bracket
-
     delta = Laurent.from_dict({2: -1, -2: -1})
     k = normalized_bracket(d) * delta
     return k.map_even_exponents(lambda m: (-m, (-1) ** (m % 2)))

@@ -38,6 +38,8 @@ class FrobeniusData:
     rank: int
     mult: tuple
     comult: tuple
+    # solved from the tensors (None when there is none); a declared one
+    # must equal the solution
     unit: Optional[tuple] = None
     counit: Optional[tuple] = None
 
@@ -46,19 +48,21 @@ class FrobeniusData:
             raise ValueError("rank must be a positive integer")
         object.__setattr__(self, "mult", _norm_tensor(self.ring, self.mult, self.rank))
         object.__setattr__(self, "comult", _norm_tensor(self.ring, self.comult, self.rank))
+        R, declared = self.ring, {}
         for name in ("unit", "counit"):
             v = getattr(self, name)
             if v is not None:
-                v = tuple(self.ring.normalize(x) for x in _listed(v, name))
+                v = tuple(R.normalize(x) for x in _listed(v, name))
                 if len(v) != self.rank:
                     raise ValueError(f"{name} has wrong length")
-                object.__setattr__(self, name, v)
-        R = self.ring
-        # a two-sided unit is unique, so the solver finds every true one
-        if self.unit is not None and self.unit != _unit(R, self.mult):
-            raise ValueError("declared unit is not a two-sided identity")
-        if self.counit is not None and self.counit != _unit(R, _transpose(self.comult)):
-            raise ValueError("declared counit does not split the coproduct")
+            declared[name] = v
+        # a two-sided unit is unique: the solver finds the only one there is
+        solved = {"unit": _unit(R, self.mult), "counit": _unit(R, _transpose(self.comult))}
+        for name, fails in (("unit", "is not a two-sided identity"),
+                            ("counit", "does not split the coproduct")):
+            if declared[name] not in (None, solved[name]):
+                raise ValueError(f"declared {name} {fails}")
+            object.__setattr__(self, name, solved[name])
 
     # -- elementwise operations -------------------------------------------
 
@@ -144,7 +148,7 @@ def _unit(R: RingSpec, c) -> Optional[tuple]:
 
 
 def _algebra_flags(R: RingSpec, c) -> dict:
-    """Associative, commutative and unital flags of the table c, whether
+    """Associative and commutative flags of the table c, whether
     its product is onto over the ring (all invariant factors 1 over Z) and
     whether it has full rank over the fraction field."""
     r, m = len(c), R.p or 0
@@ -161,7 +165,6 @@ def _algebra_flags(R: RingSpec, c) -> dict:
             for i, j, k, l in itertools.product(rng, repeat=4)
         ),
         "commutative": all(c[i][j] == c[j][i] for i in rng for j in rng),
-        "unital": _unit(R, c) is not None,
         "onto": onto,
         "full_rank": full_rank,
     }
@@ -197,8 +200,8 @@ def check_axioms(F: FrobeniusData) -> dict:
         "coassociative": coalg["associative"],
         "cocommutative": coalg["commutative"],
         "frobenius_relation": frob,
-        "unit_ok": alg["unital"],
-        "counit_ok": coalg["unital"],
+        "unit_ok": F.unit is not None,
+        "counit_ok": F.counit is not None,
         "mult_surjective": alg["onto"],
         "comult_injective": coalg["full_rank"],
         "comult_split_injective": coalg["onto"],
@@ -234,8 +237,8 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
         )
     mult = (((1, 0), (0, 1)), ((0, 1), (t, h)))
     comult = (((e * t - h * f, f), (f, e)), ((f * t, e * t), (e * t, f + e * h)))
-    # FrobeniusData reduces every entry into the ring
-    return FrobeniusData(ring, 2, mult, comult, unit=(1, 0), counit=(-c, a))
+    # FrobeniusData reduces every entry and solves the unit (1, 0), counit (-c, a)
+    return FrobeniusData(ring, 2, mult, comult)
 
 
 def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
@@ -253,32 +256,22 @@ def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
 
 
 def twist(F: FrobeniusData, y: Sequence) -> FrobeniusData:
-    """Replace counit by v |-> counit(y*v) and coproduct by v |-> coproduct
-    of y^{-1}*v.  Multiplication and unit are untouched."""
+    """Replace the coproduct by v |-> coproduct of y^{-1}*v, keeping the
+    product; on Frobenius data the counit solves to v |-> counit(y*v)."""
     r = F.rank
     yinv = invert_element(F, y)
     if yinv is None:
         raise ValueError("twisting element is not invertible")
     basis = [[int(i == j) for i in range(r)] for j in range(r)]
-    counit = None
-    if F.counit is not None:
-        counit = [sum(a * b for a, b in zip(F.counit, F.product(y, e))) for e in basis]
     splits = [F.coproduct(F.product(yinv, e)) for e in basis]
     comult = [[d[a * r : (a + 1) * r] for a in range(r)] for d in splits]
-    return FrobeniusData(F.ring, r, F.mult, comult, unit=F.unit, counit=counit)
+    return FrobeniusData(F.ring, r, F.mult, comult)
 
 
 def dualize(F: FrobeniusData) -> FrobeniusData:
-    """Swap the roles of product and coproduct (transpose the tensors);
+    """Swap the roles of product and coproduct (transpose the tensors), so
     unit and counit trade places."""
-    return FrobeniusData(
-        F.ring,
-        F.rank,
-        _transpose(F.comult),
-        _transpose(_transpose(F.mult)),
-        unit=F.counit,
-        counit=F.unit,
-    )
+    return FrobeniusData(F.ring, F.rank, _transpose(F.comult), _transpose(_transpose(F.mult)))
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,27 @@ def test_algebra_file_takes_the_ring_option(tmp_path, capsys):
     assert out != run(capsys, "homology", diagram, "--algebra", str(f), "--json")[1]
 
 
+def test_a_declared_rational_unit_does_not_block_the_ring_option(tmp_path, capsys):
+    # --ring Z re-rings the tensors and solves their identities.  The
+    # declared (1/2, 0) and (0, 1/3), true over Q, exited 2 with "1/2 is
+    # not an integer", and F_5's (3, 0) and (0, 2) with "declared unit is
+    # not a two-sided identity", while the same files without them ran
+    scaled_q = {"ring": {"kind": "Q"}, "rank": 2, "mult": [[[2, 0], [0, 2]], [[0, 2], [0, 0]]],
+                "comult": [[[0, 3], [3, 0]], [[0, 0], [0, 3]]]}
+    outputs = []
+    for name, data in (
+        ("scaled_q.json", scaled_q),
+        ("scaled_q_unit.json", dict(scaled_q, unit=["1/2", 0], counit=[0, "1/3"])),
+        ("scaled_f5_unit.json", dict(scaled_q, ring={"kind": "Fp", "p": 5}, unit=[3, 0], counit=[0, 2])),
+    ):
+        f = tmp_path / name
+        f.write_text(json.dumps(data))
+        argv = ("homology", "builder:trefoil_left", "--algebra", str(f), "--ring", "Z", "--normalize", "--json")
+        outputs.append((main(list(argv)), capsys.readouterr()))
+    assert outputs[0][0] == 0 and not outputs[0][1].err
+    assert outputs[1] == outputs[0] == outputs[2]
+
+
 def test_text_mode_classify_and_verify(tmp_path, capsys):
     f = tmp_path / "dual.json"
     f.write_text(json.dumps(rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()))

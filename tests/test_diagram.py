@@ -119,7 +119,7 @@ def test_cube_edge_kinds_hopf():
     assert kinds == ["merge", "merge", "split", "split"]
 
 
-def test_sign_exponent():
+def test_edge_signs():
     # (-1)^(number of 1-bits before the raised position)
     cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
     sign = {(e.s1, e.s2): e.sign for e in cube.edges}
