@@ -60,13 +60,13 @@ def _from_json(cls, path: str):
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"cannot read {path}: {e}") from None
     try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         return cls.from_json(data)
-    except (KeyError, ValueError, TypeError) as e:
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from None
+    except (ValueError, TypeError) as e:
         raise ValueError(f"{path}: {e}") from None
-
-
-def _load_algebra(path: str) -> fb.FrobeniusData:
-    return _from_json(fb.FrobeniusData, path)
 
 
 def _algebra_from_args(args) -> fb.FrobeniusData:
@@ -80,7 +80,7 @@ def _algebra_from_args(args) -> fb.FrobeniusData:
             raise ValueError("--a5 expects two integers: H,T") from None
         return fb.a5(h, t, ring or ZZ)
     if args.algebra:
-        F = _load_algebra(args.algebra)
+        F = _from_json(fb.FrobeniusData, args.algebra)
         if ring is not None and ring != F.ring:
             return fb.FrobeniusData(ring, F.rank, F.mult, F.comult)
         return F
@@ -99,7 +99,7 @@ def _cmd_homology(args) -> int:
     F = _algebra_from_args(args)
     try:
         C = cx.chain_complex(d, F, normalize=args.normalize)
-    except dg.PDError as e:  # a code that parses but has no cube, such as a non-planar one
+    except ValueError as e:  # a code with no cube (non-planar) or no signs to normalize by
         raise ValueError(f"{args.diagram}: {e}") from None
     table = cx.homology(C)
     if args.json:
@@ -134,12 +134,12 @@ def _print_flags(args, flags: dict, yes: str, no: str) -> bool:
 
 
 def _cmd_check_algebra(args) -> int:
-    _print_flags(args, fb.check_axioms(_load_algebra(args.file)), "yes", "no")
+    _print_flags(args, fb.check_axioms(_from_json(fb.FrobeniusData, args.file)), "yes", "no")
     return 0
 
 
 def _cmd_relations(args) -> int:
-    report = fb.verify_n2cob_relations(_load_algebra(args.file))
+    report = fb.verify_n2cob_relations(_from_json(fb.FrobeniusData, args.file))
     return 0 if _print_flags(args, report, "holds", "FAILS") else 1
 
 

@@ -134,9 +134,9 @@ def _unit_equations(R: RingSpec, c) -> list:
     return rows
 
 
-def _zero(x, m) -> bool:
-    """x is 0, mod m when m is nonzero."""
-    return not (x % m if m else x)
+def _vanish(vals, m) -> bool:
+    """Every value is 0, mod m when m is nonzero."""
+    return not any(v % m for v in vals) if m else not any(vals)
 
 
 def _unit(R: RingSpec, c) -> Optional[tuple]:
@@ -160,46 +160,54 @@ def _algebra_flags(R: RingSpec, c) -> dict:
     else:
         onto = full_rank = rank(M) == r
     return {
-        "associative": all(
-            _zero(sum(c[i][j][s] * c[s][k][l] - c[j][k][s] * c[i][s][l] for s in rng), m)
-            for i, j, k, l in itertools.product(rng, repeat=4)
-        ),
+        "associative": _vanish(
+            (sum(c[i][j][s] * c[s][k][l] - c[j][k][s] * c[i][s][l] for s in rng)
+             for i, j, k, l in itertools.product(rng, repeat=4)), m),
         "commutative": all(c[i][j] == c[j][i] for i in rng for j in rng),
         "onto": onto,
         "full_rank": full_rank,
     }
 
 
+def _frobenius_rows(c, col, n: int):
+    """Delta m = (m (x) 1)(1 (x) Delta) = (1 (x) m)(Delta (x) 1) for the table c,
+    as rows linear in n coproduct unknowns, col[k][a][b] holding d[k][a][b]:
+    for each e_a (x) e_b coefficient of each e_i (x) e_j, in (i, j, a, b)
+    order, the row of the first equation, then that of the second."""
+    rng = range(len(c))
+    for i, j, a, b in itertools.product(rng, repeat=4):
+        lhs = [0] * n
+        for s in rng:
+            lhs[col[s][a][b]] += c[i][j][s]
+        mid, rhs = lhs[:], lhs[:]
+        for u in rng:
+            mid[col[j][u][b]] -= c[i][u][a]
+            rhs[col[i][a][u]] -= c[u][j][b]
+        yield from (mid, rhs)
+
+
 def check_axioms(F: FrobeniusData) -> dict:
-    """Exact flags for the algebra/coalgebra axioms and the compatibility
-    relation coproduct-of-product = (product (x) id)(id (x) coproduct)
-    = (id (x) product)(coproduct (x) id).
+    """Exact flags for the algebra/coalgebra axioms and the Frobenius
+    relation, the rows of _frobenius_rows evaluated at the coproduct.
 
     The coalgebra flags are the algebra flags of the transposed coproduct.
     Over Z, "surjective" means all invariant factors are units and two
     injectivity notions are reported: full rank over the fraction field, and
     split injectivity (all invariant factors units).
     """
-    R, c, d = F.ring, F.mult, F.comult
-    rng, m = range(F.rank), R.p or 0
+    R, r, c, d = F.ring, F.rank, F.mult, F.comult
     alg = _algebra_flags(R, c)
     coalg = _algebra_flags(R, _transpose(d))
-
-    frob = True
-    for i, j, a, b in itertools.product(rng, repeat=4):
-        lhs = sum(c[i][j][s] * d[s][a][b] for s in rng)
-        mid = sum(c[i][u][a] * d[j][u][b] for u in rng)
-        rhs = sum(d[i][a][v] * c[v][j][b] for v in rng)
-        if not (_zero(lhs - mid, m) and _zero(lhs - rhs, m)):
-            frob = False
-            break
+    flat = [x for dk in d for row in dk for x in row]  # d[k][a][b] at where[k][a][b]
+    where = [[[(k * r + a) * r + b for b in range(r)] for a in range(r)] for k in range(r)]
+    rows = _frobenius_rows(c, where, r**3)  # a generator: the test stops at a failed row
 
     return {
         "associative": alg["associative"],
         "commutative": alg["commutative"],
         "coassociative": coalg["associative"],
         "cocommutative": coalg["commutative"],
-        "frobenius_relation": frob,
+        "frobenius_relation": _vanish((sum(map(mul, row, flat)) for row in rows), R.p or 0),
         "unit_ok": F.unit is not None,
         "counit_ok": F.counit is not None,
         "mult_surjective": alg["onto"],
@@ -231,7 +239,7 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     """
     a, c, e, f, h, t = (ring.normalize(x) for x in pt)
     m = ring.p or 0
-    if not (_zero(a * e - c * f, m) and _zero(a * f + c * h * f - c * e * t - 1, m)):
+    if not _vanish((a * e - c * f, a * f + c * h * f - c * e * t - 1), m):
         raise ValueError(
             "parameters must satisfy a*e = c*f and a*f + c*h*f - c*e*t = 1"
         )

@@ -12,8 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Optional
 
+from .frobenius import _frobenius_rows, _transpose, _vanish
 from .linalg import _echelon
 from .rings import RingSpec, Scalar
 
@@ -30,7 +32,7 @@ class MultTable:
     e11: Pair
     e12: Pair
     e22: Pair
-    e21: Optional[Pair] = None  # None means commutative: e2e1 = e1e2
+    e21: Optional[Pair] = None  # None means commutative: stored only when e2e1 != e1e2
 
     def __post_init__(self):
         def norm(p):
@@ -41,12 +43,12 @@ class MultTable:
         object.__setattr__(self, "e11", norm(self.e11))
         object.__setattr__(self, "e12", norm(self.e12))
         object.__setattr__(self, "e22", norm(self.e22))
-        if self.e21 is not None:
-            object.__setattr__(self, "e21", norm(self.e21))
+        e21 = None if self.e21 is None else norm(self.e21)
+        object.__setattr__(self, "e21", None if e21 == self.e12 else e21)
 
     @property
     def commutative(self) -> bool:
-        return self.e21 is None or self.e21 == self.e12
+        return self.e21 is None
 
     def to_json(self) -> dict:
         f = self.ring.format_scalar
@@ -88,11 +90,6 @@ def _mul(t, u, v, m):
     a = x11 * a1 + x12 * a2 + x21 * a3 + x22 * a4
     b = x11 * b1 + x12 * b2 + x21 * b3 + x22 * b4
     return (a % m, b % m) if m else (a, b)
-
-
-def _vanish(vals, m) -> bool:
-    """Every value is 0, mod m when m is nonzero."""
-    return not any(v % m for v in vals) if m else not any(vals)
 
 
 def _associative(t, m) -> bool:
@@ -156,8 +153,9 @@ def _associative_noncomm_tables(p):
             yield t
 
 
-# d[k][i][j] = c[_D[k][i][j]]: the six unknowns of a cocommutative coproduct
+# d[k][i][j] = c[_D[k][i][j]] for the six unknowns c; _GET reads d's rows, then dual, off c
 _D = (((0, 1), (1, 2)), ((3, 4), (4, 5)))
+_GET = [itemgetter(*x) for x in (*_D[0], *_D[1], *sum(_transpose(_D), ()))]
 
 
 def _frobenius_comults(t, p):
@@ -166,32 +164,24 @@ def _frobenius_comults(t, p):
     by d: Delta(e_k) = sum d[k][i][j] e_i (x) e_j, and dual is the transposed
     tuple e_i e_j = (d[0][i][j], d[1][i][j]): associative exactly when d is
     coassociative, surjective exactly when d is injective, and its unit is
-    the counit of d.  The relation
-        Delta m = (m (x) 1)(1 (x) Delta) = (1 (x) m)(Delta (x) 1)
-    is 32 equations linear in the six unknowns of d; they are reduced mod p
-    and their kernel enumerated."""
-    rows = []
-    for i, j, a, b in itertools.product((0, 1), repeat=4):
-        lhs = [0] * 6  # coefficient of e_a (x) e_b at e_i (x) e_j
-        for s in (0, 1):
-            lhs[_D[s][a][b]] += t[2 * i + j][s]
-        mid, rhs = lhs[:], lhs[:]
-        for u in (0, 1):
-            mid[_D[j][u][b]] -= t[2 * i + u][a]
-            rhs[_D[i][a][u]] -= t[2 * u + j][b]
-        rows += ([x % p for x in mid], [x % p for x in rhs])
+    the counit of d.  The relation (frobenius._frobenius_rows) is 32
+    equations linear in the six unknowns of d; they are reduced mod p and
+    their kernel enumerated, as the combinations of one basis vector per
+    free unknown."""
+    rows = [[x % p for x in row] for row in _frobenius_rows((t[:2], t[2:]), _D, 6)]
     pivots = _echelon(rows, 6, p)
     free = [k for k in range(6) if k not in pivots]
-    out = []
-    for vals in itertools.product(range(p), repeat=len(free)):
-        c = [0] * 6
-        for k, v in zip(free, vals):
-            c[k] = v
+    basis = [[int(k == f) for k in range(6)] for f in free]
+    for b, f in zip(basis, free):
         for row, k in zip(rows, pivots):
-            c[k] = -sum(row[f] * c[f] for f in free) % p
-        dual = ((c[0], c[3]), (c[1], c[4]), (c[1], c[4]), (c[2], c[5]))
+            b[k] = -row[f] % p
+    cols, out = [[b[k] for b in basis] for k in range(6)], []
+    d00, d01, d10, d11, e11, e12, e21, e22 = _GET
+    for vals in itertools.product(range(p), repeat=len(free)):
+        c = [sum(map(mul, vals, col)) % p for col in cols]
+        dual = (e11(c), e12(c), e21(c), e22(c))
         if _associative(dual, p):
-            out.append(((((c[0], c[1]), (c[1], c[2])), ((c[3], c[4]), (c[4], c[5]))), dual))
+            out.append((((d00(c), d01(c)), (d10(c), d11(c))), dual))
     return sorted(out)
 
 
@@ -239,9 +229,8 @@ def _entries(t: MultTable):
 
 
 def _table(ring: RingSpec, t) -> MultTable:
-    """The MultTable of the kernel tuple t, the inverse of _entries: e2e1 is
-    stored exactly when it differs from e1e2."""
-    return MultTable(ring, t[0], t[1], t[3], None if t[1] == t[2] else t[2])
+    """The MultTable of the kernel tuple t, the inverse of _entries."""
+    return MultTable(ring, t[0], t[1], t[3], t[2])
 
 
 def multiply(t: MultTable, u: Pair, v: Pair) -> Pair:

@@ -42,7 +42,7 @@ class RingSpec:
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
             if type(self.p) is not int or self.p > 2**31 or not _is_prime(self.p):
-                raise ValueError(f"F_p requires a prime p <= 2**31, got {self.p}")
+                raise ValueError(f"F_p requires a prime p <= 2**31, got {self.p!r}")
         elif self.p is not None:
             raise ValueError(f"{self.kind} takes no modulus")
 
@@ -102,6 +102,8 @@ class RingSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "RingSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f'"ring" must be an object, got {d!r}')
         return cls(d["kind"], d.get("p"))
 
     def __str__(self):

@@ -418,6 +418,76 @@ def test_nonplanar_and_phantom_orient_inputs_exit_2(tmp_path, capsys):
         assert "which no crossing has" in captured.err
 
 
+_F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        # each printed a Python-internal message, or no path
+        (["classify"], json.dumps(fr.a5(0, 0).to_json()), "missing key 'products'"),
+        (["classify"], "[1, 2]", "expected a JSON object, got list"),
+        (["check-algebra"], "[1, 2]", "expected a JSON object, got list"),
+        (["classify"], json.dumps(dict(_F3_TABLE, ring="Z")), "\"ring\" must be an object, got 'Z'"),
+        (["classify"], json.dumps(dict(_F3_TABLE, ring={"kind": "Fp", "p": "3"})),
+         "F_p requires a prime p <= 2**31, got '3'"),
+        (["homology", "--a5", "0,0", "--normalize"], "X 1 1 2 2\n",
+         "normalization needs an oriented diagram (sign counts)"),
+    ],
+    ids=["missing key", "classify a list", "check a list", "ring string", "p string", "unsigned"],
+)
+def test_input_errors_name_what_is_wrong(tmp_path, capsys, argv, text, message):
+    f = tmp_path / "input"
+    f.write_text(text)
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {f}: {message}\n")
+
+
+_A5 = fr.a5(0, 0).to_json()
+_HOPF = dg.BUILDERS["hopf_pos"]()
+
+
+@pytest.mark.parametrize(
+    "call, message, via_cli",
+    [
+        (lambda: dg.parse_pd("O 3\n"), "malformed loop line: 'O 3'", ("O 3\n", ["bracket", "{f}"])),
+        (lambda: dg.parse_pd("X 1 1 2 2\nORIENT 1 b\n"), "malformed ORIENT line: 'ORIENT 1 b'",
+         ("X 1 1 2 2\nORIENT 1 b\n", ["bracket", "{f}"])),
+        (lambda: dg.parse_pd("X 1 1 2 2\nSIGNS + -\n"), "SIGNS must list one sign per crossing",
+         ("X 1 1 2 2\nSIGNS + -\n", ["bracket", "{f}"])),
+        (lambda: dg.parse_pd("X 1 1 2 2\nORIENT 1\nORIENT 2\n"), "ORIENT data does not connect arcs 1 and 2",
+         ("X 1 1 2 2\nORIENT 1\nORIENT 2\n", ["homology", "{f}", "--a5", "0,0"])),
+        (lambda: cli._algebra_from_args(cli._build_parser().parse_args(["homology", "x", "--a5", "x,0"])),
+         "--a5 expects two integers: H,T", (None, ["homology", "builder:unknot_0", "--a5", "x,0"])),
+        (lambda: fr.FrobeniusData.from_json(dict(_A5, unit=[1, 0, 0])), "unit has wrong length",
+         (json.dumps(dict(_A5, unit=[1, 0, 0])), ["check-algebra", "{f}"])),
+        (lambda: dg.resolve(_HOPF, (0,)), "state length does not match crossing count", None),
+        (lambda: dg.resolve(_HOPF, (0, 2)), "state bits must be 0 or 1", None),
+        (lambda: fr.generator_map(fr.a5(0, 0), 2, 1, fr.Merge(2, 1, 1)), "invalid merge positions", None),
+        (lambda: fr.generator_map(fr.a5(0, 0), 1, 2, fr.Split(2, 1, 2)), "invalid split positions", None),
+        (lambda: fr.generator_map(fr.a5(0, 0), 2, 2, fr.Perm((0, 0))), "invalid permutation", None),
+        (lambda: fr.FrobeniusData.from_json(dict(_A5, ring={"kind": "R"})), "unknown ring kind 'R'",
+         (json.dumps(dict(_A5, ring={"kind": "R"})), ["relations", "{f}"])),
+        (lambda: fr.FrobeniusData.from_json(dict(_A5, ring={"kind": "Z", "p": 3})), "Z takes no modulus",
+         (json.dumps(dict(_A5, ring={"kind": "Z", "p": 3})), ["check-algebra", "{f}", "--json"])),
+    ],
+    ids=["O 3", "ORIENT 1 b", "SIGNS count", "ORIENT gap", "--a5 x,0", "unit length", "state length",
+         "state bit", "merge", "split", "permutation", "ring kind", "Z modulus"],
+)
+def test_input_error_branches(tmp_path, capsys, call, message, via_cli):
+    # branches no other test reaches: the library's message, and the CLI's
+    # exit 2 with that message (after the input's path) where it gets there
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+    if via_cli is not None:
+        text, argv = via_cli
+        f = tmp_path / "input"
+        f.write_text(text or "")
+        assert main([str(f) if a == "{f}" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {f}: {message}\n" if text else f"error: {message}\n")
+
+
 # homology --a5 0,0 --normalize --json over Z as (i, free rank, torsion) rows,
 # and bracket --json, of every built-in diagram, as first written down
 FROZEN_BUILDERS = {

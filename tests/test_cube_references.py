@@ -339,6 +339,40 @@ def test_unit_free_data_get_khovanovs_grading():
             assert cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d), (F, d)
 
 
+def truncated(R):
+    """Z[x]/x^3 on the basis (1, x, x^2), with Delta(x^k) the sum of
+    x^a (x) x^b over a + b = 2 + k."""
+    mult = [[[int(k == i + j) for k in range(3)] for j in range(3)] for i in range(3)]
+    comult = [[[int(a + b == 2 + k) for b in range(3)] for a in range(3)] for k in range(3)]
+    return fr.FrobeniusData(R, 3, mult, comult)
+
+
+def test_graded_euler_characteristic_is_the_state_sum_on_three_degrees():
+    # Z[x]/x^3 is graded 1, 0, -1, so a circle counts q + 1 + 1/q, and the
+    # Euler characteristic is the sum over states s of
+    # (-1)^(|s| - n-) q^(|s| + n+ - 2 n-) (q + 1 + 1/q)^circles(s),
+    # with the circles counted by resolve alone; a5(0, 0)'s circle counts q + 1/q
+    q = Laurent.monomial
+    rng = random.Random(29)
+    diagrams = [build() for build in dg.BUILDERS.values()]
+    for _ in range(10):
+        strands = rng.randint(2, 3)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 6))]
+        diagrams.append(closure(word, strands))
+    for R in (ZZ, QQ, GF(2), GF(3)):
+        F = truncated(R)
+        assert all(fr.check_axioms(F).values()) and grading(F) == (1, 0, -1), R
+        for A, circle in ((F, q(1) + q(0) + q(-1)), (fr.a5(0, 0, R), q(1) + q(-1))):
+            for d in diagrams:
+                want = Laurent.zero()
+                for s in itertools.product((0, 1), repeat=d.n_crossings):
+                    k, circles = sum(s), len(dg.resolve(d, s))
+                    sign = -1 if (k - d.n_minus) % 2 else 1
+                    want = want + q(k + d.n_plus - 2 * d.n_minus, sign) * circle**circles
+                C = cx.build_complex(dg.build_cube(d), A, True)
+                assert cx.graded_euler_characteristic(C) == want, (A, d)
+
+
 def test_data_without_unique_degrees_get_no_grading():
     # x^2 = x +- 1 forces 1 and x into one degree, which the coproduct
     # contradicts; mod 2 the scaled product vanishes and mod 3 the scaled

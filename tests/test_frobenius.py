@@ -288,6 +288,29 @@ def test_n2cob_relations_agree_with_axiom_flags():
     assert all(fr.check_axioms(good).values())
 
 
+def test_relation_on_a_noncocommutative_frobenius_algebra():
+    # M_2 on e_{2i+j} = E_ij, with the trace form's coproduct
+    # Delta(E_pq) = sum_j E_pj (x) E_jq: the relation holds.  It fails with
+    # the legs swapped, and for y |-> y E_00 (x) E_00 and y |-> E_00 (x) E_00 y,
+    # which satisfy only its first and only its second equation.  A
+    # commutative table with a cocommutative coproduct tells none of these apart
+    rng = range(4)
+    coproduct = lambda f: [[[int(f(x, u, w)) for w in rng] for u in rng] for x in rng]
+    mult = coproduct(lambda a, b, k: a % 2 == b // 2 and k == a // 2 * 2 + b % 2)
+    cases = [
+        (lambda x, u, w: u // 2 == x // 2 and u % 2 == w // 2 and w % 2 == x % 2, True),
+        (lambda x, u, w: w // 2 == x // 2 and w % 2 == u // 2 and u % 2 == x % 2, False),
+        (lambda x, u, w: x % 2 == 0 and u == x and w == 0, False),
+        (lambda x, u, w: x // 2 == 0 and u == 0 and w == x, False),
+    ]
+    for R in (ZZ, F2):
+        for f, holds in cases:
+            F = fr.FrobeniusData(R, 4, mult, coproduct(f))
+            flags = fr.check_axioms(F)
+            assert flags["frobenius_relation"] is fr.verify_n2cob_relations(F)["frobenius"] is holds
+            assert not flags["commutative"]
+
+
 @st.composite
 def structure_tensors(draw, rings=(ZZ, QQ, F2, F3)):
     """Rank-1 to rank-3 data: random tensors, or the truncated polynomial

@@ -380,9 +380,12 @@ def test_commutativity_is_read_from_the_products():
 
 
 def test_json_round_trip_keeps_commutativity():
-    # e2e1 written out equal to e1e2 commutes; the flag says so and reads back
+    # e2e1 written out equal to e1e2 commutes; the flag says so and reads
+    # back, and the table is the one that leaves e2e1 out, hash and all
+    plain = table(F3, (1, 0), (0, 1), (0, 0))
     for e21, commutes in ((None, True), ((0, 1), True), ((0, 2), False)):
         t = table(F3, (1, 0), (0, 1), (0, 0), e21)
+        assert (t == plain) is commutes and len({t, plain}) == 2 - commutes
         data = json.loads(json.dumps(t.to_json()))
         assert t.commutative is data["commutative"] is commutes
         assert rank2.MultTable.from_json(data) == t
@@ -396,7 +399,7 @@ def test_isomorphic_matches_reference_on_noncommutative_f2():
     survivors = 0
     for c in itertools.product(range(2), repeat=8):
         t = table(F2, c[0:2], c[2:4], c[6:8], c[4:6])
-        if t.e12 == t.e21 or not rank2.is_associative(t) or not rank2.is_multiplication_surjective(t):
+        if t.commutative or not rank2.is_associative(t) or not rank2.is_multiplication_surjective(t):
             continue
         survivors += 1
         for tgt in targets:
