@@ -146,8 +146,7 @@ def _cmd_relations(args) -> int:
 def _cmd_classify(args) -> int:
     t = _from_json(rank2.MultTable, args.file)
     if args.p is not None:
-        ring = GF(args.p)
-        t = rank2.MultTable(ring, t.e11, t.e12, t.e22, t.e21)
+        t = rank2.MultTable(GF(args.p), t.e11, t.e12, t.e22, t.e21)
     try:
         label, params = rank2.classify(t)
     except rank2.ClassificationGap as e:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
@@ -32,37 +33,31 @@ def _norm_tensor(ring: RingSpec, t, r: int):
     return tuple(tuple(tuple(ring.normalize(x) for x in row) for row in a) for a in t)
 
 
+# each identity, and what a declared one that is not the solved one fails to do
+_IDENTITIES = (("unit", "is not a two-sided identity"), ("counit", "does not split the coproduct"))
+
+
 @dataclass(frozen=True)
 class FrobeniusData:
     ring: RingSpec
     rank: int
     mult: tuple
     comult: tuple
-    # solved from the tensors (None when there is none); a declared one
-    # must equal the solution
-    unit: Optional[tuple] = None
-    counit: Optional[tuple] = None
 
     def __post_init__(self):
         if type(self.rank) is not int or self.rank < 1:
             raise ValueError("rank must be a positive integer")
         object.__setattr__(self, "mult", _norm_tensor(self.ring, self.mult, self.rank))
         object.__setattr__(self, "comult", _norm_tensor(self.ring, self.comult, self.rank))
-        R, declared = self.ring, {}
-        for name in ("unit", "counit"):
-            v = getattr(self, name)
-            if v is not None:
-                v = tuple(R.normalize(x) for x in _listed(v, name))
-                if len(v) != self.rank:
-                    raise ValueError(f"{name} has wrong length")
-            declared[name] = v
-        # a two-sided unit is unique: the solver finds the only one there is
-        solved = {"unit": _unit(R, self.mult), "counit": _unit(R, _transpose(self.comult))}
-        for name, fails in (("unit", "is not a two-sided identity"),
-                            ("counit", "does not split the coproduct")):
-            if declared[name] not in (None, solved[name]):
-                raise ValueError(f"declared {name} {fails}")
-            object.__setattr__(self, name, solved[name])
+
+    # solved from the tensors on first read and kept; None when there is none
+    @cached_property
+    def unit(self) -> Optional[tuple]:
+        return _unit(self.ring, self.mult)
+
+    @cached_property
+    def counit(self) -> Optional[tuple]:
+        return _unit(self.ring, _transpose(self.comult))
 
     # -- elementwise operations -------------------------------------------
 
@@ -96,16 +91,26 @@ class FrobeniusData:
             "mult": fmt3(self.mult),
             "comult": fmt3(self.comult),
         }
-        if self.unit is not None:
-            out["unit"] = [f(x) for x in self.unit]
-        if self.counit is not None:
-            out["counit"] = [f(x) for x in self.counit]
+        for name, _ in _IDENTITIES:
+            if (v := getattr(self, name)) is not None:
+                out[name] = [f(x) for x in v]
         return out
 
     @classmethod
     def from_json(cls, d: dict) -> "FrobeniusData":
-        ring = RingSpec.from_json(d["ring"])
-        return cls(ring, d["rank"], d["mult"], d["comult"], d.get("unit"), d.get("counit"))
+        # a declared unit or counit must be the solved one; both are read
+        # and length-checked before either is compared
+        F = cls(RingSpec.from_json(d["ring"]), d["rank"], d["mult"], d["comult"])
+        declared = {}
+        for name, _ in _IDENTITIES:
+            if (v := d.get(name)) is not None:
+                declared[name] = v = tuple(map(F.ring.normalize, _listed(v, name)))
+                if len(v) != F.rank:
+                    raise ValueError(f"{name} has wrong length")
+        for name, fails in _IDENTITIES:
+            if name in declared and declared[name] != getattr(F, name):
+                raise ValueError(f"declared {name} {fails}")
+        return F
 
 
 def _transpose(t) -> tuple:
@@ -121,29 +126,21 @@ def _transpose(t) -> tuple:
     return tuple(tuple(tuple(t[k][i][j] for k in range(r)) for j in range(r)) for i in range(r))
 
 
-def _unit_equations(R: RingSpec, c) -> list:
-    """The system u*e_j = e_j = e_j*u in the unknown u, as dense augmented
-    rows [matrix | rhs]."""
-    r = len(c)
-    rows = []
-    for j in range(r):
-        for k in range(r):
-            rows.append([c[i][j][k] for i in range(r)] + [R.one if k == j else R.zero])
-        for k in range(r):
-            rows.append([c[j][i][k] for i in range(r)] + [R.one if k == j else R.zero])
-    return rows
-
-
 def _vanish(vals, m) -> bool:
     """Every value is 0, mod m when m is nonzero."""
     return not any(v % m for v in vals) if m else not any(vals)
 
 
 def _unit(R: RingSpec, c) -> Optional[tuple]:
-    # A two-sided unit is unique (u = u*u' = u'), also over the fraction
-    # field, so a consistent unit system has no kernel and the Z solve,
-    # which needs a unique solution, never raises here.
-    sol = _solve(R, _unit_equations(R, c), len(c))
+    """The two-sided unit of the table c, or None: the solution u of
+    u*e_j = e_j = e_j*u, as dense augmented rows [matrix | rhs].  A two-sided
+    unit is unique (u = u*u' = u'), also over the fraction field, so a
+    consistent system has no kernel and the Z solve, which needs a unique
+    solution, never raises here."""
+    rng = range(len(c))
+    rows = [[c[i][j][k] if left else c[j][i][k] for i in rng] + [R.one if k == j else R.zero]
+            for j in rng for left in (True, False) for k in rng]
+    sol = _solve(R, rows, len(c))
     return tuple(sol) if sol is not None else None
 
 
@@ -245,7 +242,7 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
         )
     mult = (((1, 0), (0, 1)), ((0, 1), (t, h)))
     comult = (((e * t - h * f, f), (f, e)), ((f * t, e * t), (e * t, f + e * h)))
-    # FrobeniusData reduces every entry and solves the unit (1, 0), counit (-c, a)
+    # FrobeniusData reduces every entry; its unit reads (1, 0), its counit (-c, a)
     return FrobeniusData(ring, 2, mult, comult)
 
 

@@ -26,6 +26,16 @@ class ClassificationGap(Exception):
     """An associative table matched no representative family."""
 
 
+MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about a minute over F_13
+
+
+def _searchable(ring: RingSpec) -> RingSpec:
+    """The prime field ring, checked before any exhaustive search over it."""
+    if ring.p > MAX_SEARCH_P:
+        raise ValueError(f"exhaustive search runs over F_p with p <= {MAX_SEARCH_P}, got p = {ring.p}")
+    return ring
+
+
 @dataclass(frozen=True)
 class MultTable:
     ring: RingSpec
@@ -40,9 +50,8 @@ class MultTable:
                 raise ValueError(f"a product must be a pair of scalars, got {p!r}")
             return (self.ring.normalize(p[0]), self.ring.normalize(p[1]))
 
-        object.__setattr__(self, "e11", norm(self.e11))
-        object.__setattr__(self, "e12", norm(self.e12))
-        object.__setattr__(self, "e22", norm(self.e22))
+        for name in ("e11", "e12", "e22"):
+            object.__setattr__(self, name, norm(getattr(self, name)))
         e21 = None if self.e21 is None else norm(self.e21)
         object.__setattr__(self, "e21", None if e21 == self.e12 else e21)
 
@@ -51,14 +60,8 @@ class MultTable:
         return self.e21 is None
 
     def to_json(self) -> dict:
-        f = self.ring.format_scalar
-        prods = {
-            "e1e1": [f(self.e11[0]), f(self.e11[1])],
-            "e1e2": [f(self.e12[0]), f(self.e12[1])],
-            "e2e2": [f(self.e22[0]), f(self.e22[1])],
-        }
-        if self.e21 is not None:
-            prods["e2e1"] = [f(self.e21[0]), f(self.e21[1])]
+        named = (("e1e1", self.e11), ("e1e2", self.e12), ("e2e2", self.e22), ("e2e1", self.e21))
+        prods = {k: list(map(self.ring.format_scalar, v)) for k, v in named if v is not None}
         return {"ring": self.ring.to_json(), "commutative": self.commutative, "products": prods}
 
     @classmethod
@@ -483,7 +486,7 @@ def classify(t: MultTable) -> tuple[str, tuple]:
     ClassificationGap when nothing matches."""
     if t.ring.kind != "Fp":
         raise ValueError("classification runs over prime fields")
-    p, t4 = t.ring.p, _entries(t)
+    p, t4 = _searchable(t.ring).p, _entries(t)
     if t4[1] != t4[2] or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
     sig = _signature(t4, p)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import rank2
-from .rank2 import _entries, _isomorphism, _surjective, _table, _unit
+from .rank2 import _entries, _isomorphism, _searchable, _surjective, _table, _unit
 from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults
 from .rings import ZZ, GF, RingSpec
 
@@ -70,7 +70,7 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
     elif ring.kind != "Fp":
         raise ValueError("field verification needs a prime field")
     else:
-        entries, name = range(ring.p), f"thm1.2 over F_{ring.p}"
+        entries, name = range(_searchable(ring).p), f"thm1.2 over F_{ring.p}"
     m = ring.p or 0
     rep = VerifyReport(name, len(entries) ** 6)
     n_assoc = n_surj = 0
@@ -96,7 +96,7 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
     associative product, injective cocommutative coassociative coproduct,
     and the compatibility relation, must carry both a unit and a counit.
     The coproducts of each product are solved for, not enumerated."""
-    ring = GF(p)
+    ring = _searchable(GF(p))
     rep = VerifyReport(f"thm1.1 over F_{p}", p**6 * p**8)
     mults = [t for t in _associative_comm_tables(range(p), p) if _surjective(t, p)]
     n_pairs = 0
@@ -222,7 +222,7 @@ def verify_char2_classification() -> VerifyReport:
 def verify_noncommutative(p: int) -> VerifyReport:
     """Associative, surjective, noncommutative rank-2 tables over F_p all
     reduce to one of the two canonical one-sided-identity tables."""
-    ring = GF(p)
+    ring = _searchable(GF(p))
     rep = VerifyReport(f"noncommutative targets over F_{p}", p**8)
     targets = [_entries(rank2.representative(label, (), ring)) for label in ("nc_left", "nc_right")]
     n_survivors = 0

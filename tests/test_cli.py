@@ -325,6 +325,21 @@ def test_closed_stdout_exits_quietly(code, argv):
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # frobknot verify thm1.2 --p 13 | head -c 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CALL, "verify", "thm1.2", "--p", "13"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(1) == b"t"
+    proc.stdout.close()
+    assert (proc.wait(timeout=120), proc.stderr.read()) == (0, b"")
+    proc.stderr.close()
+
+
 def test_verify_subcommand(capsys):
     code, out = run(capsys, "verify", "thm1.2", "--p", "2", "--json")
     assert code == 0
@@ -386,6 +401,25 @@ def test_verify_option_matrix(capsys, target):
             assert [r["name"] for r in reports] == names
         else:
             assert len(reports) == 1 and reports[0]["name"].endswith("F_3" if key == "p" else "[-1,1]")
+
+
+def test_a_prime_beyond_the_search_bound_exits_2_at_once(tmp_path, capsys):
+    # each held range(p) in memory and ran out of it; the bound is checked
+    # before any search
+    big = "2147483647"
+    table, big_table = tmp_path / "f3.json", tmp_path / "big.json"
+    table.write_text(json.dumps(_F3_TABLE))
+    big_table.write_text(json.dumps(dict(_F3_TABLE, ring={"kind": "Fp", "p": int(big)})))
+    for argv in (
+        ["verify", "thm1.2", "--p", big],
+        ["verify", "thm1.1", "--p", big],
+        ["verify", "noncomm", "--p", big],
+        ["classify", str(big_table)],
+        ["classify", str(table), "--p", big],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: exhaustive search runs over F_p with p <= 13, got p = {big}\n")
+    assert rank2.MAX_SEARCH_P == 13
 
 
 def test_usage_errors_exit_2(capsys):
@@ -486,6 +520,35 @@ def test_input_error_branches(tmp_path, capsys, call, message, via_cli):
         f.write_text(text or "")
         assert main([str(f) if a == "{f}" else a for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: {f}: {message}\n" if text else f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, out, err",
+    [
+        (["bracket", "builder:trefoil_left"], None, 0, "-A^-5 - A^3 + A^7\n", ""),
+        (["homology", "builder:unknot_0", "--a5", "0,0", "--ring", "W"], None, 2, "",
+         "error: bad ring 'W'; expected Z, Q, or Fp:P\n"),
+        (["homology", "{d}", "--a5", "0,0"], None, 2, "",
+         "error: cannot read {d}: [Errno 21] Is a directory: '{d}'\n"),
+        (["check-algebra", "{d}"], None, 2, "", "error: cannot read {d}: [Errno 21] Is a directory: '{d}'\n"),
+        (["homology", "builder:unknot_0", "--a5", "0,0", "--ring", "Fp:9"], None, 2, "",
+         "error: bad ring 'Fp:9': F_p requires a prime p <= 2**31, got 9\n"),
+        (["bracket", "{f}"], "X 1 1 2 2\nSIGNS +\nSIGNS +\n", 2, "", "error: {f}: duplicate SIGNS header\n"),
+        (["verify", "prop3.4", "--p", "7"], None, 2, "", "error: sweeps run over F_3 and F_5\n"),
+        (["classify", "{f}"], json.dumps(dict(_F3_TABLE, ring={"kind": "Z"})), 2, "",
+         "error: classification runs over prime fields\n"),
+    ],
+    ids=["bracket text", "ring W", "diagram dir", "json dir", "Fp:9", "SIGNS twice", "prop3.4 F_7", "classify Z"],
+)
+def test_cli_branches(tmp_path, capsys, argv, text, code, out, err):
+    # branches no other test reached, with their whole output; {f} is a file
+    # holding text, {d} a directory
+    f = tmp_path / "input"
+    if text is not None:
+        f.write_text(text)
+    fill = lambda a: a.replace("{f}", str(f)).replace("{d}", str(tmp_path))
+    assert main(list(map(fill, argv))) == code
+    assert capsys.readouterr() == (out, fill(err))
 
 
 # homology --a5 0,0 --normalize --json over Z as (i, free rank, torsion) rows,

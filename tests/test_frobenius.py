@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -42,23 +43,47 @@ def test_a5_coproduct_of_x():
     assert F.coproduct((0, 1)) == (5, 0, 0, 1)  # t*1(x)1 + x(x)x
 
 
+def declared(F, **identities):
+    """FrobeniusData.from_json of F's tensors with these identities declared."""
+    d = F.to_json()
+    return fr.FrobeniusData.from_json({k: d[k] for k in ("ring", "rank", "mult", "comult")} | identities)
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, F5], ids=str)
 def test_declared_unit_and_counit_are_checked(ring):
     F = fr.a5(1, 1, ring)
-    assert fr.FrobeniusData(ring, 2, F.mult, F.comult, (1, 0), (0, 1)) == F
+    assert declared(F, unit=(1, 0), counit=(0, 1)) == F
     for unit in ((0, 1), (1, 1), (2, 0)):
         with pytest.raises(ValueError, match="declared unit is not a two-sided identity"):
-            fr.FrobeniusData(ring, 2, F.mult, F.comult, unit=unit)
+            declared(F, unit=unit)
     for counit in ((1, 0), (1, 1), (0, 2)):
         with pytest.raises(ValueError, match="declared counit does not split the coproduct"):
-            fr.FrobeniusData(ring, 2, F.mult, F.comult, counit=counit)
+            declared(F, counit=counit)
     # e1 is a one-sided identity of these tables: e1 e2 = e2 but e2 e1 = 0,
     # and the mirror image; as a counit it splits the coproduct on one side
     for c in ((((1, 0), (0, 1)), ((0, 0), (0, 0))), (((1, 0), (0, 0)), ((0, 1), (0, 0)))):
         with pytest.raises(ValueError, match="declared unit"):
-            fr.FrobeniusData(ring, 2, c, F.comult, unit=(1, 0))
+            declared(fr.FrobeniusData(ring, 2, c, F.comult), unit=(1, 0))
         with pytest.raises(ValueError, match="declared counit"):
-            fr.FrobeniusData(ring, 2, F.mult, fr._transpose(fr._transpose(c)), counit=(1, 0))
+            declared(fr.FrobeniusData(ring, 2, F.mult, fr._transpose(fr._transpose(c))), counit=(1, 0))
+
+
+def test_the_identities_are_solved_once_and_only_when_read(monkeypatch):
+    # the constructor takes the ring, rank and tensors only; unit and counit
+    # are solved on first read and kept
+    assert [f.name for f in dataclasses.fields(fr.FrobeniusData)] == ["ring", "rank", "mult", "comult"]
+    calls = []
+    solve = fr._unit
+    monkeypatch.setattr(fr, "_unit", lambda R, c: calls.append(c) or solve(R, c))
+    for ring in (ZZ, QQ, F3):
+        for h, t in ((0, 0), (1, 1)):
+            F = fr.a5(h, t, ring)
+            assert calls == []
+            assert F.unit == F.unit == (1, 0) and len(calls) == 1
+            assert F.counit == F.counit == (0, 1) and len(calls) == 2
+            assert fr.check_axioms(F)["unit_ok"] and F.to_json()["counit"] == ["0", "1"]
+            assert len(calls) == 2
+            calls.clear()
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, F3], ids=str)
@@ -147,11 +172,11 @@ def test_declared_units_match_the_term_by_term_reference(ring):
                 ok = _is_unit(ring, table, cand)
                 seen[ok] += 1
                 if ok:
-                    G = fr.FrobeniusData(ring, r, mult, comult, **{name: cand})
+                    G = declared(F, **{name: cand})
                     assert getattr(G, name) == cand
                 else:
                     with pytest.raises(ValueError, match=f"^{message}$"):
-                        fr.FrobeniusData(ring, r, mult, comult, **{name: cand})
+                        declared(F, **{name: cand})
     assert seen[True] > 20 and seen[False] > 20, seen
     assert solved_none[True] > 20 and solved_none[False] > 20, solved_none
 
@@ -458,7 +483,9 @@ def frobenius_quotients(draw):
     counit = tuple(int(i == r - 1) for i in range(r))
     mult = [[pw[i + j] for j in range(r)] for i in range(r)]
     unit = tuple(int(i == 0) for i in range(r))
-    return fr.FrobeniusData(R, r, mult, comult, unit=unit, counit=counit)
+    F = fr.FrobeniusData(R, r, mult, comult)
+    assert (F.unit, F.counit) == (unit, counit)
+    return F
 
 
 @settings(max_examples=200, deadline=None)
