@@ -6,19 +6,25 @@ indexed by its circles, ordered by minimal arc label.  Edge blocks apply the
 product (merge) or coproduct (split) at the touched tensor positions, placed
 by ``frobenius._place``, with the alternating sign (-1)^(number of 1-bits
 before the flipped position).
+
+Over Q each merge is scaled by a and each split by b, the least common
+denominators of the product and of the coproduct.  Every path from the
+0-state to s makes the same numbers of merges and splits, so rescaling s by
+a^merges b^splits is an isomorphism: the complex holds integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube, normalized_bracket
 from .frobenius import FrobeniusData, _cells, _grading, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
-from .rings import RingSpec
+from .rings import QQ, RingSpec
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ def build_complex(
 ) -> ChainComplex:
     d = cube.diagram
     n = d.n_crossings
-    R, r = F.ring, F.rank
+    R, r, p = F.ring, F.rank, F.ring.p
     if normalize and not d.oriented:
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 
@@ -70,6 +76,10 @@ def build_complex(
         k = index[e.s1]
         edges_by_degree[degree[k]].append((k, index[e.s2], e))
     local = {kind: _cells(F, kind) for kind in ("merge", "split")}
+    if R == QQ:  # integer cells, an isomorphic complex (see the module docstring)
+        for kind, cells in local.items():
+            den = lcm(*(v.denominator for *_, v in cells))
+            local[kind] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
     kernels: dict[tuple, tuple] = {}  # edge shape -> (spectators, (cells, negated cells))
     diffs = []
     for i, edges in enumerate(edges_by_degree):
@@ -82,7 +92,7 @@ def build_complex(
             kernel = kernels.get(key)
             if kernel is None:
                 spectators, cells = _place(r, local[e.kind], count[k1], count[k2], e.src, e.dst)
-                negated = [(a, b, R.normalize(-v)) for a, b, v in cells]
+                negated = [(a, b, -v % p if p else -v) for a, b, v in cells]
                 kernel = kernels[key] = spectators, (cells, negated)
             spectators, signed = kernel
             cells = signed[e.sign < 0]

@@ -13,8 +13,8 @@ Gauss-Jordan elimination on integer rows, fraction-free over Z and Q (a
 cleared row is divided by its content) and on residues mod p, and homology
 summands ker/im of a pair of composable differentials, which reduce d_out
 without its columns at the rows of d_in's unit pivots.  Arbitrary-precision
-integers throughout: over Q, products and eliminations run on d M, d the lcm
-of all denominators.
+integers throughout: over Q the elimination scales each row to a primitive
+integer row, and ``complex.build_complex`` stores integers.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class ExactMatrix:
     """Immutable sparse matrix over an exact ring.
 
     ``nz[i]`` lists the ``(col, value)`` nonzeros of row i in increasing
-    column order; values are ring elements (``int`` over Z, ``Fraction``
-    over Q, residues in ``range(p)`` over F_p).  The constructor takes them
-    as they are; ``from_rows`` normalizes dense user data.
+    column order; values are ``int`` over Z, ``int`` or ``Fraction`` over
+    Q, residues in ``range(p)`` over F_p.  The constructor takes them as
+    they are; ``from_rows`` normalizes dense user data.
     """
 
     ring: RingSpec
@@ -86,21 +86,15 @@ class ExactMatrix:
             raise ValueError("ring mismatch")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        p, q, a, b = self.ring.p, self.ring == QQ, self.nz, other.nz
-        if q:  # multiply integers: A B = (a A)(b B) / (a b)
-            db, b = _lifted(other, keep=False)
-            da, a = _lifted(self, keep=True)
+        p, b = self.ring.p, other.nz
         out = []
-        for row in a:
+        for row in self.nz:
             acc: dict = {}
             for k, x in row:
                 for j, v in b[k]:
                     acc[j] = acc.get(j, 0) + x * v
             row = [(j, r) for j, s in acc.items() if (r := s % p if p else s)]
             out.append(tuple(sorted(row)) if row else ())
-        if q:
-            d = da * db
-            out = [row and tuple((j, Fraction(s, d)) for j, s in row) for row in out]
         return ExactMatrix(self.ring, self.rows, other.cols, tuple(out))
 
     @cached_property
@@ -109,26 +103,6 @@ class ExactMatrix:
         # smith_normal_form and homology_summands all read this one
         # reduction, which homology_summands may store first (see there)
         return _reduce(self)
-
-
-def _lift(nz) -> tuple:
-    """Rows over Q as (d, integer rows of d M), with d the least common
-    denominator of all the values."""
-    d = lcm(*{v.denominator for row in nz for _, v in row})
-    if d == 1:
-        return 1, [[(j, v.numerator) for j, v in row] for row in nz]
-    return d, [[(j, v.numerator * (d // v.denominator)) for j, v in row] for row in nz]
-
-
-def _lifted(M: ExactMatrix, keep: bool) -> tuple:
-    """``_lift(M.nz)``, left on M with ``keep`` until the next call without
-    it.  In a chain of products d2 @ d1, d3 @ d2, ... a left factor keeps it
-    for its reduction and the next product, which takes it on the right: a
-    chain lifts each matrix once and holds at most two lifts at a time."""
-    lift = vars(M).pop("_lift", None) or _lift(M.nz)
-    if keep:
-        vars(M)["_lift"] = lift
-    return lift
 
 
 def _clear(rows: dict, cols: dict, i: int, j: int, p) -> None:
@@ -189,13 +163,13 @@ def _reduce(M: ExactMatrix, skip=frozenset()) -> tuple:
     """
     p, q = M.ring.p, M.ring == QQ
     rows: dict = {}
-    nz = (vars(M).get("_lift") or _lift(M.nz))[1] if q else M.nz
-    for i, row in enumerate(nz):
+    for i, row in enumerate(M.nz):
         if skip:
             row = [x for x in row if x[0] not in skip]
         if row:
-            if q and (g := gcd(*(v for _, v in row))) != 1:
-                row = [(j, v // g) for j, v in row]
+            if q:  # divided by its content, gcd(numerators) / lcm(denominators)
+                g, d = gcd(*(v.numerator for _, v in row)), lcm(*(v.denominator for _, v in row))
+                row = [(j, v.numerator // g * (d // v.denominator)) for j, v in row]
             rows[i] = dict(row)
     cols: dict = {}
     for i, row in rows.items():

@@ -264,12 +264,12 @@ def is_multiplication_surjective(t: MultTable) -> bool:
 def idempotents(t: MultTable, bound: Optional[int] = None) -> list[Pair]:
     """All nonzero v with v*v = v.
 
-    Over a prime field the search is exhaustive; over Z a box bound is
-    required and absence within the box proves nothing outside it.
+    Over F_p, p <= MAX_SEARCH_P, the search is exhaustive; over Z a box
+    bound is required and absence within the box proves nothing outside it.
     """
     R = t.ring
     if R.kind == "Fp":
-        space = itertools.product(R.elements(), repeat=2)
+        space = itertools.product(_searchable(R).elements(), repeat=2)
     elif R.kind == "Z":
         if bound is None:
             raise ValueError("idempotent search over Z needs a box bound")
@@ -330,12 +330,12 @@ def _isomorphism(a, b, p):
 
 
 def isomorphic(a: MultTable, b: MultTable):
-    """The first base change g in GL_2(F_p), in lexicographic order, carrying
-    a onto b (the table of a in the basis f_j = g[0][j] e1 + g[1][j] e2 is
-    b), or None."""
+    """The first base change g in GL_2(F_p), p <= MAX_SEARCH_P, in
+    lexicographic order, carrying a onto b (the table of a in the basis
+    f_j = g[0][j] e1 + g[1][j] e2 is b), or None."""
     if a.ring != b.ring or a.ring.kind != "Fp":
         raise ValueError("isomorphism search needs matching prime fields")
-    return _isomorphism(_entries(a), _entries(b), a.ring.p)
+    return _isomorphism(_entries(a), _entries(b), _searchable(a.ring).p)
 
 
 # ---------------------------------------------------------------------------

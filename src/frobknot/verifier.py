@@ -242,11 +242,11 @@ def verify_noncommutative(p: int) -> VerifyReport:
 
 
 def search_nearly_frobenius(m: rank2.MultTable) -> list:
-    """All coproduct tensors over F_p compatible with the given commutative
-    associative product (cocommutative, coassociative, compatibility
-    relation; the zero tensor always qualifies)."""
+    """All coproduct tensors over F_p, p <= MAX_SEARCH_P, compatible with
+    the given commutative associative product (cocommutative, coassociative,
+    compatibility relation; the zero tensor always qualifies)."""
     if m.ring.kind != "Fp":
         raise ValueError("coproduct search runs over prime fields")
     if not m.commutative or not rank2.is_associative(m):
         raise ValueError("product must be commutative and associative")
-    return [d for d, _ in _frobenius_comults(_entries(m), m.ring.p)]
+    return [d for d, _ in _frobenius_comults(_entries(m), _searchable(m.ring).p)]

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobknot import complex as cx
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot import rank2
@@ -34,6 +36,50 @@ def test_homology_builder_json(capsys):
     assert data["normalized"] is True
     groups = {g["i"]: g for g in data["groups"]}
     assert groups[-2]["torsion"] == [2]
+
+
+def test_homology_runs_leave_no_garbage_cycles(tmp_path, capsys):
+    # the collector is paused for a run because the engine makes no cycles:
+    # after the first call, which builds the cached parser, nothing is left
+    # for it to collect, over Z, Q (fractional data too) and F_2
+    twisted_q = tmp_path / "twisted_q.json"
+    twisted_q.write_text(json.dumps({
+        "ring": {"kind": "Q"}, "rank": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+        "comult": [[[0, "1/2"], ["1/2", "-1/4"]], [[0, 0], [0, "1/2"]]]}))
+    main(["homology", "builder:hopf_pos", "--a5", "0,0"])
+    gc.collect()
+    for algebra in (["--a5", "0,0"], ["--a5", "1,1", "--ring", "Q"], ["--algebra", str(twisted_q)],
+                    ["--a5", "0,0", "--ring", "Fp:2"]):
+        assert main(["homology", "builder:trefoil_left", "--normalize", "--json", *algebra]) == 0
+        assert gc.collect() == 0, algebra
+    capsys.readouterr()
+
+
+def test_the_collector_is_paused_for_a_run_and_restored(monkeypatch, capsys):
+    during = []
+
+    def escape(C):
+        during.append(gc.isenabled())
+        raise RuntimeError("escapes")
+
+    argv = ["homology", "builder:hopf_pos", "--a5", "0,0"]
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(argv) == 0
+            assert gc.isenabled() is enabled
+            assert main(["homology", "builder:nope", "--a5", "0,0"]) == 2
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setattr(cx, "homology", escape)
+                with pytest.raises(RuntimeError, match="escapes"):
+                    main(argv)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert during == [False, False]
+    capsys.readouterr()
 
 
 def test_homology_json_is_byte_stable(capsys):

@@ -1,5 +1,7 @@
 """Library input errors that no command reaches: each call and its message."""
 
+import tracemalloc
+
 import pytest
 
 from frobknot import diagram as dg
@@ -51,3 +53,28 @@ def test_library_input_errors(call, message):
     with pytest.raises(ValueError) as e:
         call()
     assert str(e.value) == message
+
+
+_BIG_TABLE = rank2.MultTable(GF(2147483647), (1, 0), (0, 1), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: rank2.idempotents(_BIG_TABLE),
+        lambda: rank2.isomorphic(_BIG_TABLE, _BIG_TABLE),
+        lambda: verifier.search_nearly_frobenius(_BIG_TABLE),
+    ],
+    ids=["idempotents", "isomorphic", "coproduct search"],
+)
+def test_searches_refuse_a_prime_beyond_the_bound_before_allocating(search):
+    # each search holds range(p) in memory, so the bound is checked first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as e:
+            search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "exhaustive search runs over F_p with p <= 13, got p = 2147483647"
+    assert peak < 64 * 1024

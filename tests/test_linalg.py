@@ -118,11 +118,13 @@ def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
     st.integers(1, 10),
     st.randoms(use_true_random=False),
 )
-def test_lifted_rational_products_and_ranks_match_sympy(case, r, m, c, rnd):
-    """Over Q, products and reductions run on integer rows.  A product keeps
-    its left factor's rows for the matrix's reduction and for the next
-    product that takes it on the right: A @ B, rank(A), T @ A lifts A once
-    and reads it twice.  Every cell must be a Fraction of the right value."""
+def test_rational_products_and_ranks_match_sympy(case, r, m, c, rnd):
+    """Over Q, a product of Fraction matrices multiplies the entries as they
+    are, and a reduction scales each row to a primitive integer row, with
+    denominators that may differ from row to row.  Products and ranks are
+    interleaved, A @ B, rank(A), T @ A, A @ B, so that neither leaves
+    anything on a matrix that the next one reads.  Every cell must be a
+    Fraction of the right value, and the factors keep their Fractions."""
     integral = lambda rows, cols: [[Fraction(x) for x in row] for row in _sparse_rows(rnd, ZZ, rows, cols)]
     fractional = lambda rows, cols: _sparse_rows(rnd, QQ, rows, cols)
     left, right = {
