@@ -83,8 +83,7 @@ class FrobeniusData:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        f = self.ring.format_scalar
-        fmt3 = lambda t: [[[f(x) for x in row] for row in a] for a in t]
+        fmt3 = lambda t: [[list(map(str, row)) for row in a] for a in t]
         out = {
             "ring": self.ring.to_json(),
             "rank": self.rank,
@@ -93,7 +92,7 @@ class FrobeniusData:
         }
         for name, _ in _IDENTITIES:
             if (v := getattr(self, name)) is not None:
-                out[name] = [f(x) for x in v]
+                out[name] = list(map(str, v))
         return out
 
     @classmethod

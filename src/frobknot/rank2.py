@@ -12,10 +12,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import Optional
 
-from .frobenius import _frobenius_rows, _transpose, _vanish
+from .frobenius import _frobenius_rows, _vanish
 from .linalg import _echelon
 from .rings import RingSpec, Scalar
 
@@ -61,7 +61,7 @@ class MultTable:
 
     def to_json(self) -> dict:
         named = (("e1e1", self.e11), ("e1e2", self.e12), ("e2e2", self.e22), ("e2e1", self.e21))
-        prods = {k: list(map(self.ring.format_scalar, v)) for k, v in named if v is not None}
+        prods = {k: list(map(str, v)) for k, v in named if v is not None}
         return {"ring": self.ring.to_json(), "commutative": self.commutative, "products": prods}
 
     @classmethod
@@ -156,9 +156,8 @@ def _associative_noncomm_tables(p):
             yield t
 
 
-# d[k][i][j] = c[_D[k][i][j]] for the six unknowns c; _GET reads d's rows, then dual, off c
+# d[k][i][j] = c[_D[k][i][j]] for the six unknowns c of a cocommutative d
 _D = (((0, 1), (1, 2)), ((3, 4), (4, 5)))
-_GET = [itemgetter(*x) for x in (*_D[0], *_D[1], *sum(_transpose(_D), ()))]
 
 
 def _frobenius_comults(t, p):
@@ -179,12 +178,11 @@ def _frobenius_comults(t, p):
         for row, k in zip(rows, pivots):
             b[k] = -row[f] % p
     cols, out = [[b[k] for b in basis] for k in range(6)], []
-    d00, d01, d10, d11, e11, e12, e21, e22 = _GET
     for vals in itertools.product(range(p), repeat=len(free)):
-        c = [sum(map(mul, vals, col)) % p for col in cols]
-        dual = (e11(c), e12(c), e21(c), e22(c))
+        a, b, e, f, g, h = (sum(map(mul, vals, col)) % p for col in cols)
+        dual = ((a, f), (b, g), (b, g), (e, h))
         if _associative(dual, p):
-            out.append((((d00(c), d01(c)), (d10(c), d11(c))), dual))
+            out.append(((((a, b), (b, e)), ((f, g), (g, h))), dual))
     return sorted(out)
 
 
@@ -261,23 +259,13 @@ def is_multiplication_surjective(t: MultTable) -> bool:
     return _surjective(_entries(t), t.ring.p or 0)
 
 
-def idempotents(t: MultTable, bound: Optional[int] = None) -> list[Pair]:
-    """All nonzero v with v*v = v.
-
-    Over F_p, p <= MAX_SEARCH_P, the search is exhaustive; over Z a box
-    bound is required and absence within the box proves nothing outside it.
-    """
-    R = t.ring
-    if R.kind == "Fp":
-        space = itertools.product(_searchable(R).elements(), repeat=2)
-    elif R.kind == "Z":
-        if bound is None:
-            raise ValueError("idempotent search over Z needs a box bound")
-        space = itertools.product(range(-bound, bound + 1), repeat=2)
-    else:
-        raise ValueError("idempotent enumeration needs F_p or a bounded Z box")
-    t4, m = _entries(t), R.p or 0  # the space is in lexicographic order, and so is the answer
-    return [v for v in space if v != (0, 0) and _mul(t4, v, v, m) == v]
+def idempotents(t: MultTable) -> list[Pair]:
+    """All nonzero v with v*v = v over F_p, p <= MAX_SEARCH_P, in
+    lexicographic order: an exhaustive search."""
+    if t.ring.kind != "Fp":
+        raise ValueError("idempotent search runs over prime fields")
+    p, t4 = _searchable(t.ring).p, _entries(t)
+    return [v for v in itertools.product(range(p), repeat=2) if v != (0, 0) and _mul(t4, v, v, p) == v]
 
 
 def _signature(t, p) -> tuple:

@@ -3,7 +3,7 @@
 Scalars are plain Python objects: ``int`` for Z and F_p (residues kept in
 ``range(0, p)``), ``fractions.Fraction`` for Q.  Arithmetic on them is plain
 ``+ - *``, reduced ``% p`` over F_p; a :class:`RingSpec` names the ring and
-normalizes, enumerates and formats its scalars.
+normalizes and enumerates its scalars; ``str`` writes one.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ class RingSpec:
         return range(self.p)
 
     # -- text forms --------------------------------------------------------
-
-    def format_scalar(self, a: Scalar) -> str:
-        if self.kind == "Q" and isinstance(a, Fraction) and a.denominator != 1:
-            return f"{a.numerator}/{a.denominator}"
-        return str(int(a) if not isinstance(a, Fraction) else a.numerator)
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}

@@ -1,0 +1,121 @@
+"""The output corpus: what the CLI prints for a fixed set of inputs.
+
+Each entry maps a command line to its exit code, the sha256 of its stdout
+bytes and its stderr text.  Files in a command line are named without their
+directory.  The inputs are 64 seeded braid closures (2-4 strands, 1-6
+letters) under ``homology --normalize --json`` over Z, Q, F_2 and F_3 with
+``a5(0,0)``, ``a5(1,1)`` and the x2/x3-scaled algebra, ``bracket --json``
+of each closure, and ``check-algebra --json`` and ``relations --json`` of
+the algebra files the CI smoke step writes, with declared-identity variants.
+
+    PYTHONPATH=src python tests/corpus.py
+
+rewrites ``tests/corpus.json``; ``tests/test_corpus.py`` recomputes it.
+Regenerate it only when an output is meant to change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from frobknot.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "corpus.json"
+
+_spec = importlib.util.spec_from_file_location(
+    "braid", Path(__file__).resolve().parents[1] / "perfbench" / "braid.py"
+)
+braid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(braid)
+
+_A5 = {"ring": {"kind": "Z"}, "rank": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]],
+       "comult": [[[-1, 1], [1, 0]], [[1, 0], [0, 1]]]}
+_SCALED = {"ring": {"kind": "Z"}, "rank": 2, "mult": [[[2, 0], [0, 2]], [[0, 2], [0, 0]]],
+           "comult": [[[0, 3], [3, 0]], [[0, 0], [0, 3]]]}
+_Q, _F3, _F5 = {"kind": "Q"}, {"kind": "Fp", "p": 3}, {"kind": "Fp", "p": 5}
+
+ALGEBRAS = {
+    "a5.json": dict(_A5, unit=[1, 0], counit=[0, 1]),
+    "a5_bare.json": _A5,
+    "a5_bad_unit.json": dict(_A5, unit=[0, 1], counit=[0, 1]),
+    "a5_bad_counit.json": dict(_A5, unit=[1, 0], counit=[1, 0]),
+    "string_unit.json": dict(_A5, unit="10", counit=[0, 1]),
+    "twisted_q.json": {"ring": _Q, "rank": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                       "comult": [[[0, "1/2"], ["1/2", "-1/4"]], [[0, 0], [0, "1/2"]]],
+                       "unit": [1, 0], "counit": [1, 2]},
+    "scaled.json": _SCALED,
+    "scaled_q.json": dict(_SCALED, ring=_Q),
+    "scaled_q_unit.json": dict(_SCALED, ring=_Q, unit=["1/2", 0], counit=[0, "1/3"]),
+    "scaled_f3.json": dict(_SCALED, ring=_F3),
+    "scaled_f5.json": dict(_SCALED, ring=_F5),
+    "scaled_f5_unit.json": dict(_SCALED, ring=_F5, unit=[3, 0], counit=[0, 2]),
+    "triangular.json": {
+        "ring": _F3, "rank": 3,
+        "mult": [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                 [[0, 0, 0], [0, 0, 0], [0, 0, 1]]],
+        "comult": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                   [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]},
+    "tripled.json": {"ring": {"kind": "Z"}, "rank": 2,
+                     "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                     "comult": [[[0, 3], [3, 0]], [[0, 0], [0, 3]]]},
+}
+
+RINGS = ("Z", "Q", "Fp:2", "Fp:3")
+
+
+def closures() -> list:
+    """64 distinct seeded (strands, word) pairs."""
+    rng = random.Random(12)
+    seen: dict = {}
+    while len(seen) < 64:
+        strands = rng.randint(2, 4)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                     for _ in range(rng.randint(1, 6)))
+        seen.setdefault((strands, word), None)
+    return list(seen)
+
+
+def _commands(d: Path):
+    """Write the input files into d and yield every command line."""
+    for name, data in ALGEBRAS.items():
+        (d / name).write_text(json.dumps(data))
+        for cmd in ("check-algebra", "relations"):
+            yield [cmd, str(d / name), "--json"]
+    for strands, word in closures():
+        pd = d / f"s{strands}w{','.join(map(str, word))}.pd"
+        pd.write_text(braid.closure_pd(word, strands))
+        yield ["bracket", str(pd), "--json"]
+        for ring in RINGS:
+            for algebra in (["--a5", "0,0"], ["--a5", "1,1"], ["--algebra", str(d / "scaled.json")]):
+                yield ["homology", str(pd), *algebra, "--ring", ring, "--normalize", "--json"]
+
+
+def outputs() -> dict:
+    """The corpus, recomputed by running every command in-process."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        prefix = f"{d}/"
+        for argv in _commands(d):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            out[" ".join(a.removeprefix(prefix) for a in argv)] = {
+                "exit": code,
+                "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+                "stderr": stderr.getvalue().replace(prefix, ""),
+            }
+    return out
+
+
+if __name__ == "__main__":
+    # one sorted entry a line, so a changed output is a one-line diff
+    lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(outputs().items()))
+    CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -34,7 +34,7 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0))
         (lambda: linalg.homology_summands(_M, ExactMatrix.from_rows(ZZ, [[1]])),
          "middle module dimension mismatch"),
         (lambda: rank2.idempotents(rank2.MultTable(QQ, (1, 0), (0, 1), (0, 0))),
-         "idempotent enumeration needs F_p or a bounded Z box"),
+         "idempotent search runs over prime fields"),
         (lambda: rank2.isomorphic(_F3_TABLE, rank2.MultTable(GF(5), (1, 0), (0, 1), (0, 0))),
          "isomorphism search needs matching prime fields"),
         (lambda: ZZ.elements(), "only prime fields are enumerable"),

@@ -112,6 +112,16 @@ def test_noncommutative_survivors():
     assert rep5.ok and rep5.stages["survivors"] == 48
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_associative_noncomm_table_is_surjective(p):
+    # A^2 = A for every associative noncommutative rank-2 algebra over a
+    # field, so verify_noncommutative's surjectivity filter, the battery's
+    # stated hypothesis, rejects none: its survivors are all 2(p^2 - 1)
+    tables = list(rank2._associative_noncomm_tables(p))
+    assert len(tables) == 2 * (p * p - 1)
+    assert all(rank2._surjective(t, p) for t in tables)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_associative_noncomm_tables_match_brute_force(p):
     brute = []
