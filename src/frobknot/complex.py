@@ -91,7 +91,7 @@ def build_complex(
             key = (count[k1], e.kind, e.src, e.dst)
             kernel = kernels.get(key)
             if kernel is None:
-                spectators, cells = _place(r, local[e.kind], count[k1], count[k2], e.src, e.dst)
+                spectators, cells = _place(r, local[e.kind], count[k1], e.src, e.dst)
                 negated = [(a, b, -v % p if p else -v) for a, b, v in cells]
                 kernel = kernels[key] = spectators, (cells, negated)
             spectators, signed = kernel

@@ -279,36 +279,8 @@ def dualize(F: FrobeniusData) -> FrobeniusData:
 
 
 # ---------------------------------------------------------------------------
-# Tensor-power maps built from the product, coproduct, and permutations
+# Tensor-power maps built from the product and the coproduct
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Merge:
-    """Apply the product to input positions (i, j); result lands at output
-    position k.  Positions are 1-based."""
-
-    i: int
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class Split:
-    """Apply the coproduct to input position k; the two output legs land at
-    positions (i, j) with the first coproduct factor at i.  1-based."""
-
-    k: int
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class Perm:
-    """Pure relabeling: output position p carries input factor sigma[p]
-    (0-based tuple)."""
-
-    sigma: tuple
 
 
 def _cells(F: FrobeniusData, kind: str) -> list:
@@ -335,14 +307,16 @@ def _grading(r: int, local: dict) -> Optional[tuple]:
     return tuple(sol) if sol is not None else None
 
 
-def _place(r: int, cells: list, n_in: int, n_out: int, src: tuple, dst: tuple) -> tuple:
+def _place(r: int, cells: list, n_in: int, src: tuple, dst: tuple) -> tuple:
     """Local (input bits, output bits, value) cells read at input positions
-    src and written at output positions dst, placed in A^(x)n_in ->
-    A^(x)n_out with the identity on the other (spectator) factors, as
-    (spectators, cells): the spectators' (row, col) offset per basis
-    labelling, and the cells' sorted (row, col, value) offsets.  Spectators
-    keep their order, first factor slowest, so each row meets one spectator
-    labelling and takes its cells in column order."""
+    src and written at output positions dst, in any order, placed in
+    A^(x)n_in -> A^(x)n_out, n_out = n_in - len(src) + len(dst), with the
+    identity on the other (spectator) factors, as (spectators, cells): the
+    spectators' (row, col) offset per basis labelling, and the cells' sorted
+    (row, col, value) offsets.  Spectators keep their order, first factor
+    slowest, so each row meets one spectator labelling and takes its cells
+    in column order."""
+    n_out = n_in - len(src) + len(dst)
     w_in = [r ** p for p in range(n_in - 1, -1, -1)]
     w_out = [r ** p for p in range(n_out - 1, -1, -1)]
     wi, wo = [w_in[p] for p in src], [w_out[p] for p in dst]
@@ -355,28 +329,21 @@ def _place(r: int, cells: list, n_in: int, n_out: int, src: tuple, dst: tuple) -
     return spectators, placed
 
 
-def generator_map(F: FrobeniusData, n_in: int, n_out: int, op) -> ExactMatrix:
-    """Matrix of the map A^(x)n_in -> A^(x)n_out applying one product,
-    coproduct, or permutation and the identity elsewhere."""
-    R, r = F.ring, F.rank
-    # src: input positions the generator reads; dst: output positions it writes
-    if isinstance(op, Perm):
-        if n_out != n_in or sorted(op.sigma) != list(range(n_in)):
-            raise ValueError("invalid permutation")
-        src, dst = tuple(op.sigma), tuple(range(n_out))
-        cells = [(bits, bits, R.one) for bits in itertools.product(range(r), repeat=n_in)]
-    elif isinstance(op, Merge):
-        if n_out != n_in - 1 or not (1 <= op.i < op.j <= n_in) or not (1 <= op.k <= n_out):
-            raise ValueError("invalid merge positions")
-        src, dst, cells = (op.i - 1, op.j - 1), (op.k - 1,), _cells(F, "merge")
-    elif isinstance(op, Split):
-        if n_out != n_in + 1 or not (1 <= op.k <= n_in) or not (1 <= op.i < op.j <= n_out):
-            raise ValueError("invalid split positions")
-        src, dst, cells = (op.k - 1,), (op.i - 1, op.j - 1), _cells(F, "split")
-    else:
-        raise ValueError(f"unknown generator {op!r}")
-
-    spectators, cells = _place(r, cells, n_in, n_out, src, dst)
+def generator_map(F: FrobeniusData, n_in: int, kind: str, src: tuple, dst: tuple) -> ExactMatrix:
+    """Matrix of the map A^(x)n_in -> A^(x)n_out of a cube edge's shape: the
+    product (kind "merge") reads the 0-based input positions src = (i, j)
+    and writes output position dst = (k,), the coproduct ("split") reads
+    src = (k,) and writes its first factor at dst[0], its second at dst[1];
+    the identity acts on the other factors, in order, and
+    n_out = n_in - len(src) + len(dst)."""
+    if kind not in ("merge", "split"):
+        raise ValueError(f"unknown generator {kind!r}")
+    R, r, n_out = F.ring, F.rank, n_in - len(src) + len(dst)
+    distinct = lambda ps, n: len(set(ps)) == len(ps) and all(0 <= p < n for p in ps)
+    legs = (2, 1) if kind == "merge" else (1, 2)
+    if (len(src), len(dst)) != legs or not (distinct(src, n_in) and distinct(dst, n_out)):
+        raise ValueError(f"invalid {kind} positions")
+    spectators, cells = _place(r, _cells(F, kind), n_in, src, dst)
     rows: list[list] = [[] for _ in range(r**n_out)]
     for so, si in spectators:
         for a, b, v in cells:
@@ -386,24 +353,19 @@ def generator_map(F: FrobeniusData, n_in: int, n_out: int, op) -> ExactMatrix:
 
 def verify_n2cob_relations(F: FrobeniusData) -> dict:
     """Check the five defining relations of the cobordism category by
-    composing generator matrices, independently of check_axioms."""
-    m12 = generator_map(F, 2, 1, Merge(1, 2, 1))
-    d11 = generator_map(F, 1, 2, Split(1, 1, 2))
-    swap = generator_map(F, 2, 2, Perm((1, 0)))
-
-    assoc_l = m12 @ generator_map(F, 3, 2, Merge(1, 2, 1))
-    assoc_r = m12 @ generator_map(F, 3, 2, Merge(2, 3, 2))
-    coassoc_l = generator_map(F, 2, 3, Split(1, 1, 2)) @ d11
-    coassoc_r = generator_map(F, 2, 3, Split(2, 2, 3)) @ d11
-    frob_mid = d11 @ m12
-    frob_l = generator_map(F, 3, 2, Merge(1, 2, 1)) @ generator_map(F, 2, 3, Split(2, 2, 3))
-    frob_r = generator_map(F, 3, 2, Merge(2, 3, 2)) @ generator_map(F, 2, 3, Split(1, 1, 2))
-
+    composing generator matrices, independently of check_axioms.  The swap
+    is no generator: (co)commutativity compares a merge reading (1, 0) with
+    one reading (0, 1), and a split writing (1, 0) with one writing (0, 1)."""
+    m, d = generator_map(F, 2, "merge", (0, 1), (0,)), generator_map(F, 1, "split", (0,), (0, 1))
+    m_id = generator_map(F, 3, "merge", (0, 1), (0,))  # m (x) 1
+    id_m = generator_map(F, 3, "merge", (1, 2), (1,))  # 1 (x) m
+    d_id = generator_map(F, 2, "split", (0,), (0, 1))  # Delta (x) 1
+    id_d = generator_map(F, 2, "split", (1,), (1, 2))  # 1 (x) Delta
     # sparse rows hold only nonzeros, in column order: equal matrices are equal
     return {
-        "associative": assoc_l == assoc_r,
-        "commutative": m12 @ swap == m12,
-        "coassociative": coassoc_l == coassoc_r,
-        "cocommutative": swap @ d11 == d11,
-        "frobenius": frob_mid == frob_l == frob_r,
+        "associative": m @ m_id == m @ id_m,
+        "commutative": generator_map(F, 2, "merge", (1, 0), (0,)) == m,
+        "coassociative": d_id @ d == id_d @ d,
+        "cocommutative": generator_map(F, 1, "split", (0,), (1, 0)) == d,
+        "frobenius": d @ m == m_id @ id_d == id_m @ d_id,
     }

@@ -543,16 +543,16 @@ _HOPF = dg.BUILDERS["hopf_pos"]()
          (json.dumps(dict(_A5, unit=[1, 0, 0])), ["check-algebra", "{f}"])),
         (lambda: dg.resolve(_HOPF, (0,)), "state length does not match crossing count", None),
         (lambda: dg.resolve(_HOPF, (0, 2)), "state bits must be 0 or 1", None),
-        (lambda: fr.generator_map(fr.a5(0, 0), 2, 1, fr.Merge(2, 1, 1)), "invalid merge positions", None),
-        (lambda: fr.generator_map(fr.a5(0, 0), 1, 2, fr.Split(2, 1, 2)), "invalid split positions", None),
-        (lambda: fr.generator_map(fr.a5(0, 0), 2, 2, fr.Perm((0, 0))), "invalid permutation", None),
+        (lambda: fr.generator_map(fr.a5(0, 0), 2, "merge", (0, 2), (0,)), "invalid merge positions", None),
+        (lambda: fr.generator_map(fr.a5(0, 0), 1, "split", (0,), (0, 1, 2)), "invalid split positions", None),
+        (lambda: fr.generator_map(fr.a5(0, 0), 2, "merge", (0, 0), (0,)), "invalid merge positions", None),
         (lambda: fr.FrobeniusData.from_json(dict(_A5, ring={"kind": "R"})), "unknown ring kind 'R'",
          (json.dumps(dict(_A5, ring={"kind": "R"})), ["relations", "{f}"])),
         (lambda: fr.FrobeniusData.from_json(dict(_A5, ring={"kind": "Z", "p": 3})), "Z takes no modulus",
          (json.dumps(dict(_A5, ring={"kind": "Z", "p": 3})), ["check-algebra", "{f}", "--json"])),
     ],
     ids=["O 3", "ORIENT 1 b", "SIGNS count", "ORIENT gap", "--a5 x,0", "unit length", "state length",
-         "state bit", "merge", "split", "permutation", "ring kind", "Z modulus"],
+         "state bit", "merge", "split", "repeated position", "ring kind", "Z modulus"],
 )
 def test_input_error_branches(tmp_path, capsys, call, message, via_cli):
     # branches no other test reaches: the library's message, and the CLI's

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -222,6 +223,62 @@ def test_twisting_by_a_unit_keeps_the_homology():
             cube = dg.build_cube(d)
             table = lambda A: cx.homology(cx.build_complex(cube, A, True)).to_json()
             assert table(twisted) == table(F)
+
+
+# --- structural oracles: mirror image and disjoint union -------------------------
+
+
+def seeded_closures(seed, count, max_letters):
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.randint(2, 3)
+        letters = rng.randint(1, max_letters)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(letters)]
+        yield dg.parse_pd(braid.closure_pd(word, strands))
+
+
+def mirror(d):
+    """The mirror image: each crossing rotated by one position, which swaps
+    its 0- and its 1-smoothing, and the sign counts swapped."""
+    return dg.LinkDiagram(tuple(q[1:] + q[:1] for q in d.crossings), d.free_loops, d.n_minus, d.n_plus)
+
+
+def union(d1, d2):
+    """The split union: d2's arc labels shifted past d1's, loops and sign
+    counts added."""
+    shifted = tuple(tuple(a + d1.arc_count for a in q) for q in d2.crossings)
+    return dg.LinkDiagram(d1.crossings + shifted, d1.free_loops + d2.free_loops,
+                          d1.n_plus + d2.n_plus, d1.n_minus + d2.n_minus)
+
+
+def test_mirror_with_the_dual_algebra_is_the_dual_complex():
+    # mirroring swaps the smoothings and dualizing transposes the product and
+    # the coproduct, so C(mirror D; dual F) is the dual of C(D; F): over Z,
+    # H^-k of the first has the free rank of H^k and the torsion of H^(k+1)
+    # of the second.  The scaled algebra's dual is not isomorphic to it
+    diagrams = [dg.BUILDERS[name]() for name in (
+        "trefoil_left", "trefoil_right", "hopf_pos", "hopf_neg", "unknot_1kink_pos", "unknot_1kink_neg")]
+    diagrams += seeded_closures(33, 9, 5)
+    groups = lambda d, F: {i: (f, t) for i, f, t in _rows(cx.homology(cx.chain_complex(d, F, True)))}
+    for F in (fr.a5(0, 0), fr.a5(1, 1), scaled(ZZ)):
+        for d in diagrams:
+            h, dual = groups(d, F), groups(mirror(d), fr.dualize(F))
+            for k in {k for i in h for k in (i, i - 1)} | {-i for i in dual}:
+                assert dual.get(-k, (0, []))[0] == h.get(k, (0, []))[0], (d, k)
+                assert dual.get(-k, (0, []))[1] == h.get(k + 1, (0, []))[1], (d, k)
+
+
+def test_homology_of_a_split_union_is_the_product():
+    # Kunneth over a field: C(D1 u D2) is C(D1) (x) C(D2), degrees added
+    small = [dg.BUILDERS[name]() for name in ("trefoil_left", "hopf_pos", "unknot_1kink_neg")]
+    small += seeded_closures(34, 4, 4)
+    for R in (F2, F3, QQ):
+        poincare = lambda d: {i: f for i, f, _ in _rows(cx.homology(cx.chain_complex(d, fr.a5(0, 0, R), True)))}
+        for d1, d2 in itertools.combinations_with_replacement(small, 2):
+            want = Counter()
+            for (i, a), (j, b) in itertools.product(poincare(d1).items(), poincare(d2).items()):
+                want[i + j] += a * b
+            assert +Counter(poincare(union(d1, d2))) == +want, (d1, d2)
 
 
 # closure of the 2-strand braid (-1)^8: the (2, -8) torus link

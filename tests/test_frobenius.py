@@ -281,29 +281,32 @@ def test_perturbed_coproduct_breaks_relations():
 
 def test_generator_map_shapes_and_values(mat_vec):
     F = fr.a5(0, 0)
-    m = fr.generator_map(F, 2, 1, fr.Merge(1, 2, 1))
+    m = fr.generator_map(F, 2, "merge", (0, 1), (0,))
     assert (m.rows, m.cols) == (2, 4)
     # column ordering: first tensor factor slowest; x(x)x -> 0 at h=t=0
     xx = [0, 0, 0, 1]
     assert mat_vec(m, xx) == [0, 0]
-    d = fr.generator_map(F, 1, 2, fr.Split(1, 1, 2))
+    d = fr.generator_map(F, 1, "split", (0,), (0, 1))
     assert (d.rows, d.cols) == (4, 2)
 
 
 def test_generator_map_permutation(mat_vec):
+    # the merge reading (1, 0) sends e_a (x) e_b to e_b * e_a
     F = fr.a5(1, 1)
-    p = fr.generator_map(F, 2, 2, fr.Perm((1, 0)))
-    v = [0, 1, 0, 0]  # 1 (x) x
-    assert mat_vec(p, v) == [0, 0, 1, 0]  # x (x) 1
+    m = fr.generator_map(F, 2, "merge", (1, 0), (0,))
+    for a, b in itertools.product(range(2), repeat=2):
+        v = [int(k == 2 * a + b) for k in range(4)]
+        assert mat_vec(m, v) == [F.mult[b][a][k] for k in range(2)]
+    assert mat_vec(m, [0, 0, 0, 1]) == [1, 1]  # x * x = x + 1
 
 
 def test_merge_then_split_equals_split_then_merge():
     # (m (x) id) . (id (x) d) = d . m as maps A^2 -> A^2, for several algebras
     for F in (fr.a5(0, 0), fr.a5(1, 1, F3), fr.a4_evaluate((1, 1, 1, 1, 1, 1))):
-        m = fr.generator_map(F, 2, 1, fr.Merge(1, 2, 1))
-        d = fr.generator_map(F, 1, 2, fr.Split(1, 1, 2))
-        d_in_pos2 = fr.generator_map(F, 2, 3, fr.Split(2, 2, 3))
-        m_in_pos1 = fr.generator_map(F, 3, 2, fr.Merge(1, 2, 1))
+        m = fr.generator_map(F, 2, "merge", (0, 1), (0,))
+        d = fr.generator_map(F, 1, "split", (0,), (0, 1))
+        d_in_pos2 = fr.generator_map(F, 2, "split", (1,), (1, 2))
+        m_in_pos1 = fr.generator_map(F, 3, "merge", (0, 1), (0,))
         assert m_in_pos1 @ d_in_pos2 == d @ m
 
 
@@ -358,40 +361,40 @@ def structure_tensors(draw, rings=(ZZ, QQ, F2, F3)):
     return fr.FrobeniusData(R, r, mult, comult)
 
 
-def generator_by_labellings(F, n_in, n_out, op):
+def generator_by_labellings(F, n_in, kind, src, dst):
     """Rows of a generator map from basis labellings: each input labelling
     goes to the output labellings that carry the other factors in order and
     the generator's terms at its positions."""
     R, r = F.ring, F.rank
+    n_out = n_in - len(src) + len(dst)
     row_of = {out: k for k, out in enumerate(itertools.product(range(r), repeat=n_out))}
     rows = [{} for _ in row_of]
     for col, labels in enumerate(itertools.product(range(r), repeat=n_in)):
-        if isinstance(op, fr.Perm):
-            terms = [([labels[q] for q in op.sigma], R.one)]
-        elif isinstance(op, fr.Merge):
-            x, y = labels[op.i - 1], labels[op.j - 1]
-            rest = [b for q, b in enumerate(labels) if q not in (op.i - 1, op.j - 1)]
-            terms = [(rest[: op.k - 1] + [s] + rest[op.k - 1 :], F.mult[x][y][s]) for s in range(r)]
+        rest = [b for q, b in enumerate(labels) if q not in src]
+        if kind == "merge":
+            x, y = (labels[q] for q in src)
+            terms = [((s,), F.mult[x][y][s]) for s in range(r)]
         else:
-            x, rest = labels[op.k - 1], [b for q, b in enumerate(labels) if q != op.k - 1]
-            terms = []
-            for a, b in itertools.product(range(r), repeat=2):
-                out = rest[: op.i - 1] + [a] + rest[op.i - 1 :]
-                terms.append((out[: op.j - 1] + [b] + out[op.j - 1 :], F.comult[x][a][b]))
-        for out, v in terms:
+            x = labels[src[0]]
+            terms = [((a, b), F.comult[x][a][b]) for a, b in itertools.product(range(r), repeat=2)]
+        for legs, v in terms:
+            out, spare = [None] * n_out, iter(rest)
+            for q, leg in zip(dst, legs):
+                out[q] = leg
+            out = [next(spare) if b is None else b for b in out]
             if v != R.zero:
                 rows[row_of[tuple(out)]][col] = v
     return tuple(tuple(sorted(row.items())) for row in rows)
 
 
 def generators(n_max=4):
-    """(n_in, n_out, op) for every valid generator on at most n_max factors."""
+    """(n_in, kind, src, dst) for every valid generator on at most n_max
+    factors: every ordered choice of positions, reversed ones included."""
     out = []
-    for n in range(n_max + 1):
-        out += [(n, n, fr.Perm(sigma)) for sigma in itertools.permutations(range(n))]
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            out += [(n, n - 1, fr.Merge(i, j, k)) for k in range(1, n)]
-            out += [(n - 1, n, fr.Split(k, i, j)) for k in range(1, n)]
+    for n in range(2, n_max + 1):
+        for pair in itertools.permutations(range(n), 2):
+            out += [(n, "merge", pair, (k,)) for k in range(n - 1)]
+            out += [(n - 1, "split", (k,), pair) for k in range(n - 1)]
     return out
 
 
@@ -400,8 +403,8 @@ def generators(n_max=4):
 def test_generator_map_matches_labellings(F):
     # up to three untouched factors, which the cobordism relations (at most
     # one) never reach
-    for n_in, n_out, op in generators():
-        assert fr.generator_map(F, n_in, n_out, op).nz == generator_by_labellings(F, n_in, n_out, op), op
+    for shape in generators():
+        assert fr.generator_map(F, *shape).nz == generator_by_labellings(F, *shape), shape
 
 
 @settings(max_examples=150, deadline=None)
@@ -450,8 +453,8 @@ def test_product_and_coproduct_match_the_structure_constants(mat_vec, F, data):
     coprod = [sum((v[k] * F.comult[k][i][j] for k in rng), R.zero) for i in rng for j in rng]
     if R.p:
         prod, coprod = [x % R.p for x in prod], [x % R.p for x in coprod]
-    merge = fr.generator_map(F, 2, 1, fr.Merge(1, 2, 1))
-    split = fr.generator_map(F, 1, 2, fr.Split(1, 1, 2))
+    merge = fr.generator_map(F, 2, "merge", (0, 1), (0,))
+    split = fr.generator_map(F, 1, "split", (0,), (0, 1))
     assert typed(F.product(u, v)) == typed(prod) == typed(mat_vec(merge, [a * b for a in u for b in v]))
     assert typed(F.coproduct(v)) == typed(coprod) == typed(mat_vec(split, v))
     scalar = Fraction if R == QQ else int
