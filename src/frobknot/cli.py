@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
@@ -249,29 +248,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cx._paused()
 def main(argv=None) -> int:
-    collecting = gc.isenabled()
-    gc.disable()  # the engine makes no reference cycles: reference counting frees it all
     try:
-        try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit as e:
-            return 2 if e.code not in (0, None) else 0
-        try:
-            code = args.fn(args)
-            sys.stdout.flush()  # a closed pipe shows here rather than at exit
-            return code
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        except BrokenPipeError:
-            # the reader has gone; what is left goes to devnull, so the flush
-            # at exit stays silent
-            sys.stdout = open(os.devnull, "w")
-            return 0
-    finally:
-        if collecting:
-            gc.enable()
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        return 2 if e.code not in (0, None) else 0
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return code
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone; what is left goes to devnull, so the flush
+        # at exit stays silent
+        sys.stdout = open(os.devnull, "w")
+        return 0
 
 
 if __name__ == "__main__":

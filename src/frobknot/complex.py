@@ -15,6 +15,8 @@ a^merges b^splits is an isomorphism: the complex holds integers.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 from dataclasses import dataclass
 from math import lcm
@@ -25,6 +27,20 @@ from .frobenius import FrobeniusData, _cells, _grading, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
 from .rings import QQ, RingSpec
+
+
+@contextlib.contextmanager
+def _paused():
+    """Pause the cyclic collector; restore the caller's setting after, also
+    on a raise.  The engine makes no reference cycles, so reference counting
+    frees all it allocates.  Used as a decorator: ``@_paused()``."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -53,6 +69,7 @@ class HomologyTable:
         }
 
 
+@_paused()
 def build_complex(
     cube: ResolutionCube, F: FrobeniusData, normalize: bool = False
 ) -> ChainComplex:
@@ -62,8 +79,7 @@ def build_complex(
     if normalize and not d.oriented:
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 
-    # states by position in cube.circles (lexicographic order)
-    index = {s: k for k, s in enumerate(cube.circles)}
+    # states by position in cube.circles (lexicographic order), as edges name them
     degree = [sum(s) for s in cube.circles]
     count = list(map(len, cube.circles.values()))
     offset, ranks = [], [0] * (n + 1)
@@ -73,8 +89,7 @@ def build_complex(
 
     edges_by_degree: list[list] = [[] for _ in range(n)]
     for e in cube.edges:
-        k = index[e.s1]
-        edges_by_degree[degree[k]].append((k, index[e.s2], e))
+        edges_by_degree[degree[e[0]]].append(e)
     local = {kind: _cells(F, kind) for kind in ("merge", "split")}
     if R == QQ:  # integer cells, an isomorphic complex (see the module docstring)
         for kind, cells in local.items():
@@ -87,15 +102,15 @@ def build_complex(
         # edges come in s1 order and columns are offset by s1, so each row
         # receives its columns in increasing order, each at most once
         scatter: list[list] = [[] for _ in range(rows)]
-        for k1, k2, e in edges:
-            key = (count[k1], e.kind, e.src, e.dst)
+        for k1, k2, kind, src, dst, sign in edges:
+            key = (count[k1], kind, src, dst)
             kernel = kernels.get(key)
             if kernel is None:
-                spectators, cells = _place(r, local[e.kind], count[k1], e.src, e.dst)
+                spectators, cells = _place(r, local[kind], count[k1], src, dst)
                 negated = [(a, b, -v % p if p else -v) for a, b, v in cells]
                 kernel = kernels[key] = spectators, (cells, negated)
             spectators, signed = kernel
-            cells = signed[e.sign < 0]
+            cells = signed[sign < 0]
             ro, co = offset[k2], offset[k1]
             for so, si in spectators:
                 row, col = ro + so, co + si
@@ -124,6 +139,7 @@ def build_complex(
     return ChainComplex(R, shift, tuple(ranks), tuple(diffs), q_degrees, normalize)
 
 
+@_paused()
 def chain_complex(d: LinkDiagram, F: FrobeniusData, normalize: bool = False) -> ChainComplex:
     return build_complex(build_cube(d), F, normalize)
 
@@ -135,6 +151,7 @@ def verify_d_squared(C: ChainComplex) -> bool:
     return True
 
 
+@_paused()
 def homology(C: ChainComplex) -> HomologyTable:
     if not verify_d_squared(C):
         raise ValueError("differentials do not compose to zero")

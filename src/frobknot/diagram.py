@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .laurent import Laurent
 
@@ -239,35 +239,23 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
     return _circles(d, parent)[0]
 
 
-class CubeEdge(NamedTuple):
-    """One cube edge s1 -> s2 (single bit raised).
-
-    kind is "merge" (src positions (i, j) -> dst position (k,)) or "split"
-    (src (k,) -> dst (i, j)); positions index the ordered circle lists of
-    the two states, and untouched circles keep their arc sets.  sign is
-    (-1)^(number of 1-bits of s1 before the raised position).
-    """
-
-    s1: tuple
-    s2: tuple
-    kind: str
-    src: tuple
-    dst: tuple
-    sign: int
-
-
 @dataclass(frozen=True)
 class ResolutionCube:
     diagram: LinkDiagram
     circles: dict  # state -> ordered circle tuple, states in lexicographic order
-    edges: tuple  # of CubeEdge, ordered by (s1, s2)
+    edges: tuple  # of (i, j, kind, src, dst, sign), ordered by (i, j)
 
 
 def build_cube(d: LinkDiagram) -> ResolutionCube:
     """Resolve every state in one walk and classify each edge at the
     crossing it flips: a merge when the circles of a and c differ in s1,
     else a split when those of a and b differ in s2; no planar diagram has
-    a third case."""
+    a third case.
+
+    An edge s1 -> s2 raises one bit; i and j are the positions of s1 and s2
+    in ``circles``.  A merge takes src positions (x, y) of s1's circles to
+    dst (z,) of s2's, a split (z,) to (x, y); untouched circles keep their
+    arc sets.  sign is (-1)^(number of 1-bits of s1 before the raised bit)."""
     n = d.n_crossings
     states = list(itertools.product((0, 1), repeat=n))
     circles, where = {}, []  # where[i]: position of each arc's circle in states[i]
@@ -295,7 +283,7 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
                     f"crossing {pos + 1} (X {a} {b} {c} {dd}) keeps one circle when "
                     "its smoothing flips; the PD code is not planar"
                 )
-            edges.append(CubeEdge(s1, states[j], kind, src, dst, -1 if ones % 2 else 1))
+            edges.append((i, j, kind, src, dst, -1 if ones % 2 else 1))
     return ResolutionCube(d, circles, tuple(edges))
 
 

@@ -7,6 +7,9 @@ letters) under ``homology --normalize --json`` over Z, Q, F_2 and F_3 with
 ``a5(0,0)``, ``a5(1,1)`` and the x2/x3-scaled algebra, ``bracket --json``
 of each closure, and ``check-algebra --json`` and ``relations --json`` of
 the algebra files the CI smoke step writes, with declared-identity variants.
+A larger tier of 4 seeded closures (2-4 strands, 7-8 letters, so cubes of
+128 or 256 states) runs ``homology --normalize --json`` over Z and F_2
+with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -70,16 +73,23 @@ ALGEBRAS = {
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 
 
-def closures() -> list:
-    """64 distinct seeded (strands, word) pairs."""
-    rng = random.Random(12)
+def closures(seed=12, count=64, letters=(1, 6)) -> list:
+    """count distinct seeded (strands, word) pairs, with a letter count in
+    the closed range ``letters``."""
+    rng = random.Random(seed)
     seen: dict = {}
-    while len(seen) < 64:
+    while len(seen) < count:
         strands = rng.randint(2, 4)
         word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                     for _ in range(rng.randint(1, 6)))
+                     for _ in range(rng.randint(*letters)))
         seen.setdefault((strands, word), None)
     return list(seen)
+
+
+def _pd(d: Path, strands: int, word: tuple) -> Path:
+    pd = d / f"s{strands}w{','.join(map(str, word))}.pd"
+    pd.write_text(braid.closure_pd(word, strands))
+    return pd
 
 
 def _commands(d: Path):
@@ -88,13 +98,17 @@ def _commands(d: Path):
         (d / name).write_text(json.dumps(data))
         for cmd in ("check-algebra", "relations"):
             yield [cmd, str(d / name), "--json"]
+    scaled = ["--algebra", str(d / "scaled.json")]
     for strands, word in closures():
-        pd = d / f"s{strands}w{','.join(map(str, word))}.pd"
-        pd.write_text(braid.closure_pd(word, strands))
+        pd = _pd(d, strands, word)
         yield ["bracket", str(pd), "--json"]
         for ring in RINGS:
-            for algebra in (["--a5", "0,0"], ["--a5", "1,1"], ["--algebra", str(d / "scaled.json")]):
+            for algebra in (["--a5", "0,0"], ["--a5", "1,1"], scaled):
                 yield ["homology", str(pd), *algebra, "--ring", ring, "--normalize", "--json"]
+    for strands, word in closures(seed=78, count=4, letters=(7, 8)):
+        pd = _pd(d, strands, word)
+        for ring, algebra in (("Z", ["--a5", "0,0"]), ("Fp:2", ["--a5", "0,0"]), ("Q", scaled)):
+            yield ["homology", str(pd), *algebra, "--ring", ring, "--normalize", "--json"]
 
 
 def outputs() -> dict:

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import random
@@ -393,6 +394,60 @@ def test_homology_rejects_broken_differential():
     assert not cx.verify_d_squared(bad)
     with pytest.raises(ValueError):
         cx.homology(bad)
+
+
+def test_library_calls_pause_the_collector_and_restore_it(monkeypatch):
+    # chain_complex, build_complex and homology run with the collector off
+    # and leave it as they found it, on or off, also when they raise: on a
+    # non-planar code (no cube) and on a hand-built non-complex
+    d = dg.BUILDERS["trefoil_left"]()
+    F = fr.a5(0, 0)
+    hopf = build("hopf_pos", F)
+    broken = cx.ChainComplex(ZZ, 0, (1, 1, 1), (ExactMatrix.from_rows(ZZ, [[1]]),) * 2)
+    during = []
+    summands = cx.homology_summands
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        return summands(*args)
+
+    monkeypatch.setattr(cx, "homology_summands", spy)
+    calls = [
+        lambda: cx.chain_complex(d, F, normalize=True),
+        lambda: cx.build_complex(dg.build_cube(d), F, normalize=True),
+        lambda: cx.homology(hopf),
+    ]
+    raising = [
+        lambda: cx.chain_complex(dg.parse_pd("X 1 2 1 2\n"), F),
+        lambda: cx.homology(broken),
+    ]
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for call in calls:
+                call()
+                assert gc.isenabled() is enabled
+            for call in raising:
+                with pytest.raises(ValueError):
+                    call()
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert during and not any(during)
+
+
+def test_library_homology_leaves_no_garbage_cycles():
+    # the collector may stay off on the library path because the engine
+    # makes no cycles: after a run nothing is left for it to collect
+    d = dg.parse_pd(braid.closure_pd([-1] * 5, 2))
+    cx.homology(cx.chain_complex(d, fr.a5(0, 0), normalize=True))
+    gc.collect()
+    for R in (ZZ, QQ, F2):
+        table = cx.homology(cx.chain_complex(d, fr.a5(0, 0, R), normalize=True))
+        assert table.rows, R
+        del table
+        assert gc.collect() == 0, R
 
 
 def test_json_table_shape():

@@ -64,11 +64,13 @@ def eight_crossing_closures(seed=816, count=6):
 
 
 def diagrams():
+    """The builders, RII pairs on three of them, the random closures, and
+    two 8-crossing closures, whose cubes have 256 states."""
     out = [build() for build in dg.BUILDERS.values()]
     for name in ("hopf_pos", "trefoil_left", "trefoil_right"):
         base = dg.BUILDERS[name]()
         out += [dg.rii_pair(base, arc) for arc in (1, base.arc_count)]
-    return out + random_closures()
+    return out + random_closures() + eight_crossing_closures(seed=11, count=2)
 
 
 # --- references ----------------------------------------------------------------
@@ -192,20 +194,21 @@ def complex_from_labellings(cube, F, normalize):
                 index[s][labels] = count
                 count += 1
         ranks.append(count)
-    diffs = []
+    states, diffs = list(cube.circles), []
     for i in range(n):
         scatter = [{} for _ in range(ranks[i + 1])]
-        for e in cube.edges:
-            if sum(e.s1) != i:
+        for k1, k2, kind, src, dst, _ in cube.edges:
+            s1, s2 = states[k1], states[k2]
+            if sum(s1) != i:
                 continue
-            c1, c2 = cube.circles[e.s1], cube.circles[e.s2]
-            kept = [(j, c1.index(c)) for j, c in enumerate(c2) if j not in e.dst]
-            assert sorted(p for _, p in kept) == [p for p in range(len(c1)) if p not in e.src]
-            pos = next(k for k in range(n) if e.s1[k] != e.s2[k])
-            negate = sum(e.s1[:pos]) % 2
-            for labels, col in index[e.s1].items():
-                x = [labels[p] for p in e.src]
-                if e.kind == "merge":
+            c1, c2 = cube.circles[s1], cube.circles[s2]
+            kept = [(j, c1.index(c)) for j, c in enumerate(c2) if j not in dst]
+            assert sorted(p for _, p in kept) == [p for p in range(len(c1)) if p not in src]
+            pos = next(k for k in range(n) if s1[k] != s2[k])
+            negate = sum(s1[:pos]) % 2
+            for labels, col in index[s1].items():
+                x = [labels[p] for p in src]
+                if kind == "merge":
                     terms = [((s,), F.mult[x[0]][x[1]][s]) for s in range(r)]
                 else:
                     terms = [((a, b), F.comult[x[0]][a][b]) for a in range(r) for b in range(r)]
@@ -215,10 +218,10 @@ def complex_from_labellings(cube, F, normalize):
                     out = [None] * len(c2)
                     for j, p in kept:
                         out[j] = labels[p]
-                    for j, b in zip(e.dst, bits):
+                    for j, b in zip(dst, bits):
                         out[j] = b
                     w = -v if negate else v
-                    scatter[index[e.s2][tuple(out)]][col] = w % m if m else w
+                    scatter[index[s2][tuple(out)]][col] = w % m if m else w
         diffs.append(tuple(tuple(sorted(cells.items())) for cells in scatter))
     q_degrees = None
     basis = sympy_grading(F) if normalize else None
@@ -259,7 +262,8 @@ def test_state_walk_matches_graph_walk():
 def test_cube_edges_match_set_differences():
     for d in diagrams():
         cube = dg.build_cube(d)
-        edges = [(e.s1, e.s2, e.kind, e.src, e.dst) for e in cube.edges]
+        states = list(cube.circles)
+        edges = [(states[i], states[j], kind, src, dst) for i, j, kind, src, dst, _ in cube.edges]
         assert edges == edges_by_set_difference(cube), d
 
 
@@ -402,10 +406,12 @@ def test_scaled_complex_is_the_rescaled_a5_complex():
         for strands, word in words:
             d = closure(word, strands)
             cube = dg.build_cube(d)
+            states = list(cube.circles)
             scale = {(0,) * d.n_crossings: 1}
-            for e in sorted(cube.edges, key=lambda e: sum(e.s1)):
-                factor = scale[e.s1] * (2 if e.kind == "merge" else 3)
-                assert scale.setdefault(e.s2, factor) == factor, (word, e)
+            for e in sorted(cube.edges, key=lambda e: sum(states[e[0]])):
+                i, j, kind = e[:3]
+                factor = scale[states[i]] * (2 if kind == "merge" else 3)
+                assert scale.setdefault(states[j], factor) == factor, (word, e)
             by_degree = [[] for _ in range(d.n_crossings + 1)]
             for s in sorted(cube.circles):
                 by_degree[sum(s)] += [scale[s]] * 2 ** len(cube.circles[s])

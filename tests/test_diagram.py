@@ -114,7 +114,7 @@ def test_resolve_includes_free_loops():
 
 def test_cube_edge_kinds_hopf():
     cube = dg.build_cube(dg.BUILDERS["hopf_pos"]())
-    kinds = sorted(e.kind for e in cube.edges)
+    kinds = sorted(kind for _, _, kind, *_ in cube.edges)
     # 2 circles -> 1 (merge) twice, then 1 -> 2 (split) twice
     assert kinds == ["merge", "merge", "split", "split"]
 
@@ -122,7 +122,8 @@ def test_cube_edge_kinds_hopf():
 def test_edge_signs():
     # (-1)^(number of 1-bits before the raised position)
     cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
-    sign = {(e.s1, e.s2): e.sign for e in cube.edges}
+    states = list(cube.circles)
+    sign = {(states[i], states[j]): sgn for i, j, *_, sgn in cube.edges}
     assert sign[(0, 0, 0), (0, 1, 0)] == 1
     assert sign[(1, 0, 0), (1, 1, 0)] == -1
     assert sign[(1, 0, 1), (1, 1, 1)] == -1
@@ -138,7 +139,8 @@ def test_cube_squares_anticommute_after_signs():
         if n < 2:
             continue
         cube = dg.build_cube(d)
-        sign = {(e.s1, e.s2): e.sign for e in cube.edges}
+        states = list(cube.circles)
+        sign = {(states[i], states[j]): sgn for i, j, *_, sgn in cube.edges}
         for s in itertools.product((0, 1), repeat=n):
             for i, j in itertools.combinations(range(n), 2):
                 if s[i] or s[j]:
