@@ -23,8 +23,7 @@ class PDError(ValueError):
 class LinkDiagram:
     crossings: tuple  # of (a, b, c, d) arc-label quadruples
     free_loops: int = 0
-    n_plus: Optional[int] = None
-    n_minus: Optional[int] = None
+    signs: Optional[tuple] = None  # +1 or -1 per crossing, or None if unoriented
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(tuple(x) for x in self.crossings))
@@ -44,12 +43,12 @@ class LinkDiagram:
         object.__setattr__(self, "_arc_count", len(seen))
         if type(self.free_loops) is not int or self.free_loops < 0:
             raise PDError(f"free_loops must be a nonnegative integer, got {self.free_loops!r}")
-        if (self.n_plus, self.n_minus) != (None, None) and not (
-            type(self.n_plus) is type(self.n_minus) is int
-            and self.n_plus >= 0 and self.n_minus >= 0
-            and self.n_plus + self.n_minus == len(self.crossings)
-        ):
-            raise PDError("n_plus and n_minus must count the crossings")
+        if self.signs is not None:
+            object.__setattr__(self, "signs", tuple(self.signs))
+            if len(self.signs) != len(self.crossings) or not all(
+                type(s) is int and s in (1, -1) for s in self.signs
+            ):
+                raise PDError("signs must give +1 or -1 for each crossing")
 
     @property
     def arc_count(self) -> int:
@@ -61,13 +60,21 @@ class LinkDiagram:
 
     @property
     def oriented(self) -> bool:
-        return self.n_plus is not None and self.n_minus is not None
+        return self.signs is not None
+
+    @property
+    def n_plus(self) -> Optional[int]:
+        return None if self.signs is None else self.signs.count(1)
+
+    @property
+    def n_minus(self) -> Optional[int]:
+        return None if self.signs is None else self.signs.count(-1)
 
     @property
     def writhe(self) -> int:
         if not self.oriented:
             raise PDError("diagram carries no orientation data")
-        return self.n_plus - self.n_minus
+        return sum(self.signs)
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -111,14 +118,13 @@ def parse_pd(text: str) -> LinkDiagram:
         else:
             raise PDError(f"unrecognized line: {raw.strip()!r}")
 
-    n_plus = n_minus = None
+    signs = None
     if signs_tokens is not None:
         if len(signs_tokens) != len(crossings):
             raise PDError("SIGNS must list one sign per crossing")
         if any(t not in ("+", "-") for t in signs_tokens):
             raise PDError("SIGNS tokens must be + or -")
-        n_plus = signs_tokens.count("+")
-        n_minus = signs_tokens.count("-")
+        signs = tuple(1 if t == "+" else -1 for t in signs_tokens)
     arcs = {a for q in crossings for a in q}
     succ: dict[int, int] = {}  # each ORIENT arc's successor, checked even under SIGNS
     for comp in orient:
@@ -129,11 +135,11 @@ def parse_pd(text: str) -> LinkDiagram:
                 raise PDError(f"arc {a} listed twice in ORIENT data")
             succ[a] = comp[(i + 1) % len(comp)]
     if signs_tokens is None and orient:
-        n_plus, n_minus = _signs_from_orientation(crossings, succ)
-    return LinkDiagram(tuple(crossings), loops, n_plus, n_minus)
+        signs = _signs_from_orientation(crossings, succ)
+    return LinkDiagram(tuple(crossings), loops, signs)
 
 
-def _signs_from_orientation(crossings, succ) -> tuple[int, int]:
+def _signs_from_orientation(crossings, succ) -> tuple:
     def direction(u, v):
         fwd = succ.get(u) == v
         bwd = succ.get(v) == u
@@ -147,14 +153,7 @@ def _signs_from_orientation(crossings, succ) -> tuple[int, int]:
             return -1
         raise PDError(f"ORIENT data does not connect arcs {u} and {v}")
 
-    n_plus = n_minus = 0
-    for a, b, c, d in crossings:
-        sign = -direction(a, c) * direction(b, d)
-        if sign > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-    return n_plus, n_minus
+    return tuple(-direction(a, c) * direction(b, d) for a, b, c, d in crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +323,8 @@ def normalized_bracket(d: LinkDiagram) -> Laurent:
 
 def rii_pair(base: LinkDiagram, arc: int) -> LinkDiagram:
     """Push a finger of the named arc across itself: two extra crossings
-    forming an empty bigon (one positive, one negative).  The result is
-    planar-isotopic to the base diagram."""
+    forming an empty bigon, signed -1 and +1 whatever the orientation (both
+    cross the arc itself).  The result is planar-isotopic to the base."""
     if not 1 <= arc <= base.arc_count:
         raise PDError(f"arc {arc} not present in diagram")
     n1, n2, n3, n4 = (base.arc_count + i for i in range(1, 5))
@@ -343,26 +342,25 @@ def rii_pair(base: LinkDiagram, arc: int) -> LinkDiagram:
         crossings.append(tuple(out))
     crossings.append((arc, n3, n1, n4))
     crossings.append((n1, n3, n2, n2))
-    np = base.n_plus + 1 if base.n_plus is not None else None
-    nm = base.n_minus + 1 if base.n_minus is not None else None
-    return LinkDiagram(tuple(crossings), base.free_loops, np, nm)
+    signs = None if base.signs is None else base.signs + (-1, 1)
+    return LinkDiagram(tuple(crossings), base.free_loops, signs)
 
 
 # Zero-argument builders of the built-in diagrams, by name.
 BUILDERS = {
-    "unknot_0": lambda: LinkDiagram((), free_loops=1, n_plus=0, n_minus=0),
-    "unknot_1kink_pos": lambda: LinkDiagram(((1, 1, 2, 2),), n_plus=1, n_minus=0),
-    "unknot_1kink_neg": lambda: LinkDiagram(((1, 2, 2, 1),), n_plus=0, n_minus=1),
-    "hopf_pos": lambda: LinkDiagram(((1, 3, 2, 4), (2, 4, 1, 3)), n_plus=2, n_minus=0),
-    "hopf_neg": lambda: LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), n_plus=0, n_minus=2),
+    "unknot_0": lambda: LinkDiagram((), free_loops=1, signs=()),
+    "unknot_1kink_pos": lambda: LinkDiagram(((1, 1, 2, 2),), signs=(1,)),
+    "unknot_1kink_neg": lambda: LinkDiagram(((1, 2, 2, 1),), signs=(-1,)),
+    "hopf_pos": lambda: LinkDiagram(((1, 3, 2, 4), (2, 4, 1, 3)), signs=(1, 1)),
+    "hopf_neg": lambda: LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), signs=(-1, -1)),
     "trefoil_left": lambda: LinkDiagram(
-        ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), n_plus=0, n_minus=3
+        ((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), signs=(-1, -1, -1)
     ),
     "trefoil_right": lambda: LinkDiagram(
-        ((4, 2, 5, 1), (6, 4, 1, 3), (2, 6, 3, 5)), n_plus=3, n_minus=0
+        ((4, 2, 5, 1), (6, 4, 1, 3), (2, 6, 3, 5)), signs=(1, 1, 1)
     ),
     # two-crossing two-component diagram removable by one RII move
-    "figure10_d1": lambda: LinkDiagram(((1, 3, 2, 4), (2, 3, 1, 4)), n_plus=1, n_minus=1),
+    "figure10_d1": lambda: LinkDiagram(((1, 3, 2, 4), (2, 3, 1, 4)), signs=(1, -1)),
     # crossing-free two-component unlink
-    "figure10_d2": lambda: LinkDiagram((), free_loops=2, n_plus=0, n_minus=0),
+    "figure10_d2": lambda: LinkDiagram((), free_loops=2, signs=()),
 }

@@ -134,7 +134,7 @@ def test_criterion_8_two_diagram_comparison():
 
 def _permute_crossings(d, perm):
     crossings = tuple(d.crossings[i] for i in perm)
-    return dg.LinkDiagram(crossings, d.free_loops, d.n_plus, d.n_minus)
+    return dg.LinkDiagram(crossings, d.free_loops, tuple(d.signs[i] for i in perm))
 
 
 def test_criterion_9_d_squared_and_crossing_order_invariance():

@@ -131,21 +131,24 @@ def test_signs_tokens_are_whole_signs(tmp_path, capsys):
     f.write_text(text)
     code, out = run(capsys, "homology", str(f), "--a5", "0,0", "--normalize", "--json")
     assert (code, out) == (2, "")
-    # a negative loop count read as free rank 1 over Z, and a lone n_plus
-    # as an unoriented diagram; bools are no more counts than labels
-    for loops, n_plus, n_minus, message in (
-        (0, 1, 0, "count the crossings"),
-        (0, 3, -1, "count the crossings"),
-        (0, 0, 3, "count the crossings"),
-        (0, True, True, "count the crossings"),
-        (0, 2.0, 0, "count the crossings"),
-        (0, 1, None, "count the crossings"),
-        (0, None, 2, "count the crossings"),
-        (-2, None, None, "free_loops"),
-        (True, None, None, "free_loops"),
+    # a negative loop count read as free rank 1 over Z; a sign record gives
+    # one +1 or -1 per crossing, and bools are no more signs than labels
+    for loops, signs, message in (
+        (0, (1,), "signs must give"),
+        (0, (1, 1, -1), "signs must give"),
+        (0, (True, True), "signs must give"),
+        (0, (1.0, -1), "signs must give"),
+        (0, (0, 1), "signs must give"),
+        (0, (2, -1), "signs must give"),
+        (0, ("+", "-"), "signs must give"),
+        (-2, None, "free_loops"),
+        (True, None, "free_loops"),
     ):
         with pytest.raises(dg.PDError, match=message):
-            dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), loops, n_plus, n_minus)
+            dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), loops, signs)
+    # list input is kept as a tuple, so the diagram stays hashable
+    listed = dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), 0, [-1, -1])
+    assert listed.signs == (-1, -1) and hash(listed) == hash(dg.BUILDERS["hopf_neg"]())
 
 
 def test_check_algebra_exit_codes(tmp_path, capsys):
@@ -645,7 +648,7 @@ _RINGS = st.one_of(
 
 def _pd_text(d) -> list:
     lines = [f"X {a} {b} {c} {e}" for a, b, c, e in d.crossings] + ["O"] * d.free_loops
-    return lines + ["SIGNS " + " ".join("+" * d.n_plus + "-" * d.n_minus)]
+    return lines + ["SIGNS " + " ".join("+" if s > 0 else "-" for s in d.signs)]
 
 
 def _slots(x) -> list:

@@ -112,7 +112,7 @@ def test_deformed_homology_counts_components():
 
 def test_disjoint_loop_doubles_ranks():
     base = dg.BUILDERS["hopf_pos"]()
-    bigger = dg.LinkDiagram(base.crossings, 1, base.n_plus, base.n_minus)
+    bigger = dg.LinkDiagram(base.crossings, 1, base.signs)
     F = fr.a5(0, 0, F3)
     c1 = cx.build_complex(dg.build_cube(base), F, normalize=False)
     c2 = cx.build_complex(dg.build_cube(bigger), F, normalize=False)
@@ -240,16 +240,17 @@ def seeded_closures(seed, count, max_letters):
 
 def mirror(d):
     """The mirror image: each crossing rotated by one position, which swaps
-    its 0- and its 1-smoothing, and the sign counts swapped."""
-    return dg.LinkDiagram(tuple(q[1:] + q[:1] for q in d.crossings), d.free_loops, d.n_minus, d.n_plus)
+    its 0- and its 1-smoothing, and each sign negated."""
+    return dg.LinkDiagram(tuple(q[1:] + q[:1] for q in d.crossings), d.free_loops,
+                          tuple(-s for s in d.signs))
 
 
 def union(d1, d2):
-    """The split union: d2's arc labels shifted past d1's, loops and sign
-    counts added."""
+    """The split union: d2's arc labels shifted past d1's, loops added and
+    signs concatenated."""
     shifted = tuple(tuple(a + d1.arc_count for a in q) for q in d2.crossings)
     return dg.LinkDiagram(d1.crossings + shifted, d1.free_loops + d2.free_loops,
-                          d1.n_plus + d2.n_plus, d1.n_minus + d2.n_minus)
+                          d1.signs + d2.signs)
 
 
 def test_mirror_with_the_dual_algebra_is_the_dual_complex():

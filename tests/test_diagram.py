@@ -1,9 +1,18 @@
+import importlib.util
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
 from frobknot import diagram as dg
 from frobknot.laurent import Laurent
+
+_spec = importlib.util.spec_from_file_location(
+    "braid", Path(__file__).resolve().parents[1] / "perfbench" / "braid.py"
+)
+braid = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(braid)
 
 
 def delta():
@@ -42,18 +51,19 @@ _RIGHT_TREFOIL = "X 4 2 5 1\nX 6 4 1 3\nX 2 6 3 5\n"
 @pytest.mark.parametrize(
     "pd, orient, signs",
     [
-        (_LEFT_TREFOIL, "1 2 3 4 5 6", (0, 3)),
-        (_RIGHT_TREFOIL, "1 2 3 4 5 6", (3, 0)),
+        (_LEFT_TREFOIL, "1 2 3 4 5 6", (-1, -1, -1)),
+        (_RIGHT_TREFOIL, "1 2 3 4 5 6", (1, 1, 1)),
         # reversing a knot's orientation keeps every crossing sign
-        (_LEFT_TREFOIL, "6 5 4 3 2 1", (0, 3)),
-        (_RIGHT_TREFOIL, "6 5 4 3 2 1", (3, 0)),
+        (_LEFT_TREFOIL, "6 5 4 3 2 1", (-1, -1, -1)),
+        (_RIGHT_TREFOIL, "6 5 4 3 2 1", (1, 1, 1)),
     ],
     ids=["left", "right", "left-reversed", "right-reversed"],
 )
 def test_orient_header_recovers_signs(pd, orient, signs):
     # orientation given as the cyclic arc order of the knot
     d = dg.parse_pd(f"{pd}ORIENT {orient}\n")
-    assert (d.n_plus, d.n_minus) == signs
+    assert d.signs == signs
+    assert (d.n_plus, d.n_minus) == (signs.count(1), signs.count(-1))
 
 
 def test_orient_ambiguity_on_two_arc_component():
@@ -66,7 +76,28 @@ def test_orient_ambiguity_on_two_arc_component():
 def test_signs_header_wins():
     text = "X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\nSIGNS + + +\nORIENT 1 2 3 4 5 6\n"
     d = dg.parse_pd(text)
+    assert d.signs == (1, 1, 1)
     assert d.n_plus == 3 and d.n_minus == 0
+
+
+def test_signs_header_matches_orient_crossing_by_crossing():
+    # on seeded 3-strand closures, the SIGNS line and the signs derived from
+    # the ORIENT lines agree at each crossing, and both are the letters' signs
+    rng = random.Random(36)
+    matched = mixed = 0
+    while matched < 20:
+        word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(rng.randint(3, 6))]
+        pd = braid.closure_pd(word, 3)
+        unsigned = "\n".join(ln for ln in pd.splitlines() if not ln.startswith("SIGNS"))
+        try:
+            oriented = dg.parse_pd(unsigned + "\n" + "\n".join(braid.orient_lines(word, 3)))
+        except dg.PDError:  # a two-arc component: ORIENT cannot fix the signs
+            continue
+        want = tuple(1 if x > 0 else -1 for x in word)
+        assert dg.parse_pd(pd).signs == oriented.signs == want, word
+        matched += 1
+        mixed += len(set(want)) == 2
+    assert mixed >= 10
 
 
 @pytest.mark.parametrize(
@@ -78,7 +109,7 @@ def test_orient_labels_are_checked_under_signs(orient, error):
     # ORIENT labels are still checked
     text = f"X 1 1 2 2\nSIGNS +\n{orient}\n"
     if error is None:
-        assert (dg.parse_pd(text).n_plus, dg.parse_pd(text).n_minus) == (1, 0)
+        assert dg.parse_pd(text).signs == (1,)
     else:
         with pytest.raises(dg.PDError, match=error):
             dg.parse_pd(text)
@@ -179,9 +210,7 @@ def test_bracket_unknots():
 
 def test_bracket_disjoint_union_multiplies_by_delta():
     base = dg.BUILDERS["trefoil_right"]()
-    plus_loop = dg.LinkDiagram(
-        base.crossings, free_loops=1, n_plus=base.n_plus, n_minus=base.n_minus
-    )
+    plus_loop = dg.LinkDiagram(base.crossings, free_loops=1, signs=base.signs)
     assert dg.kauffman_bracket(plus_loop) == dg.kauffman_bracket(base) * delta()
 
 
@@ -205,11 +234,41 @@ def test_rii_pair_preserves_bracket_and_writhe():
         assert dg.normalized_bracket(bigger) == dg.normalized_bracket(base)
 
 
+def _orient_line(d, start):
+    """The ORIENT line of a knot diagram that first enters a crossing at
+    start = (crossing index, position): the strand entering at position k
+    of (a, b, c, d) leaves at k + 2."""
+    slots = {}
+    for i, q in enumerate(d.crossings):
+        for k, a in enumerate(q):
+            slots.setdefault(a, []).append((i, k))
+    arcs, (i, k) = [], start
+    while not arcs or (i, k) != start:
+        arcs.append(d.crossings[i][k])
+        out = (i, (k + 2) % 4)
+        (i, k), = (s for s in slots[d.crossings[i][out[1]]] if s != out)
+    assert len(arcs) == d.arc_count  # one component
+    return "ORIENT " + " ".join(map(str, arcs))
+
+
+@pytest.mark.parametrize("name", ["trefoil_left", "trefoil_right"])
+def test_rii_pair_signs_match_orientation(name):
+    # the two new crossings get (-1, +1) on every arc and in both directions,
+    # as the enlarged diagram's own orientation says
+    base = dg.BUILDERS[name]()
+    for arc in range(1, base.arc_count + 1):
+        bigger = dg.rii_pair(base, arc)
+        assert bigger.signs == base.signs + (-1, 1)
+        pd = "".join(f"X {a} {b} {c} {e}\n" for a, b, c, e in bigger.crossings)
+        # entering the arc at one end or the other: the two directions
+        starts = [(i, k) for i, q in enumerate(bigger.crossings) for k, a in enumerate(q) if a == arc]
+        for start in starts:
+            assert dg.parse_pd(pd + _orient_line(bigger, start)).signs == bigger.signs, (arc, start)
+
+
 def test_builders_are_valid_diagrams():
     for name, build in dg.BUILDERS.items():
         d = build()
         assert d.oriented, name
         # re-parse through the validator
-        assert dg.LinkDiagram(
-            d.crossings, d.free_loops, d.n_plus, d.n_minus
-        ).writhe == d.writhe
+        assert dg.LinkDiagram(d.crossings, d.free_loops, d.signs).writhe == d.writhe
