@@ -75,7 +75,7 @@ def build_complex(
 ) -> ChainComplex:
     d = cube.diagram
     n = d.n_crossings
-    R, r, p = F.ring, F.rank, F.ring.p
+    R, r, m = F.ring, F.rank, F.ring.p or 0  # m - v negates a cell, also mod p
     if normalize and not d.oriented:
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 
@@ -95,7 +95,7 @@ def build_complex(
         for kind, cells in local.items():
             den = lcm(*(v.denominator for *_, v in cells))
             local[kind] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
-    kernels: dict[tuple, tuple] = {}  # edge shape -> (spectators, (cells, negated cells))
+    kernels: dict[tuple, tuple] = {}  # edge shape -> (its map's cells, negated cells)
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
@@ -106,16 +106,11 @@ def build_complex(
             key = (count[k1], kind, src, dst)
             kernel = kernels.get(key)
             if kernel is None:
-                spectators, cells = _place(r, local[kind], count[k1], src, dst)
-                negated = [(a, b, -v % p if p else -v) for a, b, v in cells]
-                kernel = kernels[key] = spectators, (cells, negated)
-            spectators, signed = kernel
-            cells = signed[sign < 0]
+                cells = _place(r, local[kind], count[k1], src, dst)
+                kernel = kernels[key] = cells, [(a, b, m - v) for a, b, v in cells]
             ro, co = offset[k2], offset[k1]
-            for so, si in spectators:
-                row, col = ro + so, co + si
-                for a, b, v in cells:
-                    scatter[row + a].append((col + b, v))
+            for a, b, v in kernel[sign < 0]:
+                scatter[ro + a].append((co + b, v))
         # structure constants are already ring elements: no normalization
         diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled

@@ -19,6 +19,14 @@ class PDError(ValueError):
     pass
 
 
+def _tupled(v, name: str) -> tuple:
+    """tuple(v), or a PDError naming the field when v is not iterable."""
+    try:
+        return tuple(v)
+    except TypeError:
+        raise PDError(f"{name} must be iterable, got {v!r}") from None
+
+
 @dataclass(frozen=True)
 class LinkDiagram:
     crossings: tuple  # of (a, b, c, d) arc-label quadruples
@@ -26,7 +34,8 @@ class LinkDiagram:
     signs: Optional[tuple] = None  # +1 or -1 per crossing, or None if unoriented
 
     def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(tuple(x) for x in self.crossings))
+        crossings = tuple(_tupled(x, "each crossing") for x in _tupled(self.crossings, "crossings"))
+        object.__setattr__(self, "crossings", crossings)
         seen: dict[int, int] = {}
         for q in self.crossings:
             if len(q) != 4:
@@ -44,7 +53,7 @@ class LinkDiagram:
         if type(self.free_loops) is not int or self.free_loops < 0:
             raise PDError(f"free_loops must be a nonnegative integer, got {self.free_loops!r}")
         if self.signs is not None:
-            object.__setattr__(self, "signs", tuple(self.signs))
+            object.__setattr__(self, "signs", _tupled(self.signs, "signs"))
             if len(self.signs) != len(self.crossings) or not all(
                 type(s) is int and s in (1, -1) for s in self.signs
             ):

@@ -3,8 +3,8 @@
 Structure constants live in nested tuples: ``mult[i][j][k]`` is the e_k
 coefficient of e_i * e_j, and ``comult[k][i][j]`` the e_i (x) e_j coefficient
 of the coproduct of e_k.  Tensor-power bases are ordered lexicographically
-with the first factor slowest.  The cobordism generators and the edges of
-the resolution cube in ``complex`` share one placement kernel, ``_place``.
+with the first factor slowest.  The cobordism generators and the cube edges
+in ``complex`` scatter the whole-map cells of one placement kernel, ``_place``.
 """
 
 from __future__ import annotations
@@ -307,26 +307,25 @@ def _grading(r: int, local: dict) -> Optional[tuple]:
     return tuple(sol) if sol is not None else None
 
 
-def _place(r: int, cells: list, n_in: int, src: tuple, dst: tuple) -> tuple:
-    """Local (input bits, output bits, value) cells read at input positions
-    src and written at output positions dst, in any order, placed in
-    A^(x)n_in -> A^(x)n_out, n_out = n_in - len(src) + len(dst), with the
-    identity on the other (spectator) factors, as (spectators, cells): the
-    spectators' (row, col) offset per basis labelling, and the cells' sorted
-    (row, col, value) offsets.  Spectators keep their order, first factor
-    slowest, so each row meets one spectator labelling and takes its cells
-    in column order."""
+def _place(r: int, cells: list, n_in: int, src: tuple, dst: tuple) -> list:
+    """The (row, col, value) offsets of every nonzero of the map
+    A^(x)n_in -> A^(x)n_out, n_out = n_in - len(src) + len(dst), that reads
+    local (input bits, output bits, value) cells at input positions src and
+    writes them at output positions dst, in any order, with the identity on
+    the other factors.  The sorted local cells repeat over the basis
+    labellings of the untouched factors, which keep their order, first
+    factor slowest; so each row meets one labelling and takes its cells in
+    column order."""
     n_out = n_in - len(src) + len(dst)
     w_in = [r ** p for p in range(n_in - 1, -1, -1)]
     w_out = [r ** p for p in range(n_out - 1, -1, -1)]
     wi, wo = [w_in[p] for p in src], [w_out[p] for p in dst]
     placed = sorted([(sum(map(mul, wo, out)), sum(map(mul, wi, inp)), v) for inp, out, v in cells])
-    spectators = [(0, 0)]
-    carried = zip([w for p, w in enumerate(w_out) if p not in dst],
-                  [w for p, w in enumerate(w_in) if p not in src])
-    for a, b in carried:
-        spectators = [(so + a * x, si + b * x) for so, si in spectators for x in range(r)]
-    return spectators, placed
+    kept = zip([w for p, w in enumerate(w_out) if p not in dst],
+               [w for p, w in enumerate(w_in) if p not in src])
+    for a, b in reversed([*kept]):  # from the last factor, so the first ends slowest
+        placed = [(ro + a * x, co + b * x, v) for x in range(r) for ro, co, v in placed]
+    return placed
 
 
 def generator_map(F: FrobeniusData, n_in: int, kind: str, src: tuple, dst: tuple) -> ExactMatrix:
@@ -343,11 +342,9 @@ def generator_map(F: FrobeniusData, n_in: int, kind: str, src: tuple, dst: tuple
     legs = (2, 1) if kind == "merge" else (1, 2)
     if (len(src), len(dst)) != legs or not (distinct(src, n_in) and distinct(dst, n_out)):
         raise ValueError(f"invalid {kind} positions")
-    spectators, cells = _place(r, _cells(F, kind), n_in, src, dst)
     rows: list[list] = [[] for _ in range(r**n_out)]
-    for so, si in spectators:
-        for a, b, v in cells:
-            rows[so + a].append((si + b, v))
+    for a, b, v in _place(r, _cells(F, kind), n_in, src, dst):
+        rows[a].append((b, v))
     return ExactMatrix(R, r**n_out, r**n_in, tuple(map(tuple, rows)))
 
 

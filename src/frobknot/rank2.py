@@ -27,6 +27,7 @@ class ClassificationGap(Exception):
 
 
 MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about a minute over F_13
+MAX_ZBOUND = 40  # thm1.2 over the Z box [-40, 40]^6 takes about a minute
 
 
 def _searchable(ring: RingSpec) -> RingSpec:
@@ -71,7 +72,8 @@ class MultTable:
         if not isinstance(prods, dict):
             raise ValueError('"products" must be an object')
         t = cls(ring, prods["e1e1"], prods["e1e2"], prods["e2e2"], prods.get("e2e1"))
-        if d.get("commutative", t.commutative) != t.commutative:
+        # a JSON boolean: 1 == True, but 1 is not True
+        if d.get("commutative", t.commutative) is not t.commutative:
             raise ValueError('"commutative" must be true exactly when the products commute')
         return t
 

@@ -132,20 +132,25 @@ def test_signs_tokens_are_whole_signs(tmp_path, capsys):
     code, out = run(capsys, "homology", str(f), "--a5", "0,0", "--normalize", "--json")
     assert (code, out) == (2, "")
     # a negative loop count read as free rank 1 over Z; a sign record gives
-    # one +1 or -1 per crossing, and bools are no more signs than labels
-    for loops, signs, message in (
-        (0, (1,), "signs must give"),
-        (0, (1, 1, -1), "signs must give"),
-        (0, (True, True), "signs must give"),
-        (0, (1.0, -1), "signs must give"),
-        (0, (0, 1), "signs must give"),
-        (0, (2, -1), "signs must give"),
-        (0, ("+", "-"), "signs must give"),
-        (-2, None, "free_loops"),
-        (True, None, "free_loops"),
+    # one +1 or -1 per crossing, and bools are no more signs than labels; a
+    # field that is not iterable was a TypeError
+    hopf = ((3, 2, 4, 1), (4, 1, 3, 2))
+    for crossings, loops, signs, message in (
+        (hopf, 0, (1,), "signs must give"),
+        (hopf, 0, (1, 1, -1), "signs must give"),
+        (hopf, 0, (True, True), "signs must give"),
+        (hopf, 0, (1.0, -1), "signs must give"),
+        (hopf, 0, (0, 1), "signs must give"),
+        (hopf, 0, (2, -1), "signs must give"),
+        (hopf, 0, ("+", "-"), "signs must give"),
+        (hopf, -2, None, "free_loops"),
+        (hopf, True, None, "free_loops"),
+        (5, 0, None, "^crossings must be iterable, got 5$"),
+        ((5,), 0, None, "^each crossing must be iterable, got 5$"),
+        (((1, 1, 2, 2),), 0, 3, "^signs must be iterable, got 3$"),
     ):
         with pytest.raises(dg.PDError, match=message):
-            dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), loops, signs)
+            dg.LinkDiagram(crossings, loops, signs)
     # list input is kept as a tuple, so the diagram stays hashable
     listed = dg.LinkDiagram(((3, 2, 4, 1), (4, 1, 3, 2)), 0, [-1, -1])
     assert listed.signs == (-1, -1) and hash(listed) == hash(dg.BUILDERS["hopf_neg"]())
@@ -317,19 +322,26 @@ def test_text_mode_classify_and_verify(tmp_path, capsys):
 
 
 def test_classify_rejects_malformed_products(tmp_path, capsys):
-    # each was a traceback (IndexError, AttributeError) or, for the triple,
-    # silently cut to a pair and classified
+    # each was a traceback (IndexError, AttributeError) or, for the triple
+    # and the numbers standing for booleans, silently read and classified
     good = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
+    noncomm = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0), (0, 0)).to_json()
     short, flat, long = (dict(good) for _ in range(3))
     short["products"] = dict(good["products"], e1e1=[1])
     flat["products"] = [1, 2]
     long["products"] = dict(good["products"], e1e1=[1, 0, 7])
-    for name, data in (("short.json", short), ("flat.json", flat), ("long.json", long)):
+    for name, data, why in (
+        ("short.json", short, "a product must be a pair"),
+        ("flat.json", flat, '"products" must be an object'),
+        ("long.json", long, "a product must be a pair"),
+        ("one.json", dict(good, commutative=1), '"commutative" must be true'),
+        ("zero.json", dict(noncomm, commutative=0), '"commutative" must be true'),
+    ):
         f = tmp_path / name
         f.write_text(json.dumps(data))
         assert main(["classify", str(f)]) == 2, name
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err, name
+        assert err.startswith("error: ") and why in err and "Traceback" not in err, name
 
 
 def test_parser_survives_a_usage_error(capsys):
@@ -469,6 +481,22 @@ def test_a_prime_beyond_the_search_bound_exits_2_at_once(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: exhaustive search runs over F_p with p <= 13, got p = {big}\n")
     assert rank2.MAX_SEARCH_P == 13
+
+
+def test_a_z_box_beyond_the_search_bound_exits_2_at_once():
+    # the box one past the bound would search for over a minute; the refusal
+    # comes before any search, in about the interpreter's start-up time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    bound = rank2.MAX_ZBOUND + 1
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_CALL, "verify", "thm1.2", "--zbound", str(bound)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=5,
+    )
+    want = f"error: the Z box bound must be in 0..{rank2.MAX_ZBOUND}, got {bound}\n"
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (2, b"", want)
+    assert rank2.MAX_ZBOUND == 40
 
 
 def test_usage_errors_exit_2(capsys):
