@@ -69,6 +69,12 @@ class HomologyTable:
         }
 
 
+# The placed kernels of the last algebra built over, one slot that the next
+# algebra replaces: (algebra, {edge shape: (cells, negated cells)}), with
+# algebra = (r, m, merge cells, split cells) after the Q scaling.
+_KERNELS: tuple = (None, {})
+
+
 @_paused()
 def build_complex(
     cube: ResolutionCube, F: FrobeniusData, normalize: bool = False
@@ -95,22 +101,38 @@ def build_complex(
         for kind, cells in local.items():
             den = lcm(*(v.denominator for *_, v in cells))
             local[kind] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
-    kernels: dict[tuple, tuple] = {}  # edge shape -> (its map's cells, negated cells)
+    global _KERNELS
+    algebra = (r, m, *(tuple(cells) for cells in local.values()))
+    if _KERNELS[0] != algebra:
+        _KERNELS = algebra, {}
+    kernels = _KERNELS[1]
+    # every cell value and its negation, sorted: a kernel cell (a, b + N * j)
+    # reads the pair (column b of its source state, values[j]) from `pairs`
+    values = sorted({w for cells in local.values() for *_, v in cells for w in (v, m - v)})
+    vindex = {v: j for j, v in enumerate(values)}
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
         # edges come in s1 order and columns are offset by s1, so each row
         # receives its columns in increasing order, each at most once
         scatter: list[list] = [[] for _ in range(rows)]
+        k0 = None
         for k1, k2, kind, src, dst, sign in edges:
-            key = (count[k1], kind, src, dst)
-            kernel = kernels.get(key)
+            if k1 != k0:  # a new source state: its shared pairs, one int per column
+                k0, N = k1, r ** count[k1]
+                columns = [*range(offset[k1], offset[k1] + N)]
+                pairs = [(c, v) for v in values for c in columns]
+            shape = (count[k1], kind, src, dst)
+            kernel = kernels.get(shape)
             if kernel is None:
                 cells = _place(r, local[kind], count[k1], src, dst)
-                kernel = kernels[key] = cells, [(a, b, m - v) for a, b, v in cells]
-            ro, co = offset[k2], offset[k1]
-            for a, b, v in kernel[sign < 0]:
-                scatter[ro + a].append((co + b, v))
+                kernel = kernels[shape] = (
+                    [(a, b + N * vindex[v]) for a, b, v in cells],
+                    [(a, b + N * vindex[m - v]) for a, b, v in cells],
+                )
+            ro = offset[k2]
+            for a, j in kernel[sign < 0]:
+                scatter[ro + a].append(pairs[j])
         # structure constants are already ring elements: no normalization
         diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled

@@ -303,19 +303,21 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
 def kauffman_bracket(d: LinkDiagram) -> Laurent:
     """State sum over all smoothings: sum of A^(#0 - #1) * delta^(circles - 1)
     with delta = -A^2 - A^(-2).  Direct enumeration of the circle counts,
-    no cube involved: the states are tallied by (A-exponent, circle count),
-    and each distinct pair contributes its multiplicity times one such term."""
+    no cube involved: the states are tallied by circle count, then by
+    A-exponent, and each circle count contributes its row of tallies times
+    one power of delta."""
     if not (d.crossings or d.free_loops):
         raise PDError("empty diagram (no crossings, no loops): its bracket would be delta^-1")
     delta = Laurent.from_dict({2: -1, -2: -1})
     n = d.n_crossings
-    tally: dict[tuple, int] = {}
+    tally: dict[int, dict] = {}  # circle count -> {A-exponent: states}
     for s, (_, count) in zip(itertools.product((0, 1), repeat=n), _states(d)):
-        key = (n - 2 * sum(s), count)
-        tally[key] = tally.get(key, 0) + 1
+        row = tally.setdefault(count, {})
+        e = n - 2 * sum(s)
+        row[e] = row.get(e, 0) + 1
     total = Laurent.zero()
-    for (e, c), k in tally.items():
-        total = total + Laurent.monomial(e, k) * delta ** (c - 1)
+    for c, row in tally.items():
+        total = total + Laurent.from_dict(row) * delta ** (c - 1)
     return total
 
 

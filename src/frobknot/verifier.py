@@ -63,8 +63,8 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
     if (ring is None) == (zbound is None):
         raise ValueError("give exactly one of ring= or zbound=")
     if zbound is not None:
-        if not 0 <= zbound <= rank2.MAX_ZBOUND:
-            raise ValueError(f"the Z box bound must be in 0..{rank2.MAX_ZBOUND}, got {zbound}")
+        if type(zbound) is not int or not 0 <= zbound <= rank2.MAX_ZBOUND:  # not a bool
+            raise ValueError(f"the Z box bound must be in 0..{rank2.MAX_ZBOUND}, got {zbound!r}")
         ring, entries = ZZ, range(-zbound, zbound + 1)
         name = f"thm1.2 over Z box [-{zbound},{zbound}]"
     elif ring.kind != "Fp":

@@ -63,6 +63,10 @@ def test_theorem_1_2_argument_validation():
         vf.verify_theorem_1_2()
     with pytest.raises(ValueError):
         vf.verify_theorem_1_2(ring=F2, zbound=1)
+    # the bound is an int, not a bool, a float or a string
+    for bound in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match="Z box bound"):
+            vf.verify_theorem_1_2(zbound=bound)
 
 
 def test_theorem_1_1_f2():
