@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import Optional
@@ -69,12 +69,6 @@ class HomologyTable:
         }
 
 
-# The placed kernels of the last algebra built over, one slot that the next
-# algebra replaces: (algebra, {edge shape: (cells, negated cells)}), with
-# algebra = (r, m, merge cells, split cells) after the Q scaling.
-_KERNELS: tuple = (None, {})
-
-
 @_paused()
 def build_complex(
     cube: ResolutionCube, F: FrobeniusData, normalize: bool = False
@@ -101,15 +95,17 @@ def build_complex(
         for kind, cells in local.items():
             den = lcm(*(v.denominator for *_, v in cells))
             local[kind] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
-    global _KERNELS
-    algebra = (r, m, *(tuple(cells) for cells in local.values()))
-    if _KERNELS[0] != algebra:
-        _KERNELS = algebra, {}
-    kernels = _KERNELS[1]
-    # every cell value and its negation, sorted: a kernel cell (a, b + N * j)
-    # reads the pair (column b of its source state, values[j]) from `pairs`
-    values = sorted({w for cells in local.values() for *_, v in cells for w in (v, m - v)})
+    kernels: dict[tuple, list] = {}  # edge shape -> its map's cells, as (row, pair index)
+    # A kernel cell (a, b + N * j) reads the pair (column b of its source
+    # state, values[j]).  values lists the cell values v with v < m - v, then
+    # their negations in the same order, then any value equal to its negation
+    # (1 over F_2): negating values[j] moves it h places round the list, so a
+    # negative edge reads `pairs` turned by h blocks of N.
+    cell_values = {w for cells in local.values() for *_, v in cells for w in (v, m - v)}
+    half = sorted(v for v in cell_values if v < m - v)
+    values = half + [m - v for v in half] + [v for v in cell_values if v == m - v]
     vindex = {v: j for j, v in enumerate(values)}
+    h = len(half)
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
@@ -122,17 +118,15 @@ def build_complex(
                 k0, N = k1, r ** count[k1]
                 columns = [*range(offset[k1], offset[k1] + N)]
                 pairs = [(c, v) for v in values for c in columns]
+                negated = pairs[h * N:] + pairs[:h * N]  # the same pairs, values negated
             shape = (count[k1], kind, src, dst)
             kernel = kernels.get(shape)
             if kernel is None:
                 cells = _place(r, local[kind], count[k1], src, dst)
-                kernel = kernels[shape] = (
-                    [(a, b + N * vindex[v]) for a, b, v in cells],
-                    [(a, b + N * vindex[m - v]) for a, b, v in cells],
-                )
-            ro = offset[k2]
-            for a, j in kernel[sign < 0]:
-                scatter[ro + a].append(pairs[j])
+                kernel = kernels[shape] = [(a, b + N * vindex[v]) for a, b, v in cells]
+            ro, read = offset[k2], negated if sign < 0 else pairs
+            for a, j in kernel:
+                scatter[ro + a].append(read[j])
         # structure constants are already ring elements: no normalization
         diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled
@@ -141,15 +135,15 @@ def build_complex(
 
     q_degrees = None
     if normalize and (basis := _grading(r, local)) is not None:
-        blocks: dict[tuple, tuple] = {}  # (degree, circle count) -> one state's q-degrees
+        sums = [[0]]  # sums[c]: the label sums of c circles' basis labellings, first slowest
+        blocks: dict[tuple, list] = {}  # (degree, circle count) -> one state's q-degrees
         degs: list[list] = [[] for _ in range(n + 1)]
         for i, c in zip(degree, count):
             block = blocks.get((i, c))
             if block is None:
-                base = i + d.n_plus - 2 * d.n_minus
-                block = blocks[i, c] = tuple(
-                    base + sum(labels) for labels in itertools.product(basis, repeat=c)
-                )
+                while len(sums) <= c:
+                    sums.append([x + b for x in sums[-1] for b in basis])
+                block = blocks[i, c] = [*map((i + d.n_plus - 2 * d.n_minus).__add__, sums[c])]
             degs[i] += block
         q_degrees = tuple(map(tuple, degs))
 
@@ -191,11 +185,13 @@ def graded_euler_characteristic(C: ChainComplex) -> Laurent:
             "algebra data with unique integer basis degrees under which the "
             "product and the coproduct both have degree -1)"
         )
-    tally: dict[int, int] = {}  # q-degree -> signed generator count
+    tally: Counter = Counter()  # q-degree -> signed generator count
     for idx, degs in enumerate(C.q_degrees):
-        sgn = -1 if (C.shift + idx) % 2 else 1
-        for j in degs:
-            tally[j] = tally.get(j, 0) + sgn
+        counts = Counter(degs)  # counted in C, then signed once per q-degree
+        if (C.shift + idx) % 2:
+            tally.subtract(counts)
+        else:
+            tally.update(counts)
     return Laurent.from_dict(tally)
 
 

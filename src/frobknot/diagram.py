@@ -311,9 +311,9 @@ def kauffman_bracket(d: LinkDiagram) -> Laurent:
     delta = Laurent.from_dict({2: -1, -2: -1})
     n = d.n_crossings
     tally: dict[int, dict] = {}  # circle count -> {A-exponent: states}
-    for s, (_, count) in zip(itertools.product((0, 1), repeat=n), _states(d)):
+    for k, (_, count) in enumerate(_states(d)):  # the bits of k are the state's
         row = tally.setdefault(count, {})
-        e = n - 2 * sum(s)
+        e = n - 2 * k.bit_count()
         row[e] = row.get(e, 0) + 1
     total = Laurent.zero()
     for c, row in tally.items():

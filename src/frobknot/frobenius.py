@@ -289,7 +289,7 @@ def _cells(F: FrobeniusData, kind: str) -> list:
     reads (x, y) and writes s, comult[x][u][w] reads x and writes (u, w)."""
     t, k = (F.mult, 2) if kind == "merge" else (F.comult, 1)
     return [(i[:k], i[k:], v) for i in itertools.product(range(F.rank), repeat=3)
-            if (v := t[i[0]][i[1]][i[2]]) != F.ring.zero]
+            if (v := t[i[0]][i[1]][i[2]])]  # entries are ints or Fractions: nonzero is true
 
 
 def _grading(r: int, local: dict) -> Optional[tuple]:
@@ -324,7 +324,8 @@ def _place(r: int, cells: list, n_in: int, src: tuple, dst: tuple) -> list:
     kept = zip([w for p, w in enumerate(w_out) if p not in dst],
                [w for p, w in enumerate(w_in) if p not in src])
     for a, b in reversed([*kept]):  # from the last factor, so the first ends slowest
-        placed = [(ro + a * x, co + b * x, v) for x in range(r) for ro, co, v in placed]
+        # label 0 of this factor adds nothing: the cells so far are its block
+        placed += [(ro + a * x, co + b * x, v) for x in range(1, r) for ro, co, v in placed]
     return placed
 
 
