@@ -79,9 +79,9 @@ def build_complex(
     if normalize and not d.oriented:
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 
-    # states by position in cube.circles (lexicographic order), as edges name them
-    degree = [sum(s) for s in cube.circles]
-    count = list(map(len, cube.circles.values()))
+    # states by index in lexicographic order, as edges name them: the bits of i are state i's
+    count = cube.counts
+    degree = [*map(int.bit_count, range(len(count)))]
     offset, ranks = [], [0] * (n + 1)
     for i, c in zip(degree, count):
         offset.append(ranks[i])

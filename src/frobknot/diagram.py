@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .laurent import Laurent
@@ -180,35 +181,51 @@ def _union(parent: list, pairs) -> int:
     """Join the circles of each pair; returns how many joins merged two.
 
     parent[x] <= x throughout: a union hangs the larger root under the
-    smaller, so every root is the minimal label of its circle."""
+    smaller, so every root is the minimal label of its circle.  Each find
+    halves its path in one step, ``parent[x] = x = parent[parent[x]]``:
+    the targets are assigned left to right, so parent[x] is set through the
+    old x before x moves on."""
     merged = 0
     for x, y in pairs:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x != y:
-            parent[max(x, y)] = min(x, y)
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+            merged += 1
+        elif y < x:
+            parent[x] = y
             merged += 1
     return merged
 
 
-def _circles(d: LinkDiagram, parent: list) -> tuple:
-    """(circles, where) of a finished union-find array: the circles as
-    ``resolve`` returns them, and the position of each arc label's circle.
-    In label order each parent is already a root, so one pass compresses,
-    and roots first appear in circle order."""
+def _positions(d: LinkDiagram, parent: list) -> list:
+    """The position of each arc label's circle in a finished union-find
+    array, 0 at the unused label 0; compresses parent to roots.  In label
+    order each parent is already a root, so one pass compresses, and roots
+    first appear in circle order, after the crossing-free loops."""
     where = [0] * (d.arc_count + 1)
-    circles = [(-i,) for i in range(d.free_loops, 0, -1)]
+    k = d.free_loops
     for a in range(1, d.arc_count + 1):
         parent[a] = root = parent[parent[a]]
         if root == a:
-            where[a] = len(circles)
+            where[a] = k
+            k += 1
+        else:
+            where[a] = where[root]
+    return where
+
+
+def _circles(d: LinkDiagram, parent: list) -> tuple:
+    """(circles, where) of a finished union-find array: the circles as
+    ``resolve`` returns them, and ``_positions``."""
+    where = _positions(d, parent)
+    circles = [[-i] for i in range(d.free_loops, 0, -1)]
+    for a in range(1, d.arc_count + 1):
+        if (i := where[a]) == len(circles):
             circles.append([a])
         else:
-            where[a] = i = where[root]
             circles[i].append(a)
     return tuple(map(tuple, circles)), where
 
@@ -220,7 +237,6 @@ def _states(d: LinkDiagram):
     that prefix's unions.  The walk goes on down the 0-branch in place and
     leaves a copy, joined at the 1-smoothing, on the stack, so each yielded
     array is the caller's to keep or change."""
-    n = d.n_crossings
     joins = [_smoothings(q) for q in d.crossings]
     stack = [(0, list(range(d.arc_count + 1)), d.arc_count + d.free_loops)]
     while stack:
@@ -250,49 +266,59 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
 @dataclass(frozen=True)
 class ResolutionCube:
     diagram: LinkDiagram
-    circles: dict  # state -> ordered circle tuple, states in lexicographic order
+    counts: tuple  # circle count of each state, states in lexicographic order
     edges: tuple  # of (i, j, kind, src, dst, sign), ordered by (i, j)
+
+    @cached_property
+    def circles(self) -> dict:
+        """State -> ordered circle tuple, states in lexicographic order, as
+        ``resolve`` gives them; one more walk, on first read."""
+        d = self.diagram
+        states = itertools.product((0, 1), repeat=d.n_crossings)
+        return {s: _circles(d, parent)[0] for s, (parent, _) in zip(states, _states(d))}
 
 
 def build_cube(d: LinkDiagram) -> ResolutionCube:
-    """Resolve every state in one walk and classify each edge at the
-    crossing it flips: a merge when the circles of a and c differ in s1,
-    else a split when those of a and b differ in s2; no planar diagram has
-    a third case.
+    """Resolve every state in one walk, keeping its circle count and the
+    position of each arc's circle, and classify each edge at the crossing it
+    flips: a merge when the circles of a and c differ in s1, else a split
+    when those of a and b differ in s2; no planar diagram has a third case.
 
-    An edge s1 -> s2 raises one bit; i and j are the positions of s1 and s2
-    in ``circles``.  A merge takes src positions (x, y) of s1's circles to
-    dst (z,) of s2's, a split (z,) to (x, y); untouched circles keep their
-    arc sets.  sign is (-1)^(number of 1-bits of s1 before the raised bit)."""
+    An edge s1 -> s2 raises one bit; i and j are the indices of s1 and s2
+    in lexicographic state order, so the bits of i are the state's.  A merge
+    takes src positions (x, y) of s1's circles to dst (z,) of s2's, a split
+    (z,) to (x, y); untouched circles keep their arc sets.  sign is
+    (-1)^(number of 1-bits of s1 before the raised bit)."""
     n = d.n_crossings
-    states = list(itertools.product((0, 1), repeat=n))
-    circles, where = {}, []  # where[i]: position of each arc's circle in states[i]
-    for s, (parent, _) in zip(states, _states(d)):
-        circles[s], w = _circles(d, parent)
-        where.append(w)
+    counts, where = [], []  # where[i]: position of each arc's circle in state i
+    for parent, count in _states(d):
+        counts.append(count)
+        where.append(_positions(d, parent))
+    # last crossing first: s2 rises as the raised bit moves left
+    plan = [(pos, 1 << (n - 1 - pos), a, b, c) for pos, (a, b, c, _) in enumerate(d.crossings)][::-1]
+    top = d.arc_count + d.free_loops  # bounds every circle position
+    one = [(x,) for x in range(top)]  # src and dst tuples, one object per value
+    two = [[(x, y) if x < y else (y, x) for y in range(top)] for x in range(top)]
     edges = []
-    for i, s1 in enumerate(states):
-        w1 = where[i]
-        ones = sum(s1)  # 1-bits of s1 before pos, as pos falls
-        for pos in reversed(range(n)):  # s2 rises as the raised bit moves left
-            if s1[pos]:
-                ones -= 1
+    for i, w1 in enumerate(where):
+        sign = -1 if i.bit_count() % 2 else 1  # over the 1-bits of i before pos, as pos falls
+        for pos, bit, a, b, c in plan:
+            if i & bit:
+                sign = -sign
                 continue
-            j = i + (1 << (n - 1 - pos))
-            w2 = where[j]
-            a, b, c, dd = d.crossings[pos]
+            w2 = where[j := i + bit]
             x, y = w1[a], w1[c]
             if x != y:
-                kind, src, dst = "merge", (x, y) if x < y else (y, x), (w2[a],)
+                edges.append((i, j, "merge", two[x][y], one[w2[a]], sign))
             elif (x := w2[a]) != (y := w2[b]):
-                kind, src, dst = "split", (w1[a],), (x, y) if x < y else (y, x)
+                edges.append((i, j, "split", one[w1[a]], two[x][y], sign))
             else:
+                a, b, c, dd = d.crossings[pos]
                 raise PDError(
                     f"crossing {pos + 1} (X {a} {b} {c} {dd}) keeps one circle when "
                     "its smoothing flips; the PD code is not planar"
                 )
-            edges.append((i, j, kind, src, dst, -1 if ones % 2 else 1))
-    return ResolutionCube(d, circles, tuple(edges))
+    return ResolutionCube(d, tuple(counts), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

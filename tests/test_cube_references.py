@@ -259,6 +259,64 @@ def test_state_walk_matches_graph_walk():
             assert dg._circles(d, parent) == (circles, where_of(d, circles)), (d, s)
 
 
+def test_engine_reads_counts_and_circles_come_on_demand():
+    # build_complex reads circle counts only; the circle tuples are made on
+    # first read of cube.circles, and match the graph walk state by state
+    for d in diagrams() + eight_crossing_closures():
+        cube = dg.build_cube(d)
+        cx.build_complex(cube, fr.a5(0, 0), d.oriented)
+        assert "circles" not in vars(cube), d
+        assert cube.counts == tuple(map(len, cube.circles.values())), d
+        states = list(itertools.product((0, 1), repeat=d.n_crossings))
+        assert list(cube.circles) == states, d
+        for s in states:
+            assert cube.circles[s] == components(d, s), (d, s)
+
+
+def classes_by_search(n, pairs):
+    """The classes of labels 0..n-1 joined by the pairs, by breadth-first
+    search, as a set of frozensets."""
+    adj = {x: [] for x in range(n)}
+    for x, y in pairs:
+        adj[x].append(y)
+        adj[y].append(x)
+    seen, out = set(), set()
+    for start in adj:
+        if start not in seen:
+            seen.add(start)
+            comp, queue = {start}, deque([start])
+            while queue:
+                for y in adj[queue.popleft()]:
+                    if y not in seen:
+                        seen.add(y)
+                        comp.add(y)
+                        queue.append(y)
+            out.add(frozenset(comp))
+    return out
+
+
+def test_union_keeps_roots_minimal_and_counts_merges():
+    rng = random.Random(39)
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        parent, so_far = list(range(n)), []
+        classes = classes_by_search(n, so_far)
+        for _ in range(rng.randint(1, 8)):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
+            merged = dg._union(parent, pairs)
+            so_far += pairs
+            before, classes = classes, classes_by_search(n, so_far)
+            assert all(parent[x] <= x for x in range(n)), (parent, so_far)
+            roots = {}
+            for x in range(n):
+                r = x
+                while parent[r] != r:
+                    r = parent[r]
+                roots.setdefault(r, set()).add(x)
+            assert set(map(frozenset, roots.values())) == classes, (parent, so_far)
+            assert merged == len(before) - len(classes), (parent, so_far)
+
+
 def test_cube_edges_match_set_differences():
     for d in diagrams():
         cube = dg.build_cube(d)
