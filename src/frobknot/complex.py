@@ -2,10 +2,10 @@
 
 Degree i collects the states with i raised bits (lexicographic state order
 inside a degree); each state contributes the tensor power of the algebra
-indexed by its circles, ordered by minimal arc label.  Edge blocks apply the
-product (merge) or coproduct (split) at the touched tensor positions, placed
-by ``frobenius._place``, with the alternating sign (-1)^(number of 1-bits
-before the flipped position).
+indexed by its circles, ordered by minimal arc label.  An edge reading two
+circles (a merge) applies the product, one reading one (a split) the
+coproduct, at the touched tensor positions, placed by ``frobenius._place``,
+with the sign (-1)^(number of 1-bits before the flipped position).
 
 Over Q each merge is scaled by a and each split by b, the least common
 denominators of the product and of the coproduct.  Every path from the
@@ -23,7 +23,7 @@ from math import lcm
 from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, build_cube, normalized_bracket
-from .frobenius import FrobeniusData, _cells, _grading, _place
+from .frobenius import FrobeniusData, _cells, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
 from .rings import QQ, RingSpec
@@ -90,11 +90,11 @@ def build_complex(
     edges_by_degree: list[list] = [[] for _ in range(n)]
     for e in cube.edges:
         edges_by_degree[degree[e[0]]].append(e)
-    local = {kind: _cells(F, kind) for kind in ("merge", "split")}
+    local = {legs: _cells(F, legs) for legs in (1, 2)}  # by input legs: coproduct, product
     if R == QQ:  # integer cells, an isomorphic complex (see the module docstring)
-        for kind, cells in local.items():
+        for legs, cells in local.items():
             den = lcm(*(v.denominator for *_, v in cells))
-            local[kind] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
+            local[legs] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
     kernels: dict[tuple, list] = {}  # edge shape -> its map's cells, as (row, pair index)
     # A kernel cell (a, b + N * j) reads the pair (column b of its source
     # state, values[j]).  values lists the cell values v with v < m - v, then
@@ -113,18 +113,19 @@ def build_complex(
         # receives its columns in increasing order, each at most once
         scatter: list[list] = [[] for _ in range(rows)]
         k0 = None
-        for k1, k2, kind, src, dst, sign in edges:
+        for k1, k2, src, dst in edges:
             if k1 != k0:  # a new source state: its shared pairs, one int per column
                 k0, N = k1, r ** count[k1]
                 columns = [*range(offset[k1], offset[k1] + N)]
                 pairs = [(c, v) for v in values for c in columns]
                 negated = pairs[h * N:] + pairs[:h * N]  # the same pairs, values negated
-            shape = (count[k1], kind, src, dst)
+            shape = (count[k1], src, dst)
             kernel = kernels.get(shape)
             if kernel is None:
-                cells = _place(r, local[kind], count[k1], src, dst)
+                cells = _place(r, local[len(src)], count[k1], src, dst)
                 kernel = kernels[shape] = [(a, b + N * vindex[v]) for a, b, v in cells]
-            ro, read = offset[k2], negated if sign < 0 else pairs
+            # negative when k1 has an odd number of 1-bits above the raised bit k2 - k1
+            ro, read = offset[k2], negated if (k1 >> (k2 - k1).bit_length()).bit_count() & 1 else pairs
             for a, j in kernel:
                 scatter[ro + a].append(read[j])
         # structure constants are already ring elements: no normalization
@@ -134,7 +135,7 @@ def build_complex(
     shift = -d.n_minus if normalize else 0
 
     q_degrees = None
-    if normalize and (basis := _grading(r, local)) is not None:
+    if normalize and (basis := F.grading) is not None:
         sums = [[0]]  # sums[c]: the label sums of c circles' basis labellings, first slowest
         blocks: dict[tuple, list] = {}  # (degree, circle count) -> one state's q-degrees
         degs: list[list] = [[] for _ in range(n + 1)]

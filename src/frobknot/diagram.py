@@ -267,7 +267,7 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
 class ResolutionCube:
     diagram: LinkDiagram
     counts: tuple  # circle count of each state, states in lexicographic order
-    edges: tuple  # of (i, j, kind, src, dst, sign), ordered by (i, j)
+    edges: tuple  # of (i, j, src, dst), ordered by (i, j)
 
     @cached_property
     def circles(self) -> dict:
@@ -280,15 +280,15 @@ class ResolutionCube:
 
 def build_cube(d: LinkDiagram) -> ResolutionCube:
     """Resolve every state in one walk, keeping its circle count and the
-    position of each arc's circle, and classify each edge at the crossing it
+    position of each arc's circle, and read each edge at the crossing it
     flips: a merge when the circles of a and c differ in s1, else a split
     when those of a and b differ in s2; no planar diagram has a third case.
 
     An edge s1 -> s2 raises one bit; i and j are the indices of s1 and s2
     in lexicographic state order, so the bits of i are the state's.  A merge
     takes src positions (x, y) of s1's circles to dst (z,) of s2's, a split
-    (z,) to (x, y); untouched circles keep their arc sets.  sign is
-    (-1)^(number of 1-bits of s1 before the raised bit)."""
+    (z,) to (x, y); untouched circles keep their arc sets.  len(src) names
+    the map, and i and j the sign (see ``complex``)."""
     n = d.n_crossings
     counts, where = [], []  # where[i]: position of each arc's circle in state i
     for parent, count in _states(d):
@@ -301,17 +301,15 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
     two = [[(x, y) if x < y else (y, x) for y in range(top)] for x in range(top)]
     edges = []
     for i, w1 in enumerate(where):
-        sign = -1 if i.bit_count() % 2 else 1  # over the 1-bits of i before pos, as pos falls
         for pos, bit, a, b, c in plan:
             if i & bit:
-                sign = -sign
                 continue
             w2 = where[j := i + bit]
             x, y = w1[a], w1[c]
             if x != y:
-                edges.append((i, j, "merge", two[x][y], one[w2[a]], sign))
+                edges.append((i, j, two[x][y], one[w2[a]]))
             elif (x := w2[a]) != (y := w2[b]):
-                edges.append((i, j, "split", one[w1[a]], two[x][y], sign))
+                edges.append((i, j, one[w1[a]], two[x][y]))
             else:
                 a, b, c, dd = d.crossings[pos]
                 raise PDError(

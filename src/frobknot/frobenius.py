@@ -59,6 +59,10 @@ class FrobeniusData:
     def counit(self) -> Optional[tuple]:
         return _unit(self.ring, _transpose(self.comult))
 
+    @cached_property
+    def grading(self) -> Optional[tuple]:  # the quantum grading's basis degrees
+        return _grading(self)
+
     # -- elementwise operations -------------------------------------------
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
@@ -283,23 +287,24 @@ def dualize(F: FrobeniusData) -> FrobeniusData:
 # ---------------------------------------------------------------------------
 
 
-def _cells(F: FrobeniusData, kind: str) -> list:
-    """The nonzero structure constants of the product (kind "merge") or of
-    the coproduct ("split"), as (input bits, output bits, value): mult[x][y][s]
+def _cells(F: FrobeniusData, legs: int) -> list:
+    """The nonzero structure constants of the product (legs 2) or of the
+    coproduct (1), as (input bits, output bits, value): mult[x][y][s]
     reads (x, y) and writes s, comult[x][u][w] reads x and writes (u, w)."""
-    t, k = (F.mult, 2) if kind == "merge" else (F.comult, 1)
-    return [(i[:k], i[k:], v) for i in itertools.product(range(F.rank), repeat=3)
+    t = F.mult if legs == 2 else F.comult
+    return [(i[:legs], i[legs:], v) for i in itertools.product(range(F.rank), repeat=3)
             if (v := t[i[0]][i[1]][i[2]])]  # entries are ints or Fractions: nonzero is true
 
 
-def _grading(r: int, local: dict) -> Optional[tuple]:
-    """Integer degrees of the r basis elements under which every cell of
-    ``local`` (kind -> ``_cells``) has degree -1: its output bits' degrees
-    sum to its input bits' sum minus 1, so the product and the coproduct
-    both lower the degree by 1.  The unique solution, or None when there is
-    none or more than one."""
+def _grading(F: FrobeniusData) -> Optional[tuple]:
+    """Integer degrees of the basis elements under which every one of the
+    ``_cells`` of F has degree -1: its output bits' degrees sum to its input
+    bits' sum minus 1, so the product and the coproduct both lower the
+    degree by 1.  The unique solution, or None when there is none or more
+    than one."""
+    r = F.rank
     eqs = {(*(out.count(b) - inp.count(b) for b in range(r)), -1)
-           for cells in local.values() for inp, out, _ in cells}
+           for inp, out, _ in _cells(F, 2) + _cells(F, 1)}
     try:
         sol = _solve(ZZ, list(map(list, sorted(eqs))), r)
     except ValueError:  # a kernel: the degrees are not unique
@@ -329,22 +334,18 @@ def _place(r: int, cells: list, n_in: int, src: tuple, dst: tuple) -> list:
     return placed
 
 
-def generator_map(F: FrobeniusData, n_in: int, kind: str, src: tuple, dst: tuple) -> ExactMatrix:
+def generator_map(F: FrobeniusData, n_in: int, src: tuple, dst: tuple) -> ExactMatrix:
     """Matrix of the map A^(x)n_in -> A^(x)n_out of a cube edge's shape: the
-    product (kind "merge") reads the 0-based input positions src = (i, j)
-    and writes output position dst = (k,), the coproduct ("split") reads
-    src = (k,) and writes its first factor at dst[0], its second at dst[1];
-    the identity acts on the other factors, in order, and
-    n_out = n_in - len(src) + len(dst)."""
-    if kind not in ("merge", "split"):
-        raise ValueError(f"unknown generator {kind!r}")
+    product reads two 0-based input positions src = (i, j) and writes output
+    position dst = (k,), the coproduct reads src = (k,) and writes its first
+    factor at dst[0], its second at dst[1]; the identity acts on the other
+    factors, in order, and n_out = n_in - len(src) + len(dst)."""
     R, r, n_out = F.ring, F.rank, n_in - len(src) + len(dst)
-    distinct = lambda ps, n: len(set(ps)) == len(ps) and all(0 <= p < n for p in ps)
-    legs = (2, 1) if kind == "merge" else (1, 2)
-    if (len(src), len(dst)) != legs or not (distinct(src, n_in) and distinct(dst, n_out)):
-        raise ValueError(f"invalid {kind} positions")
+    valid = lambda ps, n: len(set(ps)) == len(ps) and all(type(p) is int and 0 <= p < n for p in ps)
+    if {len(src), len(dst)} != {1, 2} or not (valid(src, n_in) and valid(dst, n_out)):
+        raise ValueError("a generator reads 2 distinct positions into 1 or 1 into 2, each in range")
     rows: list[list] = [[] for _ in range(r**n_out)]
-    for a, b, v in _place(r, _cells(F, kind), n_in, src, dst):
+    for a, b, v in _place(r, _cells(F, len(src)), n_in, src, dst):
         rows[a].append((b, v))
     return ExactMatrix(R, r**n_out, r**n_in, tuple(map(tuple, rows)))
 
@@ -354,16 +355,16 @@ def verify_n2cob_relations(F: FrobeniusData) -> dict:
     composing generator matrices, independently of check_axioms.  The swap
     is no generator: (co)commutativity compares a merge reading (1, 0) with
     one reading (0, 1), and a split writing (1, 0) with one writing (0, 1)."""
-    m, d = generator_map(F, 2, "merge", (0, 1), (0,)), generator_map(F, 1, "split", (0,), (0, 1))
-    m_id = generator_map(F, 3, "merge", (0, 1), (0,))  # m (x) 1
-    id_m = generator_map(F, 3, "merge", (1, 2), (1,))  # 1 (x) m
-    d_id = generator_map(F, 2, "split", (0,), (0, 1))  # Delta (x) 1
-    id_d = generator_map(F, 2, "split", (1,), (1, 2))  # 1 (x) Delta
+    m, d = generator_map(F, 2, (0, 1), (0,)), generator_map(F, 1, (0,), (0, 1))
+    m_id = generator_map(F, 3, (0, 1), (0,))  # m (x) 1
+    id_m = generator_map(F, 3, (1, 2), (1,))  # 1 (x) m
+    d_id = generator_map(F, 2, (0,), (0, 1))  # Delta (x) 1
+    id_d = generator_map(F, 2, (1,), (1, 2))  # 1 (x) Delta
     # sparse rows hold only nonzeros, in column order: equal matrices are equal
     return {
         "associative": m @ m_id == m @ id_m,
-        "commutative": generator_map(F, 2, "merge", (1, 0), (0,)) == m,
+        "commutative": generator_map(F, 2, (1, 0), (0,)) == m,
         "coassociative": d_id @ d == id_d @ d,
-        "cocommutative": generator_map(F, 1, "split", (0,), (1, 0)) == d,
+        "cocommutative": generator_map(F, 1, (0,), (1, 0)) == d,
         "frobenius": d @ m == m_id @ id_d == id_m @ d_id,
     }

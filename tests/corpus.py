@@ -9,7 +9,11 @@ of each closure, and ``check-algebra --json`` and ``relations --json`` of
 the algebra files the CI smoke step writes, with declared-identity variants.
 A larger tier of 4 seeded closures (2-4 strands, 7-8 letters, so cubes of
 128 or 256 states) runs ``homology --normalize --json`` over Z and F_2
-with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.
+with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.  The rank-2
+commands are ``verify --json`` of every target at its defaults, at ``--p 5``
+where it takes a prime and at ``--zbound 1`` where it takes a Z box, and
+``classify --json`` of every associative commutative F_3 table and of 8
+seeded ones each over F_5 and F_7 (five of the F_5 ones are gaps, exit 1).
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -23,12 +27,15 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import random
 import tempfile
 from pathlib import Path
 
+from frobknot import rank2
 from frobknot.cli import main
+from frobknot.rings import GF
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
 
@@ -72,6 +79,9 @@ ALGEBRAS = {
 
 RINGS = ("Z", "Q", "Fp:2", "Fp:3")
 
+VERIFY = [[t] for t in ("thm1.1", "thm1.2", "prop3.4", "char2", "noncomm")]
+VERIFY += [[t, "--p", "5"] for t in ("thm1.1", "thm1.2", "prop3.4", "noncomm")] + [["thm1.2", "--zbound", "1"]]
+
 
 def closures(seed=12, count=64, letters=(1, 6)) -> list:
     """count distinct seeded (strands, word) pairs, with a letter count in
@@ -86,6 +96,26 @@ def closures(seed=12, count=64, letters=(1, 6)) -> list:
     return list(seen)
 
 
+def _associative(p: int, e: tuple) -> bool:
+    return rank2.is_associative(rank2.MultTable(GF(p), e[:2], e[2:4], e[4:]))
+
+
+def tables(seed=40, count=8) -> list:
+    """(p, the entries of e1e1, e1e2 and e2e2) of every associative
+    commutative F_3 table, in lexicographic order, then of count distinct
+    seeded draws of such tables over F_5 and over F_7."""
+    out = [(3, e) for e in itertools.product(range(3), repeat=6) if _associative(3, e)]
+    rng = random.Random(seed)
+    for p in (5, 7):
+        drawn: dict = {}
+        while len(drawn) < count:
+            e = tuple(rng.randrange(p) for _ in range(6))
+            if _associative(p, e):
+                drawn.setdefault(e, None)
+        out += [(p, e) for e in drawn]
+    return out
+
+
 def _pd(d: Path, strands: int, word: tuple) -> Path:
     pd = d / f"s{strands}w{','.join(map(str, word))}.pd"
     pd.write_text(braid.closure_pd(word, strands))
@@ -98,6 +128,13 @@ def _commands(d: Path):
         (d / name).write_text(json.dumps(data))
         for cmd in ("check-algebra", "relations"):
             yield [cmd, str(d / name), "--json"]
+    for args in VERIFY:
+        yield ["verify", *args, "--json"]
+    for p, e in tables():
+        f = d / f"f{p}_{''.join(map(str, e))}.json"
+        f.write_text(json.dumps({"ring": {"kind": "Fp", "p": p},
+                                 "products": {"e1e1": e[:2], "e1e2": e[2:4], "e2e2": e[4:]}}))
+        yield ["classify", str(f), "--json"]
     scaled = ["--algebra", str(d / "scaled.json")]
     for strands, word in closures():
         pd = _pd(d, strands, word)

@@ -165,6 +165,19 @@ def test_q_grading_requires_normalization():
     assert c.q_degrees is None
 
 
+def test_grading_is_solved_once_per_algebra(monkeypatch):
+    # the algebra keeps its grading: a second build over it solves nothing,
+    # and a new algebra with the same tensors solves it again
+    solved = []
+    monkeypatch.setattr(fr, "_grading", lambda *a: solved.append(a) or (1, -1))
+    cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
+    F = fr.a5(0, 0)
+    C1, C2 = (cx.build_complex(cube, F, normalize=True) for _ in range(2))
+    assert len(solved) == 1 and C1.q_degrees == C2.q_degrees is not None
+    cx.build_complex(cube, fr.a5(0, 0), normalize=True)
+    assert len(solved) == 2
+
+
 # --- homology over fields vs Z ------------------------------------------------------
 
 

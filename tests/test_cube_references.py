@@ -113,8 +113,9 @@ def where_of(d, circles):
 
 
 def edges_by_set_difference(cube):
-    """(s1, s2, kind, src, dst) of every edge, sorted: the circles of s1
-    missing from s2 are the source, those of s2 missing from s1 the target."""
+    """(s1, s2, src, dst) of every edge, sorted: the circles of s1 missing
+    from s2 are the source, those of s2 missing from s1 the target, two and
+    one for a merge, one and two for a split."""
     n = cube.diagram.n_crossings
     edges = []
     for s1, c1 in cube.circles.items():
@@ -125,8 +126,8 @@ def edges_by_set_difference(cube):
             c2 = cube.circles[s2]
             gone = tuple(i for i, c in enumerate(c1) if c not in c2)
             new = tuple(j for j, c in enumerate(c2) if c not in c1)
-            kind = {(2, 1): "merge", (1, 2): "split"}[len(gone), len(new)]
-            edges.append((s1, s2, kind, gone, new))
+            assert (len(gone), len(new)) in ((2, 1), (1, 2)), (s1, s2)
+            edges.append((s1, s2, gone, new))
     return sorted(edges)
 
 
@@ -197,7 +198,7 @@ def complex_from_labellings(cube, F, normalize):
     states, diffs = list(cube.circles), []
     for i in range(n):
         scatter = [{} for _ in range(ranks[i + 1])]
-        for k1, k2, kind, src, dst, _ in cube.edges:
+        for k1, k2, src, dst in cube.edges:
             s1, s2 = states[k1], states[k2]
             if sum(s1) != i:
                 continue
@@ -208,7 +209,7 @@ def complex_from_labellings(cube, F, normalize):
             negate = sum(s1[:pos]) % 2
             for labels, col in index[s1].items():
                 x = [labels[p] for p in src]
-                if kind == "merge":
+                if len(src) == 2:
                     terms = [((s,), F.mult[x[0]][x[1]][s]) for s in range(r)]
                 else:
                     terms = [((a, b), F.comult[x[0]][a][b]) for a in range(r) for b in range(r)]
@@ -321,8 +322,19 @@ def test_cube_edges_match_set_differences():
     for d in diagrams():
         cube = dg.build_cube(d)
         states = list(cube.circles)
-        edges = [(states[i], states[j], kind, src, dst) for i, j, kind, src, dst, _ in cube.edges]
+        edges = [(states[i], states[j], src, dst) for i, j, src, dst in cube.edges]
         assert edges == edges_by_set_difference(cube), d
+
+
+def test_edge_arity_follows_circle_counts():
+    # a merge reads two circles and writes one, a split reads one and
+    # writes two, so the edge's shape alone names its map
+    for d in diagrams():
+        cube = dg.build_cube(d)
+        for i, j, src, dst in cube.edges:
+            shape, change = (len(src), len(dst)), cube.counts[j] - cube.counts[i]
+            assert (shape == (2, 1)) == (change == -1), (d, i, j)
+            assert (shape == (1, 2)) == (change == 1), (d, i, j)
 
 
 def test_bracket_matches_per_monomial_sum():
@@ -392,16 +404,12 @@ def tripled(R):
     return fr.FrobeniusData(R, 2, F.mult, [[[3 * x for x in row] for row in a] for a in F.comult])
 
 
-def grading(F):
-    return fr._grading(F.rank, {kind: fr._cells(F, kind) for kind in ("merge", "split")})
-
-
 def test_unit_free_data_get_khovanovs_grading():
     # the scaled and tripled data have a5(0, 0)'s degrees, so the same
     # graded ranks, Euler characteristic and q-degrees
     graded = [scaled(ZZ), scaled(QQ), scaled(GF(5)), tripled(ZZ)]
     for F in graded:
-        assert grading(F) == sympy_grading(F) == (1, -1), F
+        assert F.grading == sympy_grading(F) == (1, -1), F
     for d in [build() for build in dg.BUILDERS.values()] + random_closures(count=20):
         if not d.oriented:
             continue
@@ -434,7 +442,7 @@ def test_graded_euler_characteristic_is_the_state_sum_on_three_degrees():
         diagrams.append(closure(word, strands))
     for R in (ZZ, QQ, GF(2), GF(3)):
         F = truncated(R)
-        assert all(fr.check_axioms(F).values()) and grading(F) == (1, 0, -1), R
+        assert all(fr.check_axioms(F).values()) and F.grading == (1, 0, -1), R
         for A, circle in ((F, q(1) + q(0) + q(-1)), (fr.a5(0, 0, R), q(1) + q(-1))):
             for d in diagrams:
                 want = Laurent.zero()
@@ -456,7 +464,7 @@ def test_data_without_unique_degrees_get_no_grading():
         ungraded += [fr.a5(1, 1, R), fr.a5(1, -1, R), rank3(R)]
     cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
     for F in ungraded:
-        assert grading(F) is None and sympy_grading(F) is None, F
+        assert F.grading is None and sympy_grading(F) is None, F
         C = cx.build_complex(cube, F, True)
         assert C.q_degrees is None
         with pytest.raises(ValueError, match="no quantum grading"):
@@ -478,8 +486,8 @@ def test_scaled_complex_is_the_rescaled_a5_complex():
             states = list(cube.circles)
             scale = {(0,) * d.n_crossings: 1}
             for e in sorted(cube.edges, key=lambda e: sum(states[e[0]])):
-                i, j, kind = e[:3]
-                factor = scale[states[i]] * (2 if kind == "merge" else 3)
+                i, j, src, _ = e
+                factor = scale[states[i]] * (2 if len(src) == 2 else 3)
                 assert scale.setdefault(states[j], factor) == factor, (word, e)
             by_degree = [[] for _ in range(d.n_crossings + 1)]
             for s in sorted(cube.circles):

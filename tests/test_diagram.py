@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from frobknot import complex as cx
 from frobknot import diagram as dg
+from frobknot import frobenius as fr
 from frobknot.laurent import Laurent
 
 _spec = importlib.util.spec_from_file_location(
@@ -145,16 +147,35 @@ def test_resolve_includes_free_loops():
 
 def test_cube_edge_kinds_hopf():
     cube = dg.build_cube(dg.BUILDERS["hopf_pos"]())
-    kinds = sorted(kind for _, _, kind, *_ in cube.edges)
-    # 2 circles -> 1 (merge) twice, then 1 -> 2 (split) twice
-    assert kinds == ["merge", "merge", "split", "split"]
+    shapes = sorted((len(src), len(dst)) for _, _, src, dst in cube.edges)
+    # 1 circle -> 2 (split) twice, then 2 circles -> 1 (merge) twice
+    assert shapes == [(1, 2), (1, 2), (2, 1), (2, 1)]
+
+
+def block_signs(cube):
+    """The sign of each edge's block in the a5(0, 0) complex over Z, keyed
+    by the edge's two states: the block, read off the rows of the target
+    state and the columns of the source state, is plus or minus the
+    generator map of the edge's shape."""
+    F, states = fr.a5(0, 0), list(cube.circles)
+    C = cx.build_complex(cube, F)
+    offset, filled = [], [0] * (len(states[0]) + 1)  # a state's first row in its degree
+    for s, c in zip(states, cube.counts):
+        offset.append(filled[sum(s)])
+        filled[sum(s)] += 2**c
+    sign = {}
+    for i, j, src, dst in cube.edges:
+        m, co = fr.generator_map(F, cube.counts[i], src, dst), offset[i]
+        rows = C.diffs[sum(states[i])].nz[offset[j] : offset[j] + m.rows]
+        block = tuple(tuple((c - co, v) for c, v in row if co <= c < co + m.cols) for row in rows)
+        negated = tuple(tuple((c, -v) for c, v in row) for row in m.nz)
+        sign[states[i], states[j]] = {m.nz: 1, negated: -1}[block]
+    return sign
 
 
 def test_edge_signs():
-    # (-1)^(number of 1-bits before the raised position)
-    cube = dg.build_cube(dg.BUILDERS["trefoil_left"]())
-    states = list(cube.circles)
-    sign = {(states[i], states[j]): sgn for i, j, *_, sgn in cube.edges}
+    # (-1)^(number of 1-bits before the raised position), on the blocks
+    sign = block_signs(dg.build_cube(dg.BUILDERS["trefoil_left"]()))
     assert sign[(0, 0, 0), (0, 1, 0)] == 1
     assert sign[(1, 0, 0), (1, 1, 0)] == -1
     assert sign[(1, 0, 1), (1, 1, 1)] == -1
@@ -162,16 +183,14 @@ def test_edge_signs():
 
 
 def test_cube_squares_anticommute_after_signs():
-    # over every builder, the four edge signs around each 2-face multiply
+    # over every builder, the four block signs around each 2-face multiply
     # to -1, which is what makes the signed differential square to zero
     for name, build in dg.BUILDERS.items():
         d = build()
         n = d.n_crossings
         if n < 2:
             continue
-        cube = dg.build_cube(d)
-        states = list(cube.circles)
-        sign = {(states[i], states[j]): sgn for i, j, *_, sgn in cube.edges}
+        sign = block_signs(dg.build_cube(d))
         for s in itertools.product((0, 1), repeat=n):
             for i, j in itertools.combinations(range(n), 2):
                 if s[i] or s[j]:

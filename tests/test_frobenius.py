@@ -281,19 +281,19 @@ def test_perturbed_coproduct_breaks_relations():
 
 def test_generator_map_shapes_and_values(mat_vec):
     F = fr.a5(0, 0)
-    m = fr.generator_map(F, 2, "merge", (0, 1), (0,))
+    m = fr.generator_map(F, 2, (0, 1), (0,))
     assert (m.rows, m.cols) == (2, 4)
     # column ordering: first tensor factor slowest; x(x)x -> 0 at h=t=0
     xx = [0, 0, 0, 1]
     assert mat_vec(m, xx) == [0, 0]
-    d = fr.generator_map(F, 1, "split", (0,), (0, 1))
+    d = fr.generator_map(F, 1, (0,), (0, 1))
     assert (d.rows, d.cols) == (4, 2)
 
 
 def test_generator_map_permutation(mat_vec):
     # the merge reading (1, 0) sends e_a (x) e_b to e_b * e_a
     F = fr.a5(1, 1)
-    m = fr.generator_map(F, 2, "merge", (1, 0), (0,))
+    m = fr.generator_map(F, 2, (1, 0), (0,))
     for a, b in itertools.product(range(2), repeat=2):
         v = [int(k == 2 * a + b) for k in range(4)]
         assert mat_vec(m, v) == [F.mult[b][a][k] for k in range(2)]
@@ -303,10 +303,10 @@ def test_generator_map_permutation(mat_vec):
 def test_merge_then_split_equals_split_then_merge():
     # (m (x) id) . (id (x) d) = d . m as maps A^2 -> A^2, for several algebras
     for F in (fr.a5(0, 0), fr.a5(1, 1, F3), fr.a4_evaluate((1, 1, 1, 1, 1, 1))):
-        m = fr.generator_map(F, 2, "merge", (0, 1), (0,))
-        d = fr.generator_map(F, 1, "split", (0,), (0, 1))
-        d_in_pos2 = fr.generator_map(F, 2, "split", (1,), (1, 2))
-        m_in_pos1 = fr.generator_map(F, 3, "merge", (0, 1), (0,))
+        m = fr.generator_map(F, 2, (0, 1), (0,))
+        d = fr.generator_map(F, 1, (0,), (0, 1))
+        d_in_pos2 = fr.generator_map(F, 2, (1,), (1, 2))
+        m_in_pos1 = fr.generator_map(F, 3, (0, 1), (0,))
         assert m_in_pos1 @ d_in_pos2 == d @ m
 
 
@@ -361,7 +361,7 @@ def structure_tensors(draw, rings=(ZZ, QQ, F2, F3)):
     return fr.FrobeniusData(R, r, mult, comult)
 
 
-def generator_by_labellings(F, n_in, kind, src, dst):
+def generator_by_labellings(F, n_in, src, dst):
     """Rows of a generator map from basis labellings: each input labelling
     goes to the output labellings that carry the other factors in order and
     the generator's terms at its positions."""
@@ -371,7 +371,7 @@ def generator_by_labellings(F, n_in, kind, src, dst):
     rows = [{} for _ in row_of]
     for col, labels in enumerate(itertools.product(range(r), repeat=n_in)):
         rest = [b for q, b in enumerate(labels) if q not in src]
-        if kind == "merge":
+        if len(src) == 2:
             x, y = (labels[q] for q in src)
             terms = [((s,), F.mult[x][y][s]) for s in range(r)]
         else:
@@ -388,13 +388,13 @@ def generator_by_labellings(F, n_in, kind, src, dst):
 
 
 def generators(n_max=4):
-    """(n_in, kind, src, dst) for every valid generator on at most n_max
-    factors: every ordered choice of positions, reversed ones included."""
+    """(n_in, src, dst) for every valid generator on at most n_max factors:
+    every ordered choice of positions, reversed ones included."""
     out = []
     for n in range(2, n_max + 1):
         for pair in itertools.permutations(range(n), 2):
-            out += [(n, "merge", pair, (k,)) for k in range(n - 1)]
-            out += [(n - 1, "split", (k,), pair) for k in range(n - 1)]
+            out += [(n, pair, (k,)) for k in range(n - 1)]
+            out += [(n - 1, (k,), pair) for k in range(n - 1)]
     return out
 
 
@@ -405,6 +405,20 @@ def test_generator_map_matches_labellings(F):
     # one) never reach
     for shape in generators():
         assert fr.generator_map(F, *shape).nz == generator_by_labellings(F, *shape), shape
+
+
+@pytest.mark.parametrize(
+    "n_in, src, dst",
+    [(2, (0,), (0,)), (2, (0, 1), (0, 1)), (1, (), (0,)), (2, (), ()), (3, (0, 1, 2), (0,)),
+     (2, (1, 1), (0,)), (1, (0,), (1, 1)), (2, (0, 2), (0,)), (1, (0,), (0, 2)), (1, (1,), (0, 1)),
+     (2, (-1, 0), (0,)), (2, (0, 1), (1,)), (2, (0.5, 1), (0,)), (1, (True,), (0, 1))],
+)
+def test_generator_map_rejects_every_other_shape(n_in, src, dst):
+    # a pair of pants reads two distinct int positions into one or one into
+    # two, each in range; every other shape gets the same message
+    with pytest.raises(ValueError) as e:
+        fr.generator_map(fr.a5(0, 0), n_in, src, dst)
+    assert str(e.value) == "a generator reads 2 distinct positions into 1 or 1 into 2, each in range"
 
 
 @settings(max_examples=150, deadline=None)
@@ -453,8 +467,8 @@ def test_product_and_coproduct_match_the_structure_constants(mat_vec, F, data):
     coprod = [sum((v[k] * F.comult[k][i][j] for k in rng), R.zero) for i in rng for j in rng]
     if R.p:
         prod, coprod = [x % R.p for x in prod], [x % R.p for x in coprod]
-    merge = fr.generator_map(F, 2, "merge", (0, 1), (0,))
-    split = fr.generator_map(F, 1, "split", (0,), (0, 1))
+    merge = fr.generator_map(F, 2, (0, 1), (0,))
+    split = fr.generator_map(F, 1, (0,), (0, 1))
     assert typed(F.product(u, v)) == typed(prod) == typed(mat_vec(merge, [a * b for a in u for b in v]))
     assert typed(F.coproduct(v)) == typed(coprod) == typed(mat_vec(split, v))
     scalar = Fraction if R == QQ else int

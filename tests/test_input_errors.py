@@ -21,7 +21,8 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0))
         (lambda: dg.LinkDiagram(((1, 1, 2),)), "crossing needs exactly four arc labels"),
         (lambda: dg.LinkDiagram(((1, 1, 2, 2),)).writhe, "diagram carries no orientation data"),
         (lambda: dg.rii_pair(dg.BUILDERS["unknot_0"](), 5), "arc 5 not present in diagram"),
-        (lambda: fr.generator_map(fr.a5(0, 0), 2, "swap", (0, 1), (1, 0)), "unknown generator 'swap'"),
+        (lambda: fr.generator_map(fr.a5(0, 0), 2, (0, 1), (1, 0)),
+         "a generator reads 2 distinct positions into 1 or 1 into 2, each in range"),
         (lambda: Laurent.monomial(1, 2) ** -1, "can only invert unit monomials"),
         (lambda: ExactMatrix(ZZ, -1, 0, ()), "negative dimensions"),
         (lambda: ExactMatrix(ZZ, 2, 2, ((),)), "row count does not match dimensions"),
