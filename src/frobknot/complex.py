@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import gc
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .diagram import LinkDiagram, ResolutionCube, build_cube, normalized_bracket
 from .frobenius import FrobeniusData, _cells, _place
 from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
-from .rings import QQ, RingSpec
+from .rings import QQ, RingSpec, Value
 
 
 @contextlib.contextmanager
@@ -43,21 +42,23 @@ def _paused():
             gc.enable()
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    ring: RingSpec
-    shift: int  # degree of the first module
-    ranks: tuple  # module rank per degree, starting at `shift`
-    diffs: tuple  # diffs[i]: matrix from degree shift+i to shift+i+1
-    q_degrees: Optional[tuple] = None  # per degree: tuple of quantum degrees
-    normalized: bool = False
+class ChainComplex(Value):
+    # shift: degree of the first module; ranks: module rank per degree from
+    # shift; diffs[i]: matrix from degree shift+i to shift+i+1; q_degrees:
+    # per degree, a tuple of quantum degrees
+    _fields = ("ring", "shift", "ranks", "diffs", "q_degrees", "normalized")
+
+    def __init__(self, ring: RingSpec, shift: int, ranks: tuple, diffs: tuple,
+                 q_degrees: Optional[tuple] = None, normalized: bool = False):
+        self.__dict__.update(ring=ring, shift=shift, ranks=ranks, diffs=diffs,
+                             q_degrees=q_degrees, normalized=normalized)
 
 
-@dataclass(frozen=True)
-class HomologyTable:
-    ring: RingSpec
-    normalized: bool
-    rows: tuple  # of (i, free_rank, torsion tuple)
+class HomologyTable(Value):
+    _fields = ("ring", "normalized", "rows")
+
+    def __init__(self, ring: RingSpec, normalized: bool, rows: tuple):  # rows: (i, free_rank, torsion tuple)
+        self.__dict__.update(ring=ring, normalized=normalized, rows=rows)
 
     def to_json(self) -> dict:
         return {

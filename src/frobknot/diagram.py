@@ -9,11 +9,11 @@ crossing quadruple (a, b, c, d) the 0-smoothing joins a-b and c-d, the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .laurent import Laurent
+from .rings import Value
 
 
 class PDError(ValueError):
@@ -28,17 +28,15 @@ def _tupled(v, name: str) -> tuple:
         raise PDError(f"{name} must be iterable, got {v!r}") from None
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    crossings: tuple  # of (a, b, c, d) arc-label quadruples
-    free_loops: int = 0
-    signs: Optional[tuple] = None  # +1 or -1 per crossing, or None if unoriented
+class LinkDiagram(Value):
+    # crossings: (a, b, c, d) arc-label quadruples; signs: +1 or -1 per
+    # crossing, or None if unoriented
+    _fields = ("crossings", "free_loops", "signs")
 
-    def __post_init__(self):
-        crossings = tuple(_tupled(x, "each crossing") for x in _tupled(self.crossings, "crossings"))
-        object.__setattr__(self, "crossings", crossings)
+    def __init__(self, crossings: tuple, free_loops: int = 0, signs: Optional[tuple] = None):
+        crossings = tuple(_tupled(x, "each crossing") for x in _tupled(crossings, "crossings"))
         seen: dict[int, int] = {}
-        for q in self.crossings:
+        for q in crossings:
             if len(q) != 4:
                 raise PDError("crossing needs exactly four arc labels")
             for a in q:
@@ -50,15 +48,13 @@ class LinkDiagram:
                 raise PDError(f"arc {a} appears {k} times, expected 2")
         if seen and sorted(seen) != list(range(1, len(seen) + 1)):
             raise PDError("arc labels must be 1..arc_count with no gaps")
-        object.__setattr__(self, "_arc_count", len(seen))
-        if type(self.free_loops) is not int or self.free_loops < 0:
-            raise PDError(f"free_loops must be a nonnegative integer, got {self.free_loops!r}")
-        if self.signs is not None:
-            object.__setattr__(self, "signs", _tupled(self.signs, "signs"))
-            if len(self.signs) != len(self.crossings) or not all(
-                type(s) is int and s in (1, -1) for s in self.signs
-            ):
+        if type(free_loops) is not int or free_loops < 0:
+            raise PDError(f"free_loops must be a nonnegative integer, got {free_loops!r}")
+        if signs is not None:
+            signs = _tupled(signs, "signs")
+            if len(signs) != len(crossings) or not all(type(s) is int and s in (1, -1) for s in signs):
                 raise PDError("signs must give +1 or -1 for each crossing")
+        self.__dict__.update(crossings=crossings, free_loops=free_loops, signs=signs, _arc_count=len(seen))
 
     @property
     def arc_count(self) -> int:
@@ -263,11 +259,13 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
     return _circles(d, parent)[0]
 
 
-@dataclass(frozen=True)
-class ResolutionCube:
-    diagram: LinkDiagram
-    counts: tuple  # circle count of each state, states in lexicographic order
-    edges: tuple  # of (i, j, src, dst), ordered by (i, j)
+class ResolutionCube(Value):
+    # counts: circle count of each state, states in lexicographic order;
+    # edges: (i, j, src, dst) tuples, ordered by (i, j)
+    _fields = ("diagram", "counts", "edges")
+
+    def __init__(self, diagram: LinkDiagram, counts: tuple, edges: tuple):
+        self.__dict__.update(diagram=diagram, counts=counts, edges=edges)
 
     @cached_property
     def circles(self) -> dict:

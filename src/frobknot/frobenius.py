@@ -10,13 +10,12 @@ in ``complex`` scatter the whole-map cells of one placement kernel, ``_place``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, _solve, rank, smith_normal_form
-from .rings import ZZ, RingSpec
+from .rings import ZZ, RingSpec, Value
 
 
 def _listed(v, name: str):
@@ -37,18 +36,14 @@ def _norm_tensor(ring: RingSpec, t, r: int):
 _IDENTITIES = (("unit", "is not a two-sided identity"), ("counit", "does not split the coproduct"))
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
-    ring: RingSpec
-    rank: int
-    mult: tuple
-    comult: tuple
+class FrobeniusData(Value):
+    _fields = ("ring", "rank", "mult", "comult")
 
-    def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 1:
+    def __init__(self, ring: RingSpec, rank: int, mult: tuple, comult: tuple):
+        if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer")
-        object.__setattr__(self, "mult", _norm_tensor(self.ring, self.mult, self.rank))
-        object.__setattr__(self, "comult", _norm_tensor(self.ring, self.comult, self.rank))
+        mult, comult = (_norm_tensor(ring, t, rank) for t in (mult, comult))
+        self.__dict__.update(ring=ring, rank=rank, mult=mult, comult=comult)
 
     # solved from the tensors on first read and kept; None when there is none
     @cached_property

@@ -6,12 +6,14 @@ Used for the Kauffman bracket (variable A) and graded Euler characteristics
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .rings import Value
 
 
-@dataclass(frozen=True)
-class Laurent:
-    coeffs: tuple = field(default=())  # tuple of (exponent, coeff), sorted, coeff != 0
+class Laurent(Value):
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple = ()):  # of (exponent, coeff), sorted, coeff != 0
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def from_dict(cls, d: dict) -> "Laurent":

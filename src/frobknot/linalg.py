@@ -22,17 +22,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .rings import QQ, ZZ, RingSpec
+from .rings import QQ, ZZ, RingSpec, Value
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Value):
     """Immutable sparse matrix over an exact ring.
 
     ``nz[i]`` lists the ``(col, value)`` nonzeros of row i in increasing
@@ -41,19 +39,17 @@ class ExactMatrix:
     they are; ``from_rows`` normalizes dense user data.
     """
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    nz: tuple
+    _fields = ("ring", "rows", "cols", "nz")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, ring: RingSpec, rows: int, cols: int, nz: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.nz) != self.rows:
+        if len(nz) != rows:
             raise ValueError("row count does not match dimensions")
-        # columns increase along a row, so its ends bound every index
-        if any(row and (row[0][0] < 0 or row[-1][0] >= self.cols) for row in self.nz):
-            raise ValueError("column index out of range")
+        for row in nz:  # columns increase along a row, so its ends bound every index
+            if row and (row[0][0] < 0 or row[-1][0] >= cols):
+                raise ValueError("column index out of range")
+        self.__dict__.update(ring=ring, rows=rows, cols=cols, nz=nz)
 
     @classmethod
     def from_rows(cls, ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":

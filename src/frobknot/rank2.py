@@ -10,14 +10,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional
 
 from .frobenius import _frobenius_rows, _vanish
 from .linalg import _echelon
-from .rings import RingSpec, Scalar
+from .rings import RingSpec, Scalar, Value
 
 Pair = tuple[Scalar, Scalar]
 
@@ -37,24 +36,18 @@ def _searchable(ring: RingSpec) -> RingSpec:
     return ring
 
 
-@dataclass(frozen=True)
-class MultTable:
-    ring: RingSpec
-    e11: Pair
-    e12: Pair
-    e22: Pair
-    e21: Optional[Pair] = None  # None means commutative: stored only when e2e1 != e1e2
+class MultTable(Value):
+    _fields = ("ring", "e11", "e12", "e22", "e21")
 
-    def __post_init__(self):
+    def __init__(self, ring: RingSpec, e11: Pair, e12: Pair, e22: Pair, e21: Optional[Pair] = None):
         def norm(p):
             if not isinstance(p, (tuple, list)) or len(p) != 2:
                 raise ValueError(f"a product must be a pair of scalars, got {p!r}")
-            return (self.ring.normalize(p[0]), self.ring.normalize(p[1]))
+            return (ring.normalize(p[0]), ring.normalize(p[1]))
 
-        for name in ("e11", "e12", "e22"):
-            object.__setattr__(self, name, norm(getattr(self, name)))
-        e21 = None if self.e21 is None else norm(self.e21)
-        object.__setattr__(self, "e21", None if e21 == self.e12 else e21)
+        e11, e12, e22 = norm(e11), norm(e12), norm(e22)
+        e21 = None if e21 is None else norm(e21)  # None means commutative: stored only when e2e1 != e1e2
+        self.__dict__.update(ring=ring, e11=e11, e12=e12, e22=e22, e21=None if e21 == e12 else e21)
 
     @property
     def commutative(self) -> bool:

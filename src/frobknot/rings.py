@@ -3,13 +3,14 @@
 Scalars are plain Python objects: ``int`` for Z and F_p (residues kept in
 ``range(0, p)``), ``fractions.Fraction`` for Q.  Arithmetic on them is plain
 ``+ - *``, reduced ``% p`` over F_p; a :class:`RingSpec` names the ring and
-normalizes and enumerates its scalars; ``str`` writes one.
+normalizes and enumerates its scalars; ``str`` writes one.  :class:`Value`
+is the base of the library's immutable value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 Scalar = Union[int, Fraction]
@@ -30,21 +31,52 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class Value:
+    """An immutable value: equal to an instance of its own class with equal
+    fields, hashed and shown by them.  Each subclass names its fields in
+    ``_fields``, in constructor order, and its ``__init__`` stores them in
+    the instance ``__dict__``, which may also hold values cached from them;
+    equality and the hash read the fields only.  ``verifier.VerifyReport``
+    alone restores assignment and drops the hash."""
+
+    _fields: tuple
+
+    def __init_subclass__(cls):
+        cls._key = staticmethod(attrgetter(*cls._fields))  # the field values; a lone one bare
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RingSpec(Value):
     """One of Z, Q, or F_p (p prime, p <= 2**31)."""
 
-    kind: str  # "Z" | "Q" | "Fp"
-    p: int | None = None
+    _fields = ("kind", "p")  # kind is "Z", "Q" or "Fp"; p is None but over F_p
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Fp":
-            if type(self.p) is not int or self.p > 2**31 or not _is_prime(self.p):
-                raise ValueError(f"F_p requires a prime p <= 2**31, got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} takes no modulus")
+    def __init__(self, kind: str, p: int | None = None):
+        if kind not in ("Z", "Q", "Fp"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "Fp":
+            if type(p) is not int or p > 2**31 or not _is_prime(p):
+                raise ValueError(f"F_p requires a prime p <= 2**31, got {p!r}")
+        elif p is not None:
+            raise ValueError(f"{kind} takes no modulus")
+        self.__dict__.update(kind=kind, p=p)
 
     # -- elements ----------------------------------------------------------
 

@@ -13,20 +13,25 @@ auditable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import rank2
 from .rank2 import _entries, _isomorphism, _searchable, _surjective, _table, _unit
 from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults
-from .rings import ZZ, GF, RingSpec
+from .rings import ZZ, GF, RingSpec, Value
 
 
-@dataclass
-class VerifyReport:
-    name: str
-    space_size: int
-    stages: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)  # JSON records
+class VerifyReport(Value):
+    """A battery's report, filled in as it runs: mutable, so unhashable."""
+
+    _fields = ("name", "space_size", "stages", "counterexamples")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, space_size: int, stages: dict = None, counterexamples: list = None):
+        self.name, self.space_size = name, space_size
+        self.stages = {} if stages is None else stages
+        self.counterexamples = [] if counterexamples is None else counterexamples  # JSON records
 
     def fail(self, kind: str, **fields) -> None:
         self.counterexamples.append({"kind": kind, **fields})

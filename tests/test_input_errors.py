@@ -27,6 +27,8 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0))
         (lambda: ExactMatrix(ZZ, -1, 0, ()), "negative dimensions"),
         (lambda: ExactMatrix(ZZ, 2, 2, ((),)), "row count does not match dimensions"),
         (lambda: ExactMatrix(ZZ, 1, 2, (((2, 1),),)), "column index out of range"),
+        (lambda: ExactMatrix(ZZ, 2, 3, ((), ((-1, 1), (1, 2)))), "column index out of range"),
+        (lambda: ExactMatrix(ZZ, 2, 3, (((0, 1),), ((1, 1), (4, 2)))), "column index out of range"),
         (lambda: ExactMatrix.from_rows(ZZ, [[1, 0], [1]]), "ragged rows"),
         (lambda: _M @ ExactMatrix.from_rows(QQ, [[1, 0], [0, 1]]), "ring mismatch"),
         (lambda: _M @ ExactMatrix.from_rows(ZZ, [[1, 0]]), "dimension mismatch"),
@@ -46,7 +48,8 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0))
          "product must be commutative and associative"),
     ],
     ids=["3-label crossing", "unoriented writhe", "rii missing arc", "unknown op", "non-unit monomial",
-         "negative dims", "row count", "column range", "ragged", "matmul ring", "matmul dims",
+         "negative dims", "row count", "column range", "negative column",
+         "column past the end", "ragged", "matmul ring", "matmul dims",
          "solve dims", "homology ring", "homology dims", "idempotents over Q", "isomorphic rings",
          "Z elements", "thm1.2 over Q", "coproduct search ring", "coproduct search product"],
 )
