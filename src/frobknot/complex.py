@@ -21,9 +21,8 @@ from collections import Counter
 from math import lcm
 from typing import Optional
 
-from .diagram import LinkDiagram, ResolutionCube, build_cube, normalized_bracket
+from .diagram import LinkDiagram, ResolutionCube, _times_delta, build_cube, normalized_bracket
 from .frobenius import FrobeniusData, _cells, _place
-from .laurent import Laurent
 from .linalg import ExactMatrix, homology_summands
 from .rings import QQ, RingSpec, Value
 
@@ -178,9 +177,10 @@ def homology(C: ChainComplex) -> HomologyTable:
     return HomologyTable(R, C.normalized, tuple(rows))
 
 
-def graded_euler_characteristic(C: ChainComplex) -> Laurent:
-    """Alternating sum of q-degree generating functions, as a polynomial
-    in q.  Available only when the complex carries the quantum grading."""
+def graded_euler_characteristic(C: ChainComplex) -> dict:
+    """Alternating sum of q-degree generating functions, as a dict from
+    q-exponent to nonzero coefficient in increasing exponent order.
+    Available only when the complex carries the quantum grading."""
     if C.q_degrees is None:
         raise ValueError(
             "no quantum grading on this complex (requires normalization, and "
@@ -194,13 +194,16 @@ def graded_euler_characteristic(C: ChainComplex) -> Laurent:
             tally.subtract(counts)
         else:
             tally.update(counts)
-    return Laurent.from_dict(tally)
+    return {e: c for e, c in sorted(tally.items()) if c}
 
 
-def jones_from_bracket(d: LinkDiagram) -> Laurent:
-    """Unnormalized polynomial invariant from the bracket oracle: multiply
-    the writhe-corrected bracket by delta, then substitute A^(2k) ->
-    (-1)^k q^(-k).  Calibrated so the crossing-free unknot gives q + 1/q."""
-    delta = Laurent.from_dict({2: -1, -2: -1})
-    k = normalized_bracket(d) * delta
-    return k.map_even_exponents(lambda m: (-m, (-1) ** (m % 2)))
+def jones_from_bracket(d: LinkDiagram) -> dict:
+    """Unnormalized polynomial invariant from the bracket oracle, in the
+    form of ``graded_euler_characteristic``: multiply the writhe-corrected
+    bracket by delta, then substitute A^(2k) -> (-1)^k q^(-k).  Calibrated
+    so the crossing-free unknot gives q + 1/q."""
+    p = _times_delta(normalized_bracket(d))
+    if any(e % 2 for e in p):
+        raise ValueError("odd exponent present")
+    # k = e/2 and q^(-k) reverse the order; (-1)^k is + when 4 divides e
+    return {-e // 2: c if e % 4 == 0 else -c for e, c in reversed(p.items())}

@@ -12,7 +12,6 @@ import itertools
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .laurent import Laurent
 from .rings import Value
 
 
@@ -322,31 +321,45 @@ def build_cube(d: LinkDiagram) -> ResolutionCube:
 # ---------------------------------------------------------------------------
 
 
-def kauffman_bracket(d: LinkDiagram) -> Laurent:
+def _times_delta(p: dict) -> dict:
+    """p times delta = -A^2 - A^-2, for p and the result dicts from
+    exponent to nonzero coefficient in increasing exponent order."""
+    out: dict = {}
+    for shift in (-2, 2):
+        for e, c in p.items():
+            out[e + shift] = out.get(e + shift, 0) - c
+    return {e: c for e, c in sorted(out.items()) if c}
+
+
+def kauffman_bracket(d: LinkDiagram) -> dict:
     """State sum over all smoothings: sum of A^(#0 - #1) * delta^(circles - 1)
-    with delta = -A^2 - A^(-2).  Direct enumeration of the circle counts,
-    no cube involved: the states are tallied by circle count, then by
-    A-exponent, and each circle count contributes its row of tallies times
-    one power of delta."""
+    with delta = -A^2 - A^(-2), as a dict from A-exponent to nonzero
+    coefficient in increasing exponent order.  Direct enumeration of the
+    circle counts, no cube involved: the states are tallied by circle count,
+    then by A-exponent, and the rows are summed in Horner form,
+    row[1] + delta * (row[2] + delta * (...))."""
     if not (d.crossings or d.free_loops):
         raise PDError("empty diagram (no crossings, no loops): its bracket would be delta^-1")
-    delta = Laurent.from_dict({2: -1, -2: -1})
     n = d.n_crossings
     tally: dict[int, dict] = {}  # circle count -> {A-exponent: states}
     for k, (_, count) in enumerate(_states(d)):  # the bits of k are the state's
         row = tally.setdefault(count, {})
         e = n - 2 * k.bit_count()
         row[e] = row.get(e, 0) + 1
-    total = Laurent.zero()
-    for c, row in tally.items():
-        total = total + Laurent.from_dict(row) * delta ** (c - 1)
-    return total
+    total: dict = {}
+    for c in range(max(tally), 0, -1):
+        total = _times_delta(total)
+        for e, k in tally.get(c, {}).items():
+            total[e] = total.get(e, 0) + k
+    return {e: k for e, k in sorted(total.items()) if k}
 
 
-def normalized_bracket(d: LinkDiagram) -> Laurent:
-    """(-A^3)^(-writhe) times the bracket; an invariant of the oriented link."""
+def normalized_bracket(d: LinkDiagram) -> dict:
+    """(-A^3)^(-writhe) times the bracket, in the bracket's form; an
+    invariant of the oriented link."""
     w = d.writhe
-    return Laurent.monomial(-3 * w, (-1) ** (w % 2)) * kauffman_bracket(d)
+    sign = -1 if w % 2 else 1
+    return {e - 3 * w: sign * c for e, c in kauffman_bracket(d).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,15 @@ def _frobenius_comults(t, p):
     the counit of d.  The relation (frobenius._frobenius_rows) is 32
     equations linear in the six unknowns of d; they are reduced mod p and
     their kernel enumerated, as the combinations of one basis vector per
-    free unknown."""
+    free unknown.
+
+    When t has a unit, the relation gives Delta(a) = (a (x) 1) Delta(1) =
+    Delta(1) (1 (x) a), so with Delta(1) = sum x_i (x) y_i both
+    (Delta (x) 1) Delta(a) and (1 (x) Delta) Delta(a) are
+    sum x_i (x) y_i x_j (x) y_j a: every kernel member is coassociative, and
+    a surjective t, which is unital, keeps all p^2 of its 2-dimensional
+    kernel.  The coassociativity test on each candidate only bites on
+    tables without a unit."""
     rows = [[x % p for x in row] for row in _frobenius_rows((t[:2], t[2:]), _D, 6)]
     pivots = _echelon(rows, 6, p)
     free = [k for k in range(6) if k not in pivots]

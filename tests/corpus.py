@@ -4,9 +4,10 @@ Each entry maps a command line to its exit code, the sha256 of its stdout
 bytes and its stderr text.  Files in a command line are named without their
 directory.  The inputs are 64 seeded braid closures (2-4 strands, 1-6
 letters) under ``homology --normalize --json`` over Z, Q, F_2 and F_3 with
-``a5(0,0)``, ``a5(1,1)`` and the x2/x3-scaled algebra, ``bracket --json``
-of each closure, and ``check-algebra --json`` and ``relations --json`` of
-the algebra files the CI smoke step writes, with declared-identity variants.
+``a5(0,0)``, ``a5(1,1)`` and the x2/x3-scaled algebra, ``bracket`` and
+``bracket --json`` of each closure, and ``check-algebra --json`` and
+``relations --json`` of the algebra files the CI smoke step writes, with
+declared-identity variants.
 A larger tier of 4 seeded closures (2-4 strands, 7-8 letters, so cubes of
 128 or 256 states) runs ``homology --normalize --json`` over Z and F_2
 with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.  The rank-2
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import itertools
 import json
@@ -37,13 +37,9 @@ from frobknot import rank2
 from frobknot.cli import main
 from frobknot.rings import GF
 
-CORPUS = Path(__file__).resolve().parent / "corpus.json"
+from braids import braid
 
-_spec = importlib.util.spec_from_file_location(
-    "braid", Path(__file__).resolve().parents[1] / "perfbench" / "braid.py"
-)
-braid = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(braid)
+CORPUS = Path(__file__).resolve().parent / "corpus.json"
 
 _A5 = {"ring": {"kind": "Z"}, "rank": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]],
        "comult": [[[-1, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -138,6 +134,7 @@ def _commands(d: Path):
     scaled = ["--algebra", str(d / "scaled.json")]
     for strands, word in closures():
         pd = _pd(d, strands, word)
+        yield ["bracket", str(pd)]
         yield ["bracket", str(pd), "--json"]
         for ring in RINGS:
             for algebra in (["--a5", "0,0"], ["--a5", "1,1"], scaled):

@@ -100,9 +100,16 @@ def test_bracket(capsys):
     assert json.loads(out)["bracket"] == {"-3": -1}
 
 
+def test_bracket_text_renderer():
+    # in the dict's order, a bare constant, 1 and -1 left out before a power;
+    # the corpus pins it on the bracket of every closure
+    assert cli._render({-1: 1, 0: 1, 2: -3}, "A") == "A^-1 + 1 - 3*A^2"
+    assert cli._render({0: -2, 3: 1, 5: -1}, "q") == "-2 + q^3 - q^5"
+    assert cli._render({}, "A") == "0"
+
+
 def test_bracket_of_the_empty_diagram_exits_2(tmp_path, capsys):
-    # its bracket would be delta^-1; the error was Laurent's "can only
-    # invert monomials"
+    # its bracket would be delta^-1, which is not a Laurent polynomial
     f = tmp_path / "empty.pd"
     f.write_text("# no crossings, no loops\n")
     assert main(["bracket", str(f), "--json"]) == 2

@@ -1,27 +1,20 @@
 import gc
-import importlib.util
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from frobknot import complex as cx
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
-from frobknot.laurent import Laurent
 from frobknot.linalg import ExactMatrix, _reduce, rank, smith_normal_form
 from frobknot.rings import QQ, ZZ, GF
 
-F2, F3 = GF(2), GF(3)
+from braids import braid
 
-_spec = importlib.util.spec_from_file_location(
-    "braid", Path(__file__).resolve().parents[1] / "perfbench" / "braid.py"
-)
-braid = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(braid)
+F2, F3 = GF(2), GF(3)
 
 
 def euler_characteristic(C):
@@ -138,14 +131,19 @@ def test_graded_euler_characteristic_is_jones():
 
 
 def test_jones_values():
-    q = Laurent.monomial
-    assert cx.jones_from_bracket(dg.BUILDERS["unknot_0"]()) == q(1) + q(-1)
-    assert cx.jones_from_bracket(dg.BUILDERS["hopf_pos"]()) == (
-        q(0) + q(2) + q(4) + q(6)
-    )
-    assert cx.jones_from_bracket(dg.BUILDERS["trefoil_right"]()) == (
-        q(1) + q(3) + q(5) + q(9, -1)
-    )
+    assert cx.jones_from_bracket(dg.BUILDERS["unknot_0"]()) == {-1: 1, 1: 1}
+    assert cx.jones_from_bracket(dg.BUILDERS["hopf_pos"]()) == {0: 1, 2: 1, 4: 1, 6: 1}
+    assert cx.jones_from_bracket(dg.BUILDERS["trefoil_right"]()) == {1: 1, 3: 1, 5: 1, 9: -1}
+
+
+def test_jones_substitution(monkeypatch):
+    # times delta = -A^2 - A^-2, then A^(2k) -> (-1)^k q^(-k), read off in
+    # increasing q-exponent order; an odd A-exponent has no image
+    monkeypatch.setattr(cx, "normalized_bracket", lambda d: {-4: 3, 0: -1, 2: 1})
+    assert list(cx.jones_from_bracket(None).items()) == [(-2, -1), (-1, -1), (0, -1), (1, 2), (3, 3)]
+    monkeypatch.setattr(cx, "normalized_bracket", lambda d: {3: 1})
+    with pytest.raises(ValueError, match="odd exponent present"):
+        cx.jones_from_bracket(None)
 
 
 # --- grading guards ----------------------------------------------------------------

@@ -341,6 +341,25 @@ def test_relation_on_a_noncocommutative_frobenius_algebra():
             assert not flags["commutative"]
 
 
+@pytest.mark.parametrize("ring", [F2, F3, F5, ZZ], ids=str)
+def test_theorem_1_1_needs_a_commutative_product(ring):
+    # e_i e_j = e_j is onto and Delta(e_k) = e_2 (x) e_k is split injective,
+    # and the Frobenius relation holds, yet there is no unit and no counit:
+    # the product does not commute, which Theorem 1.1 assumes
+    rng = range(2)
+    mult = [[[int(k == j) for k in rng] for j in rng] for i in rng]
+    comult = [[[int(a == 1 and b == k) for b in rng] for a in rng] for k in rng]
+    F = fr.FrobeniusData(ring, 2, mult, comult)
+    flags = fr.check_axioms(F)
+    assert [name for name, holds in flags.items() if not holds] == [
+        "commutative", "cocommutative", "unit_ok", "counit_ok"
+    ]
+    assert fr.verify_n2cob_relations(F) == {
+        "associative": True, "commutative": False, "coassociative": True,
+        "cocommutative": False, "frobenius": True,
+    }
+
+
 @st.composite
 def structure_tensors(draw, rings=(ZZ, QQ, F2, F3)):
     """Rank-1 to rank-3 data: random tensors, or the truncated polynomial

@@ -7,7 +7,6 @@ import pytest
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot import linalg, rank2, verifier
-from frobknot.laurent import Laurent
 from frobknot.linalg import ExactMatrix
 from frobknot.rings import GF, QQ, ZZ
 
@@ -23,7 +22,6 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0))
         (lambda: dg.rii_pair(dg.BUILDERS["unknot_0"](), 5), "arc 5 not present in diagram"),
         (lambda: fr.generator_map(fr.a5(0, 0), 2, (0, 1), (1, 0)),
          "a generator reads 2 distinct positions into 1 or 1 into 2, each in range"),
-        (lambda: Laurent.monomial(1, 2) ** -1, "can only invert unit monomials"),
         (lambda: ExactMatrix(ZZ, -1, 0, ()), "negative dimensions"),
         (lambda: ExactMatrix(ZZ, 2, 2, ((),)), "row count does not match dimensions"),
         (lambda: ExactMatrix(ZZ, 1, 2, (((2, 1),),)), "column index out of range"),
@@ -47,7 +45,7 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0))
         (lambda: verifier.search_nearly_frobenius(rank2.MultTable(GF(3), (0, 1), (0, 0), (0, 0), (1, 0))),
          "product must be commutative and associative"),
     ],
-    ids=["3-label crossing", "unoriented writhe", "rii missing arc", "unknown op", "non-unit monomial",
+    ids=["3-label crossing", "unoriented writhe", "rii missing arc", "unknown op",
          "negative dims", "row count", "column range", "negative column",
          "column past the end", "ragged", "matmul ring", "matmul dims",
          "solve dims", "homology ring", "homology dims", "idempotents over Q", "isomorphic rings",

@@ -1,4 +1,4 @@
-"""The value-class contract: the ten classes compare and hash by their
+"""The value-class contract: the nine classes compare and hash by their
 fields, are immutable (all but VerifyReport), and keep cached values out of
 both; and the CLI starts without ``dataclasses`` or ``inspect``."""
 
@@ -13,7 +13,6 @@ from frobknot import complex as cx
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot import linalg
-from frobknot.laurent import Laurent
 from frobknot.rank2 import MultTable
 from frobknot.rings import GF, QQ, ZZ, Value
 from frobknot.verifier import VerifyReport
@@ -30,7 +29,6 @@ def matrix():
 # each builds a fresh instance with the same fields on every call
 FRESH = {
     "RingSpec": lambda: GF(5),
-    "Laurent": lambda: Laurent(((-2, 1), (0, -3))),
     "LinkDiagram": hopf,
     "ResolutionCube": lambda: dg.build_cube(hopf()),
     "ExactMatrix": matrix,
@@ -42,7 +40,7 @@ FRESH = {
 }
 
 
-def test_the_ten_classes_are_the_value_classes():
+def test_the_nine_classes_are_the_value_classes():
     assert sorted(FRESH) == sorted(c.__name__ for c in Value.__subclasses__())
     assert all(type(make()).__name__ == name for name, make in FRESH.items())
 

@@ -321,3 +321,14 @@ def test_prop3_4_records_each_sweep_mismatch(monkeypatch, capsys):
         }
         for family, params in unital
     ]
+
+
+@pytest.mark.parametrize("p, count", [(2, 12), (3, 72), (5, 600)])
+def test_a_surjective_table_keeps_its_whole_coproduct_kernel(p, count):
+    # a surjective commutative table is unital, and over a unital algebra
+    # every solution of the Frobenius relation is coassociative (see
+    # rank2._frobenius_comults), so each keeps its 2-dimensional kernel
+    tables = [t for t in rank2._associative_comm_tables(range(p), p) if rank2._surjective(t, p)]
+    assert len(tables) == count
+    for t in tables:
+        assert len(rank2._frobenius_comults(t, p)) == p * p, t
