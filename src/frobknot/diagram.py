@@ -29,7 +29,7 @@ def _tupled(v, name: str) -> tuple:
 
 class LinkDiagram(Value):
     # crossings: (a, b, c, d) arc-label quadruples; signs: +1 or -1 per
-    # crossing, or None if unoriented
+    # crossing, or None if unoriented (a diagram with no crossings has ())
     _fields = ("crossings", "free_loops", "signs")
 
     def __init__(self, crossings: tuple, free_loops: int = 0, signs: Optional[tuple] = None):
@@ -53,6 +53,8 @@ class LinkDiagram(Value):
             signs = _tupled(signs, "signs")
             if len(signs) != len(crossings) or not all(type(s) is int and s in (1, -1) for s in signs):
                 raise PDError("signs must give +1 or -1 for each crossing")
+        elif not crossings:
+            signs = ()
         self.__dict__.update(crossings=crossings, free_loops=free_loops, signs=signs, _arc_count=len(seen))
 
     @property

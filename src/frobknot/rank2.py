@@ -156,23 +156,22 @@ _D = (((0, 1), (1, 2)), ((3, 4), (4, 5)))
 
 
 def _frobenius_comults(t, p):
-    """Every cocommutative coassociative coproduct over F_p that satisfies the
-    Frobenius relation with the commutative F_p tuple t, as (d, dual) sorted
-    by d: Delta(e_k) = sum d[k][i][j] e_i (x) e_j, and dual is the transposed
-    tuple e_i e_j = (d[0][i][j], d[1][i][j]): associative exactly when d is
+    """Every cocommutative coproduct over F_p that satisfies the Frobenius
+    relation with the commutative F_p tuple t, as (d, dual) sorted by d:
+    Delta(e_k) = sum d[k][i][j] e_i (x) e_j, and dual is the transposed tuple
+    e_i e_j = (d[0][i][j], d[1][i][j]): associative exactly when d is
     coassociative, surjective exactly when d is injective, and its unit is
     the counit of d.  The relation (frobenius._frobenius_rows) is 32
     equations linear in the six unknowns of d; they are reduced mod p and
     their kernel enumerated, as the combinations of one basis vector per
     free unknown.
 
-    When t has a unit, the relation gives Delta(a) = (a (x) 1) Delta(1) =
-    Delta(1) (1 (x) a), so with Delta(1) = sum x_i (x) y_i both
-    (Delta (x) 1) Delta(a) and (1 (x) Delta) Delta(a) are
-    sum x_i (x) y_i x_j (x) y_j a: every kernel member is coassociative, and
-    a surjective t, which is unital, keeps all p^2 of its 2-dimensional
-    kernel.  The coassociativity test on each candidate only bites on
-    tables without a unit."""
+    When t has a unit, every member is coassociative: the relation gives
+    Delta(a) = (a (x) 1) Delta(1) = Delta(1) (1 (x) a), so with
+    Delta(1) = sum x_i (x) y_i both (Delta (x) 1) Delta(a) and
+    (1 (x) Delta) Delta(a) are sum x_i (x) y_i x_j (x) y_j a.  A surjective
+    t is unital, so it keeps all p^2 of its 2-dimensional kernel.  Without
+    a unit a member need not be coassociative; the caller tests it."""
     rows = [[x % p for x in row] for row in _frobenius_rows((t[:2], t[2:]), _D, 6)]
     pivots = _echelon(rows, 6, p)
     free = [k for k in range(6) if k not in pivots]
@@ -183,9 +182,7 @@ def _frobenius_comults(t, p):
     cols, out = [[b[k] for b in basis] for k in range(6)], []
     for vals in itertools.product(range(p), repeat=len(free)):
         a, b, e, f, g, h = (sum(map(mul, vals, col)) % p for col in cols)
-        dual = ((a, f), (b, g), (b, g), (e, h))
-        if _associative(dual, p):
-            out.append(((((a, b), (b, e)), ((f, g), (g, h))), dual))
+        out.append(((((a, b), (b, e)), ((f, g), (g, h))), ((a, f), (b, g), (b, g), (e, h))))
     return sorted(out)
 
 

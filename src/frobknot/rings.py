@@ -36,8 +36,8 @@ class Value:
     fields, hashed and shown by them.  Each subclass names its fields in
     ``_fields``, in constructor order, and its ``__init__`` stores them in
     the instance ``__dict__``, which may also hold values cached from them;
-    equality and the hash read the fields only.  ``verifier.VerifyReport``
-    alone restores assignment and drops the hash."""
+    equality and the hash read the fields only, so a value whose fields hold
+    a dict or a list, as ``verifier.VerifyReport``'s do, cannot be hashed."""
 
     _fields: tuple
 

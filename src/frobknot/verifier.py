@@ -3,9 +3,10 @@ integer boxes.
 
 Hot loops run the rank2 tuple kernel on plain integer tuples; a tuple
 becomes a MultTable (rank2._table) only where a battery classifies it or
-records it.  A failure is recorded once, by VerifyReport.fail, as the JSON
-record the report prints: its kind plus that kind's fields, a "table" field
-being the table's MultTable JSON.  Every report carries the closed form
+records it.  A failure is recorded once, by _record, as the JSON record
+the report prints: its kind plus that kind's fields, a "table" field being
+the table's MultTable JSON.  Each battery collects its records in a list and
+builds its report once, at its end.  Every report carries the closed form
 search-space size and per-stage survivor counts so exhaustiveness is
 auditable.
 """
@@ -15,26 +16,19 @@ from __future__ import annotations
 import itertools
 
 from . import rank2
-from .rank2 import _entries, _isomorphism, _searchable, _surjective, _table, _unit
+from .rank2 import _associative, _entries, _isomorphism, _searchable, _surjective, _table, _unit
 from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults
 from .rings import ZZ, GF, RingSpec, Value
 
 
 class VerifyReport(Value):
-    """A battery's report, filled in as it runs: mutable, so unhashable."""
+    """A battery's report.  Its stages are a dict and its counterexamples a
+    list of JSON records, so hashing one raises TypeError."""
 
     _fields = ("name", "space_size", "stages", "counterexamples")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, name: str, space_size: int, stages: dict = None, counterexamples: list = None):
-        self.name, self.space_size = name, space_size
-        self.stages = {} if stages is None else stages
-        self.counterexamples = [] if counterexamples is None else counterexamples  # JSON records
-
-    def fail(self, kind: str, **fields) -> None:
-        self.counterexamples.append({"kind": kind, **fields})
+    def __init__(self, name: str, space_size: int, stages: dict, counterexamples: list):
+        self.__dict__.update(name=name, space_size=space_size, stages=stages, counterexamples=counterexamples)
 
     @property
     def ok(self) -> bool:
@@ -54,6 +48,10 @@ class VerifyReport(Value):
             f"{self.name}: {self.space_size} candidates ({stages}), "
             f"{len(self.counterexamples)} counterexamples"
         )
+
+
+def _record(kind: str, **fields) -> dict:
+    return {"kind": kind, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +75,15 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
     else:
         entries, name = range(_searchable(ring).p), f"thm1.2 over F_{ring.p}"
     m = ring.p or 0
-    rep = VerifyReport(name, len(entries) ** 6)
-    n_assoc = n_surj = 0
+    records, n_assoc, n_surj = [], 0, 0
     for t in _associative_comm_tables(entries, m):
         n_assoc += 1
         if not _surjective(t, m):
             continue
         n_surj += 1
         if _unit(t, m) is None:
-            rep.fail("surjective_without_unit", table=_table(ring, t).to_json())
-    rep.stages = {"associative": n_assoc, "surjective": n_surj}
-    return rep
+            records.append(_record("surjective_without_unit", table=_table(ring, t).to_json()))
+    return VerifyReport(name, len(entries) ** 6, {"associative": n_assoc, "surjective": n_surj}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +98,9 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
     and the compatibility relation, must carry both a unit and a counit.
     The coproducts of each product are solved for, not enumerated."""
     ring = _searchable(GF(p))
-    rep = VerifyReport(f"thm1.1 over F_{p}", p**6 * p**8)
     mults = [t for t in _associative_comm_tables(range(p), p) if _surjective(t, p)]
-    n_pairs = 0
-    for t in mults:
+    records, n_pairs = [], 0
+    for t in mults:  # surjective, so unital (thm1.2): every kernel member is coassociative
         unit = _unit(t, p)
         for d, dual in _frobenius_comults(t, p):
             if not _surjective(dual, p):
@@ -113,13 +108,13 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
             n_pairs += 1
             counit = _unit(dual, p)
             if unit is None or counit is None:
-                rep.fail(
+                records.append(_record(
                     "frobenius_without_identity",
                     table=_table(ring, t).to_json(),
                     comult=[[list(row) for row in dk] for dk in d],
                     missing="unit" if unit is None else "counit",
-                )
-    rep.stages = {
+                ))
+    stages = {
         "mult_survivors": len(mults),
         # transposition is a bijection from the injective cocommutative
         # coassociative coproducts onto the surjective commutative
@@ -127,7 +122,7 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
         "comult_survivors": len(mults),
         "compatible_pairs": n_pairs,
     }
-    return rep
+    return VerifyReport(f"thm1.1 over F_{p}", p**6 * p**8, stages, records)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,6 @@ def verify_prop_3_4(p: int) -> VerifyReport:
     if p not in (3, 5):
         raise ValueError("sweeps run over F_3 and F_5")
     ring = GF(p)
-    rep = VerifyReport(f"prop3.4 sweeps over F_{p}", 0)
 
     def never(*params):
         return False, False
@@ -168,7 +162,7 @@ def verify_prop_3_4(p: int) -> VerifyReport:
             a4 == a2 * b2 % p and b4 == (a2 + b2 * b2) % p, False
         )),
     )
-    checked = 0
+    records, checked = [], 0
     for label, want in stated:
         for params in itertools.product(range(p), repeat=rank2._FAMILIES[label][0]):
             try:
@@ -180,17 +174,14 @@ def verify_prop_3_4(p: int) -> VerifyReport:
             got_assoc = rank2.is_associative(t)
             got_unital = rank2.find_unit(t) is not None
             if got_assoc != want_assoc or got_unital != want_unital:
-                rep.fail(
+                records.append(_record(
                     "sweep_mismatch",
                     family=label,
                     params=list(params),
                     expected={"associative": want_assoc, "unital": want_unital},
                     got={"associative": got_assoc, "unital": got_unital},
-                )
-
-    rep.space_size = checked
-    rep.stages = {"swept": checked}
-    return rep
+                ))
+    return VerifyReport(f"prop3.4 sweeps over F_{p}", checked, {"swept": checked}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +193,21 @@ _CHAR2_UNITAL = {"m2_1", "m2_3", "m2_4", "m2_5"}
 
 def verify_char2_classification() -> VerifyReport:
     ring = GF(2)
-    rep = VerifyReport("char-2 classification over F_2", 2**6)
-    n_assoc = 0
+    records, n_assoc = [], 0
     for t4 in _associative_comm_tables(range(2), 2):
         n_assoc += 1
         t = _table(ring, t4)
         try:
             label, params = rank2.classify(t)
         except rank2.ClassificationGap:
-            rep.fail("classification_gap", table=t.to_json())
+            records.append(_record("classification_gap", table=t.to_json()))
             continue
         unital = rank2.find_unit(t) is not None
         if unital != (label in _CHAR2_UNITAL):
-            rep.fail("unitality_pattern_mismatch", table=t.to_json(), label=label, unital=unital)
-    rep.stages = {"associative": n_assoc}
-    return rep
+            records.append(
+                _record("unitality_pattern_mismatch", table=t.to_json(), label=label, unital=unital)
+            )
+    return VerifyReport("char-2 classification over F_2", 2**6, {"associative": n_assoc}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +219,15 @@ def verify_noncommutative(p: int) -> VerifyReport:
     """Associative, surjective, noncommutative rank-2 tables over F_p all
     reduce to one of the two canonical one-sided-identity tables."""
     ring = _searchable(GF(p))
-    rep = VerifyReport(f"noncommutative targets over F_{p}", p**8)
     targets = [_entries(rank2.representative(label, (), ring)) for label in ("nc_left", "nc_right")]
-    n_survivors = 0
+    records, n_survivors = [], 0
     for t4 in _associative_noncomm_tables(p):
         if not _surjective(t4, p):
             continue
         n_survivors += 1
         if all(_isomorphism(t4, tgt, p) is None for tgt in targets):
-            rep.fail("unmatched_noncommutative_table", table=_table(ring, t4).to_json())
-    rep.stages = {"survivors": n_survivors}
-    return rep
+            records.append(_record("unmatched_noncommutative_table", table=_table(ring, t4).to_json()))
+    return VerifyReport(f"noncommutative targets over F_{p}", p**8, {"survivors": n_survivors}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +238,12 @@ def verify_noncommutative(p: int) -> VerifyReport:
 def search_nearly_frobenius(m: rank2.MultTable) -> list:
     """All coproduct tensors over F_p, p <= MAX_SEARCH_P, compatible with
     the given commutative associative product (cocommutative, coassociative,
-    compatibility relation; the zero tensor always qualifies)."""
+    compatibility relation; the zero tensor always qualifies).  The product
+    may have no unit, such as the zero product, so each solution of the
+    relation is tested for coassociativity."""
     if m.ring.kind != "Fp":
         raise ValueError("coproduct search runs over prime fields")
     if not m.commutative or not rank2.is_associative(m):
         raise ValueError("product must be commutative and associative")
-    return [d for d, _ in _frobenius_comults(_entries(m), _searchable(m.ring).p)]
+    p = _searchable(m.ring).p
+    return [d for d, dual in _frobenius_comults(_entries(m), p) if _associative(dual, p)]

@@ -129,6 +129,17 @@ def test_pd_file_input(tmp_path, capsys):
     assert total == 4
 
 
+def test_a_crossing_free_pd_file_normalizes_like_its_builder(tmp_path, capsys):
+    # with no crossings there is no sign to give, so no SIGNS line is needed
+    f = tmp_path / "loops.pd"
+    f.write_text("O\nO\n")
+    assert dg.parse_pd(f.read_text()) == dg.BUILDERS["figure10_d2"]()
+    argv = ("--a5", "0,0", "--normalize", "--json")
+    code, out = run(capsys, "homology", str(f), *argv)
+    assert (code, out) == run(capsys, "homology", "builder:figure10_d2", *argv)
+    assert (code, json.loads(out)["groups"]) == (0, [{"i": 0, "free_rank": 4, "torsion": []}])
+
+
 def test_signs_tokens_are_whole_signs(tmp_path, capsys):
     # "+-" was taken as a sign by a substring test and counted as neither
     text = "X 3 2 4 1\nX 4 1 3 2\nSIGNS - +-\n"

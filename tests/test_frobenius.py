@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobknot import frobenius as fr
-from frobknot.linalg import ExactMatrix
+from frobknot.linalg import ExactMatrix, _echelon
 from frobknot.rings import QQ, ZZ, GF
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -358,6 +358,44 @@ def test_theorem_1_1_needs_a_commutative_product(ring):
         "associative": True, "commutative": False, "coassociative": True,
         "cocommutative": False, "frobenius": True,
     }
+
+
+# rank-3 algebras by their nonzero products e_i e_j = e_k; the dimension of
+# the space of coproducts that satisfy the Frobenius relation, and its number
+# of injective members over F_p
+RANK3_COPRODUCTS = {
+    "F_p^3": ({(0, 0): 0, (1, 1): 1, (2, 2): 2}, 3, lambda p: (p - 1) ** 3),
+    "F_p[x]/x^3": ({(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2, (1, 1): 2}, 3,
+                   lambda p: p * p * (p - 1)),
+    "F_p x F_p[x]/x^2": ({(0, 0): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2}, 3, lambda p: p * (p - 1) ** 2),
+    "F_p[x,y]/(x,y)^2": ({(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2}, 4, lambda p: 0),
+    "upper triangular": ({(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}, 1, lambda p: p - 1),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank3_coproduct_spaces(p):
+    # over a unital algebra every solution of the relation, on all 27
+    # unknowns, is a bimodule map and so coassociative, commutative or not;
+    # on the three Frobenius algebras the injective ones number |A^x|, and
+    # the non-Frobenius F_p[x,y]/(x,y)^2 has none (Theorem 1.1)
+    rng = range(3)
+    where = [[[(k * 3 + a) * 3 + b for b in rng] for a in rng] for k in rng]
+    for name, (products, dim, injective) in RANK3_COPRODUCTS.items():
+        mult = [[[int(products.get((i, j)) == k) for k in rng] for j in rng] for i in rng]
+        rows = [[x % p for x in row] for row in fr._frobenius_rows(mult, where, 27)]
+        pivots = _echelon(rows, 27, p)
+        free = [c for c in range(27) if c not in pivots]
+        assert len(free) == dim, name  # before enumerating p^dim members
+        n_injective = 0
+        for vals in itertools.product(range(p), repeat=dim):
+            x = dict(zip(free, vals))
+            x.update((c, -sum(row[f] * x[f] for f in free) % p) for row, c in zip(rows, pivots))
+            comult = [[[x[c] for c in row] for row in plane] for plane in where]
+            flags = fr.check_axioms(fr.FrobeniusData(GF(p), 3, mult, comult))
+            assert flags["frobenius_relation"] and flags["coassociative"], (name, comult)
+            n_injective += flags["comult_injective"]
+        assert n_injective == injective(p), name
 
 
 @st.composite

@@ -182,14 +182,41 @@ def _frobenius_relation(t, d, p) -> bool:
 @pytest.mark.parametrize("p, sample", [(2, None), (3, None), (5, 50)])
 def test_frobenius_comults_match_reference(p, sample):
     # every associative commutative table (the transposed tables of the
-    # reference list, each once), or a seeded sample of them
-    comults = _reference_comults(p)
+    # reference list, each once), or a seeded sample of them.  The solver
+    # reads its whole kernel, which on a unital table is all coassociative;
+    # search_nearly_frobenius tests each member, so it matches on every table
+    ring, comults = GF(p), _reference_comults(p)
     tables = [t for _, t in comults]
     if sample:
         tables = random.Random(p).sample(tables, sample)
+    n_unital = 0
     for t in tables:
         want = [(d, dual) for d, dual in comults if _frobenius_relation(t, d, p)]
-        assert rank2._frobenius_comults(t, p) == want, t
+        if rank2._unit(t, p) is not None:
+            n_unital += 1
+            assert rank2._frobenius_comults(t, p) == want, t
+        e11, e12, _, e22 = t
+        assert vf.search_nearly_frobenius(rank2.MultTable(ring, e11, e12, e22)) == [d for d, _ in want]
+    assert 0 < n_unital < len(tables)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_injective_coproducts_count_the_units(p):
+    # over a unital commutative table the solutions are Delta(a) = Delta_0(z a)
+    # for one Frobenius coproduct Delta_0 and z in A, injective exactly when z
+    # is a unit: each surjective table carries |A^x| injective ones, counted
+    # here by brute force, and thm1.1's compatible pairs are their sum
+    tables = [t for t in rank2._associative_comm_tables(range(p), p) if rank2._surjective(t, p)]
+    assert len(tables) == p * p * (p * p - 1)
+    elements = list(itertools.product(range(p), repeat=2))
+    total = 0
+    for t in tables:
+        one = rank2._unit(t, p)
+        units = sum(any(rank2._mul(t, u, v, p) == one for v in elements) for u in elements)
+        injective = sum(rank2._surjective(dual, p) for _, dual in rank2._frobenius_comults(t, p))
+        assert injective == units, t
+        total += injective
+    assert total == p**3 * (p - 1) * (p * p - 1) == vf.verify_theorem_1_1(p).stages["compatible_pairs"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
