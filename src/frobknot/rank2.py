@@ -336,11 +336,6 @@ def _square(p, x) -> bool:
     return x % p != 0 and pow(x, (p - 1) // 2, p) == 1
 
 
-def nonresidues(ring: RingSpec) -> list:
-    """Elements of F_p that are not squares of nonzero elements (0 included)."""
-    return [x for x in ring.elements() if not _square(ring.p, x)]
-
-
 def _pa(a2, b2, a4, b4, y):
     """The obstruction polynomial P_A at y, unreduced.  At a4 = a2*b2 and
     b4 = a2 + b2^2 it is the root-obstruction polynomial P_R of the
@@ -351,69 +346,70 @@ def _pa(a2, b2, a4, b4, y):
     )
 
 
+def _alike(associative: bool, unital: bool):
+    """The statement of a family whose members are all stated alike."""
+    return lambda p, *params: (associative, unital)
+
+
 _HALF = Fraction(1, 2)  # MultTable rejects it over Z and F_2, where 2 is no unit
 
-# label: (arity, params -> (e11, e12, e22[, e21]), side condition or None).  A
-# side condition side(p, *params) is a predicate on the parameters' residues,
-# checked over F_p only.
-_FAMILIES = {
-    "m6": (2, lambda a2, b2: ((1, 0), (a2, b2), (0, 1)), None),
-    "m7": (0, lambda: ((1, 0), (1, _HALF), (0, 0)), None),
-    "m8": (0, lambda: ((1, 0), (0, _HALF), (1, 0)), None),
-    "m9": (1, lambda b2: ((1, 0), (0, b2), (0, 0)), lambda p, b2: 2 * b2 % p != 1),  # b2 != 1/2
-    "m10": (1, lambda a4: ((1, 0), (1, 0), (a4, 0)), None),
-    "m11": (0, lambda: ((1, 0), (0, 0), (1, 0)), None),
-    "m12": (0, lambda: ((1, 0), (0, 0), (0, 0)), None),
-    "m13": (0, lambda: ((0, 1), (0, 1), (0, 0)), None),
-    "m14": (0, lambda: ((0, 1), (0, 0), (0, 0)), None),
-    "m15": (0, lambda: ((0, 1), (-2, 3), (-8, 8)), None),
-    "m16": (0, lambda: ((0, 0), (1, 0), (0, 0)), None),
-    "m17": (0, lambda: ((0, 0), (0, 0), (0, 0)), None),
+# label: (arity, params -> (e11, e12, e22[, e21]), side condition or None,
+# statement or None).  A side condition side(p, *params) is a predicate on the
+# parameters' residues, checked over F_p only.  A statement
+# stated(p, *params) -> (associative, unital) is the paper's, on residues in
+# range(p), and None where the paper states nothing.  classify's targets are
+# the members stated associative, tried in row order.
+_ODD = {
+    "m6": (2, lambda a2, b2: ((1, 0), (a2, b2), (0, 1)),
+           None, lambda p, a2, b2: ((a2, b2) in ((0, 0), (0, 1), (1, 0)),) * 2),
+    "m7": (0, lambda: ((1, 0), (1, _HALF), (0, 0)), None, _alike(False, False)),
+    "m8": (0, lambda: ((1, 0), (0, _HALF), (1, 0)), None, _alike(False, False)),
+    "m9": (1, lambda b2: ((1, 0), (0, b2), (0, 0)),  # b2 != 1/2
+           lambda p, b2: 2 * b2 % p != 1, lambda p, b2: (b2 in (0, 1), b2 == 1)),
+    "m10": (1, lambda a4: ((1, 0), (1, 0), (a4, 0)), None, lambda p, a4: (a4 == 1, False)),
+    "m11": (0, lambda: ((1, 0), (0, 0), (1, 0)), None, _alike(False, False)),
+    "m12": (0, lambda: ((1, 0), (0, 0), (0, 0)), None, _alike(True, False)),
+    "m13": (0, lambda: ((0, 1), (0, 1), (0, 0)), None, None),
+    "m14": (0, lambda: ((0, 1), (0, 0), (0, 0)), None, _alike(True, False)),
+    "m15": (0, lambda: ((0, 1), (-2, 3), (-8, 8)), None, _alike(False, False)),
+    "m16": (0, lambda: ((0, 0), (1, 0), (0, 0)), None, _alike(False, False)),
+    "m17": (0, lambda: ((0, 0), (0, 0), (0, 0)), None, _alike(True, False)),
     # lambda2 and 1 - 2*beta2 are nonresidues; 2*alpha2 + 1 is a nonzero nonresidue
-    "m8_1R": (1, lambda l2: ((1, 0), (0, _HALF), (l2, 0)), lambda p, l2: not _square(p, l2)),
-    "m8_2R": (
-        2,
-        lambda b2, l2: ((1, 0), (0, b2), (l2, 0)),
-        lambda p, b2, l2: not _square(p, l2) and not _square(p, 1 - 2 * b2),
-    ),
-    "m11R": (1, lambda l2: ((1, 0), (0, 0), (l2, 0)), lambda p, l2: not _square(p, l2)),
-    "m14_1R": (
-        1,
-        lambda a2: ((1, 0), (a2, 1), (0, 0)),
-        lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1),
-    ),
-    "m14_2R": (
-        1,
-        lambda a2: ((1, 0), (a2, 0), (0, 0)),
-        lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1),
-    ),
-    "m15_1R": (  # the obstruction polynomial P_A has no root
-        4,
-        lambda a2, b2, a4, b4: ((0, 1), (a2, b2), (a4, b4)),
-        lambda p, *coeffs: all(_pa(*coeffs, y) % p for y in range(p)),
-    ),
-    # characteristic-2 families
-    "m2_1": (0, lambda: ((1, 0), (0, 1), (0, 1)), None),
-    "m2_2": (0, lambda: ((1, 0), (0, 0), (0, 0)), None),
-    "m2_3": (0, lambda: ((1, 0), (0, 0), (0, 1)), None),
-    "m2_4": (1, lambda a4: ((1, 0), (0, 1), (a4, 0)), None),
-    "m2_5": (  # x^2 + x + alpha4 has no root outside {0, 1}
-        1,
-        lambda a4: ((1, 0), (0, 1), (a4, 1)),
-        lambda p, a4: all((x * x + x + a4) % p for x in range(2, p)),
-    ),
-    "m2_6": (0, lambda: ((0, 1), (0, 0), (0, 0)), None),
-    "m2_7": (0, lambda: ((0, 0), (0, 0), (0, 0)), None),
-    "m2R": (  # 1 + (alpha2 + beta2^2) y + (alpha2 beta2)^2 y^3 has no root
-        2,
-        lambda a2, b2: ((0, 1), (a2, b2), (a2 * b2, a2 + b2 * b2)),
-        lambda p, a2, b2: all(
-            (1 + (a2 + b2 * b2) * y + (a2 * b2) ** 2 * y**3) % p for y in range(p)
-        ),
-    ),
+    "m8_1R": (1, lambda l2: ((1, 0), (0, _HALF), (l2, 0)),
+              lambda p, l2: not _square(p, l2), _alike(False, False)),
+    "m8_2R": (2, lambda b2, l2: ((1, 0), (0, b2), (l2, 0)),
+              lambda p, b2, l2: not _square(p, l2) and not _square(p, 1 - 2 * b2),
+              lambda p, b2, l2: (b2 == 1, b2 == 1)),
+    "m11R": (1, lambda l2: ((1, 0), (0, 0), (l2, 0)),
+             lambda p, l2: not _square(p, l2), lambda p, l2: (l2 == 0, False)),
+    "m14_1R": (1, lambda a2: ((1, 0), (a2, 1), (0, 0)),
+               lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1), _alike(False, False)),
+    "m14_2R": (1, lambda a2: ((1, 0), (a2, 0), (0, 0)),
+               lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1), _alike(False, False)),
+    "m15_1R": (4, lambda a2, b2, a4, b4: ((0, 1), (a2, b2), (a4, b4)),
+               lambda p, *coeffs: all(_pa(*coeffs, y) % p for y in range(p)),  # P_A has no root
+               lambda p, a2, b2, a4, b4: (a4 == a2 * b2 % p and b4 == (a2 + b2 * b2) % p, False)),
+}
+_CHAR2 = {
+    "m2_1": (0, lambda: ((1, 0), (0, 1), (0, 1)), None, _alike(True, True)),
+    "m2_2": (0, lambda: ((1, 0), (0, 0), (0, 0)), None, _alike(True, False)),
+    "m2_3": (0, lambda: ((1, 0), (0, 0), (0, 1)), None, _alike(True, True)),
+    "m2_4": (1, lambda a4: ((1, 0), (0, 1), (a4, 0)), None, _alike(True, True)),
+    "m2_5": (1, lambda a4: ((1, 0), (0, 1), (a4, 1)),  # x^2 + x + alpha4 has no root outside {0, 1}
+             lambda p, a4: all((x * x + x + a4) % p for x in range(2, p)), _alike(True, True)),
+    "m2_6": (0, lambda: ((0, 1), (0, 0), (0, 0)), None, _alike(True, False)),
+    "m2_7": (0, lambda: ((0, 0), (0, 0), (0, 0)), None, _alike(True, False)),
+    "m2R": (2, lambda a2, b2: ((0, 1), (a2, b2), (a2 * b2, a2 + b2 * b2)),
+            # 1 + (alpha2 + beta2^2) y + (alpha2 beta2)^2 y^3 has no root
+            lambda p, a2, b2: all((1 + (a2 + b2 * b2) * y + (a2 * b2) ** 2 * y**3) % p for y in range(p)),
+            _alike(True, False)),
+}
+_FAMILIES = {
+    **_ODD,
+    **_CHAR2,
     # noncommutative targets
-    "nc_left": (0, lambda: ((0, 0), (0, 0), (0, 1), (1, 0)), None),
-    "nc_right": (0, lambda: ((0, 0), (1, 0), (0, 1), (0, 0)), None),
+    "nc_left": (0, lambda: ((0, 0), (0, 0), (0, 1), (1, 0)), None, None),
+    "nc_right": (0, lambda: ((0, 0), (1, 0), (0, 1), (0, 0)), None, None),
 }
 
 
@@ -427,7 +423,7 @@ def representative(label: str, params: tuple, ring: RingSpec) -> MultTable:
     """
     if label not in _FAMILIES:
         raise ValueError(f"unknown family {label!r}")
-    arity, products, side = _FAMILIES[label]
+    arity, products, side, _ = _FAMILIES[label]
     if len(params) != arity:
         raise ValueError(f"family {label} takes {arity} parameters, got {len(params)}")
     params = tuple(map(ring.normalize, params))
@@ -438,26 +434,18 @@ def representative(label: str, params: tuple, ring: RingSpec) -> MultTable:
 
 def _classification_targets(ring: RingSpec):
     """Canonical (label, params, kernel tuple) of the representatives of
-    associative commutative F_p tables, in order; a candidate whose side
-    conditions representative rejects is dropped."""
+    associative commutative F_p tables, in order: each member of the ring's
+    characteristic's families, in row and parameter order, that its
+    statement calls associative; a member whose side conditions
+    representative rejects is dropped."""
     p = ring.p
-    if p == 2:
-        cands = [("m2_1", ()), ("m2_2", ()), ("m2_3", ()), ("m2_4", (0,)), ("m2_4", (1,))]
-        cands += [("m2_5", (0,)), ("m2_5", (1,)), ("m2_6", ()), ("m2_7", ())]
-        cands += [("m2R", ab) for ab in itertools.product(range(2), repeat=2)]
-    else:
-        cands = [("m6", (0, 0)), ("m6", (0, 1)), ("m6", (1, 0)), ("m9", (0,)), ("m9", (1,))]
-        cands += [("m10", (1,)), ("m12", ()), ("m14", ()), ("m17", ())]
-        cands += [("m8_2R", (1, l2)) for l2 in nonresidues(ring)] + [("m11R", (0,))]
-        cands += [
-            ("m15_1R", (a2, b2, a2 * b2 % p, (a2 + b2 * b2) % p))
-            for a2, b2 in itertools.product(range(p), repeat=2)
-        ]
-    for label, params in cands:
-        try:
-            yield label, params, _entries(representative(label, params, ring))
-        except ValueError:
-            pass
+    for label, (arity, _, _, stated) in (_CHAR2 if p == 2 else _ODD).items():
+        for params in itertools.product(range(p), repeat=arity):
+            if stated and stated(p, *params)[0]:
+                try:
+                    yield label, params, _entries(representative(label, params, ring))
+                except ValueError:
+                    pass
 
 
 @functools.cache  # built on the first classify over a prime, then shared

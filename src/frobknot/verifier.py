@@ -17,7 +17,7 @@ import itertools
 
 from . import rank2
 from .rank2 import _associative, _entries, _isomorphism, _searchable, _surjective, _table, _unit
-from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults
+from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults, _CHAR2, _ODD
 from .rings import ZZ, GF, RingSpec, Value
 
 
@@ -131,46 +131,24 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
 
 
 def verify_prop_3_4(p: int) -> VerifyReport:
-    """Sweep every representative family's parameter domain over F_p and
-    compare is_associative / find_unit against the stated conditions.  The
-    domain is every parameter tuple that representative accepts."""
+    """Sweep the parameter domain of every family of odd characteristic that
+    carries the paper's statement (rank2._ODD) over F_p, and compare
+    is_associative / find_unit against it.  The domain is every parameter
+    tuple that representative accepts."""
     if p not in (3, 5):
         raise ValueError("sweeps run over F_3 and F_5")
     ring = GF(p)
-
-    def never(*params):
-        return False, False
-
-    stated = (  # (family, params -> (associative, unital))
-        ("m6", lambda a2, b2: ((a2, b2) in ((0, 0), (0, 1), (1, 0)),) * 2),
-        ("m7", never),
-        ("m8", never),
-        ("m9", lambda b2: (b2 in (0, 1), b2 == 1)),
-        ("m10", lambda a4: (a4 == 1, False)),
-        ("m11", never),
-        ("m12", lambda: (True, False)),
-        ("m14", lambda: (True, False)),
-        ("m15", never),
-        ("m16", never),
-        ("m17", lambda: (True, False)),
-        ("m8_1R", never),
-        ("m11R", lambda l2: (l2 == 0, False)),
-        ("m8_2R", lambda b2, l2: (b2 == 1, b2 == 1)),
-        ("m14_1R", never),
-        ("m14_2R", never),
-        ("m15_1R", lambda a2, b2, a4, b4: (
-            a4 == a2 * b2 % p and b4 == (a2 + b2 * b2) % p, False
-        )),
-    )
     records, checked = [], 0
-    for label, want in stated:
-        for params in itertools.product(range(p), repeat=rank2._FAMILIES[label][0]):
+    for label, (arity, _, _, stated) in _ODD.items():
+        if stated is None:
+            continue
+        for params in itertools.product(range(p), repeat=arity):
             try:
                 t = rank2.representative(label, params, ring)
             except ValueError:  # outside the family's side conditions
                 continue
             checked += 1
-            want_assoc, want_unital = want(*params)
+            want_assoc, want_unital = stated(p, *params)
             got_assoc = rank2.is_associative(t)
             got_unital = rank2.find_unit(t) is not None
             if got_assoc != want_assoc or got_unital != want_unital:
@@ -188,10 +166,10 @@ def verify_prop_3_4(p: int) -> VerifyReport:
 # Characteristic-2 classification and unitality pattern
 # ---------------------------------------------------------------------------
 
-_CHAR2_UNITAL = {"m2_1", "m2_3", "m2_4", "m2_5"}
-
 
 def verify_char2_classification() -> VerifyReport:
+    """Classify every associative commutative F_2 table and compare its
+    unitality with the statement of its family (rank2._CHAR2)."""
     ring = GF(2)
     records, n_assoc = [], 0
     for t4 in _associative_comm_tables(range(2), 2):
@@ -203,7 +181,7 @@ def verify_char2_classification() -> VerifyReport:
             records.append(_record("classification_gap", table=t.to_json()))
             continue
         unital = rank2.find_unit(t) is not None
-        if unital != (label in _CHAR2_UNITAL):
+        if unital != _CHAR2[label][3](2, *params)[1]:
             records.append(
                 _record("unitality_pattern_mismatch", table=t.to_json(), label=label, unital=unital)
             )

@@ -491,7 +491,7 @@ def test_isomorphism_matches_scan_on_seeded_pairs(p, pairs):
 
 def test_nonresidue_parameters_checked():
     # squares of F_5 units are {1, 4}; 2 and 3 (and 0) are admissible
-    assert rank2.nonresidues(F5) == [0, 2, 3]
+    assert [x for x in range(5) if not rank2._square(5, x)] == [0, 2, 3]
     rank2.representative("m11R", (2,), F5)
     with pytest.raises(ValueError):
         rank2.representative("m11R", (4,), F5)
@@ -509,7 +509,9 @@ def test_m9_excludes_half():
 
 
 def _is_nonresidue(ring, x):
-    return ring.normalize(x) in rank2.nonresidues(ring)
+    # Euler's criterion: a unit x is a square exactly when x^((p-1)/2) = 1
+    x = ring.normalize(x)
+    return x == 0 or pow(x, (ring.p - 1) // 2, ring.p) != 1
 
 
 def _pow_in_squares(ring, x):
@@ -642,7 +644,7 @@ def _outcome(make, label, params, ring, rejections=(ValueError,)):
 
 def test_families_match_reference():
     half = [Fraction(k, 2) for k in range(-3, 4)]
-    for label, (arity, _, _) in rank2._FAMILIES.items():
+    for label, (arity, _, _, _) in rank2._FAMILIES.items():
         domains = [(GF(p), range(p)) for p in (2, 3, 5, 7)] + [(ZZ, range(-2, 3)), (QQ, half)]
         for ring, entries in domains:
             for params in itertools.product(entries, repeat=arity):
@@ -709,6 +711,32 @@ def test_classify_same_on_second_call():
     tables = _assoc_tables(F3)
     first = [_classify_or_gap(t) for t in tables]
     assert [_classify_or_gap(t) for t in tables] == first
+
+
+_ODD_HEAD = [
+    ("m6", (0, 0)), ("m6", (0, 1)), ("m6", (1, 0)), ("m9", (0,)), ("m9", (1,)), ("m10", (1,)),
+    ("m12", ()), ("m14", ()), ("m17", ()),
+]
+_ODD_TAIL = [("m11R", (0,)), ("m15_1R", (0, 0, 0, 0))]
+_TARGETS = {
+    2: [
+        ("m2_1", ()), ("m2_2", ()), ("m2_3", ()), ("m2_4", (0,)), ("m2_4", (1,)), ("m2_5", (0,)),
+        ("m2_5", (1,)), ("m2_6", ()), ("m2_7", ()), ("m2R", (0, 0)),
+    ],
+    3: _ODD_HEAD + [("m8_2R", (1, 0)), ("m8_2R", (1, 2))] + _ODD_TAIL,
+    5: _ODD_HEAD + _ODD_TAIL,
+    7: _ODD_HEAD + [("m8_2R", (1, l2)) for l2 in (0, 3, 5, 6)] + _ODD_TAIL,
+    11: _ODD_HEAD + [("m8_2R", (1, l2)) for l2 in (0, 2, 6, 7, 8, 10)] + _ODD_TAIL,
+    13: _ODD_HEAD + _ODD_TAIL,
+}
+
+
+@pytest.mark.parametrize("p", sorted(_TARGETS))
+def test_classification_targets_are_pinned(p):
+    # the members the family statements call associative, at every prime that
+    # classify accepts: m8_2R(1, l2) exists only where -1 is a nonresidue
+    # (p = 3 mod 4), with l2 any nonresidue, 0 included
+    assert [(label, params) for label, params, _ in rank2._classification_targets(GF(p))] == _TARGETS[p]
 
 
 def test_classify_stated_examples():

@@ -229,17 +229,6 @@ def test_comult_survivors_count_the_injective_coproducts(p):
     assert vf.verify_theorem_1_1(p).stages["comult_survivors"] == len(injective)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_search_nearly_frobenius_matches_reference(p):
-    # the transposed tables of the reference list are every associative
-    # commutative table, each once
-    ring, comults = GF(p), _reference_comults(p)
-    for _, t in comults:
-        e11, e12, _, e22 = t
-        want = [d for d, _ in comults if _frobenius_relation(t, d, p)]
-        assert vf.search_nearly_frobenius(rank2.MultTable(ring, e11, e12, e22)) == want
-
-
 # --- failure branches -----------------------------------------------------
 #
 # Each test forces one failure with one patch, runs the battery through
@@ -323,8 +312,9 @@ def test_char2_records_each_classification_gap(monkeypatch, capsys):
 def test_char2_records_each_unitality_mismatch(monkeypatch, capsys):
     # with no unit found, every table of a unital family is a mismatch
     tables = _comm_tables(range(2), 2)
-    labels = [rank2.classify(rank2.MultTable(GF(2), t[0], t[1], t[3]))[0] for t in tables]
-    want = [(t, label) for t, label in zip(tables, labels) if label in vf._CHAR2_UNITAL]
+    classes = [rank2.classify(rank2.MultTable(GF(2), t[0], t[1], t[3])) for t in tables]
+    unital = [rank2._CHAR2[label][3](2, *params)[1] for label, params in classes]
+    want = [(t, label) for t, (label, _), u in zip(tables, classes, unital) if u]
     recs = _forced(monkeypatch, capsys, rank2, "find_unit", lambda t: None, "char2")
     assert len(recs) == len(want) > 0
     assert all(set(r) == {"kind", "table", "label", "unital"} for r in recs)
