@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import mul
+from operator import mod, mul
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, _solve, rank, smith_normal_form
@@ -125,8 +125,9 @@ def _transpose(t) -> tuple:
 
 
 def _vanish(vals, m) -> bool:
-    """Every value is 0, mod m when m is nonzero."""
-    return not any(v % m for v in vals) if m else not any(vals)
+    """Every value is 0, mod m when m is nonzero.  Lazy: it stops at the
+    first value that is not, so a generator is read no further."""
+    return not any(map(mod, vals, itertools.repeat(m))) if m else not any(vals)
 
 
 def _unit(R: RingSpec, c) -> Optional[tuple]:

@@ -189,9 +189,11 @@ def _frobenius_comults(t, p):
 def _surjective(t, m) -> bool:
     """The multiplication A (x) A -> A is onto.  Over Z and F_p the gcd of m
     and the 2x2 minors of the 2x4 product matrix must be 1: over Z that gcd
-    is d1*d2 of the Smith form."""
-    minors = [a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(t, 2)]
-    if isinstance(minors[0], Fraction):  # Q: every nonzero minor is a unit
+    is d1*d2 of the Smith form.  A repeated column adds only zero or
+    repeated minors, so a commutative tuple's e2e1 is left out."""
+    cols = t if t[1] != t[2] else (t[0], t[1], t[3])
+    minors = [a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(cols, 2)]
+    if type(minors[0]) is Fraction:  # Q: every nonzero minor is a unit
         return any(minors)
     return math.gcd(*minors, m) == 1
 
@@ -200,14 +202,16 @@ def _unit(t, m):
     """The two-sided unit u = x e1 + y e2, or None.
 
     Cramer's rule on the first nonsingular pair of the eight unit equations,
-    then a check of all of them.  A unit is unique, so a system with no
+    then a check of all of them; on a commutative tuple the last four repeat
+    the first four and are left out.  A unit is unique, so a system with no
     nonsingular pair has none.
     """
     (a11, b11), (a12, b12), (a21, b21), (a22, b22) = t
     rows = (  # x * c + y * d = r, from u e1 = e1, u e2 = e2, e1 u = e1, e2 u = e2
         (a11, a21, 1), (b11, b21, 0), (a12, a22, 0), (b12, b22, 1),
-        (a11, a12, 1), (b11, b12, 0), (a21, a22, 0), (b21, b22, 1),
     )
+    if t[1] != t[2]:
+        rows += ((a11, a12, 1), (b11, b12, 0), (a21, a22, 0), (b21, b22, 1))
     for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
         det = c1 * d2 - c2 * d1
         if (det % m if m else det) != 0:
@@ -218,7 +222,7 @@ def _unit(t, m):
     if m:
         inv = pow(det, -1, m)
         u = (xn * inv % m, yn * inv % m)
-    elif isinstance(det, Fraction):
+    elif type(det) is Fraction:
         u = (xn / det, yn / det)
     else:  # Z: a floored quotient fails the check below unless it is exact
         u = (xn // det, yn // det)

@@ -89,16 +89,20 @@ class RingSpec(Value):
         return Fraction(1) if self.kind == "Q" else 1
 
     def normalize(self, x) -> Scalar:
-        """Coerce an int/Fraction/decimal-or-'n/d' string into this ring.
-        Floats and bools are not exact scalars and raise ValueError."""
-        if type(x) is not int:  # keeps the common int case to one test
-            if isinstance(x, str):
-                try:
-                    x = Fraction(x) if "/" in x else int(x)
-                except ZeroDivisionError:
-                    raise ValueError(f"{x!r} has a zero denominator") from None
-            elif isinstance(x, (float, bool)):
-                raise ValueError(f"{x!r} is not an exact scalar")
+        """Coerce an int/Fraction/decimal-or-'n/d' string into this ring:
+        an int over Z, a Fraction over Q, a residue in range(p) over F_p.
+        Floats and bools are not exact scalars and raise ValueError.  A
+        plain int returns at once: isinstance(x, Fraction) would answer it
+        through the numbers ABCs."""
+        if type(x) is int:
+            return x % self.p if self.p else Fraction(x) if self.kind == "Q" else x
+        if isinstance(x, str):
+            try:
+                x = Fraction(x) if "/" in x else int(x)
+            except ZeroDivisionError:
+                raise ValueError(f"{x!r} has a zero denominator") from None
+        elif isinstance(x, (float, bool)):
+            raise ValueError(f"{x!r} is not an exact scalar")
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

@@ -186,6 +186,21 @@ def test_declared_units_match_the_term_by_term_reference(ring):
 # --- the four-parameter evaluation -------------------------------------------
 
 
+def test_vanish_is_exact_and_stops_at_the_first_nonzero():
+    assert fr._vanish([Fraction(0), Fraction(0, 3)], 0)
+    assert not fr._vanish([Fraction(0), Fraction(1, 2)], 0)
+    assert fr._vanish([0, -7, 2**70 * 7, Fraction(14, 2)], 7)
+    assert not fr._vanish([0, 7, 2**70], 7)
+
+    def rows():  # check_axioms hands _vanish a generator of rows
+        yield 0
+        yield 3
+        raise AssertionError("read past the first nonzero value")
+
+    for m in (0, 5):
+        assert not fr._vanish(rows(), m)
+
+
 def test_a4_point_validation():
     # (a, c, e, f): a*e - c*f = 0 and a*f + c*h*f - c*e*t = 1 must hold
     fr.a4_evaluate((1, 0, 0, 1, 4, -3))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -239,6 +240,50 @@ def test_kernel_matches_linalg_reference():
                 rhs += list(e)
         sol = solve_linear(ExactMatrix.from_rows(t.ring, rows), rhs)
         assert rank2.find_unit(t) == (None if sol is None else tuple(sol)), t
+
+
+def _reference_surjective(t):
+    # over Z: the gcd of every 2x2 minor of the 2x4 product matrix, repeated
+    # columns included
+    return math.gcd(*(a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(t, 2))) == 1
+
+
+def _reference_unit(t):
+    # over Z: Cramer's rule on the first nonsingular pair of all eight unit
+    # equations, commutative or not, then a check of all eight
+    (a11, b11), (a12, b12), (a21, b21), (a22, b22) = t
+    rows = (
+        (a11, a21, 1), (b11, b21, 0), (a12, a22, 0), (b12, b22, 1),
+        (a11, a12, 1), (b11, b12, 0), (a21, a22, 0), (b21, b22, 1),
+    )
+    for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
+        det = c1 * d2 - c2 * d1
+        if det:
+            break
+    else:
+        return None
+    u = ((r1 * d2 - r2 * d1) // det, (c1 * r2 - c2 * r1) // det)
+    return u if all(u[0] * c + u[1] * d == r for c, d, r in rows) else None
+
+
+def test_unit_and_surjectivity_match_all_equations_on_the_z_box():
+    # over Z a Cramer quotient is floored, so the kernel's shorter systems are
+    # pinned on every commutative tuple of [-2, 2]^6 and on a seeded sample of
+    # noncommutative tuples of [-2, 2]^8
+    box = range(-2, 3)
+    tuples = [(e[0:2], e[2:4], e[2:4], e[4:6]) for e in itertools.product(box, repeat=6)]
+    rnd = random.Random(46)
+    for _ in range(5000):
+        e = tuple(rnd.choice(box) for _ in range(8))
+        tuples.append((e[0:2], e[2:4], e[4:6], e[6:8]))
+    seen = set()
+    for t in tuples:
+        unit, onto = rank2._unit(t, 0), rank2._surjective(t, 0)
+        assert (unit, onto) == (_reference_unit(t), _reference_surjective(t)), t
+        seen.add((unit is not None, onto, t[1] == t[2]))
+    # a unit makes the product onto, and a unital rank-2 algebra, spanned by
+    # 1 and one more element, is commutative: the other five cases all occur
+    assert len(seen) == 5
 
 
 # --- isomorphism ----------------------------------------------------------
@@ -654,6 +699,30 @@ def test_families_match_reference():
                 )
                 got = _outcome(rank2.representative, label, params, ring)
                 assert got == want, (label, params, str(ring))
+
+
+def test_every_family_statement_matches_brute_force():
+    # each member that representative accepts, in the characteristic of its
+    # row, against the definitions written out here: (x y) z = x (y z) on the
+    # eight basis triples, and a unit among the p^2 elements
+    basis, checked = ((1, 0), (0, 1)), 0
+    for rows, primes in ((rank2._CHAR2, (2,)), (rank2._ODD, (3, 5, 7))):
+        for p, (label, (arity, _, _, stated)) in itertools.product(primes, rows.items()):
+            plane = list(itertools.product(range(p), repeat=2))
+            for params in itertools.product(range(p), repeat=arity) if stated else ():
+                try:
+                    t = rank2.representative(label, params, GF(p))
+                except ValueError:  # outside the family's side conditions
+                    continue
+                t4 = rank2._entries(t)
+                associative = all(
+                    _mul(t4, _mul(t4, x, y, p), z, p) == _mul(t4, x, _mul(t4, y, z, p), p)
+                    for x, y, z in itertools.product(basis, repeat=3)
+                )
+                unital = any(all(_mul(t4, u, e, p) == e == _mul(t4, e, u, p) for e in basis) for u in plane)
+                assert stated(p, *params) == (associative, unital), (label, params, p)
+                checked += 1
+    assert checked == 1410
 
 
 def test_representative_rejects_with_value_error():

@@ -39,10 +39,24 @@ def test_fp_normalize_residues():
 def test_normalize_rejects_floats_and_bools():
     # JSON numbers like 1.5 or true are not exact scalars; 1.0 is refused too
     for ring in (ZZ, QQ, GF(3)):
-        for x in (1.5, 0.1, 1.0, True, False, "1/0"):
+        for x in (1.5, 0.1, 1.0, -3.0, 2.0**70, True, False, "1/0"):
             with pytest.raises(ValueError):
                 ring.normalize(x)
     assert ZZ.normalize(1) == 1 and type(QQ.normalize(1)) is Fraction
+
+
+def test_normalize_result_types_per_ring():
+    # an int over Z, a Fraction over Q and a residue in range(p) over F_p,
+    # from plain ints (negative ones and ones past 2**64 too) and from the
+    # Fraction and string paths alike
+    big = 2**64 + 3
+    for x in (0, 1, -1, -7, big, -big, Fraction(-6, 2), "-7", str(big)):
+        value = int(x)
+        assert type(ZZ.normalize(x)) is int and ZZ.normalize(x) == value
+        assert type(QQ.normalize(x)) is Fraction and QQ.normalize(x) == value
+        for p in (2, 3, 2**31 - 1):
+            r = GF(p).normalize(x)
+            assert type(r) is int and r in range(p) and (r - value) % p == 0
 
 
 def test_json_round_trip():
