@@ -6,15 +6,19 @@ directory.  The inputs are 64 seeded braid closures (2-4 strands, 1-6
 letters) under ``homology --normalize --json`` over Z, Q, F_2 and F_3 with
 ``a5(0,0)``, ``a5(1,1)`` and the x2/x3-scaled algebra, ``bracket`` and
 ``bracket --json`` of each closure, and ``check-algebra --json`` and
-``relations --json`` of the algebra files the CI smoke step writes, with
-declared-identity variants.
+``relations --json`` of every file in ``ALGEBRAS``.
 A larger tier of 4 seeded closures (2-4 strands, 7-8 letters, so cubes of
 128 or 256 states) runs ``homology --normalize --json`` over Z and F_2
-with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.  The rank-2
-commands are ``verify --json`` of every target at its defaults, at ``--p 5``
-where it takes a prime and at ``--zbound 1`` where it takes a Z box, and
-``classify --json`` of every associative commutative F_3 table and of 8
-seeded ones each over F_5 and F_7 (five of the F_5 ones are gaps, exit 1).
+with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.  Every built-in
+diagram runs text-mode ``homology --a5 0,0`` over Z, and with
+``--normalize`` over F_3.  Two pairs must print the same bytes: a trefoil
+given by its signs and by its orientation, and ``builder:trefoil_left``
+with the scaled algebra over Z and over Q re-ringed by ``--ring Z``.  The
+rank-2 commands are ``verify --json`` of every target at its defaults, at
+``--p 5`` where it takes a prime and at ``--zbound 1`` where it takes a Z
+box, ``classify --json`` of every associative commutative F_3 table and of
+8 seeded ones each over F_5 and F_7 (five of the F_5 ones are gaps, exit
+1), and text-mode ``classify`` of two F_13 tables and one F_7 table.
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -35,6 +39,7 @@ from pathlib import Path
 
 from frobknot import rank2
 from frobknot.cli import main
+from frobknot.diagram import BUILDERS
 from frobknot.rings import GF
 
 from braids import braid
@@ -126,12 +131,22 @@ def _commands(d: Path):
             yield [cmd, str(d / name), "--json"]
     for args in VERIFY:
         yield ["verify", *args, "--json"]
-    for p, e in tables():
+    # in text mode: F_7's m8_2R (1, 3), F_13's m6 (0, 0) and the F_13[sqrt 2] gap
+    text = [(7, (1, 0, 0, 1, 6, 0)), (13, (1, 0, 0, 1, 12, 0)), (13, (1, 0, 0, 1, 2, 0))]
+    for p, e in tables() + text:
         f = d / f"f{p}_{''.join(map(str, e))}.json"
         f.write_text(json.dumps({"ring": {"kind": "Fp", "p": p},
                                  "products": {"e1e1": e[:2], "e1e2": e[2:4], "e2e2": e[4:]}}))
-        yield ["classify", str(f), "--json"]
+        yield ["classify", str(f)] if (p, e) in text else ["classify", str(f), "--json"]
+    for name, last in (("signs", "SIGNS - - -"), ("orient", "ORIENT 1 2 3 4 5 6")):
+        (d / f"trefoil_{name}.pd").write_text(f"X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n{last}\n")
+        yield ["homology", str(d / f"trefoil_{name}.pd"), "--a5", "0,0", "--normalize", "--json"]
     scaled = ["--algebra", str(d / "scaled.json")]
+    for algebra in (scaled, ["--algebra", str(d / "scaled_q_unit.json"), "--ring", "Z"]):
+        yield ["homology", "builder:trefoil_left", *algebra, "--normalize", "--json"]
+    for name in BUILDERS:
+        yield ["homology", f"builder:{name}", "--a5", "0,0"]
+        yield ["homology", f"builder:{name}", "--a5", "0,0", "--ring", "Fp:3", "--normalize"]
     for strands, word in closures():
         pd = _pd(d, strands, word)
         yield ["bracket", str(pd)]
