@@ -105,7 +105,7 @@ def _cmd_homology(args) -> int:
     if args.json:
         _emit_json(table.to_json())
     else:
-        print(f"ring {F.ring.to_json()}  normalized={table.normalized}")
+        print(f"ring {F.ring}  normalized={table.normalized}")
         for i, free, tor in table.rows:
             tors = " + ".join(f"Z/{t}" for t in tor)
             desc = f"free rank {free}" + (f" + {tors}" if tors else "")
