@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -417,6 +418,14 @@ _FAMILIES = {
 }
 
 
+def _member(label: str, params: tuple, ring: RingSpec) -> Optional[MultTable]:
+    """A family's member at normalized params, or None where a side condition excludes it."""
+    _, products, side, _ = _FAMILIES[label]
+    if side and ring.kind == "Fp" and not side(ring.p, *params):
+        return None
+    return MultTable(ring, *products(*params))
+
+
 def representative(label: str, params: tuple, ring: RingSpec) -> MultTable:
     """Instantiate a named representative family over the given ring.
 
@@ -427,50 +436,45 @@ def representative(label: str, params: tuple, ring: RingSpec) -> MultTable:
     """
     if label not in _FAMILIES:
         raise ValueError(f"unknown family {label!r}")
-    arity, products, side, _ = _FAMILIES[label]
-    if len(params) != arity:
-        raise ValueError(f"family {label} takes {arity} parameters, got {len(params)}")
+    if len(params) != _FAMILIES[label][0]:
+        raise ValueError(f"family {label} takes {_FAMILIES[label][0]} parameters, got {len(params)}")
     params = tuple(map(ring.normalize, params))
-    if side and ring.kind == "Fp" and not side(ring.p, *params):
+    if (t := _member(label, params, ring)) is None:
         raise ValueError(f"family {label} excludes {params} over {ring}: side condition fails")
-    return MultTable(ring, *products(*params))
+    return t
 
 
 def _classification_targets(ring: RingSpec):
     """Canonical (label, params, kernel tuple) of the representatives of
     associative commutative F_p tables, in order: each member of the ring's
     characteristic's families, in row and parameter order, that its
-    statement calls associative; a member whose side conditions
-    representative rejects is dropped."""
+    statement calls associative and its side conditions admit."""
     p = ring.p
     for label, (arity, _, _, stated) in (_CHAR2 if p == 2 else _ODD).items():
         for params in itertools.product(range(p), repeat=arity):
-            if stated and stated(p, *params)[0]:
-                try:
-                    yield label, params, _entries(representative(label, params, ring))
-                except ValueError:
-                    pass
+            if stated and stated(p, *params)[0] and (t := _member(label, params, ring)) is not None:
+                yield label, params, _entries(t)
 
 
 @functools.cache  # built on the first classify over a prime, then shared
-def _signed_targets(ring: RingSpec) -> tuple:
-    """The classification targets of ring, each with its _signature."""
-    return tuple((*tgt, _signature(tgt[2], ring.p)) for tgt in _classification_targets(ring))
+def _signed_targets(ring: RingSpec) -> dict:
+    """_signature -> (label, params) of the first classification target with it."""
+    targets = reversed(list(_classification_targets(ring)))  # the first target's write lands last
+    return {_signature(rep, ring.p): (label, params) for label, params, rep in targets}
 
 
 def classify(t: MultTable) -> tuple[str, tuple]:
-    """Match an associative commutative F_p table against the representative
-    families: the answer is the first target, in _classification_targets
-    order, isomorphic to the table.  Targets whose invariant signature
-    differs from the table's are skipped without a search.  Raises
-    ClassificationGap when nothing matches."""
+    """The first target, in _classification_targets order, isomorphic to an
+    associative commutative F_p table.  Such a table is F_p x F_p, F_p[x]/x^2
+    or F_{p^2} if unital, else (Theorem 1.2) F_p x 0, x^2 = y or zero; the
+    README shows _signature tells the six apart, so the first target with the
+    table's signature is the answer.  Raises ClassificationGap if none has it."""
     if t.ring.kind != "Fp":
         raise ValueError("classification runs over prime fields")
     p, t4 = _searchable(t.ring).p, _entries(t)
     if t4[1] != t4[2] or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
-    sig = _signature(t4, p)
-    for label, params, rep, rep_sig in _signed_targets(t.ring):
-        if rep_sig == sig and _isomorphism(t4, rep, p) is not None:
-            return label, params
-    raise ClassificationGap(f"no representative matches {t.to_json()}")
+    found = _signed_targets(t.ring).get(_signature(t4, p))
+    if found is None:
+        raise ClassificationGap(f"no representative matches {json.dumps(t.to_json(), separators=(',', ':'))}")
+    return found

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from . import rank2
-from .rank2 import _associative, _entries, _isomorphism, _searchable, _surjective, _table, _unit
+from .rank2 import _associative, _entries, _isomorphism, _member, _searchable, _surjective, _table, _unit
 from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults, _CHAR2, _ODD
 from .rings import ZZ, GF, RingSpec, Value
 
@@ -140,12 +140,8 @@ def verify_prop_3_4(p: int) -> VerifyReport:
     ring = GF(p)
     records, checked = [], 0
     for label, (arity, _, _, stated) in _ODD.items():
-        if stated is None:
-            continue
         for params in itertools.product(range(p), repeat=arity):
-            try:
-                t = rank2.representative(label, params, ring)
-            except ValueError:  # outside the family's side conditions
+            if stated is None or (t := _member(label, params, ring)) is None:
                 continue
             checked += 1
             want_assoc, want_unital = stated(p, *params)

@@ -271,8 +271,11 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
     gap = rank2.MultTable(GF(5), (1, 0), (0, 1), (2, 0))
     f2 = tmp_path / "gap.json"
     f2.write_text(json.dumps(gap.to_json()))
-    code, _ = run(capsys, "classify", str(f2))
-    assert code == 1
+    assert main(["classify", str(f2)]) == 1
+    # the stderr line carries the table as JSON that classify reads back
+    head, _, table = capsys.readouterr().err.partition("no representative matches ")
+    assert head == "classification gap: "
+    assert rank2.MultTable.from_json(json.loads(table)) == gap
 
     for bad in ("1/3", "1/0"):  # 3 is not a unit mod 3; "1/0" was a ZeroDivisionError traceback
         third = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -853,6 +854,39 @@ def test_f5_classification_histogram():
     hist, gaps = _histogram(F5)
     assert hist == {"gap": 240, "m6": 240, "m9": 240, "m14": 24, "m17": 1}
     assert all(_is_field(rank2._entries(t), 5) for t in gaps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_signature_classes_are_the_orbits(p):
+    """The _signature classes of the associative commutative F_p tables have
+    the orbit-stabilizer sizes |GL_2(F_p)| / |Aut A| of the six algebras:
+    F_p x F_p and F_{p^2} (|Aut A| = 2), F_p[x]/x^2 and F_p x 0 (p - 1),
+    x^2 = y (p(p - 1)) and zero (all of GL_2).  Without the idempotent count
+    F_p x F_p and F_{p^2} merge, and without the square-zero count
+    F_p[x]/x^2 and F_{p^2} do.  Unital and rank A^2 are each redundant: the
+    other tells F_p[x]/x^2 from F_p x 0, the one pair they separate.
+
+    At F_5 and F_7 classify's lookup must also return the first target that
+    _isomorphism finds isomorphic to the table, or a gap where none is.  The
+    search skips targets of another signature, which cannot be isomorphic
+    (test_signature_is_invariant_under_base_change)."""
+    tables = list(rank2._associative_comm_tables(range(p), p))
+    sizes = Counter(rank2._signature(t4, p) for t4 in tables).values()
+    orbits = [p * (p - 1) * (p * p - 1) // 2] * 2 + [p * (p * p - 1)] * 2 + [p * p - 1, 1]
+    assert sorted(sizes) == sorted(orbits)
+    assert len(tables) == (p * p - 1) * (p * p + p + 1) + 1
+    if p < 5:
+        return
+    ring = GF(p)
+    targets = [(*tgt, rank2._signature(tgt[2], p)) for tgt in rank2._classification_targets(ring)]
+    for t4 in tables:
+        sig = rank2._signature(t4, p)
+        want = next(
+            ((label, params) for label, params, rep, rep_sig in targets
+             if rep_sig == sig and rank2._isomorphism(t4, rep, p) is not None),
+            None,
+        )
+        assert _classify_or_gap(rank2._table(ring, t4)) == want, t4
 
 
 # --- JSON -------------------------------------------------------------------
