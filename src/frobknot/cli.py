@@ -160,11 +160,7 @@ def _cmd_classify(args) -> int:
     t = _from_json(rank2.MultTable, args.file)
     if args.p is not None:
         t = rank2.MultTable(GF(args.p), t.e11, t.e12, t.e22, t.e21)
-    try:
-        label, params = rank2.classify(t)
-    except rank2.ClassificationGap as e:
-        print(f"classification gap: {e}", file=sys.stderr)
-        return 1
+    label, params = rank2.classify(t)
     if args.json:
         _emit_json({"family": label, "params": list(params)})
     else:

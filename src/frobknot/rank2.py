@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -20,10 +19,6 @@ from .linalg import _echelon
 from .rings import RingSpec, Scalar, Value
 
 Pair = tuple[Scalar, Scalar]
-
-
-class ClassificationGap(Exception):
-    """An associative table matched no representative family."""
 
 
 MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about a minute over F_13
@@ -274,16 +269,14 @@ def idempotents(t: MultTable) -> list[Pair]:
 
 
 def _signature(t, p) -> tuple:
-    """Isomorphism invariants of an F_p tuple: unital or not, the numbers of
-    nonzero idempotents and of nonzero square-zero elements, and the rank of
-    A^2 (2 exactly when the multiplication is onto)."""
+    """Isomorphism invariants of an F_p tuple: unital or not, and the
+    numbers of nonzero idempotents and of nonzero square-zero elements."""
     idem = nil = -1  # v = 0 is both
     for v in itertools.product(range(p), repeat=2):
         sq = _mul(t, v, v, p)
         idem += sq == v
         nil += sq == (0, 0)
-    rank = 2 if _surjective(t, p) else int(any(map(any, t)))
-    return _unit(t, p) is not None, idem, nil, rank
+    return _unit(t, p) is not None, idem, nil
 
 
 def _isomorphism(a, b, p):
@@ -409,8 +402,17 @@ _CHAR2 = {
             lambda p, a2, b2: all((1 + (a2 + b2 * b2) * y + (a2 * b2) ** 2 * y**3) % p for y in range(p)),
             _alike(True, False)),
 }
+# Not in the paper: F_{p^2} = F_p[x]/(x^2 - n) at a nonresidue n, which m8_2R
+# covers only where -1 is a nonresidue (p = 3 mod 4).  Not an _ODD row, since
+# prop3.4 sweeps the paper's statements.  n = 0, which _square calls a
+# nonsquare, would give F_p[x]/x^2.
+_FIELD = {
+    "Fp2": (1, lambda n: ((1, 0), (0, 1), (n, 0)),
+            lambda p, n: n % p != 0 and not _square(p, n), _alike(True, True)),
+}
 _FAMILIES = {
     **_ODD,
+    **_FIELD,
     **_CHAR2,
     # noncommutative targets
     "nc_left": (0, lambda: ((0, 0), (0, 0), (0, 1), (1, 0)), None, None),
@@ -450,7 +452,7 @@ def _classification_targets(ring: RingSpec):
     characteristic's families, in row and parameter order, that its
     statement calls associative and its side conditions admit."""
     p = ring.p
-    for label, (arity, _, _, stated) in (_CHAR2 if p == 2 else _ODD).items():
+    for label, (arity, _, _, stated) in (_CHAR2 if p == 2 else _ODD | _FIELD).items():
         for params in itertools.product(range(p), repeat=arity):
             if stated and stated(p, *params)[0] and (t := _member(label, params, ring)) is not None:
                 yield label, params, _entries(t)
@@ -467,14 +469,11 @@ def classify(t: MultTable) -> tuple[str, tuple]:
     """The first target, in _classification_targets order, isomorphic to an
     associative commutative F_p table.  Such a table is F_p x F_p, F_p[x]/x^2
     or F_{p^2} if unital, else (Theorem 1.2) F_p x 0, x^2 = y or zero; the
-    README shows _signature tells the six apart, so the first target with the
-    table's signature is the answer.  Raises ClassificationGap if none has it."""
+    README shows _signature tells the six apart and every prime has a target
+    of each, so the first target with the table's signature is the answer."""
     if t.ring.kind != "Fp":
         raise ValueError("classification runs over prime fields")
     p, t4 = _searchable(t.ring).p, _entries(t)
     if t4[1] != t4[2] or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
-    found = _signed_targets(t.ring).get(_signature(t4, p))
-    if found is None:
-        raise ClassificationGap(f"no representative matches {json.dumps(t.to_json(), separators=(',', ':'))}")
-    return found
+    return _signed_targets(t.ring)[_signature(t4, p)]

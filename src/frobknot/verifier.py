@@ -171,11 +171,7 @@ def verify_char2_classification() -> VerifyReport:
     for t4 in _associative_comm_tables(range(2), 2):
         n_assoc += 1
         t = _table(ring, t4)
-        try:
-            label, params = rank2.classify(t)
-        except rank2.ClassificationGap:
-            records.append(_record("classification_gap", table=t.to_json()))
-            continue
+        label, params = rank2.classify(t)
         unital = rank2.find_unit(t) is not None
         if unital != _CHAR2[label][3](2, *params)[1]:
             records.append(

@@ -17,8 +17,9 @@ with the scaled algebra over Z and over Q re-ringed by ``--ring Z``.  The
 rank-2 commands are ``verify --json`` of every target at its defaults, at
 ``--p 5`` where it takes a prime and at ``--zbound 1`` where it takes a Z
 box, ``classify --json`` of every associative commutative F_3 table and of
-8 seeded ones each over F_5 and F_7 (five of the F_5 ones are gaps, exit
-1), and text-mode ``classify`` of two F_13 tables and one F_7 table.
+8 seeded ones each over F_5 and F_7 (five of the F_5 ones are fields, which
+only the Fp2 row matches), and text-mode ``classify`` of two F_13 tables and
+one F_7 table.
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -131,7 +132,7 @@ def _commands(d: Path):
             yield [cmd, str(d / name), "--json"]
     for args in VERIFY:
         yield ["verify", *args, "--json"]
-    # in text mode: F_7's m8_2R (1, 3), F_13's m6 (0, 0) and the F_13[sqrt 2] gap
+    # in text mode: F_7's m8_2R (1, 3), F_13's m6 (0, 0) and F_13[sqrt 2], Fp2 (2,)
     text = [(7, (1, 0, 0, 1, 6, 0)), (13, (1, 0, 0, 1, 12, 0)), (13, (1, 0, 0, 1, 2, 0))]
     for p, e in tables() + text:
         f = d / f"f{p}_{''.join(map(str, e))}.json"

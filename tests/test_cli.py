@@ -268,14 +268,13 @@ def test_classify_and_gap_exit_code(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["family"] == "m2_7"
 
-    gap = rank2.MultTable(GF(5), (1, 0), (0, 1), (2, 0))
-    f2 = tmp_path / "gap.json"
-    f2.write_text(json.dumps(gap.to_json()))
-    assert main(["classify", str(f2)]) == 1
-    # the stderr line carries the table as JSON that classify reads back
-    head, _, table = capsys.readouterr().err.partition("no representative matches ")
-    assert head == "classification gap: "
-    assert rank2.MultTable.from_json(json.loads(table)) == gap
+    # F_25 = F_5[x]/(x^2 - 2): -1 is a square mod 5, so no paper family has
+    # it, and the Fp2 row does
+    field = rank2.MultTable(GF(5), (1, 0), (0, 1), (2, 0))
+    f2 = tmp_path / "field.json"
+    f2.write_text(json.dumps(field.to_json()))
+    code, out = run(capsys, "classify", str(f2))
+    assert (code, out) == (0, "Fp2 (2,)\n")
 
     for bad in ("1/3", "1/0"):  # 3 is not a unit mod 3; "1/0" was a ZeroDivisionError traceback
         third = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
@@ -680,8 +679,8 @@ def test_builders_are_frozen(capsys, name):
     assert (code, json.loads(out)) == (0, {"bracket": bracket})
 
 
-# --- fuzzing the input contract: 0 ok, 1 only for a failed relation or a
-# classification gap, 2 for bad input, and never a traceback -----------------
+# --- fuzzing the input contract: 0 ok, 1 only for a failed relation, 2 for
+# bad input, and never a traceback --------------------------------------------
 
 _TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "4", "5", "7", "-1", "+", "-", "X", "O", "SIGNS", "ORIENT", "#", "a", "1.5", ""]
@@ -782,6 +781,6 @@ def test_cli_fuzz_keeps_the_exit_code_contract(call):
     if code == 2:
         assert out == "" and err.startswith(("error: ", "usage: ")), err
     elif code == 1:
-        assert argv[0] == "relations" or err.startswith("classification gap: "), (argv, err)
+        assert argv[0] == "relations", (argv, err)
     else:
         assert code == 0 and err == "", (code, err)

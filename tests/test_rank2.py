@@ -357,15 +357,8 @@ def _reference_targets(ring):
 
 
 def _reference_classify(t, targets):
-    """First matching (label, params), or None for a gap."""
+    """First matching (label, params), or None."""
     return next(((l, ps) for l, ps, rep in targets if _reference_isomorphic(t, rep)), None)
-
-
-def _classify_or_gap(t):
-    try:
-        return rank2.classify(t)
-    except rank2.ClassificationGap:
-        return None
 
 
 def _assoc_tables(ring):
@@ -446,16 +439,16 @@ def test_isomorphic_matches_reference_on_noncommutative_f2():
 def test_classify_matches_reference_exhaustive(ring):
     targets = _reference_targets(ring)
     for t in _assoc_tables(ring):
-        assert _classify_or_gap(t) == _reference_classify(t, targets), t
+        assert rank2.classify(t) == _reference_classify(t, targets), t
 
 
 def test_classify_matches_reference_on_f5_sample():
-    # every 50th table, five of them fields: labels, params and gaps
+    # every 50th table, five of them fields: labels and params
     sample = _assoc_tables(F5)[::50]
     assert sum(_is_field(rank2._entries(t), 5) for t in sample) == 5
     targets = _reference_targets(F5)
     for t in sample:
-        assert _classify_or_gap(t) == _reference_classify(t, targets), t
+        assert rank2.classify(t) == _reference_classify(t, targets), t
 
 
 @settings(max_examples=60, deadline=None)
@@ -644,6 +637,11 @@ def _reference_representative(label, params, ring):
         if not fp_rootless(lambda y: rank2._pa(*coeffs, y)):
             raise ValueError("m15_1R needs a rootless obstruction polynomial")
         return T(R, (0, 1), (a2, b2), (a4, b4))
+    if label == "Fp2":
+        (x,) = params
+        if R.kind == "Fp" and (n(x) == 0 or _pow_in_squares(R, x)):
+            raise ValueError("Fp2 needs a nonzero nonresidue")
+        return T(R, (1, 0), (0, 1), (x, 0))
     if label == "m2_1":
         return T(R, (1, 0), (0, 1), (0, 1))
     if label == "m2_2":
@@ -707,7 +705,7 @@ def test_every_family_statement_matches_brute_force():
     # row, against the definitions written out here: (x y) z = x (y z) on the
     # eight basis triples, and a unit among the p^2 elements
     basis, checked = ((1, 0), (0, 1)), 0
-    for rows, primes in ((rank2._CHAR2, (2,)), (rank2._ODD, (3, 5, 7))):
+    for rows, primes in ((rank2._CHAR2, (2,)), (rank2._ODD | rank2._FIELD, (3, 5, 7))):
         for p, (label, (arity, _, _, stated)) in itertools.product(primes, rows.items()):
             plane = list(itertools.product(range(p), repeat=2))
             for params in itertools.product(range(p), repeat=arity) if stated else ():
@@ -723,7 +721,7 @@ def test_every_family_statement_matches_brute_force():
                 unital = any(all(_mul(t4, u, e, p) == e == _mul(t4, e, u, p) for e in basis) for u in plane)
                 assert stated(p, *params) == (associative, unital), (label, params, p)
                 checked += 1
-    assert checked == 1410
+    assert checked == 1416
 
 
 def test_representative_rejects_with_value_error():
@@ -779,8 +777,8 @@ def test_classify_same_on_second_call():
     # the first pass builds the cached targets, the second reads them
     rank2._signed_targets.cache_clear()
     tables = _assoc_tables(F3)
-    first = [_classify_or_gap(t) for t in tables]
-    assert [_classify_or_gap(t) for t in tables] == first
+    first = [rank2.classify(t) for t in tables]
+    assert [rank2.classify(t) for t in tables] == first
 
 
 _ODD_HEAD = [
@@ -788,16 +786,22 @@ _ODD_HEAD = [
     ("m12", ()), ("m14", ()), ("m17", ()),
 ]
 _ODD_TAIL = [("m11R", (0,)), ("m15_1R", (0, 0, 0, 0))]
+
+
+def _fp2(*nonresidues):
+    return [("Fp2", (n,)) for n in nonresidues]
+
+
 _TARGETS = {
     2: [
         ("m2_1", ()), ("m2_2", ()), ("m2_3", ()), ("m2_4", (0,)), ("m2_4", (1,)), ("m2_5", (0,)),
         ("m2_5", (1,)), ("m2_6", ()), ("m2_7", ()), ("m2R", (0, 0)),
     ],
-    3: _ODD_HEAD + [("m8_2R", (1, 0)), ("m8_2R", (1, 2))] + _ODD_TAIL,
-    5: _ODD_HEAD + _ODD_TAIL,
-    7: _ODD_HEAD + [("m8_2R", (1, l2)) for l2 in (0, 3, 5, 6)] + _ODD_TAIL,
-    11: _ODD_HEAD + [("m8_2R", (1, l2)) for l2 in (0, 2, 6, 7, 8, 10)] + _ODD_TAIL,
-    13: _ODD_HEAD + _ODD_TAIL,
+    3: _ODD_HEAD + [("m8_2R", (1, 0)), ("m8_2R", (1, 2))] + _ODD_TAIL + _fp2(2),
+    5: _ODD_HEAD + _ODD_TAIL + _fp2(2, 3),
+    7: _ODD_HEAD + [("m8_2R", (1, l2)) for l2 in (0, 3, 5, 6)] + _ODD_TAIL + _fp2(3, 5, 6),
+    11: _ODD_HEAD + [("m8_2R", (1, l2)) for l2 in (0, 2, 6, 7, 8, 10)] + _ODD_TAIL + _fp2(2, 6, 7, 8, 10),
+    13: _ODD_HEAD + _ODD_TAIL + _fp2(2, 5, 6, 7, 8, 11),
 }
 
 
@@ -805,8 +809,18 @@ _TARGETS = {
 def test_classification_targets_are_pinned(p):
     # the members the family statements call associative, at every prime that
     # classify accepts: m8_2R(1, l2) exists only where -1 is a nonresidue
-    # (p = 3 mod 4), with l2 any nonresidue, 0 included
+    # (p = 3 mod 4), with l2 any nonresidue, 0 included; Fp2(n) at every p > 2
     assert [(label, params) for label, params, _ in rank2._classification_targets(GF(p))] == _TARGETS[p]
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, rank2.MAX_SEARCH_P + 1) if all(p % d for d in range(2, p))])
+def test_every_prime_has_a_target_of_each_class(p):
+    # the six signatures of the README's table, so classify has an answer for
+    # every associative commutative table
+    six = {
+        (True, 3, 0), (True, 1, 0), (True, 1, p - 1), (False, 1, p - 1), (False, 0, p - 1), (False, 0, p * p - 1),
+    }
+    assert set(rank2._signed_targets(GF(p))) == six
 
 
 def test_classify_stated_examples():
@@ -822,26 +836,12 @@ def test_classify_rejects_nonassociative():
         rank2.classify(rank2.representative("m8", (), F3))
 
 
-def test_classification_gap_is_surfaced():
-    # the quadratic field extension of F_5 matches no listed family when -1
-    # is a square: the eligible unital families are blocked by their side
-    # conditions, and the no-idempotent family by its root obstruction
-    f25 = table(F5, (1, 0), (0, 1), (2, 0))
-    assert rank2.is_associative(f25)
-    with pytest.raises(rank2.ClassificationGap):
-        rank2.classify(f25)
-
-
 def _histogram(ring):
-    """Label counts over the associative commutative tables, and the gaps."""
-    hist, gaps = {}, []
+    """Label counts over the associative commutative tables, and the tables by label."""
+    by_label = {}
     for t in _assoc_tables(ring):
-        got = _classify_or_gap(t)
-        key = "gap" if got is None else got[0]
-        hist[key] = hist.get(key, 0) + 1
-        if got is None:
-            gaps.append(t)
-    return hist, gaps
+        by_label.setdefault(rank2.classify(t)[0], []).append(t)
+    return {label: len(ts) for label, ts in by_label.items()}, by_label
 
 
 def test_f3_classification_is_gapless():
@@ -849,11 +849,11 @@ def test_f3_classification_is_gapless():
 
 
 def test_f5_classification_histogram():
-    # F_25 has only a -1-nonresidue form in the family list, and -1 is a
-    # square mod 5: every gap must be a field
-    hist, gaps = _histogram(F5)
-    assert hist == {"gap": 240, "m6": 240, "m9": 240, "m14": 24, "m17": 1}
-    assert all(_is_field(rank2._entries(t), 5) for t in gaps)
+    # -1 is a square mod 5, so m8_2R has no member and F_25 is Fp2: every
+    # Fp2 table is a field
+    hist, by_label = _histogram(F5)
+    assert hist == {"Fp2": 240, "m6": 240, "m9": 240, "m14": 24, "m17": 1}
+    assert all(_is_field(rank2._entries(t), 5) for t in by_label["Fp2"])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -863,12 +863,12 @@ def test_signature_classes_are_the_orbits(p):
     F_p x F_p and F_{p^2} (|Aut A| = 2), F_p[x]/x^2 and F_p x 0 (p - 1),
     x^2 = y (p(p - 1)) and zero (all of GL_2).  Without the idempotent count
     F_p x F_p and F_{p^2} merge, and without the square-zero count
-    F_p[x]/x^2 and F_{p^2} do.  Unital and rank A^2 are each redundant: the
-    other tells F_p[x]/x^2 from F_p x 0, the one pair they separate.
+    F_p[x]/x^2 and F_{p^2} do.  Unital tells F_p[x]/x^2 from F_p x 0, the
+    one pair that the two counts leave together.
 
     At F_5 and F_7 classify's lookup must also return the first target that
-    _isomorphism finds isomorphic to the table, or a gap where none is.  The
-    search skips targets of another signature, which cannot be isomorphic
+    _isomorphism finds isomorphic to the table.  The search skips targets of
+    another signature, which cannot be isomorphic
     (test_signature_is_invariant_under_base_change)."""
     tables = list(rank2._associative_comm_tables(range(p), p))
     sizes = Counter(rank2._signature(t4, p) for t4 in tables).values()
@@ -886,7 +886,7 @@ def test_signature_classes_are_the_orbits(p):
              if rep_sig == sig and rank2._isomorphism(t4, rep, p) is not None),
             None,
         )
-        assert _classify_or_gap(rank2._table(ring, t4)) == want, t4
+        assert rank2.classify(rank2._table(ring, t4)) == want, t4
 
 
 # --- JSON -------------------------------------------------------------------

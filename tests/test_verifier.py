@@ -236,10 +236,6 @@ def test_comult_survivors_count_the_injective_coproducts(p):
 # reads back to the kernel tuple of the candidate that failed.
 
 
-def _gap(t):
-    raise rank2.ClassificationGap("forced")
-
-
 def _forced(monkeypatch, capsys, module, name, fake, *argv):
     """The counterexample records of one verify run with module.name patched
     to fake; the run must exit 1 and print one report."""
@@ -300,13 +296,6 @@ def test_noncomm_records_each_unmatched_table(monkeypatch, capsys):
     assert [r["kind"] for r in recs] == ["unmatched_noncommutative_table"] * 16
     assert all(set(r) == {"kind", "table"} and not r["table"]["commutative"] for r in recs)
     assert _read_back(recs, GF(3)) == want
-
-
-def test_char2_records_each_classification_gap(monkeypatch, capsys):
-    recs = _forced(monkeypatch, capsys, rank2, "classify", _gap, "char2")
-    assert [r["kind"] for r in recs] == ["classification_gap"] * 22
-    assert all(set(r) == {"kind", "table"} for r in recs)
-    assert _read_back(recs, GF(2)) == _comm_tables(range(2), 2)
 
 
 def test_char2_records_each_unitality_mismatch(monkeypatch, capsys):
