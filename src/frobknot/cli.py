@@ -113,12 +113,12 @@ def _cmd_homology(args) -> int:
     return 0
 
 
-def _render(poly: dict, var: str) -> str:
-    """An exponent -> coefficient dict as text in var, in its order:
+def _render(poly: dict) -> str:
+    """An exponent -> coefficient dict as text in A, in its order:
     ``-A^-5 - A^3 + A^7``, ``3 - 2*A^4``; ``0`` when it is empty."""
     text = ""
     for e, c in poly.items():
-        term = str(abs(c)) if e == 0 else ("" if abs(c) == 1 else f"{abs(c)}*") + f"{var}^{e}"
+        term = str(abs(c)) if e == 0 else ("" if abs(c) == 1 else f"{abs(c)}*") + f"A^{e}"
         if text:
             text += f" - {term}" if c < 0 else f" + {term}"
         else:
@@ -132,7 +132,7 @@ def _cmd_bracket(args) -> int:
     if args.json:
         _emit_json({"bracket": {str(e): c for e, c in b.items()}})
     else:
-        print(_render(b, "A"))
+        print(_render(b))
     return 0
 
 

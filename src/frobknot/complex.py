@@ -19,12 +19,11 @@ import contextlib
 import gc
 from collections import Counter
 from math import lcm
-from typing import Optional
 
 from .diagram import LinkDiagram, ResolutionCube, _times_delta, build_cube, normalized_bracket
 from .frobenius import FrobeniusData, _cells, _place
 from .linalg import ExactMatrix, homology_summands
-from .rings import QQ, RingSpec, Value
+from .rings import QQ, Value
 
 
 @contextlib.contextmanager
@@ -47,17 +46,9 @@ class ChainComplex(Value):
     # per degree, a tuple of quantum degrees
     _fields = ("ring", "shift", "ranks", "diffs", "q_degrees", "normalized")
 
-    def __init__(self, ring: RingSpec, shift: int, ranks: tuple, diffs: tuple,
-                 q_degrees: Optional[tuple] = None, normalized: bool = False):
-        self.__dict__.update(ring=ring, shift=shift, ranks=ranks, diffs=diffs,
-                             q_degrees=q_degrees, normalized=normalized)
-
 
 class HomologyTable(Value):
-    _fields = ("ring", "normalized", "rows")
-
-    def __init__(self, ring: RingSpec, normalized: bool, rows: tuple):  # rows: (i, free_rank, torsion tuple)
-        self.__dict__.update(ring=ring, normalized=normalized, rows=rows)
+    _fields = ("ring", "normalized", "rows")  # rows: (i, free_rank, torsion tuple)
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +66,7 @@ def build_complex(
 ) -> ChainComplex:
     d = cube.diagram
     n = d.n_crossings
-    R, r, m = F.ring, F.rank, F.ring.p or 0  # m - v negates a cell, also mod p
+    R, r, m = F.ring, F.rank, F.ring.p  # m - v negates a cell, also mod p
     if normalize and not d.oriented:
         raise ValueError("normalization needs an oriented diagram (sign counts)")
 

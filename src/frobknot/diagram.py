@@ -55,7 +55,8 @@ class LinkDiagram(Value):
                 raise PDError("signs must give +1 or -1 for each crossing")
         elif not crossings:
             signs = ()
-        self.__dict__.update(crossings=crossings, free_loops=free_loops, signs=signs, _arc_count=len(seen))
+        super().__init__(crossings, free_loops, signs)
+        self.__dict__["_arc_count"] = len(seen)  # not a field; set after them, see Value.__init__
 
     @property
     def arc_count(self) -> int:
@@ -215,8 +216,8 @@ def _positions(d: LinkDiagram, parent: list) -> list:
 
 
 def _circles(d: LinkDiagram, parent: list) -> tuple:
-    """(circles, where) of a finished union-find array: the circles as
-    ``resolve`` returns them, and ``_positions``."""
+    """The circles of a finished union-find array, as ``resolve`` returns
+    them, in the order ``_positions`` numbers them."""
     where = _positions(d, parent)
     circles = [[-i] for i in range(d.free_loops, 0, -1)]
     for a in range(1, d.arc_count + 1):
@@ -224,7 +225,7 @@ def _circles(d: LinkDiagram, parent: list) -> tuple:
             circles.append([a])
         else:
             circles[i].append(a)
-    return tuple(map(tuple, circles)), where
+    return tuple(map(tuple, circles))
 
 
 def _states(d: LinkDiagram):
@@ -257,7 +258,7 @@ def resolve(d: LinkDiagram, state: Sequence[int]) -> tuple:
         if bit not in (0, 1):
             raise PDError("state bits must be 0 or 1")
         _union(parent, _smoothings(q)[bit == 1])
-    return _circles(d, parent)[0]
+    return _circles(d, parent)
 
 
 class ResolutionCube(Value):
@@ -265,16 +266,13 @@ class ResolutionCube(Value):
     # edges: (i, j, src, dst) tuples, ordered by (i, j)
     _fields = ("diagram", "counts", "edges")
 
-    def __init__(self, diagram: LinkDiagram, counts: tuple, edges: tuple):
-        self.__dict__.update(diagram=diagram, counts=counts, edges=edges)
-
     @cached_property
     def circles(self) -> dict:
         """State -> ordered circle tuple, states in lexicographic order, as
         ``resolve`` gives them; one more walk, on first read."""
         d = self.diagram
         states = itertools.product((0, 1), repeat=d.n_crossings)
-        return {s: _circles(d, parent)[0] for s, (parent, _) in zip(states, _states(d))}
+        return {s: _circles(d, parent) for s, (parent, _) in zip(states, _states(d))}
 
 
 def build_cube(d: LinkDiagram) -> ResolutionCube:

@@ -43,7 +43,7 @@ class FrobeniusData(Value):
         if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer")
         mult, comult = (_norm_tensor(ring, t, rank) for t in (mult, comult))
-        self.__dict__.update(ring=ring, rank=rank, mult=mult, comult=comult)
+        super().__init__(ring, rank, mult, comult)
 
     # solved from the tensors on first read and kept; None when there is none
     @cached_property
@@ -147,7 +147,7 @@ def _algebra_flags(R: RingSpec, c) -> dict:
     """Associative and commutative flags of the table c, whether
     its product is onto over the ring (all invariant factors 1 over Z) and
     whether it has full rank over the fraction field."""
-    r, m = len(c), R.p or 0
+    r, m = len(c), R.p
     rng = range(r)
     M = ExactMatrix.from_rows(R, [[c[i][j][k] for i in rng for j in rng] for k in rng])
     if R == ZZ:
@@ -203,7 +203,7 @@ def check_axioms(F: FrobeniusData) -> dict:
         "commutative": alg["commutative"],
         "coassociative": coalg["associative"],
         "cocommutative": coalg["commutative"],
-        "frobenius_relation": _vanish((sum(map(mul, row, flat)) for row in rows), R.p or 0),
+        "frobenius_relation": _vanish((sum(map(mul, row, flat)) for row in rows), R.p),
         "unit_ok": F.unit is not None,
         "counit_ok": F.counit is not None,
         "mult_surjective": alg["onto"],
@@ -234,7 +234,7 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     otherwise the point is rejected.
     """
     a, c, e, f, h, t = (ring.normalize(x) for x in pt)
-    m = ring.p or 0
+    m = ring.p
     if not _vanish((a * e - c * f, a * f + c * h * f - c * e * t - 1), m):
         raise ValueError(
             "parameters must satisfy a*e = c*f and a*f + c*h*f - c*e*t = 1"

@@ -49,7 +49,7 @@ class ExactMatrix(Value):
         for row in nz:  # columns increase along a row, so its ends bound every index
             if row and (row[0][0] < 0 or row[-1][0] >= cols):
                 raise ValueError("column index out of range")
-        self.__dict__.update(ring=ring, rows=rows, cols=cols, nz=nz)
+        super().__init__(ring, rows, cols, nz)
 
     @classmethod
     def from_rows(cls, ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
@@ -332,7 +332,7 @@ def _solve(R: RingSpec, m: list, cols: int) -> Optional[list]:
         for row in m:
             d = lcm(*(x.denominator for x in row))
             row[:] = [x.numerator * (d // x.denominator) for x in row]
-    pivots = _echelon(m, cols + 1, R.p or 0)
+    pivots = _echelon(m, cols + 1, R.p)
     if pivots and pivots[-1] == cols:
         return None  # inconsistent
     if R != ZZ:  # over F_p every pivot is 1

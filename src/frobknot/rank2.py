@@ -43,7 +43,7 @@ class MultTable(Value):
 
         e11, e12, e22 = norm(e11), norm(e12), norm(e22)
         e21 = None if e21 is None else norm(e21)  # None means commutative: stored only when e2e1 != e1e2
-        self.__dict__.update(ring=ring, e11=e11, e12=e12, e22=e22, e21=None if e21 == e12 else e21)
+        super().__init__(ring, e11, e12, e22, None if e21 == e12 else e21)
 
     @property
     def commutative(self) -> bool:
@@ -237,7 +237,7 @@ def _table(ring: RingSpec, t) -> MultTable:
 def multiply(t: MultTable, u: Pair, v: Pair) -> Pair:
     """Bilinear extension of the table to arbitrary coefficient pairs."""
     n = t.ring.normalize
-    return _mul(_entries(t), (n(u[0]), n(u[1])), (n(v[0]), n(v[1])), t.ring.p or 0)
+    return _mul(_entries(t), (n(u[0]), n(u[1])), (n(v[0]), n(v[1])), t.ring.p)
 
 
 def is_associative(t: MultTable) -> bool:
@@ -247,16 +247,16 @@ def is_associative(t: MultTable) -> bool:
     (e1 e1) e2 = e1 (e1 e2) and (e2 e2) e1 = e2 (e2 e1); noncommutative
     tables are checked on all eight basis triples.
     """
-    return _associative(_entries(t), t.ring.p or 0)
+    return _associative(_entries(t), t.ring.p)
 
 
 def find_unit(t: MultTable) -> Optional[Pair]:
     """Two-sided unit, exact over Z, Q and F_p."""
-    return _unit(_entries(t), t.ring.p or 0)
+    return _unit(_entries(t), t.ring.p)
 
 
 def is_multiplication_surjective(t: MultTable) -> bool:
-    return _surjective(_entries(t), t.ring.p or 0)
+    return _surjective(_entries(t), t.ring.p)
 
 
 def idempotents(t: MultTable) -> list[Pair]:

@@ -33,16 +33,25 @@ def _is_prime(n: int) -> bool:
 
 class Value:
     """An immutable value: equal to an instance of its own class with equal
-    fields, hashed and shown by them.  Each subclass names its fields in
-    ``_fields``, in constructor order, and its ``__init__`` stores them in
-    the instance ``__dict__``, which may also hold values cached from them;
-    equality and the hash read the fields only, so a value whose fields hold
-    a dict or a list, as ``verifier.VerifyReport``'s do, cannot be hashed."""
+    fields, hashed and shown by them.  Each subclass names its fields once,
+    in ``_fields``; ``Value.__init__`` takes their values positionally, in
+    that order (a subclass that checks its input calls it after its checks),
+    and stores them in the instance ``__dict__``, which may also hold values
+    cached from them.  Equality and the hash read the fields only, so a
+    value whose fields hold a dict or a list, as ``verifier.VerifyReport``'s
+    do, cannot be hashed."""
 
     _fields: tuple
 
     def __init_subclass__(cls):
         cls._key = staticmethod(attrgetter(*cls._fields))  # the field values; a lone one bare
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} values, got {len(values)}")
+        # merged as one dict, not set key by key: CPython 3.11 reads the
+        # attributes of a __dict__ filled key by key about twice as slowly
+        self.__dict__.update(dict(zip(self._fields, values)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -66,7 +75,7 @@ class Value:
 class RingSpec(Value):
     """One of Z, Q, or F_p (p prime, p <= 2**31)."""
 
-    _fields = ("kind", "p")  # kind is "Z", "Q" or "Fp"; p is None but over F_p
+    _fields = ("kind", "p")  # kind is "Z", "Q" or "Fp"; p is the modulus over F_p, 0 over Z and Q
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in ("Z", "Q", "Fp"):
@@ -76,7 +85,7 @@ class RingSpec(Value):
                 raise ValueError(f"F_p requires a prime p <= 2**31, got {p!r}")
         elif p is not None:
             raise ValueError(f"{kind} takes no modulus")
-        self.__dict__.update(kind=kind, p=p)
+        super().__init__(kind, p if kind == "Fp" else 0)
 
     # -- elements ----------------------------------------------------------
 
@@ -127,7 +136,7 @@ class RingSpec(Value):
 
     def to_json(self) -> dict:
         d = {"kind": self.kind}
-        if self.p is not None:
+        if self.p:
             d["p"] = self.p
         return d
 

@@ -103,9 +103,9 @@ def test_bracket(capsys):
 def test_bracket_text_renderer():
     # in the dict's order, a bare constant, 1 and -1 left out before a power;
     # the corpus pins it on the bracket of every closure
-    assert cli._render({-1: 1, 0: 1, 2: -3}, "A") == "A^-1 + 1 - 3*A^2"
-    assert cli._render({0: -2, 3: 1, 5: -1}, "q") == "-2 + q^3 - q^5"
-    assert cli._render({}, "A") == "0"
+    assert cli._render({-1: 1, 0: 1, 2: -3}) == "A^-1 + 1 - 3*A^2"
+    assert cli._render({0: -2, 3: 1, 5: -1}) == "-2 + A^3 - A^5"
+    assert cli._render({}) == "0"
 
 
 def test_bracket_of_the_empty_diagram_exits_2(tmp_path, capsys):
@@ -564,8 +564,9 @@ _F3_TABLE = rank2.MultTable(GF(3), (1, 0), (0, 1), (0, 0)).to_json()
          "F_p requires a prime p <= 2**31, got '3'"),
         (["homology", "--a5", "0,0", "--normalize"], "X 1 1 2 2\n",
          "normalization needs an oriented diagram (sign counts)"),
+        (["bracket"], "X 1 2 a 4\n", "malformed crossing line: 'X 1 2 a 4'"),
     ],
-    ids=["missing key", "classify a list", "check a list", "ring string", "p string", "unsigned"],
+    ids=["missing key", "classify a list", "check a list", "ring string", "p string", "unsigned", "label"],
 )
 def test_input_errors_name_what_is_wrong(tmp_path, capsys, argv, text, message):
     f = tmp_path / "input"

@@ -415,7 +415,7 @@ def test_library_calls_pause_the_collector_and_restore_it(monkeypatch):
     d = dg.BUILDERS["trefoil_left"]()
     F = fr.a5(0, 0)
     hopf = build("hopf_pos", F)
-    broken = cx.ChainComplex(ZZ, 0, (1, 1, 1), (ExactMatrix.from_rows(ZZ, [[1]]),) * 2)
+    broken = cx.ChainComplex(ZZ, 0, (1, 1, 1), (ExactMatrix.from_rows(ZZ, [[1]]),) * 2, None, False)
     during = []
     summands = cx.homology_summands
 

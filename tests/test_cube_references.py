@@ -267,7 +267,8 @@ def test_state_walk_matches_graph_walk():
         for s, (parent, count) in zip(states, walked):
             circles = components(d, s)
             assert count == len(circles), (d, s)
-            assert dg._circles(d, parent) == (circles, where_of(d, circles)), (d, s)
+            assert dg._circles(d, parent) == circles, (d, s)
+            assert dg._positions(d, parent) == where_of(d, circles), (d, s)
 
 
 def test_engine_reads_counts_and_circles_come_on_demand():

@@ -313,7 +313,7 @@ def _sympy_solve(ring, rows, b):
     for a non-integral solution."""
     n = ring.normalize
     aug = [[n(v) for v in row] + [n(v)] for row, v in zip(rows, b)]
-    dom = sympy.QQ if ring.p is None else sympy.GF(ring.p)
+    dom = sympy.GF(ring.p) if ring.p else sympy.QQ
     ref, piv = DomainMatrix.from_list(aug, dom).rref()
     cols = len(rows[0])
     if cols in piv:

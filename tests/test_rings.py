@@ -62,3 +62,15 @@ def test_normalize_result_types_per_ring():
 def test_json_round_trip():
     for ring in (ZZ, QQ, GF(2), GF(5)):
         assert RingSpec.from_json(ring.to_json()) == ring
+
+
+def test_modulus_is_zero_over_z_and_q():
+    # p is what the kernels reduce by, so 0 over Z and Q; only F_p writes it
+    assert (ZZ.p, QQ.p, GF(7).p) == (0, 0, 7)
+    assert (ZZ.to_json(), QQ.to_json(), GF(7).to_json()) == ({"kind": "Z"}, {"kind": "Q"}, {"kind": "Fp", "p": 7})
+    for kind in ("Z", "Q"):
+        for p in (0, 3):
+            with pytest.raises(ValueError, match=f"{kind} takes no modulus"):
+                RingSpec(kind, p)
+            with pytest.raises(ValueError, match=f"{kind} takes no modulus"):
+                RingSpec.from_json({"kind": kind, "p": p})

@@ -70,6 +70,23 @@ def test_equality_reads_every_field_and_the_class(name):
 
 
 @pytest.mark.parametrize("name", sorted(FRESH))
+def test_the_constructor_takes_the_fields_in_order(name):
+    # the five classes that check their input keep their own constructors;
+    # the four plain ones take exactly their fields, positionally
+    a = FRESH[name]()
+    values = [getattr(a, f) for f in type(a)._fields]
+    assert type(a)(*values) == a
+    plain = {"ChainComplex", "HomologyTable", "ResolutionCube", "VerifyReport"}
+    assert (type(a).__init__ is Value.__init__) == (name in plain)
+    if name in plain:
+        for wrong in (values[:-1], values + [None]):
+            with pytest.raises(TypeError, match=f"{name} takes {len(values)} values, got {len(wrong)}"):
+                type(a)(*wrong)
+        with pytest.raises(TypeError):
+            type(a)(**dict(zip(type(a)._fields, values)))
+
+
+@pytest.mark.parametrize("name", sorted(FRESH))
 def test_fields_cannot_be_assigned_or_deleted(name):
     a = FRESH[name]()
     for f in (*type(a)._fields, "other"):

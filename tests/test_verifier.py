@@ -116,11 +116,24 @@ def test_noncommutative_survivors():
     assert rep5.ok and rep5.stages["survivors"] == 48
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stages_follow_the_closed_forms(p):
+    # the frozen stages over F_p from orbit counting: (p^2 - 1)(p^2 + p + 1)
+    # nonzero associative commutative tables and the zero one, p^2(p^2 - 1)
+    # onto ones, p^3(p - 1)(p^2 - 1) compatible pairs and 2(p^2 - 1)
+    # associative noncommutative tables
+    q = p * p - 1
+    stages = vf.verify_theorem_1_2(ring=GF(p)).stages
+    assert stages == {"associative": q * (p * p + p + 1) + 1, "surjective": p * p * q}
+    assert vf.verify_theorem_1_1(p).stages["compatible_pairs"] == p**3 * (p - 1) * q
+    assert vf.verify_noncommutative(p).stages == {"survivors": 2 * q}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_every_associative_noncomm_table_is_surjective(p):
     # A^2 = A for every associative noncommutative rank-2 algebra over a
-    # field, so verify_noncommutative's surjectivity filter, the battery's
-    # stated hypothesis, rejects none: its survivors are all 2(p^2 - 1)
+    # field (the lemma in verify_noncommutative's docstring), so the battery
+    # tests no surjectivity: its survivors are all 2(p^2 - 1)
     tables = list(rank2._associative_noncomm_tables(p))
     assert len(tables) == 2 * (p * p - 1)
     assert all(rank2._surjective(t, p) for t in tables)
