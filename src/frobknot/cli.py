@@ -211,56 +211,68 @@ def _cmd_verify(args) -> int:
 
 @functools.cache  # built on the first call, then shared by every in-process call
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its ``commands`` map each command name to the
+    parser of that command's arguments."""
     ap = argparse.ArgumentParser(
         prog="frobknot",
         description="Exact link homology and rank-2 algebra verification.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.commands = {}
 
-    p = sub.add_parser("homology", help="homology of a diagram under an algebra")
+    def command(name, fn, help):
+        p = ap.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("homology", _cmd_homology, "homology of a diagram under an algebra")
     p.add_argument("diagram", help="PD file path or builder:NAME")
     p.add_argument("--algebra", help="FrobeniusData JSON file")
     p.add_argument("--a5", help="two-parameter algebra at H,T (integers)")
     p.add_argument("--ring", help="Z, Q, or Fp:P")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_homology)
 
-    p = sub.add_parser("bracket", help="state-sum bracket polynomial")
+    p = command("bracket", _cmd_bracket, "state-sum bracket polynomial")
     p.add_argument("diagram", help="PD file path or builder:NAME")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_bracket)
 
-    p = sub.add_parser("check-algebra", help="axiom report for algebra data")
+    p = command("check-algebra", _cmd_check_algebra, "axiom report for algebra data")
     p.add_argument("file", help="FrobeniusData JSON file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_check_algebra)
 
-    p = sub.add_parser("relations", help="cobordism-relation report for algebra data")
+    p = command("relations", _cmd_relations, "cobordism-relation report for algebra data")
     p.add_argument("file", help="FrobeniusData JSON file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_relations)
 
-    p = sub.add_parser("classify", help="match a product table to a representative family")
+    p = command("classify", _cmd_classify, "match a product table to a representative family")
     p.add_argument("file", help="MultTable JSON file")
     p.add_argument("--p", type=int, help="reinterpret the table over F_p")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("verify", help="run an exhaustive verification battery")
+    p = command("verify", _cmd_verify, "run an exhaustive verification battery")
     p.add_argument("target", choices=list(_BATTERIES))
     p.add_argument("--p", type=int)
     p.add_argument("--zbound", type=int)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
 
     return ap
 
 
 @cx._paused()
 def main(argv=None) -> int:
+    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        # the named command's parser reads the rest, the call that the
+        # top-level parser's subcommand action makes; the top-level parser
+        # runs only where argv names no command or arguments are left over,
+        # and reports the error
+        command = ap.commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+        if command is None or rest:
+            args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

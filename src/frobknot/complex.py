@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import gc
 from collections import Counter
+from functools import cached_property
 from math import lcm
 
 from .diagram import LinkDiagram, ResolutionCube, _times_delta, build_cube, normalized_bracket
@@ -42,9 +43,30 @@ def _paused():
 
 class ChainComplex(Value):
     # shift: degree of the first module; ranks: module rank per degree from
-    # shift; diffs[i]: matrix from degree shift+i to shift+i+1; q_degrees:
-    # per degree, a tuple of quantum degrees
-    _fields = ("ring", "shift", "ranks", "diffs", "q_degrees", "normalized")
+    # shift; diffs[i]: matrix from degree shift+i to shift+i+1; q_source:
+    # what q_degrees is read from, (the cube's circle counts, the algebra,
+    # n_plus - 2 n_minus) on a normalized complex, else None
+    _fields = ("ring", "shift", "ranks", "diffs", "q_source", "normalized")
+
+    @cached_property
+    def q_degrees(self) -> tuple | None:
+        """Per degree, a tuple of quantum degrees, computed on first read;
+        None when the complex is not normalized or the algebra has no
+        quantum grading."""
+        if self.q_source is None or (basis := self.q_source[1].grading) is None:
+            return None
+        count, _, base = self.q_source
+        sums = [[0]]  # sums[c]: the label sums of c circles' basis labellings, first slowest
+        blocks: dict[tuple, list] = {}  # (degree, circle count) -> one state's q-degrees
+        degs: list[list] = [[] for _ in self.ranks]
+        for i, c in zip(map(int.bit_count, range(len(count))), count):
+            block = blocks.get((i, c))
+            if block is None:
+                while len(sums) <= c:
+                    sums.append([x + b for x in sums[-1] for b in basis])
+                block = blocks[i, c] = [*map((i + base).__add__, sums[c])]
+            degs[i] += block
+        return tuple(map(tuple, degs))
 
 
 class HomologyTable(Value):
@@ -124,22 +146,8 @@ def build_complex(
         del scatter  # free this degree's cells before the next degree is filled
 
     shift = -d.n_minus if normalize else 0
-
-    q_degrees = None
-    if normalize and (basis := F.grading) is not None:
-        sums = [[0]]  # sums[c]: the label sums of c circles' basis labellings, first slowest
-        blocks: dict[tuple, list] = {}  # (degree, circle count) -> one state's q-degrees
-        degs: list[list] = [[] for _ in range(n + 1)]
-        for i, c in zip(degree, count):
-            block = blocks.get((i, c))
-            if block is None:
-                while len(sums) <= c:
-                    sums.append([x + b for x in sums[-1] for b in basis])
-                block = blocks[i, c] = [*map((i + d.n_plus - 2 * d.n_minus).__add__, sums[c])]
-            degs[i] += block
-        q_degrees = tuple(map(tuple, degs))
-
-    return ChainComplex(R, shift, tuple(ranks), tuple(diffs), q_degrees, normalize)
+    q_source = (count, F, d.n_plus - 2 * d.n_minus) if normalize else None
+    return ChainComplex(R, shift, tuple(ranks), tuple(diffs), q_source, normalize)
 
 
 @_paused()

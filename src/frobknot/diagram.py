@@ -9,8 +9,8 @@ crossing quadruple (a, b, c, d) the 0-smoothing joins a-b and c-d, the
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .rings import Value
 
@@ -32,7 +32,7 @@ class LinkDiagram(Value):
     # crossing, or None if unoriented (a diagram with no crossings has ())
     _fields = ("crossings", "free_loops", "signs")
 
-    def __init__(self, crossings: tuple, free_loops: int = 0, signs: Optional[tuple] = None):
+    def __init__(self, crossings: tuple, free_loops: int = 0, signs: tuple | None = None):
         crossings = tuple(_tupled(x, "each crossing") for x in _tupled(crossings, "crossings"))
         seen: dict[int, int] = {}
         for q in crossings:
@@ -71,11 +71,11 @@ class LinkDiagram(Value):
         return self.signs is not None
 
     @property
-    def n_plus(self) -> Optional[int]:
+    def n_plus(self) -> int | None:
         return None if self.signs is None else self.signs.count(1)
 
     @property
-    def n_minus(self) -> Optional[int]:
+    def n_minus(self) -> int | None:
         return None if self.signs is None else self.signs.count(-1)
 
     @property
@@ -95,7 +95,7 @@ def parse_pd(text: str) -> LinkDiagram:
     """
     crossings: list[tuple] = []
     loops = 0
-    signs_tokens: Optional[list[str]] = None
+    signs_tokens: list[str] | None = None
     orient: list[list[int]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -10,9 +10,9 @@ in ``complex`` scatter the whole-map cells of one placement kernel, ``_place``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import cached_property
 from operator import mod, mul
-from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, _solve, rank, smith_normal_form
 from .rings import ZZ, RingSpec, Value
@@ -47,15 +47,15 @@ class FrobeniusData(Value):
 
     # solved from the tensors on first read and kept; None when there is none
     @cached_property
-    def unit(self) -> Optional[tuple]:
+    def unit(self) -> tuple | None:
         return _unit(self.ring, self.mult)
 
     @cached_property
-    def counit(self) -> Optional[tuple]:
+    def counit(self) -> tuple | None:
         return _unit(self.ring, _transpose(self.comult))
 
     @cached_property
-    def grading(self) -> Optional[tuple]:  # the quantum grading's basis degrees
+    def grading(self) -> tuple | None:  # the quantum grading's basis degrees
         return _grading(self)
 
     # -- elementwise operations -------------------------------------------
@@ -130,7 +130,7 @@ def _vanish(vals, m) -> bool:
     return not any(map(mod, vals, itertools.repeat(m))) if m else not any(vals)
 
 
-def _unit(R: RingSpec, c) -> Optional[tuple]:
+def _unit(R: RingSpec, c) -> tuple | None:
     """The two-sided unit of the table c, or None: the solution u of
     u*e_j = e_j = e_j*u, as dense augmented rows [matrix | rhs].  A two-sided
     unit is unique (u = u*u' = u'), also over the fraction field, so a
@@ -245,7 +245,7 @@ def a4_evaluate(pt, ring: RingSpec = ZZ) -> FrobeniusData:
     return FrobeniusData(ring, 2, mult, comult)
 
 
-def invert_element(F: FrobeniusData, y: Sequence) -> Optional[tuple]:
+def invert_element(F: FrobeniusData, y: Sequence) -> tuple | None:
     """Multiplicative inverse of y, by solving y*z = unit.
 
     In an associative algebra y*z = unit makes the map v |-> y*v invertible,
@@ -292,7 +292,7 @@ def _cells(F: FrobeniusData, legs: int) -> list:
             if (v := t[i[0]][i[1]][i[2]])]  # entries are ints or Fractions: nonzero is true
 
 
-def _grading(F: FrobeniusData) -> Optional[tuple]:
+def _grading(F: FrobeniusData) -> tuple | None:
     """Integer degrees of the basis elements under which every one of the
     ``_cells`` of F has degree -1: its output bits' degrees sum to its input
     bits' sum minus 1, so the product and the coproduct both lower the

@@ -22,10 +22,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
 
 from .rings import QQ, ZZ, RingSpec, Value
 
@@ -89,6 +89,9 @@ class ExactMatrix(Value):
             for k, x in row:
                 for j, v in b[k]:
                     acc[j] = acc.get(j, 0) + x * v
+            if not p and not any(acc.values()):  # every sum cancels, as in each d∘d row over Z and Q
+                out.append(())
+                continue
             row = [(j, r) for j, s in acc.items() if (r := s % p if p else s)]
             out.append(tuple(sorted(row)) if row else ())
         return ExactMatrix(self.ring, self.rows, other.cols, tuple(out))
@@ -308,7 +311,7 @@ def _echelon(rows: list, cols: int, p: int) -> list:
     return pivots
 
 
-def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
+def solve_linear(M: ExactMatrix, b: Sequence) -> list | None:
     """One exact solution of M x = b in the ring, or None.
 
     Gauss-Jordan elimination of [M | b] on integer rows (over Q each row is
@@ -324,7 +327,7 @@ def solve_linear(M: ExactMatrix, b: Sequence) -> Optional[list]:
     return _solve(R, [list(M.row(i)) + [R.normalize(x)] for i, x in enumerate(b)], M.cols)
 
 
-def _solve(R: RingSpec, m: list, cols: int) -> Optional[list]:
+def _solve(R: RingSpec, m: list, cols: int) -> list | None:
     """``solve_linear`` on the dense augmented rows m = [M | b] of ring
     elements, as ``RingSpec.normalize`` gives them, with ``cols`` unknowns;
     m is eliminated in place."""

@@ -12,7 +12,6 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
 from .frobenius import _frobenius_rows, _vanish
 from .linalg import _echelon
@@ -35,7 +34,7 @@ def _searchable(ring: RingSpec) -> RingSpec:
 class MultTable(Value):
     _fields = ("ring", "e11", "e12", "e22", "e21")
 
-    def __init__(self, ring: RingSpec, e11: Pair, e12: Pair, e22: Pair, e21: Optional[Pair] = None):
+    def __init__(self, ring: RingSpec, e11: Pair, e12: Pair, e22: Pair, e21: Pair | None = None):
         def norm(p):
             if not isinstance(p, (tuple, list)) or len(p) != 2:
                 raise ValueError(f"a product must be a pair of scalars, got {p!r}")
@@ -250,7 +249,7 @@ def is_associative(t: MultTable) -> bool:
     return _associative(_entries(t), t.ring.p)
 
 
-def find_unit(t: MultTable) -> Optional[Pair]:
+def find_unit(t: MultTable) -> Pair | None:
     """Two-sided unit, exact over Z, Q and F_p."""
     return _unit(_entries(t), t.ring.p)
 
@@ -334,14 +333,12 @@ def _square(p, x) -> bool:
     return x % p != 0 and pow(x, (p - 1) // 2, p) == 1
 
 
-def _pa(a2, b2, a4, b4, y):
-    """The obstruction polynomial P_A at y, unreduced.  At a4 = a2*b2 and
-    b4 = a2 + b2^2 it is the root-obstruction polynomial P_R of the
-    exceptional commutative family."""
-    return (
-        -1 + y * (4 * a2 + b4) + y**2 * (2 * a4 * b2 - 4 * a2**2 - 4 * a2 * b4)
-        + y**3 * (a4**2 - 4 * a2 * a4 * b2 + 4 * a2**2 * b4)
-    )
+def _pa(a2, b2, a4, b4):
+    """The coefficients of the obstruction polynomial P_A in y, unreduced,
+    the cubic's first.  At a4 = a2*b2 and b4 = a2 + b2^2 it is the
+    root-obstruction polynomial P_R of the exceptional commutative family."""
+    return (a4**2 - 4 * a2 * a4 * b2 + 4 * a2**2 * b4, 2 * a4 * b2 - 4 * a2**2 - 4 * a2 * b4,
+            4 * a2 + b4, -1)
 
 
 def _alike(associative: bool, unital: bool):
@@ -385,7 +382,9 @@ _ODD = {
     "m14_2R": (1, lambda a2: ((1, 0), (a2, 0), (0, 0)),
                lambda p, a2: (2 * a2 + 1) % p != 0 and not _square(p, 2 * a2 + 1), _alike(False, False)),
     "m15_1R": (4, lambda a2, b2, a4, b4: ((0, 1), (a2, b2), (a4, b4)),
-               lambda p, *coeffs: all(_pa(*coeffs, y) % p for y in range(p)),  # P_A has no root
+               # P_A has no root: its coefficients reduced once per member, then Horner at each y
+               lambda p, *params: all((((c3 * y + c2) * y + c1) * y + c0) % p for c3, c2, c1, c0
+                                      in [[c % p for c in _pa(*params)]] for y in range(p)),
                lambda p, a2, b2, a4, b4: (a4 == a2 * b2 % p and b4 == (a2 + b2 * b2) % p, False)),
 }
 _CHAR2 = {
@@ -420,7 +419,7 @@ _FAMILIES = {
 }
 
 
-def _member(label: str, params: tuple, ring: RingSpec) -> Optional[MultTable]:
+def _member(label: str, params: tuple, ring: RingSpec) -> MultTable | None:
     """A family's member at normalized params, or None where a side condition excludes it."""
     _, products, side, _ = _FAMILIES[label]
     if side and ring.kind == "Fp" and not side(ring.p, *params):

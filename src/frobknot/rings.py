@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _is_prime(n: int) -> bool:

@@ -785,3 +785,76 @@ def test_cli_fuzz_keeps_the_exit_code_contract(call):
         assert argv[0] == "relations", (argv, err)
     else:
         assert code == 0 and err == "", (code, err)
+
+
+def _echo(args) -> int:
+    """A command that prints what it was given instead of running."""
+    print(sorted((k, v) for k, v in vars(args).items() if k not in ("cmd", "fn")))
+    return 0
+
+
+def _echoing_parser(commands: bool):
+    """A new parser as ``cli._build_parser`` makes it, every command running
+    ``_echo``; with ``commands`` false it names no command parsers, so that
+    ``main`` parses every argv with the top-level parser."""
+    ap = cli._build_parser.__wrapped__()
+    for p in ap.commands.values():
+        p.set_defaults(fn=_echo)
+    if not commands:
+        ap.commands = {}
+    return ap
+
+
+_DIRECT, _TOP_LEVEL = _echoing_parser(True), _echoing_parser(False)
+_COMMANDS = ["homology", "bracket", "check-algebra", "relations", "classify", "verify"]
+_ARGV_TOKENS = st.sampled_from(
+    _COMMANDS
+    + ["--algebra", "--a5", "--ring", "--normalize", "--json", "--p", "--zbound"]  # their options
+    + ["builder:hopf_pos", "0,0", "Z", "Fp:3", "5", "-1", "thm1.2", "char2", "x.json"]  # values
+    + ["--bogus", "-x", "--", "-", "--jso", "--p=3", "--json=1", "nope", "", "-h", "--help"]  # junk, help
+)
+
+
+def _parsed_by(ap, argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(cli, "_build_parser", lambda: ap)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_ARGV_TOKENS, max_size=6),
+                 st.builds(lambda c, rest: [c, *rest], st.sampled_from(_COMMANDS), st.lists(_ARGV_TOKENS, max_size=5))))
+def test_the_command_parser_reads_argv_as_the_top_level_parser_does(argv):
+    # main hands the arguments to the named command's parser; every exit
+    # code, help text, usage error and parsed value is the one that the
+    # top-level parser gives on the same argv
+    assert _parsed_by(_DIRECT, argv) == _parsed_by(_TOP_LEVEL, argv)
+
+
+def test_homology_never_solves_the_quantum_grading(monkeypatch, capsys):
+    # the grading is read only by the graded Euler characteristic, which
+    # solves it once, on its first read
+    solved, grading = [], fr._grading
+    monkeypatch.setattr(fr, "_grading", lambda F: solved.append(F) or grading(F))
+    argv = ["homology", "builder:trefoil_left", "--a5", "0,0", "--normalize", "--json"]
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["normalized"] is True
+    d = dg.BUILDERS["trefoil_left"]()
+    C = cx.chain_complex(d, fr.a5(0, 0), normalize=True)
+    cx.homology(C)
+    assert solved == []
+    assert cx.graded_euler_characteristic(C) == cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d)
+    assert len(solved) == 1
+
+
+def test_the_cli_imports_no_typing_dataclasses_or_inspect():
+    # -S: no site, whose .pth files may load typing first, so every module
+    # listed is one that importing frobknot.cli loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import frobknot.cli; "
+        "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -112,6 +112,36 @@ def test_sparse_rank_and_product_match_sympy(R, r, m, c, rnd):
 
 @settings(max_examples=200, deadline=None)
 @given(
+    st.sampled_from([ZZ, QQ]),
+    st.integers(1, 8),
+    st.integers(2, 8),
+    st.integers(1, 8),
+    st.randoms(use_true_random=False),
+)
+def test_products_with_cancelling_rows_match_sympy(R, r, m, c, rnd):
+    """Over Z and Q a row of A in the left kernel of B sums to zero in every
+    column of A @ B, as each row of a d∘d product does: its row is empty.
+    Other rows add a random row to a kernel row, so that some of their
+    columns cancel and others need not, or are drawn at random."""
+    b_rows = _sparse_rows(rnd, R, m - 1, c)
+    coeffs = [R.normalize(rnd.randint(-3, 3)) for _ in range(m - 1)]
+    b_rows.append([sum(k * x for k, x in zip(coeffs, col)) for col in zip(*b_rows)])
+    kernel = [*coeffs, R.normalize(-1)]  # kernel @ B == 0
+    kinds = [rnd.randrange(3) for _ in range(r)]  # 0 cancels, 1 cancels in part, 2 random
+    a_rows = []
+    for kind in kinds:
+        k, other = rnd.randint(1, 4), _sparse_rows(rnd, R, 1, m)[0]
+        a_rows.append([k * x * (kind < 2) + y * (kind > 0) for x, y in zip(kernel, other)])
+    got = ExactMatrix.from_rows(R, a_rows) @ ExactMatrix.from_rows(R, b_rows)
+    product = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
+    assert [(type(x), x) for x in got.entries] == [
+        (Fraction, Fraction(int(x.p), int(x.q))) if R == QQ else (int, int(x)) for x in product
+    ]
+    assert all(got.nz[i] == () for i, kind in enumerate(kinds) if kind == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
     st.sampled_from(["integral", "fractional right", "fractional left", "fractional both"]),
     st.integers(1, 10),
     st.integers(1, 10),

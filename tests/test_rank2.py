@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -634,7 +635,7 @@ def _reference_representative(label, params, ring):
         return T(R, (1, 0), (a2, 0), (0, 0))
     if label == "m15_1R":
         a2, b2, a4, b4 = coeffs = tuple(map(n, params))
-        if not fp_rootless(lambda y: rank2._pa(*coeffs, y)):
+        if not fp_rootless(lambda y: _at(rank2._pa(*coeffs), y)):
             raise ValueError("m15_1R needs a rootless obstruction polynomial")
         return T(R, (0, 1), (a2, b2), (a4, b4))
     if label == "Fp2":
@@ -741,6 +742,10 @@ def test_representative_rejects_with_value_error():
 # --- P_R / P_A -------------------------------------------------------------
 
 
+def _at(coeffs, y):  # Horner on coefficients listed from the highest degree, as rank2._pa gives them
+    return functools.reduce(lambda s, c: s * y + c, coeffs)
+
+
 def _pr(a2, b2, y):
     """P_R as stated: P_A at a4 = a2 b2, b4 = a2 + b2^2, expanded."""
     return (
@@ -751,7 +756,7 @@ def _pr(a2, b2, y):
 
 def test_pr_stated_values():
     def pr(a2, b2, y):
-        return rank2._pa(a2, b2, a2 * b2, a2 + b2 * b2, y)
+        return _at(rank2._pa(a2, b2, a2 * b2, a2 + b2 * b2), y)
 
     # alpha2 = beta2 = 1 at y = 1: -1 + 6 - 10 + 5 = 0
     assert pr(1, 1, 1) == 0
@@ -767,7 +772,7 @@ def test_pa_reduces_to_pr_on_constrained_parameters():
     for a2, b2, y in itertools.product(range(5), repeat=3):
         a4 = (a2 * b2) % 5
         b4 = (a2 + b2 * b2) % 5
-        assert rank2._pa(a2, b2, a4, b4, y) % 5 == _pr(a2, b2, y) % 5
+        assert _at(rank2._pa(a2, b2, a4, b4), y) % 5 == _pr(a2, b2, y) % 5
 
 
 # --- classification ---------------------------------------------------------
