@@ -46,7 +46,7 @@ class ChainComplex(Value):
     # shift; diffs[i]: matrix from degree shift+i to shift+i+1; q_source:
     # what q_degrees is read from, (the cube's circle counts, the algebra,
     # n_plus - 2 n_minus) on a normalized complex, else None
-    _fields = ("ring", "shift", "ranks", "diffs", "q_source", "normalized")
+    _fields = ("ring", "shift", "ranks", "diffs", "q_source")
 
     @cached_property
     def q_degrees(self) -> tuple | None:
@@ -147,7 +147,7 @@ def build_complex(
 
     shift = -d.n_minus if normalize else 0
     q_source = (count, F, d.n_plus - 2 * d.n_minus) if normalize else None
-    return ChainComplex(R, shift, tuple(ranks), tuple(diffs), q_source, normalize)
+    return ChainComplex(R, shift, tuple(ranks), tuple(diffs), q_source)
 
 
 @_paused()
@@ -173,7 +173,7 @@ def homology(C: ChainComplex) -> HomologyTable:
         d_out = C.diffs[idx] if idx < len(C.diffs) else ExactMatrix(R, 0, middle, ())
         free, torsion = homology_summands(d_in, d_out)
         rows.append((C.shift + idx, free, tuple(torsion)))
-    return HomologyTable(R, C.normalized, tuple(rows))
+    return HomologyTable(R, C.q_source is not None, tuple(rows))
 
 
 def graded_euler_characteristic(C: ChainComplex) -> dict:

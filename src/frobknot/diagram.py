@@ -56,11 +56,10 @@ class LinkDiagram(Value):
         elif not crossings:
             signs = ()
         super().__init__(crossings, free_loops, signs)
-        self.__dict__["_arc_count"] = len(seen)  # not a field; set after them, see Value.__init__
 
     @property
     def arc_count(self) -> int:
-        return self._arc_count
+        return 2 * len(self.crossings)  # the labels 1..N, each on two of the 4n crossing ends
 
     @property
     def n_crossings(self) -> int:

@@ -64,15 +64,15 @@ class ExactMatrix(Value):
 
     @property
     def entries(self) -> tuple:
-        """Dense row-major view, with ring-typed zeros, built on each access
-        (for display and tests: the homology path reads ``nz`` only)."""
+        """Dense row-major view, with ring-typed entries (``Fraction`` over Q),
+        built on each access (for display and tests: the homology path reads ``nz`` only)."""
         return tuple(itertools.chain.from_iterable(map(self.row, range(self.rows))))
 
     def row(self, i: int) -> tuple:
         out = [self.ring.zero] * self.cols
         for j, v in self.nz[i]:
             out[j] = v
-        return tuple(out)
+        return tuple(map(Fraction, out)) if self.ring.kind == "Q" else tuple(out)  # Q nonzeros may be int
 
     def is_zero(self) -> bool:
         return not any(self.nz)

@@ -24,8 +24,11 @@ MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about a minute over F_13
 MAX_ZBOUND = 40  # thm1.2 over the Z box [-40, 40]^6 takes about a minute
 
 
-def _searchable(ring: RingSpec) -> RingSpec:
-    """The prime field ring, checked before any exhaustive search over it."""
+def _searchable(ring: RingSpec, what: str) -> RingSpec:
+    """The prime field ring, checked before any exhaustive search over it:
+    ValueError(what) off a prime field, the bound's message past MAX_SEARCH_P."""
+    if ring.kind != "Fp":
+        raise ValueError(what)
     if ring.p > MAX_SEARCH_P:
         raise ValueError(f"exhaustive search runs over F_p with p <= {MAX_SEARCH_P}, got p = {ring.p}")
     return ring
@@ -261,9 +264,7 @@ def is_multiplication_surjective(t: MultTable) -> bool:
 def idempotents(t: MultTable) -> list[Pair]:
     """All nonzero v with v*v = v over F_p, p <= MAX_SEARCH_P, in
     lexicographic order: an exhaustive search."""
-    if t.ring.kind != "Fp":
-        raise ValueError("idempotent search runs over prime fields")
-    p, t4 = _searchable(t.ring).p, _entries(t)
+    p, t4 = _searchable(t.ring, "idempotent search runs over prime fields").p, _entries(t)
     return [v for v in itertools.product(range(p), repeat=2) if v != (0, 0) and _mul(t4, v, v, p) == v]
 
 
@@ -318,9 +319,10 @@ def isomorphic(a: MultTable, b: MultTable):
     """The first base change g in GL_2(F_p), p <= MAX_SEARCH_P, in
     lexicographic order, carrying a onto b (the table of a in the basis
     f_j = g[0][j] e1 + g[1][j] e2 is b), or None."""
-    if a.ring != b.ring or a.ring.kind != "Fp":
-        raise ValueError("isomorphism search needs matching prime fields")
-    return _isomorphism(_entries(a), _entries(b), _searchable(a.ring).p)
+    what = "isomorphism search needs matching prime fields"
+    if a.ring != b.ring:
+        raise ValueError(what)
+    return _isomorphism(_entries(a), _entries(b), _searchable(a.ring, what).p)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +472,7 @@ def classify(t: MultTable) -> tuple[str, tuple]:
     or F_{p^2} if unital, else (Theorem 1.2) F_p x 0, x^2 = y or zero; the
     README shows _signature tells the six apart and every prime has a target
     of each, so the first target with the table's signature is the answer."""
-    if t.ring.kind != "Fp":
-        raise ValueError("classification runs over prime fields")
-    p, t4 = _searchable(t.ring).p, _entries(t)
+    p, t4 = _searchable(t.ring, "classification runs over prime fields").p, _entries(t)
     if t4[1] != t4[2] or not _associative(t4, p):
         raise ValueError("classification expects an associative commutative table")
     return _signed_targets(t.ring)[_signature(t4, p)]

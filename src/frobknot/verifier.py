@@ -20,6 +20,8 @@ from .rank2 import _associative, _entries, _isomorphism, _member, _searchable, _
 from .rank2 import _associative_comm_tables, _associative_noncomm_tables, _frobenius_comults, _CHAR2, _ODD
 from .rings import ZZ, GF, RingSpec, Value
 
+_NOT_A_FIELD = "field verification needs a prime field"  # thm1.1 and noncomm build GF(p): it never shows
+
 
 class VerifyReport(Value):
     """A battery's report.  Its stages are a dict and its counterexamples a
@@ -32,12 +34,7 @@ class VerifyReport(Value):
         return not self.counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "space_size": self.space_size,
-            "stages": self.stages,
-            "counterexamples": self.counterexamples,
-        }
+        return dict(zip(self._fields, self._key(self)))
 
     def summary(self) -> str:
         stages = ", ".join(f"{k}={v}" for k, v in self.stages.items())
@@ -67,10 +64,8 @@ def verify_theorem_1_2(ring: RingSpec = None, zbound: int = None) -> VerifyRepor
             raise ValueError(f"the Z box bound must be in 0..{rank2.MAX_ZBOUND}, got {zbound!r}")
         ring, entries = ZZ, range(-zbound, zbound + 1)
         name = f"thm1.2 over Z box [-{zbound},{zbound}]"
-    elif ring.kind != "Fp":
-        raise ValueError("field verification needs a prime field")
     else:
-        entries, name = range(_searchable(ring).p), f"thm1.2 over F_{ring.p}"
+        entries, name = range(_searchable(ring, _NOT_A_FIELD).p), f"thm1.2 over F_{ring.p}"
     m = ring.p
     records, n_assoc, n_surj = [], 0, 0
     for t in _associative_comm_tables(entries, m):
@@ -94,7 +89,7 @@ def verify_theorem_1_1(p: int) -> VerifyReport:
     associative product, injective cocommutative coassociative coproduct,
     and the compatibility relation, must carry both a unit and a counit.
     The coproducts of each product are solved for, not enumerated."""
-    ring = _searchable(GF(p))
+    ring = _searchable(GF(p), _NOT_A_FIELD)
     mults = [t for t in _associative_comm_tables(range(p), p) if _surjective(t, p)]
     records, n_pairs = [], 0
     for t in mults:  # surjective, so unital (thm1.2): every kernel member is coassociative
@@ -188,7 +183,7 @@ def verify_noncommutative(p: int) -> VerifyReport:
     associative noncommutative table is onto: if A^2 != A then A^2 = 0, or
     A^2 = Kx and, with x^2 = ax, xy = bx, yx = cx, y^2 = dx, associativity
     gives a(b - c) = 0 and ad = c^2 = b^2, so b = c; either way A commutes."""
-    ring = _searchable(GF(p))
+    ring = _searchable(GF(p), _NOT_A_FIELD)
     targets = [_entries(rank2.representative(label, (), ring)) for label in ("nc_left", "nc_right")]
     records, n_survivors = [], 0
     for t4 in _associative_noncomm_tables(p):
@@ -209,9 +204,7 @@ def search_nearly_frobenius(m: rank2.MultTable) -> list:
     compatibility relation; the zero tensor always qualifies).  The product
     may have no unit, such as the zero product, so each solution of the
     relation is tested for coassociativity."""
-    if m.ring.kind != "Fp":
-        raise ValueError("coproduct search runs over prime fields")
+    p = _searchable(m.ring, "coproduct search runs over prime fields").p
     if not m.commutative or not rank2.is_associative(m):
         raise ValueError("product must be commutative and associative")
-    p = _searchable(m.ring).p
     return [d for d, dual in _frobenius_comults(_entries(m), p) if _associative(dual, p)]

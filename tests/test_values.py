@@ -110,7 +110,7 @@ def test_cached_values_take_no_part_in_equality():
     assert len(cube.circles) == 4 and "circles" in vars(cube)
     assert cube == dg.build_cube(hopf()) and hash(cube) == hash(dg.build_cube(hopf()))
     d = hopf()
-    assert d.arc_count == 4 and "_arc_count" not in type(d)._fields
+    assert d.arc_count == 4
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
