@@ -108,17 +108,11 @@ def build_complex(
         for legs, cells in local.items():
             den = lcm(*(v.denominator for *_, v in cells))
             local[legs] = [(i, o, v.numerator * (den // v.denominator)) for i, o, v in cells]
-    kernels: dict[tuple, list] = {}  # edge shape -> its map's cells, as (row, pair index)
-    # A kernel cell (a, b + N * j) reads the pair (column b of its source
-    # state, values[j]).  values lists the cell values v with v < m - v, then
-    # their negations in the same order, then any value equal to its negation
-    # (1 over F_2): negating values[j] moves it h places round the list, so a
-    # negative edge reads `pairs` turned by h blocks of N.
-    cell_values = {w for cells in local.values() for *_, v in cells for w in (v, m - v)}
-    half = sorted(v for v in cell_values if v < m - v)
-    values = half + [m - v for v in half] + [v for v in cell_values if v == m - v]
+    # edge shape -> its map's cells as (row, pair index), one list per sign; a
+    # cell (a, b + N * j) reads the pair (column b of its source, values[j])
+    kernels: dict[tuple, tuple] = {}
+    values = sorted({w for cells in local.values() for *_, v in cells for w in (v, m - v)})
     vindex = {v: j for j, v in enumerate(values)}
-    h = len(half)
     diffs = []
     for i, edges in enumerate(edges_by_degree):
         rows, cols = ranks[i + 1], ranks[i]
@@ -131,16 +125,16 @@ def build_complex(
                 k0, N = k1, r ** count[k1]
                 columns = [*range(offset[k1], offset[k1] + N)]
                 pairs = [(c, v) for v in values for c in columns]
-                negated = pairs[h * N:] + pairs[:h * N]  # the same pairs, values negated
             shape = (count[k1], src, dst)
             kernel = kernels.get(shape)
             if kernel is None:
                 cells = _place(r, local[len(src)], count[k1], src, dst)
-                kernel = kernels[shape] = [(a, b + N * vindex[v]) for a, b, v in cells]
+                kernel = kernels[shape] = ([(a, b + N * vindex[v]) for a, b, v in cells],
+                                           [(a, b + N * vindex[m - v]) for a, b, v in cells])
             # negative when k1 has an odd number of 1-bits above the raised bit k2 - k1
-            ro, read = offset[k2], negated if (k1 >> (k2 - k1).bit_length()).bit_count() & 1 else pairs
-            for a, j in kernel:
-                scatter[ro + a].append(read[j])
+            ro = offset[k2]
+            for a, j in kernel[(k1 >> (k2 - k1).bit_length()).bit_count() & 1]:
+                scatter[ro + a].append(pairs[j])
         # structure constants are already ring elements: no normalization
         diffs.append(ExactMatrix(R, rows, cols, tuple(map(tuple, scatter))))
         del scatter  # free this degree's cells before the next degree is filled

@@ -11,6 +11,8 @@ import random
 import time
 
 import sympy
+from sympy.polys.domains import GF as SympyGF
+from sympy.polys.matrices import DomainMatrix
 
 from frobknot import complex as cx
 from frobknot import diagram as dg
@@ -18,7 +20,9 @@ from frobknot import frobenius as fr
 from frobknot import rank2
 from frobknot import verifier as vf
 from frobknot.linalg import rank
-from frobknot.rings import QQ, GF
+from frobknot.rings import QQ, ZZ, GF
+
+from braids import braid
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -216,3 +220,109 @@ def test_criterion_12_stabilization_invariance():
                 c1 = cx.build_complex(dg.build_cube(base), F, normalize=True)
                 c2 = cx.build_complex(dg.build_cube(bigger), F, normalize=True)
                 assert _homology_rows(c1) == _homology_rows(c2), name
+
+
+def _truncated(R, r):
+    """Z[x]/x^r on the basis 1, x, ..., x^(r-1), with Delta(x^k) the sum of
+    x^a (x) x^b over a + b = r - 1 + k (the CI's truncated8.json at r = 8)."""
+    mult = [[[int(i + j == k) for k in range(r)] for j in range(r)] for i in range(r)]
+    comult = [[[int(a + b == r - 1 + k) for b in range(r)] for a in range(r)] for k in range(r)]
+    return fr.FrobeniusData(R, r, mult, comult)
+
+
+def test_criterion_13_reidemeister_one_decides_rank_two():
+    # A positive kink's complex is the product A (x) A -> A (a merge), a
+    # negative kink's the coproduct A -> A (x) A (a split), so over a field
+    # its homology has total rank r^2 + r - 2 rank(map), and the unknot's is
+    # r.  They agree only when rank(map) = r^2 / 2 <= r: at r = 2, with the
+    # product onto and the coproduct injective, which are Theorem 1.1's
+    # hypotheses, so the data carry a unit and a counit.  Equal total rank
+    # is necessary for invariance under R1, not sufficient
+    kinks = [dg.BUILDERS[name]() for name in ("unknot_1kink_pos", "unknot_1kink_neg")]
+    total = lambda d, F: sum(f for _, f, _ in _homology_rows(cx.build_complex(dg.build_cube(d), F)))
+    rng = random.Random(23)
+    with Budget(5):
+        for p, r, _ in itertools.product((2, 3, 5), (1, 2, 3), range(8)):
+            tensor = lambda: [[[rng.randrange(p) for _ in range(r)] for _ in range(r)] for _ in range(r)]
+            F = fr.FrobeniusData(GF(p), r, tensor(), tensor())
+            # the product's matrix, and the coproduct's transposed: a row per basis element
+            K, ij = SympyGF(p), list(itertools.product(range(r), repeat=2))
+            product = [[K(F.mult[i][j][k]) for i, j in ij] for k in range(r)]
+            coproduct = [[K(F.comult[k][i][j]) for i, j in ij] for k in range(r)]
+            for d, rows in zip(kinks, (product, coproduct)):
+                assert total(d, F) == r * r + r - 2 * DomainMatrix(rows, (r, r * r), K).rank(), (p, r)
+        # every nonzero nearly Frobenius pair over F_p: both kinks keep total
+        # rank 2 for exactly Theorem 1.1's p^3 (p - 1) (p^2 - 1) pairs
+        for p, n_pairs in ((2, 84), (3, 936)):
+            ring, pairs, kept = GF(p), 0, 0
+            for e11, e12, e22 in itertools.product(itertools.product(range(p), repeat=2), repeat=3):
+                m = rank2.MultTable(ring, e11, e12, e22)
+                if not rank2.is_associative(m):
+                    continue
+                mult = [[list(e11), list(e12)], [list(e12), list(e22)]]
+                for comult in vf.search_nearly_frobenius(m):
+                    if not any(x for dk in comult for row in dk for x in row):
+                        continue
+                    pairs += 1
+                    F = fr.FrobeniusData(ring, 2, mult, comult)
+                    if all(total(d, F) == 2 for d in kinks):
+                        kept += 1
+                        assert F.unit is not None and F.counit is not None, (mult, comult)
+            assert (pairs, kept) == (n_pairs, p**3 * (p - 1) * (p * p - 1)), p
+        # R1 and R2 change the normalized table of Z[x]/x^r at r = 3 and 4,
+        # and keep it for the rank-2 deformations
+        moves = [(dg.BUILDERS["unknot_0"](), d) for d in kinks]
+        for name in ("trefoil_left", "trefoil_right", "hopf_pos"):
+            moves.append((dg.BUILDERS[name](), dg.rii_pair(dg.BUILDERS[name](), 1)))
+        table = lambda d, F: _homology_rows(cx.build_complex(dg.build_cube(d), F, normalize=True))
+        for F in (_truncated(ZZ, 3), _truncated(QQ, 3), _truncated(ZZ, 4)):
+            assert all(table(a, F) != table(b, F) for a, b in moves), F.to_json()
+        for F in (fr.a5(0, 0), fr.a5(1, 1, F3), fr.a5(0, 1, QQ), fr.a5(1, 0, F2)):
+            assert all(table(a, F) == table(b, F) for a, b in moves), F.to_json()
+
+
+def _markov_moves(rng, rounds):
+    """Pairs of braids (word, strands) whose closures are isotopic.  Each
+    round draws a word on 2 to 4 strands and applies to it, at seeded
+    positions: the braid relation in each of its four sign patterns (R3),
+    far commutation, R2 insertion, conjugation and stabilization."""
+    r3 = (((1, 2, 1), (2, 1, 2)), ((-1, -2, -1), (-2, -1, -2)),
+          ((1, 2, -1), (-2, 1, 2)), ((-1, 2, 1), (2, 1, -2)))
+    sign = lambda: rng.choice((1, -1))
+    for _ in range(rounds):
+        s = rng.randint(2, 4)
+        w = [sign() * rng.randint(1, s - 1) for _ in range(rng.randint(1, 3))]
+        put = lambda k, letters: w[:k] + list(letters) + w[k:]
+        for lhs, rhs in r3:
+            t, k = max(s, 3), rng.randint(0, len(w))
+            i = rng.randint(0, t - 3)  # the relation on strands i + 1 .. i + 3
+            lift = lambda pattern: [x + i if x > 0 else x - i for x in pattern]
+            yield (put(k, lift(lhs)), t), (put(k, lift(rhs)), t)
+        k, a, b = rng.randint(0, len(w)), sign(), sign() * 3
+        yield (put(k, (a, b)), 4), (put(k, (b, a)), 4)
+        k, a = rng.randint(0, len(w)), sign() * rng.randint(1, s - 1)
+        yield (w, s), (put(k, (a, -a)), s)
+        yield (w, s), (w[1:] + w[:1], s)
+        yield (w, s), (w + [sign() * s], s + 1)
+
+
+def test_criterion_14_markov_moves_keep_the_table():
+    # Markov's theorem: closures of braids related by these moves are
+    # isotopic, so their normalized tables agree (nonzero rows: the crossing
+    # counts differ) over Khovanov's, Lee's and Bar-Natan's data and
+    # a5(1, 1) over F_3, and a5(0, 0)'s graded Euler characteristic agrees
+    algebras = (fr.a5(0, 0), fr.a5(1, 1, F3), fr.a5(0, 1, QQ), fr.a5(1, 0, F2))
+    seen = {}
+
+    def invariants(word, strands):
+        key = (tuple(word), strands)
+        if key not in seen:
+            cube = dg.build_cube(dg.parse_pd(braid.closure_pd(word, strands)))
+            complexes = [cx.build_complex(cube, F, normalize=True) for F in algebras]
+            seen[key] = [*map(_homology_rows, complexes), cx.graded_euler_characteristic(complexes[0])]
+        return seen[key]
+
+    with Budget(10):
+        moves = list(_markov_moves(random.Random(28), 12))
+        for a, b in moves:
+            assert invariants(*a) == invariants(*b), (a, b)

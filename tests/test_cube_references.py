@@ -411,6 +411,33 @@ def test_equal_entries_are_one_object():
             assert len({id(x) for x in entries}) == len(set(entries)) < len(entries), (F, m)
 
 
+def dense(R):
+    """Rank-2 data whose sixteen structure constants are all distinct, so a
+    source state makes many (column, value) blocks and a negative edge reads
+    other blocks than a positive one."""
+    mult = [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+    comult = [[[2, 3], [5, 7]], [[11, 13], [17, 19]]]
+    return fr.FrobeniusData(R, 2, mult, comult)
+
+
+def test_each_edge_shape_is_placed_once(monkeypatch):
+    # a shape's positive and negative kernels come from one _place call, so
+    # a build places each (circle count, src, dst) shape exactly once
+    calls, place = [], fr._place
+    monkeypatch.setattr(cx, "_place", lambda r, cells, n_in, src, dst: (
+        calls.append((n_in, src, dst)) or place(r, cells, n_in, src, dst)))
+    small = random_closures(count=12)
+    for d in small + eight_crossing_closures(seed=11, count=2):
+        cube = dg.build_cube(d)
+        shapes = {(cube.counts[i], src, dst) for i, _, src, dst in cube.edges}
+        for F in (fr.a5(0, 0, ZZ), fr.a5(0, 0, GF(2)), dense(ZZ)):
+            calls.clear()
+            C = cx.build_complex(cube, F, d.oriented)
+            assert len(calls) == len(shapes) and set(calls) == shapes, (F, d)
+            if F.ring == ZZ and d in small:
+                assert tuple(m.nz for m in C.diffs) == complex_from_labellings(cube, F, False)[1], (F, d)
+
+
 def tripled(R):
     """Z[x]/x^2 (a5(0, 0)'s product) with its coproduct times 3."""
     F = fr.a5(0, 0, R)

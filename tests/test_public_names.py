@@ -1,10 +1,16 @@
 """The README lists every public name that the library itself never calls.
 
-A public module-level function or method of ``src/frobknot`` whose name
-appears nowhere else in ``src/`` (as a name or an attribute) is either API
-or waits for a caller; the README's section "Public names without a
-library caller" says which, one bullet per reason.  So each such name must
-be listed there, and each listed name must still exist.
+A public module-level function or method of ``src/frobknot`` that no other
+``src/`` code mentions is either API or waits for a caller; the README's
+section "Public names without a library caller" says which, one bullet per
+reason.  So each such name must be listed there, and each listed name must
+still exist.  A method counts as mentioned only through an attribute,
+``x.name``, and a module-level function through its bare name or through
+``module.name`` (under the alias the module is imported as), so a local
+variable that shares a method's name hides nothing.  What remains is that
+any attribute of that name counts for a method: ``RingSpec.elements`` is
+counted as called through ``Counter.elements()`` in ``linalg._reduce``, and
+``FrobeniusData.to_json`` through the other classes' ``to_json``.
 """
 
 import ast
@@ -16,35 +22,56 @@ ROOT = Path(__file__).resolve().parents[1]
 HEADING = "### Public names without a library caller"
 
 
-def _mention(n):
-    """The name an ast node mentions, as a name or an attribute, or None."""
-    return n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else None
+def _mentions(tree) -> Counter:
+    """What tree mentions: (".", name) for each attribute x.name, ("", name)
+    for each bare name, and (module, name) for each attribute alias.name
+    where alias is how the package's module ``module`` is imported."""
+    aliases = {a.asname or a.name: a.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.module is None for a in n.names}
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out["", n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[".", n.attr] += 1
+            if isinstance(n.value, ast.Name) and n.value.id in aliases:
+                out[aliases[n.value.id], n.attr] += 1
+    return out
+
+
+def _count(mentions: Counter, name: str, module: str | None) -> int:
+    """The mentions of a method (module None) or of a function of module."""
+    return mentions[".", name] if module is None else mentions["", name] + mentions[module, name]
+
+
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "frobknot").glob("*.py"))}
 
 
 def public_defs() -> dict:
     """Each public module-level function and method, by its qualified
-    name, module.function or module.Class.method."""
+    name, module.function or module.Class.method, as (def node, its module
+    for a function or None for a method)."""
     defs = {}
-    for path in sorted((ROOT / "src" / "frobknot").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for stem, tree in _trees().items():
+        for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                members = [(f"{path.stem}.{node.name}", sub) for sub in node.body]
+                members = [(f"{stem}.{node.name}", sub, None) for sub in node.body]
             else:
-                members = [(path.stem, node)]
-            for owner, sub in members:
+                members = [(stem, node, stem)]
+            for owner, sub, module in members:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    defs[f"{owner}.{sub.name}"] = sub
+                    defs[f"{owner}.{sub.name}"] = (sub, module)
     return defs
 
 
 def uncalled() -> set:
-    """The public defs whose name no other src/ code mentions."""
-    mentions = Counter()
-    for path in (ROOT / "src" / "frobknot").glob("*.py"):
-        mentions.update(map(_mention, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    """The public defs that no other src/ code mentions."""
+    mentions = sum(map(_mentions, _trees().values()), Counter())
     return {
-        qualified for qualified, node in public_defs().items()
-        if mentions[node.name] == sum(_mention(n) == node.name for n in ast.walk(node))
+        qualified for qualified, (node, module) in public_defs().items()
+        if _count(mentions, node.name, module) == _count(_mentions(node), node.name, module)
     }
 
 
