@@ -10,6 +10,7 @@ is the base of the library's immutable value classes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 Scalar = int | Fraction
@@ -97,11 +98,12 @@ class RingSpec(Value):
         return Fraction(1) if self.kind == "Q" else 1
 
     def normalize(self, x) -> Scalar:
-        """Coerce an int/Fraction/decimal-or-'n/d' string into this ring:
+        """Coerce an int, a decimal-or-'n/d' string or any other exact
+        scalar that Fraction reads (a Fraction, a Decimal) into this ring:
         an int over Z, a Fraction over Q, a residue in range(p) over F_p.
-        Floats and bools are not exact scalars and raise ValueError.  A
-        plain int returns at once: isinstance(x, Fraction) would answer it
-        through the numbers ABCs."""
+        Floats, bools and whatever Fraction refuses are not exact scalars
+        and raise ValueError.  A plain int returns at once: isinstance(x,
+        Fraction) would answer it through the numbers ABCs."""
         if type(x) is int:
             return x % self.p if self.p else Fraction(x) if self.kind == "Q" else x
         if isinstance(x, str):
@@ -111,19 +113,16 @@ class RingSpec(Value):
                 raise ValueError(f"{x!r} has a zero denominator") from None
         elif isinstance(x, (float, bool)):
             raise ValueError(f"{x!r} is not an exact scalar")
-        if self.kind == "Z":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
-                x = x.numerator
-            return int(x)
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, OverflowError):  # None, a list, bytes, a NaN or infinite Decimal
+            raise ValueError(f"{x!r} is not an exact scalar") from None
         if self.kind == "Q":
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ValueError(f"{x} has a denominator divisible by {self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+            return x
+        if gcd(x.denominator, self.p) != 1:  # over Z, p = 0: the denominator must be 1
+            why = f"has a denominator divisible by {self.p}" if self.p else "is not an integer"
+            raise ValueError(f"{x} {why}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p if self.p else x.numerator
 
     def elements(self):
         """All elements (prime fields only)."""

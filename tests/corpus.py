@@ -43,7 +43,7 @@ from frobknot.cli import main
 from frobknot.diagram import BUILDERS
 from frobknot.rings import GF
 
-from braids import braid
+from braids import braid, seeded_word
 
 CORPUS = Path(__file__).resolve().parent / "corpus.json"
 
@@ -91,10 +91,8 @@ def closures(seed=12, count=64, letters=(1, 6)) -> list:
     rng = random.Random(seed)
     seen: dict = {}
     while len(seen) < count:
-        strands = rng.randint(2, 4)
-        word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                     for _ in range(rng.randint(*letters)))
-        seen.setdefault((strands, word), None)
+        word, strands = seeded_word(rng, letters=letters)
+        seen.setdefault((strands, tuple(word)), None)
     return list(seen)
 
 

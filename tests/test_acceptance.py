@@ -1,9 +1,9 @@
 """End-to-end acceptance checks.
 
 Every test here is exact (no tolerances) and carries an explicit wall-clock
-budget, enforced per test.  The small-scale enumeration sizes are frozen so
-that regressions in the search spaces are caught, not just regressions in
-the verdicts.
+budget, enforced per test.  The battery criteria check verdicts; the frozen
+search-space sizes and stage counts, which catch regressions in the search
+spaces, are the ``FROZEN`` rows of ``tests/test_verifier.py``.
 """
 
 import itertools
@@ -22,7 +22,8 @@ from frobknot import verifier as vf
 from frobknot.linalg import rank
 from frobknot.rings import QQ, ZZ, GF
 
-from braids import braid
+from algebras import truncated
+from braids import closure, seeded_word
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -48,21 +49,15 @@ def _homology_rows(c):
 
 def test_criterion_1_surjective_pairing_battery():
     with Budget(10):
-        for ring in (F2, F3, F5):
-            rep = vf.verify_theorem_1_2(ring=ring)
+        for kwargs in ({"ring": F2}, {"ring": F3}, {"ring": F5}, {"zbound": 2}):
+            rep = vf.verify_theorem_1_2(**kwargs)
             assert rep.ok, rep.summary()
-        repz = vf.verify_theorem_1_2(zbound=2)
-        assert repz.ok, repz.summary()
-        assert repz.space_size == 15625
 
 
 def test_criterion_2_pairing_battery_full():
     with Budget(300):
-        rep2 = vf.verify_theorem_1_1(2)
-        assert rep2.ok and rep2.space_size == 16384
-        rep3 = vf.verify_theorem_1_1(3)
-        assert rep3.ok
-        assert rep3.space_size == 3**6 * 3**6 * 3**2
+        for p in (2, 3):
+            assert vf.verify_theorem_1_1(p).ok, p
 
 
 def test_criterion_3_family_condition_sweeps():
@@ -76,7 +71,6 @@ def test_criterion_4_char2_classification():
     with Budget(5):
         rep = vf.verify_char2_classification()
         assert rep.ok, rep.summary()
-        assert rep.stages["associative"] == 22
         ring = F2
         unital = {
             label
@@ -222,14 +216,6 @@ def test_criterion_12_stabilization_invariance():
                 assert _homology_rows(c1) == _homology_rows(c2), name
 
 
-def _truncated(R, r):
-    """Z[x]/x^r on the basis 1, x, ..., x^(r-1), with Delta(x^k) the sum of
-    x^a (x) x^b over a + b = r - 1 + k (the CI's truncated8.json at r = 8)."""
-    mult = [[[int(i + j == k) for k in range(r)] for j in range(r)] for i in range(r)]
-    comult = [[[int(a + b == r - 1 + k) for b in range(r)] for a in range(r)] for k in range(r)]
-    return fr.FrobeniusData(R, r, mult, comult)
-
-
 def test_criterion_13_reidemeister_one_decides_rank_two():
     # A positive kink's complex is the product A (x) A -> A (a merge), a
     # negative kink's the coproduct A -> A (x) A (a split), so over a field
@@ -275,7 +261,7 @@ def test_criterion_13_reidemeister_one_decides_rank_two():
         for name in ("trefoil_left", "trefoil_right", "hopf_pos"):
             moves.append((dg.BUILDERS[name](), dg.rii_pair(dg.BUILDERS[name](), 1)))
         table = lambda d, F: _homology_rows(cx.build_complex(dg.build_cube(d), F, normalize=True))
-        for F in (_truncated(ZZ, 3), _truncated(QQ, 3), _truncated(ZZ, 4)):
+        for F in (truncated(ZZ, 3), truncated(QQ, 3), truncated(ZZ, 4)):
             assert all(table(a, F) != table(b, F) for a, b in moves), F.to_json()
         for F in (fr.a5(0, 0), fr.a5(1, 1, F3), fr.a5(0, 1, QQ), fr.a5(1, 0, F2)):
             assert all(table(a, F) == table(b, F) for a, b in moves), F.to_json()
@@ -290,8 +276,7 @@ def _markov_moves(rng, rounds):
           ((1, 2, -1), (-2, 1, 2)), ((-1, 2, 1), (2, 1, -2)))
     sign = lambda: rng.choice((1, -1))
     for _ in range(rounds):
-        s = rng.randint(2, 4)
-        w = [sign() * rng.randint(1, s - 1) for _ in range(rng.randint(1, 3))]
+        w, s = seeded_word(rng, letters=(1, 3))
         put = lambda k, letters: w[:k] + list(letters) + w[k:]
         for lhs, rhs in r3:
             t, k = max(s, 3), rng.randint(0, len(w))
@@ -317,7 +302,7 @@ def test_criterion_14_markov_moves_keep_the_table():
     def invariants(word, strands):
         key = (tuple(word), strands)
         if key not in seen:
-            cube = dg.build_cube(dg.parse_pd(braid.closure_pd(word, strands)))
+            cube = dg.build_cube(closure(word, strands))
             complexes = [cx.build_complex(cube, F, normalize=True) for F in algebras]
             seen[key] = [*map(_homology_rows, complexes), cx.graded_euler_characteristic(complexes[0])]
         return seen[key]

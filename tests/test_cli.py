@@ -20,6 +20,8 @@ from frobknot import cli
 from frobknot.cli import main
 from frobknot.rings import GF, QQ, ZZ
 
+from corpus import ALGEBRAS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -43,9 +45,7 @@ def test_homology_runs_leave_no_garbage_cycles(tmp_path, capsys):
     # after the first call, which builds the cached parser, nothing is left
     # for it to collect, over Z, Q (fractional data too) and F_2
     twisted_q = tmp_path / "twisted_q.json"
-    twisted_q.write_text(json.dumps({
-        "ring": {"kind": "Q"}, "rank": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
-        "comult": [[[0, "1/2"], ["1/2", "-1/4"]], [[0, 0], [0, "1/2"]]]}))
+    twisted_q.write_text(json.dumps(ALGEBRAS["twisted_q.json"]))
     main(["homology", "builder:hopf_pos", "--a5", "0,0"])
     gc.collect()
     for algebra in (["--a5", "0,0"], ["--a5", "1,1", "--ring", "Q"], ["--algebra", str(twisted_q)],
@@ -317,16 +317,10 @@ def test_a_declared_rational_unit_does_not_block_the_ring_option(tmp_path, capsy
     # declared (1/2, 0) and (0, 1/3), true over Q, exited 2 with "1/2 is
     # not an integer", and F_5's (3, 0) and (0, 2) with "declared unit is
     # not a two-sided identity", while the same files without them ran
-    scaled_q = {"ring": {"kind": "Q"}, "rank": 2, "mult": [[[2, 0], [0, 2]], [[0, 2], [0, 0]]],
-                "comult": [[[0, 3], [3, 0]], [[0, 0], [0, 3]]]}
     outputs = []
-    for name, data in (
-        ("scaled_q.json", scaled_q),
-        ("scaled_q_unit.json", dict(scaled_q, unit=["1/2", 0], counit=[0, "1/3"])),
-        ("scaled_f5_unit.json", dict(scaled_q, ring={"kind": "Fp", "p": 5}, unit=[3, 0], counit=[0, 2])),
-    ):
+    for name in ("scaled_q.json", "scaled_q_unit.json", "scaled_f5_unit.json"):
         f = tmp_path / name
-        f.write_text(json.dumps(data))
+        f.write_text(json.dumps(ALGEBRAS[name]))
         argv = ("homology", "builder:trefoil_left", "--algebra", str(f), "--ring", "Z", "--normalize", "--json")
         outputs.append((main(list(argv)), capsys.readouterr()))
     assert outputs[0][0] == 0 and not outputs[0][1].err

@@ -14,7 +14,8 @@ from frobknot import frobenius as fr
 from frobknot.linalg import ExactMatrix, _reduce, rank, smith_normal_form
 from frobknot.rings import QQ, ZZ, GF
 
-from braids import braid
+from algebras import scaled
+from braids import closure, seeded_word
 
 F2, F3 = GF(2), GF(3)
 
@@ -191,14 +192,6 @@ def test_f2_rank_jumps_on_torsion():
     assert total_f2 == total_z + 2
 
 
-def scaled(R):
-    """a5(0, 0) with its product times 2 and its coproduct times 3: over Z
-    few entries are units, and the torsion has 2, 3, 4 and 6."""
-    F = fr.a5(0, 0, R)
-    times = lambda t, k: [[[k * x for x in row] for row in a] for a in t]
-    return fr.FrobeniusData(R, 2, times(F.mult, 2), times(F.comult, 3))
-
-
 def test_universal_coefficients():
     # H^i(C x F_p) = H^i x F_p + Tor(H^(i+1), F_p) and H^i(C x Q) = H^i x Q,
     # read off the integral table
@@ -224,10 +217,7 @@ def test_twisting_by_a_unit_keeps_the_homology():
     # y = 2 + x puts 1/2 and -1/4 into the coproduct
     rng = random.Random(25)
     diagrams = [b() for b in dg.BUILDERS.values()]
-    for _ in range(4):
-        strands = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 6))]
-        diagrams.append(dg.parse_pd(braid.closure_pd(word, strands)))
+    diagrams += [closure(*seeded_word(rng, letters=(3, 6))) for _ in range(4)]
     for R, y in ((ZZ, (1, 1)), (QQ, (2, 1)), (F3, (2, 1))):
         F = fr.a5(0, 0, R)
         twisted = fr.twist(F, y)
@@ -241,15 +231,6 @@ def test_twisting_by_a_unit_keeps_the_homology():
 
 
 # --- structural oracles: mirror image and disjoint union -------------------------
-
-
-def seeded_closures(seed, count, max_letters):
-    rng = random.Random(seed)
-    for _ in range(count):
-        strands = rng.randint(2, 3)
-        letters = rng.randint(1, max_letters)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(letters)]
-        yield dg.parse_pd(braid.closure_pd(word, strands))
 
 
 def mirror(d):
@@ -274,7 +255,8 @@ def test_mirror_with_the_dual_algebra_is_the_dual_complex():
     # of the second.  The scaled algebra's dual is not isomorphic to it
     diagrams = [dg.BUILDERS[name]() for name in (
         "trefoil_left", "trefoil_right", "hopf_pos", "hopf_neg", "unknot_1kink_pos", "unknot_1kink_neg")]
-    diagrams += seeded_closures(33, 9, 5)
+    rng = random.Random(33)
+    diagrams += [closure(*seeded_word(rng, (2, 3), (1, 5))) for _ in range(9)]
     groups = lambda d, F: {i: (f, t) for i, f, t in _rows(cx.homology(cx.chain_complex(d, F, True)))}
     for F in (fr.a5(0, 0), fr.a5(1, 1), scaled(ZZ)):
         for d in diagrams:
@@ -292,7 +274,8 @@ def test_homology_of_a_split_union_is_the_product():
     # divisors (prime powers), since Z/2 + Z/3 = Z/6.  a5(0, 0) has little
     # torsion; the scaled algebra's gives the Tor term most to check
     small = [dg.BUILDERS[name]() for name in ("trefoil_left", "hopf_pos", "unknot_1kink_neg")]
-    small += seeded_closures(34, 4, 4)
+    rng = random.Random(34)
+    small += [closure(*seeded_word(rng, (2, 3), (1, 4))) for _ in range(4)]
     for F in (fr.a5(0, 0, F2), fr.a5(0, 0, F3), fr.a5(0, 0, QQ), fr.a5(0, 0), scaled(ZZ)):
         def groups(d):
             """Free rank by degree, and each prime power's multiplicity by (degree, prime power)."""
@@ -399,9 +382,7 @@ def test_reductions_without_covered_columns_on_seeded_closures():
     # rank and torsion
     rng = random.Random(23)
     for _ in range(10):
-        strands = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 6))]
-        cube = dg.build_cube(dg.parse_pd(braid.closure_pd(word, strands)))
+        cube = dg.build_cube(closure(*seeded_word(rng, letters=(3, 6))))
         for R in (ZZ, QQ, F2, F3):
             for F in (fr.a5(0, 0, R), fr.a5(1, 1, R), scaled(R)):
                 C = cx.build_complex(cube, F, True)
@@ -478,7 +459,7 @@ def test_library_calls_pause_the_collector_and_restore_it(monkeypatch):
 def test_library_homology_leaves_no_garbage_cycles():
     # the collector may stay off on the library path because the engine
     # makes no cycles: after a run nothing is left for it to collect
-    d = dg.parse_pd(braid.closure_pd([-1] * 5, 2))
+    d = closure([-1] * 5, 2)
     cx.homology(cx.chain_complex(d, fr.a5(0, 0), normalize=True))
     gc.collect()
     for R in (ZZ, QQ, F2):

@@ -29,11 +29,8 @@ from frobknot import diagram as dg
 from frobknot import frobenius as fr
 from frobknot.rings import GF, QQ, ZZ
 
-from braids import braid
-
-
-def closure(word, strands):
-    return dg.parse_pd(braid.closure_pd(word, strands))
+from algebras import scaled, truncated
+from braids import closure, seeded_word
 
 
 def random_closures(seed=20261018, count=40):
@@ -41,11 +38,7 @@ def random_closures(seed=20261018, count=40):
     strands no letter touches become free loops."""
     rng = random.Random(seed)
     out = [closure([], 3), closure([1, -1, 1], 4)]  # no crossings; two free loops
-    for _ in range(count):
-        strands = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 7))]
-        out.append(closure(word, strands))
-    return out
+    return out + [closure(*seeded_word(rng)) for _ in range(count)]
 
 
 def eight_crossing_closures(seed=816, count=6):
@@ -372,13 +365,6 @@ def test_complex_and_euler_match_references():
                     assert cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d)
 
 
-def scaled(R):
-    """a5(0, 0) with its product times 2 and its coproduct times 3."""
-    mult = (((2, 0), (0, 2)), ((0, 2), (0, 0)))
-    comult = (((0, 3), (3, 0)), ((0, 0), (0, 3)))
-    return fr.FrobeniusData(R, 2, mult, comult)
-
-
 def rank3(R, seed=3):
     """Seeded rank-3 structure constants, neither commutative nor
     cocommutative, so a leg order mix-up shows."""
@@ -460,14 +446,6 @@ def test_unit_free_data_get_khovanovs_grading():
             assert cx.graded_euler_characteristic(C) == cx.jones_from_bracket(d), (F, d)
 
 
-def truncated(R):
-    """Z[x]/x^3 on the basis (1, x, x^2), with Delta(x^k) the sum of
-    x^a (x) x^b over a + b = 2 + k."""
-    mult = [[[int(k == i + j) for k in range(3)] for j in range(3)] for i in range(3)]
-    comult = [[[int(a + b == 2 + k) for b in range(3)] for a in range(3)] for k in range(3)]
-    return fr.FrobeniusData(R, 3, mult, comult)
-
-
 def test_graded_euler_characteristic_is_the_state_sum_on_three_degrees():
     # Z[x]/x^3 is graded 1, 0, -1, so a circle counts q + 1 + 1/q, and the
     # Euler characteristic is the sum over states s of
@@ -475,12 +453,9 @@ def test_graded_euler_characteristic_is_the_state_sum_on_three_degrees():
     # with the circles counted by resolve alone; a5(0, 0)'s circle counts q + 1/q
     rng = random.Random(29)
     diagrams = [build() for build in dg.BUILDERS.values()]
-    for _ in range(10):
-        strands = rng.randint(2, 3)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 6))]
-        diagrams.append(closure(word, strands))
+    diagrams += [closure(*seeded_word(rng, (2, 3), (1, 6))) for _ in range(10)]
     for R in (ZZ, QQ, GF(2), GF(3)):
-        F = truncated(R)
+        F = truncated(R, 3)
         assert all(fr.check_axioms(F).values()) and F.grading == (1, 0, -1), R
         for A, circle in ((F, {-1: 1, 0: 1, 1: 1}), (fr.a5(0, 0, R), {-1: 1, 1: 1})):
             for d in diagrams:

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,20 +38,29 @@ def test_fp_normalize_residues():
 
 
 def test_normalize_rejects_floats_and_bools():
-    # JSON numbers like 1.5 or true are not exact scalars; 1.0 is refused too
+    # JSON numbers like 1.5 or true are not exact scalars; 1.0 is refused
+    # too, and so is whatever Fraction cannot read
+    not_exact = (None, [1], b"1", 1j, Decimal("NaN"), Decimal("Infinity"))
     for ring in (ZZ, QQ, GF(3)):
-        for x in (1.5, 0.1, 1.0, -3.0, 2.0**70, True, False, "1/0"):
+        for x in (1.5, 0.1, 1.0, -3.0, 2.0**70, True, False, "1/0", *not_exact):
             with pytest.raises(ValueError):
                 ring.normalize(x)
     assert ZZ.normalize(1) == 1 and type(QQ.normalize(1)) is Fraction
 
 
+def test_normalize_reads_a_decimal_exactly():
+    # Decimal("1.5") is 3/2, not 1: not an integer over Z, and 3 * 2^-1 over F_5
+    assert (QQ.normalize(Decimal("1.5")), GF(5).normalize(Decimal("1.5"))) == (Fraction(3, 2), 4)
+    with pytest.raises(ValueError, match="3/2 is not an integer"):
+        ZZ.normalize(Decimal("1.5"))
+
+
 def test_normalize_result_types_per_ring():
     # an int over Z, a Fraction over Q and a residue in range(p) over F_p,
     # from plain ints (negative ones and ones past 2**64 too) and from the
-    # Fraction and string paths alike
+    # Fraction, Decimal and string paths alike
     big = 2**64 + 3
-    for x in (0, 1, -1, -7, big, -big, Fraction(-6, 2), "-7", str(big)):
+    for x in (0, 1, -1, -7, big, -big, Fraction(-6, 2), Decimal("-3.0"), Decimal(big), "-7", str(big)):
         value = int(x)
         assert type(ZZ.normalize(x)) is int and ZZ.normalize(x) == value
         assert type(QQ.normalize(x)) is Fraction and QQ.normalize(x) == value

@@ -19,14 +19,17 @@ The helpers also serve the CI check of the 14-crossing closure of
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from frobknot import complex as cx
 from frobknot import diagram as dg
 from frobknot import frobenius as fr
+from frobknot.linalg import ExactMatrix, rank
+from frobknot.rings import QQ
 
-from braids import braid
+from braids import closure
 
 
 def alternating_closure(word, strands: int) -> dg.LinkDiagram:
@@ -38,7 +41,7 @@ def alternating_closure(word, strands: int) -> dg.LinkDiagram:
             raise ValueError(f"generator {k} is used fewer than twice in {word}")
     if any((x > 0) != (abs(x) % 2 == 1) for x in word):
         raise ValueError(f"{word} is not alternating")
-    return dg.parse_pd(braid.closure_pd(word, strands))
+    return closure(word, strands)
 
 
 def alternating_words(seed: int, count: int, max_len: int) -> list:
@@ -121,6 +124,41 @@ def test_alternating_closures_match_the_oracle():
         d = alternating_closure(word, strands)
         table = cx.homology(cx.chain_complex(d, fr.a5(0, 0), True))
         assert totals(table.to_json()["groups"]) == oracle(d), (word, strands)
+
+
+def bigraded_ranks(C) -> dict:
+    """(i, j) -> the rank of the Q group H^{i,j}, nonzero ones only: each
+    differential of C restricted to a q-block, which it keeps (an entry
+    that leaves its block raises KeyError)."""
+    blocks = [{} for _ in C.q_degrees]  # per degree: q -> its generators
+    for k, qs in enumerate(C.q_degrees):
+        for g, q in enumerate(qs):
+            blocks[k].setdefault(q, []).append(g)
+    ranks = Counter({(k, j): len(gens) for k, by_q in enumerate(blocks) for j, gens in by_q.items()})
+    for k, d in enumerate(C.diffs):
+        for j, rows in blocks[k + 1].items():
+            cols = {c: n for n, c in enumerate(blocks[k].get(j, ()))}
+            nz = tuple(tuple((cols[c], v) for c, v in d.nz[g]) for g in rows)
+            r = rank(ExactMatrix(C.ring, len(rows), len(cols), nz))
+            ranks[k, j] -= r
+            ranks[k + 1, j] -= r
+    return {(C.shift + k, j): h for (k, j), h in ranks.items() if h}
+
+
+def test_alternating_closures_lie_on_two_diagonals():
+    # over Q the table of a non-split alternating link lies on exactly the
+    # diagonals delta = j - 2i = -sigma' -+ 1, where sigma' = s_A - n+ - 1 and
+    # s_A counts the circles of the all-0 state (Lee; Traczyk); the bigraded
+    # ranks also give the graded Euler characteristic
+    for word, strands in alternating_words(seed=27, count=15, max_len=10):
+        d = alternating_closure(word, strands)
+        cube = dg.build_cube(d)
+        C = cx.build_complex(cube, fr.a5(0, 0, QQ), True)
+        ranks, sigma, euler = bigraded_ranks(C), cube.counts[0] - d.n_plus - 1, Counter()
+        for (i, j), h in ranks.items():
+            euler[j] += -h if i % 2 else h
+        assert {j - 2 * i for i, j in ranks} == {-sigma - 1, -sigma + 1}, (word, strands)
+        assert {j: c for j, c in euler.items() if c} == cx.graded_euler_characteristic(C), (word, strands)
 
 
 def test_the_oracle_on_known_links():

@@ -13,49 +13,51 @@ from frobknot.rings import GF, ZZ
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
 
-def test_theorem_1_2_f2():
-    rep = vf.verify_theorem_1_2(ring=F2)
-    assert rep.ok
-    assert rep.stages["associative"] == 22
-    assert rep.stages["surjective"] == 12
+# every frozen battery report of tier-1, each battery run once per domain:
+# (verify target, domain, space_size, stages), where a domain is a prime p
+# or "ZB", thm1.2's integer box [-B, B]
+FROZEN = [
+    ("thm1.2", 2, 2**6, {"associative": 22, "surjective": 12}),
+    ("thm1.2", 3, 3**6, {"associative": 105, "surjective": 72}),
+    ("thm1.2", 5, 5**6, {"associative": 745, "surjective": 600}),
+    ("thm1.2", 7, 7**6, {"associative": 2737, "surjective": 2352}),
+    ("thm1.2", 11, 11**6, {"associative": 15961, "surjective": 14520}),
+    ("thm1.2", 13, 13**6, {"associative": 30745, "surjective": 28392}),
+    ("thm1.2", "Z2", 5**6, {"associative": 481, "surjective": 180}),
+    ("thm1.2", "Z3", 7**6, {"associative": 1393, "surjective": 380}),
+    ("thm1.2", "Z4", 9**6, {"associative": 3121, "surjective": 636}),
+    ("thm1.1", 2, 2**14, {"mult_survivors": 12, "comult_survivors": 12, "compatible_pairs": 24}),
+    ("thm1.1", 3, 3**14, {"mult_survivors": 72, "comult_survivors": 72, "compatible_pairs": 432}),
+    ("thm1.1", 5, 5**14, {"mult_survivors": 600, "comult_survivors": 600, "compatible_pairs": 12000}),
+    ("prop3.4", 3, 67, {"swept": 67}),
+    ("prop3.4", 5, 310, {"swept": 310}),
+    ("char2", 2, 2**6, {"associative": 22}),
+    ("noncomm", 2, 2**8, {"survivors": 6}),
+    ("noncomm", 3, 3**8, {"survivors": 16}),
+    ("noncomm", 5, 5**8, {"survivors": 48}),
+]
 
 
-def test_theorem_1_2_f3():
-    rep = vf.verify_theorem_1_2(ring=F3)
-    assert rep.ok
-    assert rep.stages["associative"] == 105
-    assert rep.stages["surjective"] == 72
-
-
-def test_theorem_1_2_f5():
-    rep = vf.verify_theorem_1_2(ring=F5)
-    assert rep.ok
-    assert rep.stages["associative"] == 745
-    assert rep.stages["surjective"] == 600
-
-
-def test_theorem_1_2_bounded_z():
-    rep = vf.verify_theorem_1_2(zbound=2)
-    assert rep.ok
-    assert rep.stages["associative"] == 481
-    assert rep.stages["surjective"] == 180
-
-
-@pytest.mark.parametrize(
-    "kwargs, associative, surjective",
-    [
-        ({"ring": GF(7)}, 2737, 2352),
-        ({"ring": GF(11)}, 15961, 14520),
-        ({"ring": GF(13)}, 30745, 28392),
-        ({"zbound": 3}, 1393, 380),
-        ({"zbound": 4}, 3121, 636),
-    ],
-)
-def test_theorem_1_2_larger_domains(kwargs, associative, surjective):
-    # counts from the brute-force filter over every p^6 (or (2B+1)^6) table
-    rep = vf.verify_theorem_1_2(**kwargs)
-    assert rep.ok
-    assert rep.stages == {"associative": associative, "surjective": surjective}
+@pytest.mark.parametrize("battery, domain, space_size, stages", FROZEN, ids=[f"{b}-{d}" for b, d, *_ in FROZEN])
+def test_frozen_reports(battery, domain, space_size, stages):
+    over_p, _, over_z, then = cli._BATTERIES[battery]  # the runs of each verify target
+    if isinstance(domain, str):
+        rep = over_z(int(domain[1:]))
+    else:
+        rep = over_p(domain) if over_p else then()
+    assert (rep.ok, rep.space_size, rep.stages) == (True, space_size, stages)
+    if isinstance(domain, int) and battery != "prop3.4":
+        # orbit counting over F_p, with q = p^2 - 1: q(p^2 + p + 1) nonzero
+        # associative commutative tables and the zero one, p^2 q onto ones,
+        # p^3 (p - 1) q compatible pairs, 2q associative noncommutative tables
+        p, q = domain, domain**2 - 1
+        associative, onto = q * (p * p + p + 1) + 1, p * p * q
+        assert rep.stages == {
+            "thm1.2": {"associative": associative, "surjective": onto},
+            "thm1.1": {"mult_survivors": onto, "comult_survivors": onto, "compatible_pairs": p**3 * (p - 1) * q},
+            "char2": {"associative": associative},
+            "noncomm": {"survivors": 2 * q},
+        }[battery]
 
 
 def test_theorem_1_2_argument_validation():
@@ -67,66 +69,6 @@ def test_theorem_1_2_argument_validation():
     for bound in (True, 2.5, "3"):
         with pytest.raises(ValueError, match="Z box bound"):
             vf.verify_theorem_1_2(zbound=bound)
-
-
-def test_theorem_1_1_f2():
-    rep = vf.verify_theorem_1_1(2)
-    assert rep.ok
-    assert rep.stages["mult_survivors"] == 12
-    assert rep.stages["comult_survivors"] == 12
-    assert rep.stages["compatible_pairs"] == 24
-
-
-def test_theorem_1_1_f3():
-    rep = vf.verify_theorem_1_1(3)
-    assert rep.ok
-    assert rep.stages["mult_survivors"] == 72
-    assert rep.stages["comult_survivors"] == 72
-    assert rep.stages["compatible_pairs"] == 432
-
-
-def test_theorem_1_1_f5():
-    # the kernel solve at a prime the double enumeration refused
-    rep = vf.verify_theorem_1_1(5)
-    assert rep.ok
-    assert rep.stages == {"mult_survivors": 600, "comult_survivors": 600, "compatible_pairs": 12000}
-
-
-def test_prop_3_4_sweeps():
-    rep3 = vf.verify_prop_3_4(3)
-    rep5 = vf.verify_prop_3_4(5)
-    assert rep3.ok and rep5.ok
-    assert rep3.stages["swept"] == 67
-    assert rep5.stages["swept"] == 310
-
-
-def test_char2_classification():
-    rep = vf.verify_char2_classification()
-    assert rep.ok
-    assert rep.stages["associative"] == 22
-
-
-def test_noncommutative_survivors():
-    rep2 = vf.verify_noncommutative(2)
-    rep3 = vf.verify_noncommutative(3)
-    assert rep2.ok and rep3.ok
-    assert rep2.stages["survivors"] == 6
-    assert rep3.stages["survivors"] == 16
-    rep5 = vf.verify_noncommutative(5)
-    assert rep5.ok and rep5.stages["survivors"] == 48
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_stages_follow_the_closed_forms(p):
-    # the frozen stages over F_p from orbit counting: (p^2 - 1)(p^2 + p + 1)
-    # nonzero associative commutative tables and the zero one, p^2(p^2 - 1)
-    # onto ones, p^3(p - 1)(p^2 - 1) compatible pairs and 2(p^2 - 1)
-    # associative noncommutative tables
-    q = p * p - 1
-    stages = vf.verify_theorem_1_2(ring=GF(p)).stages
-    assert stages == {"associative": q * (p * p + p + 1) + 1, "surjective": p * p * q}
-    assert vf.verify_theorem_1_1(p).stages["compatible_pairs"] == p**3 * (p - 1) * q
-    assert vf.verify_noncommutative(p).stages == {"survivors": 2 * q}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -229,7 +171,7 @@ def test_injective_coproducts_count_the_units(p):
         injective = sum(rank2._surjective(dual, p) for _, dual in rank2._frobenius_comults(t, p))
         assert injective == units, t
         total += injective
-    assert total == p**3 * (p - 1) * (p * p - 1) == vf.verify_theorem_1_1(p).stages["compatible_pairs"]
+    assert total == p**3 * (p - 1) * (p * p - 1)  # thm1.1's compatible_pairs, by its FROZEN row
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -239,7 +181,7 @@ def test_comult_survivors_count_the_injective_coproducts(p):
     injective = sorted(t for _, t in _reference_comults(p) if rank2._surjective(t, p))
     mults = [t for t in rank2._associative_comm_tables(range(p), p) if rank2._surjective(t, p)]
     assert injective == sorted(mults)
-    assert vf.verify_theorem_1_1(p).stages["comult_survivors"] == len(injective)
+    assert len(injective) == p * p * (p * p - 1)  # thm1.1's comult_survivors, by its FROZEN row
 
 
 # --- failure branches -----------------------------------------------------
