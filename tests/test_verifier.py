@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -13,9 +14,9 @@ from frobknot.rings import GF, ZZ
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
 
-# every frozen battery report of tier-1, each battery run once per domain:
-# (verify target, domain, space_size, stages), where a domain is a prime p
-# or "ZB", thm1.2's integer box [-B, B]
+# every frozen battery report of tier-1 but noncomm's, which
+# test_noncommutative_survivors holds: (verify target, domain, space_size,
+# stages), where a domain is a prime p or "ZB", thm1.2's integer box [-B, B]
 FROZEN = [
     ("thm1.2", 2, 2**6, {"associative": 22, "surjective": 12}),
     ("thm1.2", 3, 3**6, {"associative": 105, "surjective": 72}),
@@ -32,32 +33,47 @@ FROZEN = [
     ("prop3.4", 3, 67, {"swept": 67}),
     ("prop3.4", 5, 310, {"swept": 310}),
     ("char2", 2, 2**6, {"associative": 22}),
-    ("noncomm", 2, 2**8, {"survivors": 6}),
-    ("noncomm", 3, 3**8, {"survivors": 16}),
-    ("noncomm", 5, 5**8, {"survivors": 48}),
 ]
+NONCOMM_SURVIVORS = {2: 6, 3: 16, 5: 48}
+
+
+@functools.cache  # each battery runs once per domain in this file
+def _run(battery, domain):
+    over_p, _, over_z, then = cli._BATTERIES[battery]  # the runs of each verify target
+    if isinstance(domain, str):
+        return over_z(int(domain[1:]))
+    return over_p(domain) if over_p else then()
 
 
 @pytest.mark.parametrize("battery, domain, space_size, stages", FROZEN, ids=[f"{b}-{d}" for b, d, *_ in FROZEN])
 def test_frozen_reports(battery, domain, space_size, stages):
-    over_p, _, over_z, then = cli._BATTERIES[battery]  # the runs of each verify target
-    if isinstance(domain, str):
-        rep = over_z(int(domain[1:]))
-    else:
-        rep = over_p(domain) if over_p else then()
+    rep = _run(battery, domain)
     assert (rep.ok, rep.space_size, rep.stages) == (True, space_size, stages)
-    if isinstance(domain, int) and battery != "prop3.4":
-        # orbit counting over F_p, with q = p^2 - 1: q(p^2 + p + 1) nonzero
-        # associative commutative tables and the zero one, p^2 q onto ones,
-        # p^3 (p - 1) q compatible pairs, 2q associative noncommutative tables
-        p, q = domain, domain**2 - 1
-        associative, onto = q * (p * p + p + 1) + 1, p * p * q
-        assert rep.stages == {
-            "thm1.2": {"associative": associative, "surjective": onto},
-            "thm1.1": {"mult_survivors": onto, "comult_survivors": onto, "compatible_pairs": p**3 * (p - 1) * q},
-            "char2": {"associative": associative},
-            "noncomm": {"survivors": 2 * q},
-        }[battery]
+
+
+def test_noncommutative_survivors():
+    for p, survivors in NONCOMM_SURVIVORS.items():
+        rep = _run("noncomm", p)
+        assert (rep.ok, rep.space_size, rep.stages) == (True, p**8, {"survivors": survivors})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_stages_follow_the_closed_forms(p):
+    # orbit counting over F_p, with q = p^2 - 1: q(p^2 + p + 1) nonzero
+    # associative commutative tables and the zero one, p^2 q onto ones,
+    # p^3 (p - 1) q compatible pairs, 2q associative noncommutative tables;
+    # checked on every frozen F_p report but the Prop. 3.4 sweeps
+    q = p * p - 1
+    associative, onto = q * (p * p + p + 1) + 1, p * p * q
+    closed = {
+        "thm1.2": {"associative": associative, "surjective": onto},
+        "thm1.1": {"mult_survivors": onto, "comult_survivors": onto, "compatible_pairs": p**3 * (p - 1) * q},
+        "char2": {"associative": associative},
+        "noncomm": {"survivors": 2 * q},
+    }
+    batteries = [b for b, d, *_ in FROZEN if d == p and b in closed] + ["noncomm"] * (p in NONCOMM_SURVIVORS)
+    for battery in batteries:
+        assert _run(battery, p).stages == closed[battery]
 
 
 def test_theorem_1_2_argument_validation():
