@@ -20,6 +20,15 @@ from . import rank2, verifier
 from .rings import QQ, ZZ, GF, RingSpec
 
 
+def _read(path: str, parse=str):
+    """parse(text) of the UTF-8 file at path; a read, decode or JSON error names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"cannot read {path}: {e}") from None
+
+
 def _load_diagram(spec: str) -> dg.LinkDiagram:
     if spec.startswith("builder:"):
         name = spec[len("builder:") :]
@@ -29,12 +38,7 @@ def _load_diagram(spec: str) -> dg.LinkDiagram:
             known = ", ".join(sorted(dg.BUILDERS))
             raise ValueError(f"unknown builder {name!r}; known: {known}") from None
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ValueError(f"cannot read {spec}: {e}") from None
-    try:
-        return dg.parse_pd(text)
+        return dg.parse_pd(_read(spec))
     except dg.PDError as e:
         raise ValueError(f"{spec}: {e}") from None
 
@@ -54,11 +58,7 @@ def _parse_ring(spec: str) -> RingSpec:
 
 def _from_json(cls, path: str):
     """cls.from_json of the JSON file at path; every error names the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ValueError(f"cannot read {path}: {e}") from None
+    data = _read(path, json.loads)
     try:
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")

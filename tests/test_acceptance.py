@@ -1,9 +1,11 @@
 """End-to-end acceptance checks.
 
 Every test here is exact (no tolerances) and carries an explicit wall-clock
-budget, enforced per test.  The battery criteria check verdicts; the frozen
-search-space sizes and stage counts, which catch regressions in the search
-spaces, are the ``FROZEN`` rows of ``tests/test_verifier.py``.
+budget, enforced per test.  Criteria 1, 2, 3 and 5, the verdicts and budgets
+of the thm1.2, thm1.1, prop3.4 and noncomm batteries, are the rows of
+``test_battery_budgets`` in ``tests/test_verifier.py``, which reads the runs
+that its ``FROZEN`` table checks; criterion 4 stays here for the family
+facts it asserts beyond the verdict.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from frobknot.rings import QQ, ZZ, GF
 from algebras import truncated
 from braids import closure, seeded_word
 
-F2, F3, F5 = GF(2), GF(3), GF(5)
+F2, F3 = GF(2), GF(3)
 
 
 class Budget:
@@ -47,26 +49,6 @@ def _homology_rows(c):
     return [row for row in rows if row[1] or row[2]]
 
 
-def test_criterion_1_surjective_pairing_battery():
-    with Budget(10):
-        for kwargs in ({"ring": F2}, {"ring": F3}, {"ring": F5}, {"zbound": 2}):
-            rep = vf.verify_theorem_1_2(**kwargs)
-            assert rep.ok, rep.summary()
-
-
-def test_criterion_2_pairing_battery_full():
-    with Budget(300):
-        for p in (2, 3):
-            assert vf.verify_theorem_1_1(p).ok, p
-
-
-def test_criterion_3_family_condition_sweeps():
-    with Budget(5):
-        for p in (3, 5):
-            rep = vf.verify_prop_3_4(p)
-            assert rep.ok, rep.summary()
-
-
 def test_criterion_4_char2_classification():
     with Budget(5):
         rep = vf.verify_char2_classification()
@@ -80,13 +62,6 @@ def test_criterion_4_char2_classification():
         assert unital == {"m2_1", "m2_3"}
         assert rank2.find_unit(rank2.representative("m2_4", (0,), ring)) is not None
         assert rank2.find_unit(rank2.representative("m2_5", (1,), GF(2))) is not None
-
-
-def test_criterion_5_noncommutative_classification():
-    with Budget(60):
-        for p in (2, 3):
-            rep = vf.verify_noncommutative(p)
-            assert rep.ok, rep.summary()
 
 
 def test_criterion_6_two_parameter_algebra_axioms():
@@ -118,6 +93,7 @@ def test_criterion_8_two_diagram_comparison():
     with Budget(5):
         cube1 = dg.build_cube(dg.BUILDERS["figure10_d1"]())
         raw = cx.build_complex(cube1, fr.a5(0, 0), normalize=False)
+        assert list(raw.ranks) == [2, 8, 2]
         assert sum((-1) ** i * rk for i, rk in enumerate(raw.ranks)) == -4  # = 2r(1-r) at r = 2
         c1 = cx.build_complex(cube1, fr.a5(0, 0), normalize=True)
         rows1 = [(i, f) for i, f, tors in _homology_rows(c1) if f or tors]

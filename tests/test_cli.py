@@ -29,17 +29,6 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_homology_builder_json(capsys):
-    code, out = run(
-        capsys, "homology", "builder:trefoil_left", "--a5", "0,0", "--normalize", "--json"
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["normalized"] is True
-    groups = {g["i"]: g for g in data["groups"]}
-    assert groups[-2]["torsion"] == [2]
-
-
 def test_homology_runs_leave_no_garbage_cycles(tmp_path, capsys):
     # the collector is paused for a run because the engine makes no cycles:
     # after the first call, which builds the cached parser, nothing is left
@@ -92,12 +81,6 @@ def test_homology_json_is_byte_stable(capsys):
 def test_homology_requires_specialization(capsys):
     code, out = run(capsys, "homology", "builder:unknot_0")
     assert code == 2
-
-
-def test_bracket(capsys):
-    code, out = run(capsys, "bracket", "builder:unknot_1kink_neg", "--json")
-    assert code == 0
-    assert json.loads(out)["bracket"] == {"-3": -1}
 
 
 def test_bracket_text_renderer():
@@ -415,27 +398,6 @@ def test_a_reader_that_stops_early_ends_the_run_quietly():
     proc.stderr.close()
 
 
-def test_verify_subcommand(capsys):
-    code, out = run(capsys, "verify", "thm1.2", "--p", "2", "--json")
-    assert code == 0
-    assert json.loads(out)[0]["counterexamples"] == []
-
-
-def test_verify_any_prime(capsys):
-    code, out = run(capsys, "verify", "thm1.1", "--p", "5", "--json")
-    assert code == 0 and json.loads(out)[0]["stages"]["compatible_pairs"] == 12000
-    code, out = run(capsys, "verify", "noncomm", "--p", "5", "--json")
-    assert code == 0 and json.loads(out)[0]["stages"] == {"survivors": 48}
-    for target in ("thm1.1", "noncomm"):
-        assert main(["verify", target, "--p", "4"]) == 2
-    capsys.readouterr()
-
-
-def test_verify_bounded_z(capsys):
-    code, out = run(capsys, "verify", "thm1.2", "--zbound", "2", "--json")
-    assert code == 0
-
-
 # verify target -> the report names of its default run, and the error line of
 # each option set it refuses, over the options none, --p 3, --zbound 1 and both
 _ZBOUND_ERR = "verify {} takes no --zbound; only thm1.2 runs over a Z box"
@@ -520,6 +482,8 @@ def test_usage_errors_exit_2(capsys):
     assert main(["verify", "bogus"]) == 2
     assert main(["verify", "thm1.2", "--zbound", "-1"]) == 2
     assert main(["verify", "thm1.1", "--p", "0"]) == 2  # not the default battery
+    for target in ("thm1.1", "noncomm"):
+        assert main(["verify", target, "--p", "4"]) == 2
     # a composite above 2**31 is refused by the bound, before any trial division
     ring = "Fp:1000000016000000063"
     assert main(["homology", "builder:hopf_pos", "--a5", "0,0", "--ring", ring]) == 2
@@ -630,15 +594,21 @@ def test_input_error_branches(tmp_path, capsys, call, message, via_cli):
         (["verify", "prop3.4", "--p", "7"], None, 2, "", "error: sweeps run over F_3 and F_5\n"),
         (["classify", "{f}"], json.dumps(dict(_F3_TABLE, ring={"kind": "Z"})), 2, "",
          "error: classification runs over prime fields\n"),
+        # each printed a bare "'utf-8' codec can't decode" line, with no path
+        (["bracket", "{f}"], b"X 1 1 2 2\xff\n", 2, "",
+         "error: cannot read {f}: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n"),
+        (["check-algebra", "{f}"], b"\xff{}", 2, "",
+         "error: cannot read {f}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
     ],
-    ids=["bracket text", "ring W", "diagram dir", "json dir", "Fp:9", "SIGNS twice", "prop3.4 F_7", "classify Z"],
+    ids=["bracket text", "ring W", "diagram dir", "json dir", "Fp:9", "SIGNS twice", "prop3.4 F_7", "classify Z",
+         "pd not UTF-8", "json not UTF-8"],
 )
 def test_cli_branches(tmp_path, capsys, argv, text, code, out, err):
     # branches no other test reached, with their whole output; {f} is a file
-    # holding text, {d} a directory
+    # holding text (or these bytes), {d} a directory
     f = tmp_path / "input"
     if text is not None:
-        f.write_text(text)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
     fill = lambda a: a.replace("{f}", str(f)).replace("{d}", str(tmp_path))
     assert main(list(map(fill, argv))) == code
     assert capsys.readouterr() == (out, fill(err))

@@ -58,19 +58,6 @@ def test_is_associative_stated_examples():
         F5, (1, 0), (0, 3), (0, 0)))  # beta2 = 3 fails beta2^2 = beta2
 
 
-def test_two_equality_check_matches_full_check():
-    # exhaustive over F_2 and F_3: the shortcut for commutative tables
-    # agrees with testing all eight basis triples
-    for ring in (F2, F3):
-        for t in all_commutative_tables(ring):
-            full = all(
-                rank2.multiply(t, rank2.multiply(t, x, y), z)
-                == rank2.multiply(t, x, rank2.multiply(t, y, z))
-                for x, y, z in itertools.product(((1, 0), (0, 1)), repeat=3)
-            )
-            assert rank2.is_associative(t) == full
-
-
 @pytest.mark.parametrize(
     "entries, m",
     [(range(p), p) for p in (2, 3, 5, 7)] + [(range(-b, b + 1), 0) for b in range(4)],
@@ -96,8 +83,8 @@ def _associative_by_triples(t, m):
 
 @pytest.mark.parametrize(
     "entries, m",
-    [(range(3), 3), (range(-2, 3), 0), ((0, Fraction(1, 2), Fraction(-1)), 0)],
-    ids=["F3", "Z", "Q"],
+    [(range(2), 2), (range(3), 3), (range(-2, 3), 0), ((0, Fraction(1, 2), Fraction(-1)), 0)],
+    ids=["F2", "F3", "Z", "Q"],
 )
 def test_corner_polynomials_match_the_triples(entries, m):
     # the commutative branch evaluates three polynomials; on every
@@ -291,8 +278,8 @@ def test_unit_and_surjectivity_match_all_equations_on_the_z_box():
 # --- isomorphism ----------------------------------------------------------
 #
 # The reference is the brute force the kernel replaced: every g in GL_2(F_p)
-# in lexicographic order, each base change building a MultTable from its own
-# arithmetic mod p, first match wins.
+# in lexicographic order, each base change of a kernel tuple computed from the
+# products written out here (_mul), first match wins.
 
 
 def _gl2(p):
@@ -301,29 +288,13 @@ def _gl2(p):
             yield ((a, b), (c, d))
 
 
-def _reference_transport(t, g):
-    """Table in the basis f_j = g[0][j] e1 + g[1][j] e2, mod p."""
-    p = t.ring.p
-    t4 = (t.e11, t.e12, t.e12 if t.e21 is None else t.e21, t.e22)
-    dinv = pow(g[0][0] * g[1][1] - g[0][1] * g[1][0], -1, p)
-    gi = ((dinv * g[1][1], -dinv * g[0][1]), (-dinv * g[1][0], dinv * g[0][0]))
-
-    def back(w):
-        return tuple((gi[i][0] * w[0] + gi[i][1] * w[1]) % p for i in (0, 1))
-
-    f1, f2 = (g[0][0], g[1][0]), (g[0][1], g[1][1])
-    prods = [back(_mul(t4, u, v, p)) for u, v in ((f1, f1), (f1, f2), (f2, f2))]
-    e21 = None if t.commutative else back(_mul(t4, f2, f1, p))
-    return rank2.MultTable(t.ring, *prods, e21)
-
-
 def _transport(t, g, p, dinv):
     """The products of the kernel tuple t in the basis f_j = g[0][j] e1 +
     g[1][j] e2, lazily, in kernel order; dinv is the inverse of det g mod p."""
     (g00, g01), (g10, g11) = g
     f = ((g00, g10), (g01, g11))
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        x, y = rank2._mul(t, f[i], f[j], p)
+        x, y = _mul(t, f[i], f[j], p)
         yield ((g11 * x - g01 * y) * dinv % p, (g00 * y - g10 * x) * dinv % p)
 
 
@@ -343,23 +314,13 @@ def _kernel_transport(t4, g, p):
     return tuple(_transport(t4, g, p, pow(det, -1, p)))
 
 
-def _reference_isomorphic(a, b):
-    if a.commutative != b.commutative:
-        return None
-    return next((g for g in _gl2(a.ring.p) if _reference_transport(a, g) == b), None)
-
-
-def _reference_targets(ring):
-    # the library's target list, as MultTables for the reference search
-    return [
-        (label, params, rank2.MultTable(ring, e11, e12, e22))
-        for label, params, (e11, e12, _, e22) in rank2._classification_targets(ring)
-    ]
-
-
-def _reference_classify(t, targets):
-    """First matching (label, params), or None."""
-    return next(((l, ps) for l, ps, rep in targets if _reference_isomorphic(t, rep)), None)
+def _scan_classify(t):
+    """The first (label, params) of the library's target list that the scan
+    finds isomorphic to the table t, or None."""
+    t4, p = rank2._entries(t), t.ring.p
+    targets = rank2._classification_targets(t.ring)
+    found = ((label, params) for label, params, rep in targets if _scan_isomorphism(t4, rep, p) is not None)
+    return next(found, None)
 
 
 def _assoc_tables(ring):
@@ -423,41 +384,25 @@ def test_json_round_trip_keeps_commutativity():
             rank2.MultTable.from_json(data)
 
 
-def test_isomorphic_matches_reference_on_noncommutative_f2():
-    targets = [rank2.representative(label, (), F2) for label in ("nc_left", "nc_right")]
-    survivors = 0
-    for c in itertools.product(range(2), repeat=8):
-        t = table(F2, c[0:2], c[2:4], c[6:8], c[4:6])
-        if t.commutative or not rank2.is_associative(t) or not rank2.is_multiplication_surjective(t):
-            continue
-        survivors += 1
-        for tgt in targets:
-            assert rank2.isomorphic(t, tgt) == _reference_isomorphic(t, tgt), t
-    assert survivors == 6
-
-
 @pytest.mark.parametrize("ring", [F2, F3])
 def test_classify_matches_reference_exhaustive(ring):
-    targets = _reference_targets(ring)
     for t in _assoc_tables(ring):
-        assert rank2.classify(t) == _reference_classify(t, targets), t
+        assert rank2.classify(t) == _scan_classify(t), t
 
 
 def test_classify_matches_reference_on_f5_sample():
     # every 50th table, five of them fields: labels and params
     sample = _assoc_tables(F5)[::50]
     assert sum(_is_field(rank2._entries(t), 5) for t in sample) == 5
-    targets = _reference_targets(F5)
     for t in sample:
-        assert rank2.classify(t) == _reference_classify(t, targets), t
+        assert rank2.classify(t) == _scan_classify(t), t
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3**6 - 1), st.integers(0, 47))
 def test_transport_preserves_structure(idx, gidx):
-    # pick a table and a base change over F_3; the kernel transport agrees
-    # with the reference transport, and the transported table agrees on
-    # associativity, unit existence, and idempotent count
+    # pick a table and a base change over F_3; the transported table agrees
+    # on associativity, unit existence, and idempotent count
     digits = []
     for _ in range(6):
         digits.append(idx % 3)
@@ -466,7 +411,6 @@ def test_transport_preserves_structure(idx, gidx):
     g = list(_gl2(3))[gidx]
     e11, e12, _, e22 = _kernel_transport(rank2._entries(t), g, 3)
     t2 = table(F3, e11, e12, e22)
-    assert t2 == _reference_transport(t, g)
     assert rank2.is_associative(t) == rank2.is_associative(t2)
     assert (rank2.find_unit(t) is None) == (rank2.find_unit(t2) is None)
     assert len(rank2.idempotents(t)) == len(rank2.idempotents(t2))
@@ -871,27 +815,33 @@ def test_signature_classes_are_the_orbits(p):
     F_p[x]/x^2 and F_{p^2} do.  Unital tells F_p[x]/x^2 from F_p x 0, the
     one pair that the two counts leave together.
 
-    At F_5 and F_7 classify's lookup must also return the first target that
-    _isomorphism finds isomorphic to the table.  The search skips targets of
-    another signature, which cannot be isomorphic
-    (test_signature_is_invariant_under_base_change)."""
+    At F_5 and F_7 classify's lookup must also agree with the search
+    (classify_lookup_mismatches)."""
     tables = list(rank2._associative_comm_tables(range(p), p))
     sizes = Counter(rank2._signature(t4, p) for t4 in tables).values()
     orbits = [p * (p - 1) * (p * p - 1) // 2] * 2 + [p * (p * p - 1)] * 2 + [p * p - 1, 1]
     assert sorted(sizes) == sorted(orbits)
     assert len(tables) == (p * p - 1) * (p * p + p + 1) + 1
-    if p < 5:
-        return
+    if p >= 5:
+        assert classify_lookup_mismatches(p) == []
+
+
+def classify_lookup_mismatches(p):
+    """The associative commutative F_p tables whose classify answer is not the
+    first target that _isomorphism finds isomorphic to them.  The search skips
+    targets of another signature, which cannot be isomorphic
+    (test_signature_is_invariant_under_base_change).  Tier-1 runs it at
+    p = 5 and 7, and CI at 11 and 13."""
     ring = GF(p)
     targets = [(*tgt, rank2._signature(tgt[2], p)) for tgt in rank2._classification_targets(ring)]
-    for t4 in tables:
+    bad = []
+    for t4 in rank2._associative_comm_tables(range(p), p):
         sig = rank2._signature(t4, p)
-        want = next(
-            ((label, params) for label, params, rep, rep_sig in targets
-             if rep_sig == sig and rank2._isomorphism(t4, rep, p) is not None),
-            None,
-        )
-        assert rank2.classify(rank2._table(ring, t4)) == want, t4
+        want = next(((label, params) for label, params, rep, rep_sig in targets
+                     if rep_sig == sig and rank2._isomorphism(t4, rep, p) is not None), None)
+        if rank2.classify(rank2._table(ring, t4)) != want:
+            bad.append(t4)
+    return bad
 
 
 # --- JSON -------------------------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -35,20 +36,43 @@ FROZEN = [
     ("char2", 2, 2**6, {"associative": 22}),
 ]
 NONCOMM_SURVIVORS = {2: 6, 3: 16, 5: 48}
+SECONDS = {}  # (battery, domain) -> the wall-clock seconds of its one run
 
 
 @functools.cache  # each battery runs once per domain in this file
 def _run(battery, domain):
     over_p, _, over_z, then = cli._BATTERIES[battery]  # the runs of each verify target
+    t0 = time.monotonic()
     if isinstance(domain, str):
-        return over_z(int(domain[1:]))
-    return over_p(domain) if over_p else then()
+        rep = over_z(int(domain[1:]))
+    else:
+        rep = over_p(domain) if over_p else then()
+    SECONDS[battery, domain] = time.monotonic() - t0
+    return rep
 
 
 @pytest.mark.parametrize("battery, domain, space_size, stages", FROZEN, ids=[f"{b}-{d}" for b, d, *_ in FROZEN])
 def test_frozen_reports(battery, domain, space_size, stages):
     rep = _run(battery, domain)
     assert (rep.ok, rep.space_size, rep.stages) == (True, space_size, stages)
+
+
+# acceptance criteria 1, 2, 3 and 5: each battery holds over these domains
+# within a wall-clock budget in seconds, summed over the domains
+BUDGETS = [
+    ("thm1.2", (2, 3, 5, "Z2"), 10),
+    ("thm1.1", (2, 3), 300),
+    ("prop3.4", (3, 5), 5),
+    ("noncomm", (2, 3), 60),
+]
+
+
+@pytest.mark.parametrize("battery, domains, budget", BUDGETS, ids=[b for b, *_ in BUDGETS])
+def test_battery_budgets(battery, domains, budget):
+    reports = [_run(battery, d) for d in domains]
+    assert all(rep.ok for rep in reports), [rep.summary() for rep in reports]
+    seconds = sum(SECONDS[battery, d] for d in domains)
+    assert seconds < budget, f"budget {budget}s exceeded: {seconds:.1f}s"
 
 
 def test_noncommutative_survivors():
