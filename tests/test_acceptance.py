@@ -93,7 +93,6 @@ def test_criterion_8_two_diagram_comparison():
     with Budget(5):
         cube1 = dg.build_cube(dg.BUILDERS["figure10_d1"]())
         raw = cx.build_complex(cube1, fr.a5(0, 0), normalize=False)
-        assert list(raw.ranks) == [2, 8, 2]
         assert sum((-1) ** i * rk for i, rk in enumerate(raw.ranks)) == -4  # = 2r(1-r) at r = 2
         c1 = cx.build_complex(cube1, fr.a5(0, 0), normalize=True)
         rows1 = [(i, f) for i, f, tors in _homology_rows(c1) if f or tors]

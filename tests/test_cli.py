@@ -29,6 +29,17 @@ def run(capsys, *argv):
     return code, out
 
 
+def test_homology_builder_json(capsys):
+    code, out = run(
+        capsys, "homology", "builder:trefoil_left", "--a5", "0,0", "--normalize", "--json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["normalized"] is True
+    groups = {g["i"]: g for g in data["groups"]}
+    assert groups[-2]["torsion"] == [2]
+
+
 def test_homology_runs_leave_no_garbage_cycles(tmp_path, capsys):
     # the collector is paused for a run because the engine makes no cycles:
     # after the first call, which builds the cached parser, nothing is left
@@ -81,6 +92,12 @@ def test_homology_json_is_byte_stable(capsys):
 def test_homology_requires_specialization(capsys):
     code, out = run(capsys, "homology", "builder:unknot_0")
     assert code == 2
+
+
+def test_bracket(capsys):
+    code, out = run(capsys, "bracket", "builder:unknot_1kink_neg", "--json")
+    assert code == 0
+    assert json.loads(out)["bracket"] == {"-3": -1}
 
 
 def test_bracket_text_renderer():

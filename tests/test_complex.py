@@ -58,8 +58,34 @@ def test_differentials_hold_ring_elements():
                         assert all(x in range(R.p) for x in m.entries)
 
 
+def test_two_crossing_two_component_ranks():
+    c = build("figure10_d1", fr.a5(0, 0), normalize=False)
+    assert list(c.ranks) == [2, 8, 2]
+    assert euler_characteristic(c) == -4
+
+
 def _rows(table):
     return [(r["i"], r["free_rank"], r["torsion"]) for r in table.to_json()["groups"]]
+
+
+# --- integral oracles -------------------------------------------------------------
+
+
+def test_left_trefoil_integral_homology():
+    c = build("trefoil_left", fr.a5(0, 0))
+    got = {i: (f, tors) for i, f, tors in _rows(cx.homology(c))}
+    assert got.get(-3, (0, []))[0] == 1
+    assert got.get(-2) == (1, [2])
+    assert got.get(0, (0, []))[0] == 2
+    assert got.get(-1, (0, [])) == (0, [])
+
+
+def test_right_trefoil_integral_homology():
+    c = build("trefoil_right", fr.a5(0, 0))
+    got = {i: (f, tors) for i, f, tors in _rows(cx.homology(c))}
+    assert got.get(0, (0, []))[0] == 2
+    assert got.get(2) == (1, [])
+    assert got.get(3) == (1, [2])
 
 
 def test_deformed_homology_counts_components():
@@ -434,3 +460,10 @@ def test_library_homology_leaves_no_garbage_cycles():
         assert table.rows, R
         del table
         assert gc.collect() == 0, R
+
+
+def test_json_table_shape():
+    t = cx.homology(build("hopf_pos", fr.a5(0, 0)))
+    j = t.to_json()
+    assert j["normalized"] is True
+    assert {"i", "free_rank", "torsion"} <= set(j["groups"][0].keys())

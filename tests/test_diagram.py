@@ -224,6 +224,12 @@ def test_bracket_disjoint_union_multiplies_by_delta():
     assert list(dg.kauffman_bracket(plus_loop).items()) == [(-9, -1), (-1, 1), (3, 1), (7, 1)]
 
 
+def test_bracket_hopf_value():
+    # <positive hopf> = -A^4 - A^-4 after expanding the 4 states
+    d = dg.BUILDERS["hopf_pos"]()
+    assert dg.kauffman_bracket(d) == {-4: -1, 4: -1}
+
+
 def test_rii_pair_preserves_bracket_and_writhe():
     for name in ("unknot_0", "hopf_neg", "trefoil_left"):
         base = dg.BUILDERS[name]()

@@ -18,6 +18,14 @@ F2, F3, F5 = GF(2), GF(3), GF(5)
 # --- the two-parameter family ----------------------------------------------
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2, 2), st.integers(-2, 2))
+def test_a5_satisfies_all_axioms(h, t):
+    F = fr.a5(h, t)
+    flags = fr.check_axioms(F)
+    assert all(flags.values()), flags
+
+
 def test_a5_structure_constants():
     F = fr.a5(2, 3)
     # x*x = t + h*x
@@ -227,6 +235,15 @@ def test_a4_at_standard_point_is_a5():
 # --- twisting ----------------------------------------------------------------
 
 
+def test_twist_recovers_a5():
+    # twisting the a4 family point by y = f + e x lands on a5(h, t)
+    for a, h in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        t = a * a + h * a - 1
+        F = fr.a4_evaluate((a, 1, 1, a, h, t))
+        y = (a, 1)  # f + e*x with e = 1, f = a
+        assert fr.twist(F, y) == fr.a5(h, t)
+
+
 def test_twist_by_nonunit_rejected():
     F = fr.a5(0, 0)
     with pytest.raises(ValueError):
@@ -308,6 +325,12 @@ def test_merge_then_split_equals_split_then_merge():
         d_in_pos2 = fr.generator_map(F, 2, (1,), (1, 2))
         m_in_pos1 = fr.generator_map(F, 3, (0, 1), (0,))
         assert m_in_pos1 @ d_in_pos2 == d @ m
+
+
+def test_n2cob_relations_agree_with_axiom_flags():
+    good = fr.a5(-1, 2)
+    assert all(fr.verify_n2cob_relations(good).values())
+    assert all(fr.check_axioms(good).values())
 
 
 def test_relation_on_a_noncocommutative_frobenius_algebra():

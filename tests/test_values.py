@@ -1,7 +1,11 @@
 """The value-class contract: the nine classes compare and hash by their
-fields, are immutable, and keep cached values out of both.  That the CLI
-starts without ``dataclasses`` or ``inspect`` is
-``test_cli.py::test_the_cli_imports_no_typing_dataclasses_or_inspect``."""
+fields, are immutable, and keep cached values out of both; and the CLI
+starts without ``dataclasses`` or ``inspect``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +111,16 @@ def test_cached_values_take_no_part_in_equality():
     assert cube == dg.build_cube(hopf()) and hash(cube) == hash(dg.build_cube(hopf()))
     d = hopf()
     assert d.arc_count == 4
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    src = str(Path(cx.__file__).resolve().parents[1])
+    code = "import sys, frobknot.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
