@@ -21,11 +21,11 @@ from .rings import QQ, ZZ, GF, RingSpec
 
 
 def _read(path: str, parse=str):
-    """parse(text) of the UTF-8 file at path; a read, decode or JSON error names the path."""
+    """parse(text) of the UTF-8 file at path; an error reading, decoding or parsing it names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # ValueError: bad UTF-8 or JSON, a too long number
         raise ValueError(f"cannot read {path}: {e}") from None
 
 

@@ -20,8 +20,8 @@ from .rings import RingSpec, Scalar, Value
 Pair = tuple[Scalar, Scalar]
 
 
-MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about a minute over F_13
-MAX_ZBOUND = 40  # thm1.2 over the Z box [-40, 40]^6 takes about a minute
+MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about 25 s over F_13
+MAX_ZBOUND = 40  # thm1.2 over the Z box [-40, 40]^6 takes about 35 s
 
 
 def _searchable(ring: RingSpec, what: str) -> RingSpec:
@@ -77,8 +77,6 @@ class MultTable(Value):
 # call the kernel directly.
 # ---------------------------------------------------------------------------
 
-_TRIPLES = tuple(itertools.product(((1, 0), (0, 1)), repeat=3))
-
 
 def _mul(t, u, v, m):
     (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
@@ -89,20 +87,21 @@ def _mul(t, u, v, m):
 
 
 def _associative(t, m) -> bool:
-    (a1, b1), e12, e21, (a4, b4) = t
-    if e12 == e21:  # commutative: the corner identities, written out
-        a2, b2 = e12
-        return _vanish(
-            (
-                b1 * a4 - a2 * b2,
-                b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,
-                (a1 - b2) * a4 + a2 * b4 - a2 * a2,
-            ),
-            m,
-        )
-    return all(
-        _mul(t, _mul(t, x, y, m), z, m) == _mul(t, x, _mul(t, y, z, m), m) for x, y, z in _TRIPLES
-    )
+    """(e_x e_y) e_z = e_x (e_y e_z) at the eight basis triples, labelled 111 to 222 below: with
+    indices from 0, e_i e_j = t[2i + j], e_x e_y = (a, b) and e_y e_z = (c, d), the difference
+    a t[z] + b t[2 + z] - c t[2x] - d t[2x + 1] has two coefficients, written out."""
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
+    if t[1] == t[2]:  # commutative: only the corner identities of triples 112 and 122 are left
+        return _vanish((b1 * a4 - a2 * b2, b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,
+                        (a1 - b2) * a4 + a2 * b4 - a2 * a2), m)
+    return _vanish((b1 * (a3 - a2), b1 * (b3 - b2),  # 111
+                    b1 * a4 - a2 * b2, b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,  # 112
+                    a1 * (a2 - a3) + a3 * b2 - a2 * b3, b1 * (a2 - a3),  # 121
+                    a2 * a2 - a2 * b4 + (b2 - a1) * a4, a2 * b2 - b1 * a4,  # 122
+                    a3 * b3 - b1 * a4, a3 * b1 - a1 * b3 + b3 * b3 - b1 * b4,  # 211
+                    a4 * (b3 - b2), a3 * b2 - a2 * b3 + b4 * (b3 - b2),  # 212
+                    (a1 - b3) * a4 + a3 * b4 - a3 * a3, b1 * a4 - a3 * b3,  # 221
+                    a4 * (a2 - a3), a4 * (b2 - b3)), m)  # 222
 
 
 def _associative_comm_tables(entries, m):
@@ -139,10 +138,8 @@ def _associative_comm_tables(entries, m):
 
 def _associative_noncomm_tables(p):
     """Every associative noncommutative F_p tuple, in the lexicographic order
-    of its eight entries.  With e11 = (a1, b1) and e22 = (a4, b4) the
-    identities (e1 e1) e1 = e1 (e1 e1) and (e2 e2) e2 = e2 (e2 e2) read
-    b1 (e21 - e12) = 0 and a4 (e12 - e21) = 0, so b1 = a4 = 0 when e12 != e21;
-    _associative judges the remaining p^6 candidates."""
+    of its eight entries.  The triples 111 and 222 of _associative make
+    b1 = a4 = 0 when e12 != e21; _associative judges the remaining p^6."""
     for a1, a2, b2, a3, b3, b4 in itertools.product(range(p), repeat=6):
         t = ((a1, 0), (a2, b2), (a3, b3), (0, b4))
         if t[1] != t[2] and _associative(t, p):
@@ -189,42 +186,44 @@ def _surjective(t, m) -> bool:
     and the 2x2 minors of the 2x4 product matrix must be 1: over Z that gcd
     is d1*d2 of the Smith form.  A repeated column adds only zero or
     repeated minors, so a commutative tuple's e2e1 is left out."""
-    cols = t if t[1] != t[2] else (t[0], t[1], t[3])
-    minors = [a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(cols, 2)]
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
+    minors = (a1 * b2 - a2 * b1, a1 * b4 - a4 * b1, a2 * b4 - a4 * b2)
+    if t[1] != t[2]:
+        minors += (a1 * b3 - a3 * b1, a2 * b3 - a3 * b2, a3 * b4 - a4 * b3)
     if type(minors[0]) is Fraction:  # Q: every nonzero minor is a unit
         return any(minors)
     return math.gcd(*minors, m) == 1
 
 
 def _unit(t, m):
-    """The two-sided unit u = x e1 + y e2, or None.
-
-    Cramer's rule on the first nonsingular pair of the eight unit equations,
-    then a check of all of them; on a commutative tuple the last four repeat
-    the first four and are left out.  A unit is unique, so a system with no
-    nonsingular pair has none.
-    """
-    (a11, b11), (a12, b12), (a21, b21), (a22, b22) = t
-    rows = (  # x * c + y * d = r, from u e1 = e1, u e2 = e2, e1 u = e1, e2 u = e2
-        (a11, a21, 1), (b11, b21, 0), (a12, a22, 0), (b12, b22, 1),
-    )
-    if t[1] != t[2]:
-        rows += ((a11, a12, 1), (b11, b12, 0), (a21, a22, 0), (b21, b22, 1))
-    for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
-        det = c1 * d2 - c2 * d1
-        if (det % m if m else det) != 0:
-            break
-    else:
-        return None
-    xn, yn = r1 * d2 - r2 * d1, c1 * r2 - c2 * r1
+    """The two-sided unit u = x e1 + y e2, or None: Cramer's rule on a
+    nonsingular pair of the unit equations (u e1 = e1 when it is one), then a
+    check of each equation, as Z floors the quotient.  A unit is unique, so
+    any nonsingular pair gives it, and a system with no such pair has none."""
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
+    rows = ((a1, a3, 1), (b1, b3, 0), (a2, a4, 0), (b2, b4, 1))  # x c + y d = r: u e1 = e1, u e2 = e2
+    if t[1] != t[2]:  # e1 u = e1 and e2 u = e2, which a commutative tuple repeats
+        rows += ((a1, a2, 1), (b1, b2, 0), (a3, a4, 0), (b3, b4, 1))
+    det, xn, yn = a1 * b3 - a3 * b1, b3, -b1
+    if not (det % m if m else det):
+        for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
+            det = c1 * d2 - c2 * d1
+            if det % m if m else det:
+                xn, yn = r1 * d2 - r2 * d1, c1 * r2 - c2 * r1
+                break
+        else:
+            return None
     if m:
         inv = pow(det, -1, m)
-        u = (xn * inv % m, yn * inv % m)
+        x, y = xn * inv % m, yn * inv % m
     elif type(det) is Fraction:
-        u = (xn / det, yn / det)
+        x, y = xn / det, yn / det
     else:  # Z: a floored quotient fails the check below unless it is exact
-        u = (xn // det, yn // det)
-    return u if _vanish([u[0] * c + u[1] * d - r for c, d, r in rows], m) else None
+        x, y = xn // det, yn // det
+    for c, d, r in rows:
+        if (x * c + y * d - r) % m if m else x * c + y * d != r:
+            return None
+    return x, y
 
 
 def _entries(t: MultTable):
@@ -243,12 +242,9 @@ def multiply(t: MultTable, u: Pair, v: Pair) -> Pair:
 
 
 def is_associative(t: MultTable) -> bool:
-    """Associativity of the bilinear extension.
-
-    Commutative tables need only the two corner identities
-    (e1 e1) e2 = e1 (e1 e2) and (e2 e2) e1 = e2 (e2 e1); noncommutative
-    tables are checked on all eight basis triples.
-    """
+    """Associativity of the bilinear extension, checked on the eight basis
+    triples; a commutative table needs only the two corner identities
+    (e1 e1) e2 = e1 (e1 e2) and (e2 e2) e1 = e2 (e2 e1)."""
     return _associative(_entries(t), t.ring.p)
 
 
@@ -271,10 +267,12 @@ def idempotents(t: MultTable) -> list[Pair]:
 def _signature(t, p) -> tuple:
     """Isomorphism invariants of an F_p tuple: unital or not, and the
     numbers of nonzero idempotents and of nonzero square-zero elements."""
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
+    a23, b23 = a2 + a3, b2 + b3  # (x e1 + y e2)^2 = x^2 e11 + xy (e12 + e21) + y^2 e22
     idem = nil = -1  # v = 0 is both
-    for v in itertools.product(range(p), repeat=2):
-        sq = _mul(t, v, v, p)
-        idem += sq == v
+    for x, y in itertools.product(range(p), repeat=2):
+        sq = ((x * x * a1 + x * y * a23 + y * y * a4) % p, (x * x * b1 + x * y * b23 + y * y * b4) % p)
+        idem += sq == (x, y)
         nil += sq == (0, 0)
     return _unit(t, p) is not None, idem, nil
 

@@ -107,8 +107,10 @@ class RingSpec(Value):
         if type(x) is int:
             return x % self.p if self.p else Fraction(x) if self.kind == "Q" else x
         if isinstance(x, str):
+            if "/" not in x:  # an integer string: one int() call, then the plain-int path
+                return self.normalize(int(x))
             try:
-                x = Fraction(x) if "/" in x else int(x)
+                x = Fraction(x)
             except ZeroDivisionError:
                 raise ValueError(f"{x!r} has a zero denominator") from None
         elif isinstance(x, (float, bool)):

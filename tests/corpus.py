@@ -6,7 +6,9 @@ directory.  The inputs are 64 seeded braid closures (2-4 strands, 1-6
 letters) under ``homology --normalize --json`` over Z, Q, F_2 and F_3 with
 ``a5(0,0)``, ``a5(1,1)`` and the x2/x3-scaled algebra, ``bracket`` and
 ``bracket --json`` of each closure, and ``check-algebra --json`` and
-``relations --json`` of every file in ``ALGEBRAS``.
+``relations --json`` of every file in ``ALGEBRAS``.  Each JSON reader
+(``check-algebra``, ``relations``, ``classify`` and ``homology --algebra``)
+reads ``nested.json``, lists nested past the parser's limit.
 A larger tier of 4 seeded closures (2-4 strands, 7-8 letters, so cubes of
 128 or 256 states) runs ``homology --normalize --json`` over Z and F_2
 with ``a5(0,0)`` and over Q with the x2/x3-scaled algebra.  Every built-in
@@ -128,6 +130,10 @@ def _commands(d: Path):
         (d / name).write_text(json.dumps(data))
         for cmd in ("check-algebra", "relations"):
             yield [cmd, str(d / name), "--json"]
+    # 100000 deep: Python 3.12 parses 1000 and 3.13 parses 9999 levels
+    (d / "nested.json").write_text("[" * 100000 + "]" * 100000)
+    for cmd in (["check-algebra"], ["relations"], ["classify"], ["homology", "builder:hopf_pos", "--algebra"]):
+        yield [*cmd, str(d / "nested.json")]
     for args in VERIFY:
         yield ["verify", *args, "--json"]
     # in text mode: F_7's m8_2R (1, 3), F_13's m6 (0, 0) and F_13[sqrt 2], Fp2 (2,)

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobknot import complex as cx
@@ -596,6 +596,15 @@ def test_input_error_branches(tmp_path, capsys, call, message, via_cli):
         assert capsys.readouterr() == ("", f"error: {f}: {message}\n" if text else f"error: {message}\n")
 
 
+def _parse_error(text) -> str:
+    """The JSON parser's message on text, whose wording varies with the Python version."""
+    try:
+        json.loads(text)
+    except ValueError as e:
+        return str(e)
+    raise AssertionError(f"{text[:20]}... parses")
+
+
 @pytest.mark.parametrize(
     "argv, text, code, out, err",
     [
@@ -616,9 +625,12 @@ def test_input_error_branches(tmp_path, capsys, call, message, via_cli):
          "error: cannot read {f}: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte\n"),
         (["check-algebra", "{f}"], b"\xff{}", 2, "",
          "error: cannot read {f}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        # each printed the parser's error with no path
+        (["classify", "{f}"], "9" * 5000, 2, "", f"error: cannot read {{f}}: {_parse_error('9' * 5000)}\n"),
+        (["check-algebra", "{f}"], "9" * 5000, 2, "", f"error: cannot read {{f}}: {_parse_error('9' * 5000)}\n"),
     ],
     ids=["bracket text", "ring W", "diagram dir", "json dir", "Fp:9", "SIGNS twice", "prop3.4 F_7", "classify Z",
-         "pd not UTF-8", "json not UTF-8"],
+         "pd not UTF-8", "json not UTF-8", "classify long number", "check-algebra long number"],
 )
 def test_cli_branches(tmp_path, capsys, argv, text, code, out, err):
     # branches no other test reached, with their whole output; {f} is a file
@@ -702,6 +714,29 @@ def _mutated_json(draw, data):
     return data
 
 
+def _sizes(below, top):
+    """A size up to top, as often below the limit as past it."""
+    return st.one_of(st.integers(1, below), st.integers(below + 1, top))
+
+
+# up to and past the parser's limits: a nest of up to 2000 lists (the
+# recursion limit is 1000 frames, which hypothesis raises by 2000 while a test
+# runs), a number of up to 5000 digits (int reads 4300)
+_HUGE = st.one_of(_sizes(999, 2000).map(lambda n: "[" * n + "]" * n), _sizes(4300, 5000).map(lambda n: "9" * n))
+
+
+def _json_text(draw, data) -> str:
+    """The JSON text of data; at random one of its slots, or the whole text, is a _HUGE value."""
+    if draw(st.booleans()):
+        return json.dumps(data)
+    slots = _slots(data)
+    if not slots or draw(st.booleans()):
+        return draw(_HUGE)
+    parent, key = draw(st.sampled_from(slots))
+    parent[key] = "\0"
+    return json.dumps(data).replace(json.dumps("\0"), draw(_HUGE))
+
+
 @st.composite
 def _cli_calls(draw):
     """(argv, files): a command line and the files it names, by placeholder."""
@@ -738,17 +773,19 @@ def _cli_calls(draw):
                 ]
             )
         )
-        return argv, json.dumps(_mutated_json(draw, base))
+        return argv, _json_text(draw, _mutated_json(draw, base))
     R = draw(st.sampled_from([GF(2), GF(3), GF(5)]))
     pair = st.tuples(*[st.sampled_from(range(R.p))] * 2)
     table = rank2.MultTable(R, draw(pair), draw(pair), draw(pair), draw(st.one_of(st.none(), pair)))
     p = draw(st.one_of(st.none(), st.sampled_from([2, 3, 5]), st.integers(-1, 7)))
     argv = ["classify", "{f}", "--json"] + (["--p", str(p)] if p is not None else [])
-    return argv, json.dumps(_mutated_json(draw, table.to_json()))
+    return argv, _json_text(draw, _mutated_json(draw, table.to_json()))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_cli_calls())
+@example((["classify", "{f}", "--json"], "[" * 2000 + "]" * 2000))
+@example((["check-algebra", "{f}", "--json"], "9" * 5000))
 def test_cli_fuzz_keeps_the_exit_code_contract(call):
     argv, text = call
     with tempfile.TemporaryDirectory() as tmp:

@@ -73,12 +73,13 @@ def test_associative_comm_tables_match_brute_force(entries, m):
     assert list(rank2._associative_comm_tables(entries, m)) == brute
 
 
+_TRIPLES = tuple(itertools.product(((1, 0), (0, 1)), repeat=3))
+
+
 def _associative_by_triples(t, m):
     # the definition: (x y) z = x (y z) on all eight basis triples
     mul = rank2._mul
-    return all(
-        mul(t, mul(t, x, y, m), z, m) == mul(t, x, mul(t, y, z, m), m) for x, y, z in rank2._TRIPLES
-    )
+    return all(mul(t, mul(t, x, y, m), z, m) == mul(t, x, mul(t, y, z, m), m) for x, y, z in _TRIPLES)
 
 
 @pytest.mark.parametrize(
@@ -231,28 +232,49 @@ def test_kernel_matches_linalg_reference():
         assert rank2.find_unit(t) == (None if sol is None else tuple(sol)), t
 
 
-def _reference_surjective(t):
-    # over Z: the gcd of every 2x2 minor of the 2x4 product matrix, repeated
-    # columns included
-    return math.gcd(*(a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(t, 2))) == 1
+def _reference_surjective(t, m=0):
+    # every 2x2 minor of the 2x4 product matrix, repeated columns included:
+    # over Q one is nonzero, over Z and F_p their gcd with m is 1
+    minors = [a[0] * b[1] - a[1] * b[0] for a, b in itertools.combinations(t, 2)]
+    return any(minors) if type(minors[0]) is Fraction else math.gcd(*minors, m) == 1
 
 
-def _reference_unit(t):
-    # over Z: Cramer's rule on the first nonsingular pair of all eight unit
-    # equations, commutative or not, then a check of all eight
-    (a11, b11), (a12, b12), (a21, b21), (a22, b22) = t
-    rows = (
-        (a11, a21, 1), (b11, b21, 0), (a12, a22, 0), (b12, b22, 1),
-        (a11, a12, 1), (b11, b12, 0), (a21, a22, 0), (b21, b22, 1),
-    )
-    for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
-        det = c1 * d2 - c2 * d1
-        if det:
-            break
+def _unit_equations(t, m):
+    # the eight equations x c + y d = r of u = x e1 + y e2, commutative tuple
+    # or not: u e = e and e u = e for e = e1, e2, read off the products
+    e1, e2 = (1, 0), (0, 1)
+    rows = []
+    for e in (e1, e2):
+        for f1, f2 in ((rank2._mul(t, e1, e, m), rank2._mul(t, e2, e, m)),
+                       (rank2._mul(t, e, e1, m), rank2._mul(t, e, e2, m))):
+            rows += [(f1[0], f2[0], e[0]), (f1[1], f2[1], e[1])]
+    return rows
+
+
+def _reference_unit(t, m=0):
+    # over F_p every u of the plane is tried; over Z and Q, Cramer's rule on
+    # the first nonsingular pair of all eight unit equations, floored over Z.
+    # Either way each of the eight equations is then checked on its own.
+    rows = _unit_equations(t, m)
+    if m:
+        cands = itertools.product(range(m), repeat=2)
     else:
-        return None
-    u = ((r1 * d2 - r2 * d1) // det, (c1 * r2 - c2 * r1) // det)
-    return u if all(u[0] * c + u[1] * d == r for c, d, r in rows) else None
+        for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
+            det = c1 * d2 - c2 * d1
+            if det:
+                break
+        else:
+            return None
+        xn, yn = r1 * d2 - r2 * d1, c1 * r2 - c2 * r1
+        cands = [(xn / det, yn / det) if type(det) is Fraction else (xn // det, yn // det)]
+    for u in cands:
+        for c, d, r in rows:
+            v = u[0] * c + u[1] * d - r
+            if v % m if m else v:
+                break
+        else:
+            return u
+    return None
 
 
 def test_unit_and_surjectivity_match_all_equations_on_the_z_box():
@@ -273,6 +295,78 @@ def test_unit_and_surjectivity_match_all_equations_on_the_z_box():
     # a unit makes the product onto, and a unital rank-2 algebra, spanned by
     # 1 and one more element, is commutative: the other five cases all occur
     assert len(seen) == 5
+
+
+def _seeded_tuples(kind, count=1600):
+    """count seeded Z or Q kernel tuples, a quarter each: random entries,
+    the same with e21 = e12, e_ij = l_i l_j v (associative, and no pair of
+    its unit equations is nonsingular), and in turn the unital
+    F[x]/(x^2 - a x - b) in the basis (x, 1), whose unit e2 the pair
+    u e1 = e1 misses at b = 0, and multiples of nc_left and nc_right."""
+    rnd = random.Random(f"kernel-{kind}")
+    if kind == "Z":
+        draw = lambda: rnd.randint(-3, 3)
+    else:
+        draw = lambda: Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+    out = []
+    for i in range(count):
+        if i % 4 < 2:
+            t = [(draw(), draw()) for _ in range(4)]
+            out.append((t[0], t[1], t[1 + i % 2], t[3]))
+        elif i % 4 == 2:
+            (l1, l2), v = (draw(), draw()), (draw(), draw())
+            out.append(tuple((li * lj * v[0], li * lj * v[1]) for li in (l1, l2) for lj in (l1, l2)))
+        elif i % 8 == 3:
+            a, b = draw(), draw()
+            out.append(((a, b), (1, 0), (1, 0), (0, 1)))
+        else:
+            c, nc = draw(), rnd.choice([((0, 0), (0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 0), (0, 1))])
+            out.append(tuple((c * x, c * y) for x, y in nc))
+    return out
+
+
+@pytest.mark.parametrize("ring", ["F2", "F3", "Z", "Q"])
+def test_kernel_predicates_match_generic_references(ring):
+    # the written-out _associative, _unit and _surjective against the basis
+    # triples through _mul, the minors through combinations and the unit
+    # equations one by one: on every F_2 and F_3 tuple, and on seeded Z and
+    # Q tuples, commutative or not
+    if ring[0] == "F":
+        m = int(ring[1:])
+        tuples = [(e[0:2], e[2:4], e[4:6], e[6:8]) for e in itertools.product(range(m), repeat=8)]
+    else:
+        m, tuples = 0, _seeded_tuples(ring)
+    seen, singular = set(), 0
+    for t in tuples:
+        got = (rank2._associative(t, m), rank2._unit(t, m), rank2._surjective(t, m))
+        assert got == (_associative_by_triples(t, m), _reference_unit(t, m), _reference_surjective(t, m)), t
+        seen.update((t[1] == t[2], k, v not in (None, False)) for k, v in enumerate(got))
+        if got[1] is None:
+            singular += not any((c1 * d2 - c2 * d1) % m if m else c1 * d2 - c2 * d1
+                                for (c1, d1, _), (c2, d2, _) in itertools.combinations(_unit_equations(t, m), 2))
+    # each predicate says yes and no on commutative and on noncommutative
+    # tuples, but for a unit, which makes a rank-2 algebra commutative; and
+    # some systems of unit equations have no nonsingular pair
+    assert seen == set(itertools.product((True, False), range(3), (True, False))) - {(False, 1, True)}
+    assert singular > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_signature_matches_its_product_form(p):
+    # _signature's squares, written out, against v * v through _mul on every
+    # F_3 tuple and on every commutative and a seeded noncommutative F_5 sample
+    if p == 3:
+        tuples = [(e[0:2], e[2:4], e[4:6], e[6:8]) for e in itertools.product(range(3), repeat=8)]
+    else:
+        rnd = random.Random(5)
+        tuples = [(e[0:2], e[2:4], e[2:4], e[4:6]) for e in itertools.product(range(5), repeat=6)]
+        tuples += [tuple((rnd.randrange(5), rnd.randrange(5)) for _ in range(4)) for _ in range(3000)]
+    plane = list(itertools.product(range(p), repeat=2))
+    for t in tuples:
+        squares = [rank2._mul(t, v, v, p) for v in plane]
+        idem = sum(sq == v for sq, v in zip(squares, plane)) - 1
+        nil = squares.count((0, 0)) - 1
+        assert rank2._signature(t, p) == (rank2._unit(t, p) is not None, idem, nil), t
 
 
 # --- isomorphism ----------------------------------------------------------
