@@ -20,8 +20,8 @@ from .rings import RingSpec, Scalar, Value
 Pair = tuple[Scalar, Scalar]
 
 
-MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about 25 s over F_13
-MAX_ZBOUND = 40  # thm1.2 over the Z box [-40, 40]^6 takes about 35 s
+MAX_SEARCH_P = 13  # thm1.1, the slowest search, takes about 30 s over F_13
+MAX_ZBOUND = 40  # thm1.2 over the Z box [-40, 40]^6 takes about 30 s
 
 
 def _searchable(ring: RingSpec, what: str) -> RingSpec:
@@ -89,19 +89,18 @@ def _mul(t, u, v, m):
 def _associative(t, m) -> bool:
     """(e_x e_y) e_z = e_x (e_y e_z) at the eight basis triples, labelled 111 to 222 below: with
     indices from 0, e_i e_j = t[2i + j], e_x e_y = (a, b) and e_y e_z = (c, d), the difference
-    a t[z] + b t[2 + z] - c t[2x] - d t[2x + 1] has two coefficients, written out."""
+    a t[z] + b t[2 + z] - c t[2x] - d t[2x + 1] has two coefficients.  Of the sixteen, the twelve
+    that are not the negative of another are written out.  On a commutative tuple the nine after
+    the corner identities of triples 112 and 122 are zero or minus one of them."""
     (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
-    if t[1] == t[2]:  # commutative: only the corner identities of triples 112 and 122 are left
-        return _vanish((b1 * a4 - a2 * b2, b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,
-                        (a1 - b2) * a4 + a2 * b4 - a2 * a2), m)
-    return _vanish((b1 * (a3 - a2), b1 * (b3 - b2),  # 111
-                    b1 * a4 - a2 * b2, b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,  # 112
-                    a1 * (a2 - a3) + a3 * b2 - a2 * b3, b1 * (a2 - a3),  # 121
-                    a2 * a2 - a2 * b4 + (b2 - a1) * a4, a2 * b2 - b1 * a4,  # 122
-                    a3 * b3 - b1 * a4, a3 * b1 - a1 * b3 + b3 * b3 - b1 * b4,  # 211
-                    a4 * (b3 - b2), a3 * b2 - a2 * b3 + b4 * (b3 - b2),  # 212
-                    (a1 - b3) * a4 + a3 * b4 - a3 * a3, b1 * a4 - a3 * b3,  # 221
-                    a4 * (a2 - a3), a4 * (b2 - b3)), m)  # 222
+    return _vanish((b1 * a4 - a2 * b2, b1 * b4 - a2 * b1 - b2 * b2 + a1 * b2,  # 112
+                    (a1 - b2) * a4 + a2 * b4 - a2 * a2), m) and (  # 122
+        t[1] == t[2] or _vanish((b1 * (a3 - a2), b1 * (b3 - b2),  # 111
+                                 a1 * (a2 - a3) + a3 * b2 - a2 * b3,  # 121
+                                 a3 * b3 - b1 * a4, a3 * b1 - a1 * b3 + b3 * b3 - b1 * b4,  # 211
+                                 a3 * b2 - a2 * b3 + b4 * (b3 - b2),  # 212
+                                 (a1 - b3) * a4 + a3 * b4 - a3 * a3,  # 221
+                                 a4 * (a2 - a3), a4 * (b2 - b3)), m))  # 222
 
 
 def _associative_comm_tables(entries, m):
@@ -196,23 +195,21 @@ def _surjective(t, m) -> bool:
 
 
 def _unit(t, m):
-    """The two-sided unit u = x e1 + y e2, or None: Cramer's rule on a
-    nonsingular pair of the unit equations (u e1 = e1 when it is one), then a
-    check of each equation, as Z floors the quotient.  A unit is unique, so
-    any nonsingular pair gives it, and a system with no such pair has none."""
+    """The two-sided unit u = x e1 + y e2, or None: Cramer's rule on the first
+    nonsingular pair of the unit equations, then a check of each equation, as
+    Z floors the quotient.  A unit is unique, so any nonsingular pair gives
+    it, and a system with no such pair has none."""
     (a1, b1), (a2, b2), (a3, b3), (a4, b4) = t
     rows = ((a1, a3, 1), (b1, b3, 0), (a2, a4, 0), (b2, b4, 1))  # x c + y d = r: u e1 = e1, u e2 = e2
     if t[1] != t[2]:  # e1 u = e1 and e2 u = e2, which a commutative tuple repeats
         rows += ((a1, a2, 1), (b1, b2, 0), (a3, a4, 0), (b3, b4, 1))
-    det, xn, yn = a1 * b3 - a3 * b1, b3, -b1
-    if not (det % m if m else det):
-        for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
-            det = c1 * d2 - c2 * d1
-            if det % m if m else det:
-                xn, yn = r1 * d2 - r2 * d1, c1 * r2 - c2 * r1
-                break
-        else:
-            return None
+    for (c1, d1, r1), (c2, d2, r2) in itertools.combinations(rows, 2):
+        det = c1 * d2 - c2 * d1
+        if det % m if m else det:
+            break
+    else:
+        return None
+    xn, yn = r1 * d2 - r2 * d1, c1 * r2 - c2 * r1
     if m:
         inv = pow(det, -1, m)
         x, y = xn * inv % m, yn * inv % m
